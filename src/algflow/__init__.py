@@ -15,8 +15,10 @@ from .algebra import (
     algebra_from_json_dict,
     algebra_to_json_dict,
     associativity_residual,
+    associativity_residuals,
     change_of_basis,
     commutativity_residual,
+    commutativity_residuals,
     from_2x4,
     is_associative,
     is_commutative,
@@ -32,6 +34,7 @@ from .classification import (
     branch_tensor,
     class_representative,
     classify_time,
+    classify_times,
     label_from_json_dict,
     label_to_json_dict,
     to_bekbaev,
@@ -57,6 +60,7 @@ from .flow import (
     commutativity_defect,
     flow_algebra,
     flow_tensor,
+    flow_tensors,
     paired_tensor,
     rotation_matrix,
     verify_base_system,

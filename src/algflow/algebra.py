@@ -27,8 +27,10 @@ __all__ = [
     "product",
     "is_commutative",
     "commutativity_residual",
+    "commutativity_residuals",
     "is_associative",
     "associativity_residual",
+    "associativity_residuals",
     "change_of_basis",
     "to_2x4",
     "from_2x4",
@@ -202,10 +204,21 @@ def product(algebra: AlgebraFD, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("i,j,ijk->k", x, y, algebra.constants.values)
 
 
+def _check_stack(c: np.ndarray) -> tuple[int, int]:
+    if c.ndim != 4 or not c.shape[1] == c.shape[2] == c.shape[3]:
+        raise ValueError(f"expected a stack of m x m x m tensors, got shape {c.shape}")
+    return c.shape[0], c.shape[1]
+
+
+def commutativity_residuals(c: np.ndarray) -> np.ndarray:
+    """max |c_ijk - c_jik| for each tensor of a stack c of shape (n, m, m, m)."""
+    _check_stack(c)
+    return np.max(np.abs(c - c.transpose(0, 2, 1, 3)), axis=(1, 2, 3))
+
+
 def commutativity_residual(algebra: AlgebraFD) -> float:
     """max |c_ijk - c_jik|; zero iff the algebra is commutative."""
-    c = algebra.constants.values
-    return float(np.max(np.abs(c - c.transpose(1, 0, 2))))
+    return float(commutativity_residuals(algebra.constants.values[np.newaxis])[0])
 
 
 def is_commutative(algebra: AlgebraFD, tol: float = DEFAULT_TOL) -> bool:
@@ -214,16 +227,24 @@ def is_commutative(algebra: AlgebraFD, tol: float = DEFAULT_TOL) -> bool:
     return commutativity_residual(algebra) <= tol
 
 
-def associativity_residual(algebra: AlgebraFD) -> float:
-    """max |sum_r c_ijr c_rkl - sum_r c_irl c_jkr| over all (i,j,k,l).
+def associativity_residuals(c: np.ndarray) -> np.ndarray:
+    """max |sum_r c_ijr c_rkl - sum_r c_irl c_jkr| over (i,j,k,l), for each
+    tensor of a stack c of shape (n, m, m, m).
 
     The two contractions are the coefficients of (e_i e_j) e_k and
-    e_i (e_j e_k); the residual is zero iff the algebra is associative.
+    e_i (e_j e_k).  Each is one stacked matrix product: rows (i,j) of c
+    times rows r of c for the first, rows (j,k) of c times the slice c_i
+    for the second; both come out in (i, j, k, l) order.
     """
-    c = algebra.constants.values
-    lhs = np.einsum("ijr,rkl->ijkl", c, c)
-    rhs = np.einsum("irl,jkr->ijkl", c, c)
-    return float(np.max(np.abs(lhs - rhs)))
+    n, m = _check_stack(c)
+    lhs = np.matmul(c.reshape(n, m * m, m), c.reshape(n, m, m * m))
+    rhs = np.matmul(c.reshape(n, 1, m * m, m), c)
+    return np.max(np.abs(lhs.reshape(n, -1) - rhs.reshape(n, -1)), axis=1)
+
+
+def associativity_residual(algebra: AlgebraFD) -> float:
+    """Residual of the associativity law; zero iff the algebra is associative."""
+    return float(associativity_residuals(algebra.constants.values[np.newaxis])[0])
 
 
 def is_associative(algebra: AlgebraFD, tol: float = DEFAULT_TOL) -> bool:
@@ -270,6 +291,8 @@ def algebra_to_json_dict(algebra: AlgebraFD) -> dict:
 
 
 def algebra_from_json_dict(data: dict) -> AlgebraFD:
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     if "c2x4" in data:
         if int(data.get("dim", 2)) != 2:
             raise ValueError('"c2x4" form requires dim 2')

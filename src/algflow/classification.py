@@ -44,7 +44,7 @@ from .algebra import (
     from_2x4,
     is_associative,
 )
-from .flow import paired_tensor
+from .flow import check_time, paired_tensor
 
 __all__ = [
     "A1",
@@ -55,7 +55,11 @@ __all__ = [
     "FlowClassLabel",
     "BekbaevForm",
     "PARAM_COUNTS",
+    "VARIANTS",
+    "EXCEPTIONAL_RESIDUES",
     "classify_time",
+    "classify_times",
+    "residue_times",
     "class_representative",
     "branch_tensor",
     "bekbaev_matrix",
@@ -73,9 +77,21 @@ ACOS_MINUS = "ACosMinus"
 
 _FIXED_VARIANTS = (A1, A0_PLUS, A2)
 _PARAMETRIZED_VARIANTS = (ACOS_PLUS, ACOS_MINUS)
+# The variant codes of ``classify_times`` index this tuple.
+VARIANTS = _FIXED_VARIANTS + _PARAMETRIZED_VARIANTS
 
 # Band half-width around the exceptional residues 0, pi/2, 3*pi/4 (mod pi).
 CLASSIFY_TOL = 1e-9
+
+# The exceptional residues of t mod pi and their classes.
+EXCEPTIONAL_RESIDUES = ((0.0, A1), (math.pi / 2, A0_PLUS), (3 * math.pi / 4, A2))
+
+# The bands of half-width tol around them, in the order both classifiers
+# test them; t mod pi just below pi lies in the A1 band of 0, wrapped round.
+_BANDS = ((math.pi, A1),) + EXCEPTIONAL_RESIDUES
+
+# Largest parameter below 1: just outside the band |cos t| can round to 1.0.
+_C_MAX = math.nextafter(1.0, 0.0)
 
 # Residual bound the returned reduction certificate must meet.
 _REDUCTION_TOL = 1e-10
@@ -170,22 +186,45 @@ def bekbaev_matrix(form: BekbaevForm) -> StructMatrix2x4:
 
 
 def classify_time(t: float, tol: float = CLASSIFY_TOL) -> FlowClassLabel:
-    """Map a time to its flow class; congruences mod pi are tested to tol."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    """Map a time to its flow class; congruences mod pi are tested to tol.
+
+    The scalar twin of ``classify_times``, kept free of numpy for speed.
+    """
+    check_time(t)
     r = math.fmod(t, math.pi)
-    if abs(r) <= tol or abs(r - math.pi) <= tol:
-        return FlowClassLabel(A1)
-    if abs(r - math.pi / 2) <= tol:
-        return FlowClassLabel(A0_PLUS)
-    if abs(r - 3 * math.pi / 4) <= tol:
-        return FlowClassLabel(A2)
-    # Just outside the band |cos t| can round to 1.0; keep the parameter
-    # inside the open interval the label requires.
-    c = min(abs(math.cos(t)), math.nextafter(1.0, 0.0))
-    if r < math.pi / 2:
-        return FlowClassLabel(ACOS_PLUS, c)
-    return FlowClassLabel(ACOS_MINUS, c)
+    for residue, variant in _BANDS:
+        if abs(r - residue) <= tol:
+            return FlowClassLabel(variant)
+    c = min(abs(math.cos(t)), _C_MAX)
+    return FlowClassLabel(ACOS_PLUS if r < math.pi / 2 else ACOS_MINUS, c)
+
+
+def classify_times(t: np.ndarray, tol: float = CLASSIFY_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """``classify_time`` over an array of times.
+
+    Returns the variant codes (indices into ``VARIANTS``) and the parameter
+    c = |cos t|, which is nan where the variant carries none.
+    """
+    t = np.asarray(t, dtype=float)
+    bad = ~np.isfinite(t) | (t < 0)
+    if np.any(bad):
+        check_time(float(t[bad][0]))
+    r = np.fmod(t, math.pi)
+    codes = np.where(r < math.pi / 2, VARIANTS.index(ACOS_PLUS), VARIANTS.index(ACOS_MINUS))
+    c = np.minimum(np.abs(np.cos(t)), _C_MAX)
+    # Assigned in reverse, so that the first band that holds t wins.
+    for residue, variant in reversed(_BANDS):
+        hit = np.abs(r - residue) <= tol
+        codes[hit] = VARIANTS.index(variant)
+        c[hit] = np.nan
+    return codes, c
+
+
+def residue_times(residue: float, t_max: float) -> np.ndarray:
+    """The times residue + n*pi <= t_max, n = 0, 1, ..., computed as floats."""
+    n = np.arange(max(math.floor((t_max - residue) / math.pi) + 2, 0))
+    times = residue + n * math.pi
+    return times[times <= t_max]
 
 
 def branch_tensor(cosine: float, sine: float) -> AlgebraFD:

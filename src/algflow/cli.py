@@ -17,30 +17,36 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra import (
+    DEFAULT_TOL,
     AlgebraFD,
     algebra_from_json_dict,
     algebra_to_json_dict,
+    associativity_residuals,
+    commutativity_residuals,
     is_associative,
     is_commutative,
 )
 from .checks import CHECK_NAMES, run_checks
 from .classification import (
-    FlowClassLabel,
+    EXCEPTIONAL_RESIDUES,
+    VARIANTS,
     bekbaev_matrix,
     classify_time,
+    classify_times,
     class_representative,
     label_to_json_dict,
+    residue_times,
     to_bekbaev,
 )
-from .flow import flow_algebra, verify_kce, ROTATION_FAMILY
+from .flow import flow_algebra, flow_tensors, time_blocks, verify_kce, ROTATION_FAMILY
 from .isomorphism import (
     IsoVerdict,
     SearchConfig,
@@ -54,43 +60,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-@dataclass(frozen=True)
-class PartitionRecord:
-    """One grid point of the time-axis partition."""
+# Most points a partition may hold; counted from --t-max and --step before
+# anything is allocated.
+MAX_PARTITION_POINTS = 10**7
 
-    t: float
-    label: FlowClassLabel
-    commutative: bool
-    associative: bool
-
-    @classmethod
-    def at(cls, t: float) -> "PartitionRecord":
-        algebra = flow_algebra(t)
-        return cls(
-            t=t,
-            label=classify_time(t),
-            commutative=is_commutative(algebra),
-            associative=is_associative(algebra),
-        )
-
-    def row(self) -> list[str]:
-        c = "" if self.label.c is None else repr(self.label.c)
-        return [
-            repr(self.t),
-            self.label.variant,
-            c,
-            "true" if self.commutative else "false",
-            "true" if self.associative else "false",
-        ]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "class": self.label.variant,
-            "param_c": self.label.c,
-            "commutative": self.commutative,
-            "associative": self.associative,
-        }
 
 
 def _emit(data: dict) -> None:
@@ -165,41 +138,73 @@ def cmd_iso(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.is_isomorphic else EXIT_CHECK_FAILED
 
 
-def _partition_times(t_max: float, step: float) -> list[float]:
+def _partition_times(t_max: float, step: float) -> np.ndarray:
+    """Grid points k*step < t_max, t_max itself and the exceptional times, sorted."""
+    if not (math.isfinite(t_max) and math.isfinite(step)):
+        raise ValueError(f"t_max and step must be finite, got {t_max} and {step}")
     if t_max <= 0 or step <= 0:
         raise ValueError("t_max and step must be positive")
-    times = [0.0]
-    k = 1
-    while k * step < t_max:
-        times.append(k * step)
-        k += 1
-    times.append(t_max)
-    for base in (0.0, math.pi / 2, 3 * math.pi / 4):
-        n = 0
-        while base + n * math.pi <= t_max:
-            times.append(base + n * math.pi)  # exceptional points, inserted exactly
-            n += 1
-    unique = sorted(set(times))
-    return unique
+    n_grid = t_max / step
+    n_points = n_grid + len(EXCEPTIONAL_RESIDUES) * t_max / math.pi
+    if n_points > MAX_PARTITION_POINTS:
+        raise ValueError(
+            f"--t-max {t_max} at --step {step} gives about {n_points:.3g} points, "
+            f"over the cap of {MAX_PARTITION_POINTS}"
+        )
+    grid = np.arange(1, math.ceil(n_grid) + 2) * step
+    exceptional = [residue_times(residue, t_max) for residue, _ in EXCEPTIONAL_RESIDUES]
+    return np.unique(np.concatenate(([0.0], grid[grid < t_max], [t_max], *exceptional)))
+
+
+def _partition_rows(times: np.ndarray):
+    """(t, class, param_c, commutative, associative) for each time.
+
+    The class comes from the time; the two predicates are tested on the
+    structure tensors, so the partition checks the classification rather
+    than restating it.
+    """
+    for block in time_blocks(times):
+        codes, c = classify_times(block)
+        tensors = flow_tensors(block)
+        commutative = commutativity_residuals(tensors) <= DEFAULT_TOL
+        associative = associativity_residuals(tensors) <= DEFAULT_TOL
+        for t, code, c_t, comm, assoc in zip(block.tolist(), codes.tolist(), c.tolist(),
+                                             commutative.tolist(), associative.tolist()):
+            yield t, VARIANTS[code], None if math.isnan(c_t) else c_t, comm, assoc
+
+
+_CSV_BOOL = {True: "true", False: "false"}
+
+
+def _write_csv(fh, rows) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["t", "class", "param_c", "commutative", "associative"])
+    writer.writerows(
+        (repr(t), variant, "" if c is None else repr(c), _CSV_BOOL[comm], _CSV_BOOL[assoc])
+        for t, variant, c, comm, assoc in rows
+    )
+
+
+def _write_json(fh, rows) -> None:
+    """The bytes of ``json.dumps(records, indent=2)``, written one record at a time."""
+    separator = "[\n  "
+    for t, variant, c, comm, assoc in rows:
+        record = {"t": t, "class": variant, "param_c": c,
+                  "commutative": comm, "associative": assoc}
+        fh.write(separator + json.dumps(record, indent=2).replace("\n", "\n  "))
+        separator = ",\n  "
+    fh.write("\n]\n")
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    records = [PartitionRecord.at(t) for t in _partition_times(args.t_max, args.step)]
-    if args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["t", "class", "param_c", "commutative", "associative"])
-        for record in records:
-            writer.writerow(record.row())
-        payload = buffer.getvalue()
-    else:
-        payload = json.dumps([r.to_json_dict() for r in records], indent=2) + "\n"
+    times = _partition_times(args.t_max, args.step)
+    write = _write_csv if args.format == "csv" else _write_json
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+            write(fh, _partition_rows(times))
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc}") from exc
-    print(f"wrote {len(records)} records to {args.out}")
+    print(f"wrote {len(times)} records to {args.out}")
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import AlgebraFD
-from .cubic import CubicTensor, from_middle_slices, mul_type_c
+from .cubic import CubicTensor, mul_type_c
 
 __all__ = [
     "TimeInterval",
@@ -40,13 +40,21 @@ __all__ = [
     "paired_tensor",
     "build_from_pair",
     "flow_tensor",
+    "flow_tensors",
+    "SWEEP_BLOCK",
+    "time_blocks",
     "flow_algebra",
+    "check_time",
     "verify_kce",
     "verify_base_system",
     "commutativity_defect",
 ]
 
 _GENERATOR_AT_ZERO_TOL = 1e-12
+
+# Times per array-kernel call in a sweep over many times; keeps the kernels'
+# temporaries to some hundred kilobytes however long the sweep.
+SWEEP_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -96,10 +104,21 @@ def rotation_matrix(d: float) -> np.ndarray:
 ROTATION_FAMILY = FlowFamily(rotation_matrix, name="rotation")
 
 
+def _paired_slices(mats: np.ndarray) -> np.ndarray:
+    """Stack each 2 x 2 matrix of ``mats`` (..., 2, 2) with its transpose as the
+    middle-index slices j = 1, 2: out[..., i, 0, r] = a_ir, out[..., i, 1, r] = a_ri."""
+    out = np.empty(mats.shape[:-2] + (2, 2, 2))
+    out[..., 0, :] = mats
+    out[..., 1, :] = np.swapaxes(mats, -1, -2)
+    return out
+
+
 def paired_tensor(mat: np.ndarray) -> CubicTensor:
     """The type-C structure tensor with slices (mat, mat^T)."""
     mat = np.asarray(mat, dtype=float)
-    return from_middle_slices((mat, mat.T))
+    if mat.shape != (2, 2):
+        raise ValueError(f"expected a 2 x 2 matrix, got shape {mat.shape}")
+    return CubicTensor(_paired_slices(mat))
 
 
 def build_from_pair(family: FlowFamily, d: float) -> CubicTensor:
@@ -112,8 +131,37 @@ def flow_tensor(d: float) -> CubicTensor:
     return paired_tensor(rotation_matrix(d))
 
 
+def flow_tensors(d: np.ndarray) -> np.ndarray:
+    """Structure tensors of the rotation flow at an array of elapsed times.
+
+    Returns shape d.shape + (2, 2, 2); entry [n] equals ``flow_tensor(d[n]).values``
+    wherever ``np.cos``/``np.sin`` agree with ``math.cos``/``math.sin``.
+    """
+    d = np.asarray(d, dtype=float)
+    c, s = np.cos(d), np.sin(d)
+    mats = np.empty(d.shape + (2, 2))
+    mats[..., 0, 0] = c
+    mats[..., 0, 1] = s
+    mats[..., 1, 0] = -s
+    mats[..., 1, 1] = c
+    return _paired_slices(mats)
+
+
+def time_blocks(times: np.ndarray):
+    """Consecutive slices of ``times``, each at most ``SWEEP_BLOCK`` long."""
+    return (times[i:i + SWEEP_BLOCK] for i in range(0, len(times), SWEEP_BLOCK))
+
+
 def flow_algebra(d: float) -> AlgebraFD:
     return AlgebraFD(flow_tensor(d))
+
+
+def check_time(t: float) -> None:
+    """Refuse a time at which the flow is undefined: non-finite or negative."""
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
 
 
 def _check_triple(s: float, tau: float, t: float) -> None:
@@ -144,6 +192,7 @@ def verify_base_system(family: FlowFamily, s: float, tau: float, t: float) -> fl
     return float(np.max(np.abs(whole - split)))
 
 
-def commutativity_defect(d: float) -> float:
-    """cos d + sin d; zero exactly on the commutative locus d = 3*pi/4 + pi*n."""
-    return math.cos(d) + math.sin(d)
+def commutativity_defect(d: float | np.ndarray) -> float | np.ndarray:
+    """cos d + sin d, elementwise for an array of times; zero exactly on the
+    commutative locus d = 3*pi/4 + pi*n."""
+    return np.cos(d) + np.sin(d)

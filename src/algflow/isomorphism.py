@@ -43,7 +43,7 @@ from .algebra import (
     is_commutative,
     rank_2x4,
 )
-from .flow import flow_algebra
+from .flow import check_time, flow_algebra
 
 __all__ = [
     "KIND_ISOMORPHIC",
@@ -281,8 +281,8 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
 
     Times within ``tol`` of the locus count as on it.
     """
-    if t1 < 0 or t2 < 0:
-        raise ValueError(f"times must be nonnegative, got ({t1}, {t2})")
+    check_time(t1)
+    check_time(t2)
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
 

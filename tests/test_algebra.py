@@ -12,7 +12,10 @@ from algflow.algebra import (
     algebra_from_json_dict,
     algebra_to_json_dict,
     associativity_residual,
+    associativity_residuals,
     change_of_basis,
+    commutativity_residual,
+    commutativity_residuals,
     from_2x4,
     is_associative,
     is_commutative,
@@ -192,6 +195,47 @@ class TestStructMatrix:
         assert rank_2x4(flow_algebra(0.0)) == 2
 
 
+def _einsum_associativity_residual(c: np.ndarray) -> float:
+    """The associativity residual written out as the two contractions."""
+    lhs = np.einsum("ijr,rkl->ijkl", c, c)
+    rhs = np.einsum("irl,jkr->ijkl", c, c)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+class TestStackedResiduals:
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_match_per_tensor_reference(self, m):
+        stack = RNG.uniform(-1.0, 1.0, size=(40, m, m, m))
+        assoc = associativity_residuals(stack)
+        comm = commutativity_residuals(stack)
+        assert assoc.shape == comm.shape == (40,)
+        for c, a_res, c_res in zip(stack, assoc, comm):
+            assert abs(a_res - _einsum_associativity_residual(c)) <= 1e-15 * m
+            assert c_res == np.max(np.abs(c - c.transpose(1, 0, 2)))
+
+    def test_scalar_wrappers_agree(self):
+        a = random_algebra(3)
+        c = a.constants.values[np.newaxis]
+        assert associativity_residual(a) == associativity_residuals(c)[0]
+        assert commutativity_residual(a) == commutativity_residuals(c)[0]
+
+    def test_flow_stack_predicates(self):
+        from algflow.flow import flow_tensors
+
+        t = np.array([0.0, 3 * math.pi / 4, math.pi / 3, math.pi / 2])
+        assert (associativity_residuals(flow_tensors(t)) <= 1e-9).tolist() == [
+            True, True, False, False]
+        assert (commutativity_residuals(flow_tensors(t)) <= 1e-9).tolist() == [
+            False, True, False, False]
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (4, 2, 2, 3), (4, 2, 3, 2)])
+    def test_non_stack_rejected(self, shape):
+        with pytest.raises(ValueError, match="stack"):
+            associativity_residuals(np.zeros(shape))
+        with pytest.raises(ValueError, match="stack"):
+            commutativity_residuals(np.zeros(shape))
+
+
 class TestJson:
     def test_dim2_uses_2x4_form(self):
         a = random_algebra()
@@ -204,6 +248,11 @@ class TestJson:
         data = algebra_to_json_dict(a)
         assert "c" in data and data["dim"] == 3
         assert algebra_from_json_dict(data) == a
+
+    @pytest.mark.parametrize("data", [5, [1, 2], "c2x4", None])
+    def test_non_object_rejected(self, data):
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            algebra_from_json_dict(data)
 
     def test_tensor_form_accepted_for_dim2(self):
         a = random_algebra(2)

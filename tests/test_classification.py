@@ -22,6 +22,8 @@ from algflow.classification import (
     branch_tensor,
     class_representative,
     classify_time,
+    classify_times,
+    VARIANTS,
     label_from_json_dict,
     label_to_json_dict,
     to_bekbaev,
@@ -92,6 +94,42 @@ class TestClassifyTime:
             label = classify_time(float(t))
             if label.c is not None:
                 assert 0.0 < label.c < 1.0
+
+
+class TestClassifyTimes:
+    @staticmethod
+    def _times():
+        near = [base + n * math.pi + off
+                for base in (0.0, math.pi / 2, 3 * math.pi / 4, math.pi)
+                for n in range(4)
+                for off in (0.0, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9, 1e-6, -1e-6)]
+        grid = np.linspace(0.0, 30.0, 7001)
+        rng = np.random.default_rng(17)
+        wide = rng.uniform(0.0, 1e6, size=2000)
+        return np.concatenate([[t for t in near if t >= 0], grid, wide])
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0, 1e-3, 1.0])
+    def test_matches_scalar_path(self, tol):
+        times = self._times()
+        codes, c = classify_times(times, tol)
+        for t, code, c_t in zip(times.tolist(), codes.tolist(), c.tolist()):
+            label = classify_time(t, tol)
+            assert VARIANTS[code] == label.variant, t
+            if label.c is None:
+                assert math.isnan(c_t), t
+            else:
+                assert abs(c_t - label.c) <= math.ulp(label.c), t
+
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "time must be finite, got nan"),
+        (math.inf, "time must be finite, got inf"),
+        (-1.0, "time must be nonnegative, got -1.0"),
+    ])
+    def test_refuses_what_the_scalar_path_refuses(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            classify_time(bad)
+        with pytest.raises(ValueError, match=message):
+            classify_times(np.array([0.5, bad, 1.0]))
 
 
 def _neg_identity():

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -43,6 +44,13 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--t", "-1")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_time_is_usage_error(self, capsys, t):
+        code, out, err = run(capsys, "classify", f"--t={t}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: time must be finite, got {float(t)}\n"
 
 
 class TestKce:
@@ -91,6 +99,13 @@ class TestIsoTimes:
         assert code == 1
         assert json.loads(out)["kind"] == "NotIsomorphicExact"
 
+    @pytest.mark.parametrize("t1, t2", [("nan", "1"), ("1", "nan"), ("inf", "1")])
+    def test_non_finite_time_is_usage_error(self, capsys, t1, t2):
+        code, out, err = run(capsys, "iso", "--t1", t1, "--t2", t2)
+        assert code == 2
+        assert out == ""
+        assert "error: time must be finite, got" in err
+
 
 class TestIsoFiles:
     @pytest.fixture
@@ -122,6 +137,15 @@ class TestIsoFiles:
         bad.write_text("{not json")
         code, _, err = run(capsys, "iso", "--a", str(bad), "--b", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("content", ["5", "[1, 2]", '"c2x4"', "null"])
+    def test_non_object_file(self, capsys, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        code, out, err = run(capsys, "iso", "--a", str(bad), "--b", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "expected a JSON object" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "iso", "--a", "/nonexistent.json",
@@ -196,6 +220,53 @@ class TestPartition:
         }
         assert all(set(r) == {"t", "class", "param_c", "commutative", "associative"}
                    for r in records)
+
+    def test_json_is_one_document(self, capsys, tmp_path):
+        # records are written one at a time; the file must still read as
+        # json.dumps(records, indent=2) of the whole list
+        out_path = tmp_path / "part.json"
+        code, _, _ = run(capsys, "partition", "--t-max", "7.0", "--step", "0.3",
+                         "--out", str(out_path), "--format", "json")
+        assert code == 0
+        text = out_path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    def test_csv_and_json_rows_agree(self, capsys, tmp_path):
+        paths = {fmt: tmp_path / f"part.{fmt}" for fmt in ("csv", "json")}
+        for fmt, path in paths.items():
+            code, _, _ = run(capsys, "partition", "--t-max", "4.0", "--step", "0.25",
+                             "--out", str(path), "--format", fmt)
+            assert code == 0
+        rows = [line.split(",") for line in paths["csv"].read_text().splitlines()[1:]]
+        records = json.loads(paths["json"].read_text())
+        assert len(rows) == len(records)
+        for row, record in zip(rows, records):
+            assert float(row[0]) == record["t"] and row[1] == record["class"]
+            assert (float(row[2]) if row[2] else None) == record["param_c"]
+            assert row[3:] == [json.dumps(record["commutative"]),
+                               json.dumps(record["associative"])]
+
+    @pytest.mark.parametrize("t_max, step", [
+        ("inf", "0.5"), ("nan", "0.5"), ("10", "inf"), ("10", "nan"),
+        ("1e9", "1e-9"), ("1e300", "1e-300"), ("1e9", "1000"),
+    ])
+    def test_unbounded_grid_refused_at_once(self, capsys, tmp_path, t_max, step):
+        out_path = tmp_path / "part.csv"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "partition", "--t-max", t_max, "--step", step,
+                             "--out", str(out_path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+        assert not out_path.exists()
+
+    def test_point_cap_counts_grid_and_exceptional_points(self):
+        from algflow.cli import MAX_PARTITION_POINTS, _partition_times
+
+        step = 1.0
+        t_max = MAX_PARTITION_POINTS / (1 + 3 / math.pi) * 1.001
+        with pytest.raises(ValueError, match="over the cap"):
+            _partition_times(t_max, step)
 
     def test_unwritable_path(self, capsys, tmp_path):
         code, _, err = run(capsys, "partition", "--t-max", "1", "--step", "0.5",

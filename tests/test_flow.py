@@ -14,8 +14,10 @@ from algflow.flow import (
     FlowFamily,
     TimeInterval,
     build_from_pair,
+    check_time,
     commutativity_defect,
     flow_tensor,
+    flow_tensors,
     paired_tensor,
     rotation_matrix,
     verify_base_system,
@@ -61,6 +63,32 @@ class TestFlowTensor:
     def test_second_slice_is_transpose(self):
         t = flow_tensor(2.345)
         assert np.array_equal(slice_j(t, 2), slice_j(t, 1).T)
+
+
+class TestFlowTensors:
+    def test_matches_scalar_tensors(self):
+        d = np.concatenate([np.linspace(0.0, 40.0, 2001), [3 * math.pi / 4, 1e6 + 0.1]])
+        stack = flow_tensors(d)
+        assert stack.shape == (len(d), 2, 2, 2)
+        for di, tensor in zip(d.tolist(), stack):
+            assert np.array_equal(tensor, flow_tensor(di).values)
+
+    def test_scalar_input_gives_one_tensor(self):
+        assert np.array_equal(flow_tensors(2.5), flow_tensor(2.5).values)
+
+
+class TestCheckTime:
+    @pytest.mark.parametrize("t", [0.0, 1.5, 1e300])
+    def test_accepts(self, t):
+        check_time(t)
+
+    @pytest.mark.parametrize("t, message", [
+        (math.nan, "finite, got nan"), (math.inf, "finite, got inf"),
+        (-math.inf, "finite, got -inf"), (-0.5, "nonnegative, got -0.5"),
+    ])
+    def test_refuses(self, t, message):
+        with pytest.raises(ValueError, match=message):
+            check_time(t)
 
 
 class TestBuildFromPair:

@@ -153,6 +153,11 @@ class TestRotationIso:
         with pytest.raises(ValueError):
             rotation_iso(-0.1, 0.5)
 
+    @pytest.mark.parametrize("t1, t2", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+    def test_non_finite_time_rejected(self, t1, t2):
+        with pytest.raises(ValueError, match="time must be finite"):
+            rotation_iso(t1, t2)
+
     def test_agrees_with_search_where_isomorphic(self):
         rng = np.random.default_rng(31)
         for _ in range(12):
