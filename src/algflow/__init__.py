@@ -55,7 +55,6 @@ from .cubic import (
 from .flow import (
     ROTATION_FAMILY,
     FlowFamily,
-    TimeInterval,
     build_from_pair,
     commutativity_defect,
     flow_algebra,

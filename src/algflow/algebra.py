@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import CubicTensor, tensor_from_json_dict, tensor_to_json_dict
+from .cubic import CubicTensor, floats_from_json, tensor_from_json_dict, tensor_to_json_dict
 
 __all__ = [
     "DEFAULT_TOL",
@@ -24,6 +24,8 @@ __all__ = [
     "AlgebraFD",
     "BasisChange",
     "StructMatrix2x4",
+    "determinant",
+    "random_invertible",
     "product",
     "is_commutative",
     "commutativity_residual",
@@ -32,6 +34,8 @@ __all__ = [
     "associativity_residual",
     "associativity_residuals",
     "change_of_basis",
+    "check_dim2",
+    "iso_residual",
     "to_2x4",
     "from_2x4",
     "rank_2x4",
@@ -105,16 +109,15 @@ class BasisChange:
     """
 
     matrix: np.ndarray
-    eps_det: float = EPS_DET
 
     def __post_init__(self) -> None:
         arr = np.array(self.matrix, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+            raise ValueError(f"expected a nonempty square matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("all entries must be finite")
-        det = float(np.linalg.det(arr)) if arr.shape[0] > 2 else _det_small(arr)
-        if abs(det) <= self.eps_det:
+        det = determinant(arr)
+        if abs(det) <= EPS_DET:
             raise ValueError(f"matrix is singular to tolerance: |det| = {abs(det):.3e}")
         arr.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
@@ -129,9 +132,7 @@ class BasisChange:
 
     @property
     def det(self) -> float:
-        if self.dim <= 2:
-            return _det_small(self.matrix)
-        return float(np.linalg.det(self.matrix))
+        return determinant(self.matrix)
 
     def inverse(self) -> np.ndarray:
         """Closed-form adjugate for m = 2 (exact for exact inputs), LU otherwise."""
@@ -139,7 +140,7 @@ class BasisChange:
         if self.dim == 1:
             return np.array([[1.0 / p[0, 0]]])
         if self.dim == 2:
-            d = _det_small(p)
+            d = determinant(p)
             return np.array([[p[1, 1], -p[0, 1]], [-p[1, 0], p[0, 0]]]) / d
         return np.linalg.inv(p)
 
@@ -187,10 +188,24 @@ class BasisChange:
         return f"BasisChange({self.matrix.tolist()})"
 
 
-def _det_small(p: np.ndarray) -> float:
+def determinant(p: np.ndarray) -> float:
+    """det of a square matrix: the closed form for m <= 2 (exact for exact
+    entries), LU above."""
     if p.shape == (1, 1):
         return float(p[0, 0])
-    return float(p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0])
+    if p.shape == (2, 2):
+        return float(p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0])
+    return float(np.linalg.det(p))
+
+
+def random_invertible(rng: np.random.Generator, det_low: float,
+                      det_high: float) -> np.ndarray:
+    """A 2 x 2 matrix with entries uniform in [-2, 2], drawn again until
+    det_low < |det| <= det_high."""
+    while True:
+        p = rng.uniform(-2.0, 2.0, size=(2, 2))
+        if det_low < abs(determinant(p)) <= det_high:
+            return p
 
 
 def product(algebra: AlgebraFD, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -265,6 +280,20 @@ def change_of_basis(algebra: AlgebraFD, p: BasisChange) -> AlgebraFD:
     return AlgebraFD(CubicTensor(new))
 
 
+def check_dim2(*algebras: AlgebraFD) -> None:
+    """Refuse any algebra whose dimension is not 2."""
+    for a in algebras:
+        if a.dim != 2:
+            raise ValueError(f"isomorphism testing supports dim 2 only, got {a.dim}")
+
+
+def iso_residual(a: AlgebraFD, b: AlgebraFD, p: BasisChange) -> float:
+    """max |change_of_basis(a, p) - b| entrywise; zero iff p certifies a ~ b."""
+    check_dim2(a, b)
+    moved = change_of_basis(a, p)
+    return float(np.max(np.abs(moved.constants.values - b.constants.values)))
+
+
 def to_2x4(algebra: AlgebraFD) -> StructMatrix2x4:
     """The 2 x 4 structure-constant matrix of a two-dimensional algebra."""
     if algebra.dim != 2:
@@ -294,7 +323,7 @@ def algebra_from_json_dict(data: dict) -> AlgebraFD:
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     if "c2x4" in data:
-        if int(data.get("dim", 2)) != 2:
-            raise ValueError('"c2x4" form requires dim 2')
-        return from_2x4(StructMatrix2x4(np.array(data["c2x4"], dtype=float)))
+        if data.get("dim", 2) != 2:
+            raise ValueError(f'"c2x4" form requires dim 2, got {data["dim"]!r}')
+        return from_2x4(StructMatrix2x4(floats_from_json(data, "c2x4")))
     return AlgebraFD(tensor_from_json_dict(data))

@@ -21,7 +21,10 @@ from .algebra import (
     associativity_residual,
     change_of_basis,
     commutativity_residuals,
+    from_2x4,
+    iso_residual,
     product,
+    random_invertible,
     to_2x4,
 )
 from .classification import (
@@ -52,7 +55,6 @@ from .isomorphism import (
     KIND_NOT_FOUND_WITHIN_BUDGET,
     SearchConfig,
     invariant_signature,
-    iso_residual,
     iso_search,
     rotation_iso,
 )
@@ -182,7 +184,7 @@ def check_canonical_reduction(tol: float = 1e-12, residual_tol: float = 1e-10,
             worst_minus,
             iso_residual(
                 class_representative(label),
-                _bekbaev_algebra(form),
+                from_2x4(bekbaev_matrix(form)),
                 cert,
             ),
         )
@@ -212,12 +214,6 @@ def check_canonical_reduction(tol: float = 1e-12, residual_tol: float = 1e-10,
         f"{'exact' if exact_ok else 'INEXACT'}, label grid "
         f"{'certified' if grid_ok else 'FAILED'}",
     )
-
-
-def _bekbaev_algebra(form) -> AlgebraFD:
-    from .algebra import from_2x4
-
-    return from_2x4(bekbaev_matrix(form))
 
 
 def check_associativity_census(margin: float = 0.1) -> CheckResult:
@@ -256,7 +252,7 @@ def check_basis_change_oracle(tol: float = 1e-10, trials: int = 500,
     worst = 0.0
     for _ in range(trials):
         alg = AlgebraFD(CubicTensor(rng.uniform(-1.0, 1.0, size=(2, 2, 2))))
-        p = _well_conditioned(rng)
+        p = BasisChange(random_invertible(rng, 0.5, 2.0))
         by_formula = change_of_basis(alg, p).constants.values
         by_oracle = np.empty((2, 2, 2))
         for i in range(2):
@@ -268,14 +264,6 @@ def check_basis_change_oracle(tol: float = 1e-10, trials: int = 500,
         "basis-oracle", worst < tol,
         f"max difference {worst:.2e} over {trials} trials (tol {tol:.0e})",
     )
-
-
-def _well_conditioned(rng: np.random.Generator) -> BasisChange:
-    while True:
-        m = rng.uniform(-2.0, 2.0, size=(2, 2))
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if 0.5 <= abs(det) <= 2.0:
-            return BasisChange(m)
 
 
 def check_product_associativity(tol: float = 1e-12, trials: int = 1000,

@@ -43,6 +43,7 @@ from .algebra import (
     StructMatrix2x4,
     from_2x4,
     is_associative,
+    iso_residual,
 )
 from .flow import check_time, paired_tensor
 
@@ -279,8 +280,6 @@ def to_bekbaev(label: FlowClassLabel) -> tuple[BekbaevForm, BasisChange]:
     """
     form, p_matrix = _reduction(label)
     certificate = BasisChange(p_matrix)
-    from .isomorphism import iso_residual  # local import to avoid a cycle
-
     residual = iso_residual(
         class_representative(label), from_2x4(bekbaev_matrix(form)), certificate
     )

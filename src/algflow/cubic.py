@@ -38,6 +38,7 @@ __all__ = [
     "from_middle_slices",
     "tensor_to_json_dict",
     "tensor_from_json_dict",
+    "floats_from_json",
 ]
 
 
@@ -225,10 +226,22 @@ def tensor_to_json_dict(a: CubicTensor) -> dict:
     return {"dim": a.dim, "c": a.values.tolist()}
 
 
+def floats_from_json(data: dict, key: str) -> np.ndarray:
+    """The nested list under ``key`` as a float array.
+
+    A value of the wrong type or a ragged nesting is refused with ValueError.
+    """
+    try:
+        return np.array(data[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f'"{key}" is not a rectangular array of numbers: {exc}') from None
+
+
 def tensor_from_json_dict(data: dict) -> CubicTensor:
     if "dim" not in data or "c" not in data:
         raise ValueError('expected keys "dim" and "c"')
-    tensor = CubicTensor(np.array(data["c"], dtype=float))
-    if tensor.dim != int(data["dim"]):
-        raise ValueError(f'entry shape {tensor.dim} disagrees with "dim": {data["dim"]}')
+    tensor = CubicTensor(floats_from_json(data, "c"))
+    # Compared, not converted: a "dim" of any other JSON type is a mismatch.
+    if tensor.dim != data["dim"]:
+        raise ValueError(f'entry shape {tensor.dim} disagrees with "dim": {data["dim"]!r}')
     return tensor

@@ -33,7 +33,6 @@ from .algebra import AlgebraFD
 from .cubic import CubicTensor, mul_type_c
 
 __all__ = [
-    "TimeInterval",
     "FlowFamily",
     "ROTATION_FAMILY",
     "rotation_matrix",
@@ -55,22 +54,6 @@ _GENERATOR_AT_ZERO_TOL = 1e-12
 # Times per array-kernel call in a sweep over many times; keeps the kernels'
 # temporaries to some hundred kilobytes however long the sweep.
 SWEEP_BLOCK = 1024
-
-
-@dataclass(frozen=True)
-class TimeInterval:
-    """An ordered pair of times 0 <= s <= t."""
-
-    s: float
-    t: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.s <= self.t:
-            raise ValueError(f"need 0 <= s <= t, got s={self.s}, t={self.t}")
-
-    @property
-    def duration(self) -> float:
-        return self.t - self.s
 
 
 @dataclass(frozen=True)
@@ -165,7 +148,9 @@ def check_time(t: float) -> None:
 
 
 def _check_triple(s: float, tau: float, t: float) -> None:
-    if not 0 <= s < tau < t:
+    for value in (s, tau, t):
+        check_time(value)
+    if not s < tau < t:
         raise ValueError(f"need 0 <= s < tau < t, got ({s}, {tau}, {t})")
 
 

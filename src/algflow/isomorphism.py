@@ -38,9 +38,12 @@ from .algebra import (
     EPS_DET,
     AlgebraFD,
     BasisChange,
-    change_of_basis,
+    check_dim2,
+    determinant,
     is_associative,
     is_commutative,
+    iso_residual,
+    random_invertible,
     rank_2x4,
 )
 from .flow import check_time, flow_algebra
@@ -112,20 +115,21 @@ class IsoVerdict:
         return out
 
 
+# Levenberg iterations per restart of the numeric search.
+_MAX_ITERATIONS = 200
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Budget and reproducibility knobs for the numeric search."""
 
     restarts: int = 64
-    max_iterations: int = 200
     tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
 
@@ -145,19 +149,6 @@ class InvariantSignature:
         return None
 
 
-def _check_dim2(*algebras: AlgebraFD) -> None:
-    for a in algebras:
-        if a.dim != 2:
-            raise ValueError(f"isomorphism testing supports dim 2 only, got {a.dim}")
-
-
-def iso_residual(a: AlgebraFD, b: AlgebraFD, p: BasisChange) -> float:
-    """max |change_of_basis(a, p) - b| entrywise; zero iff p certifies a ~ b."""
-    _check_dim2(a, b)
-    moved = change_of_basis(a, p)
-    return float(np.max(np.abs(moved.constants.values - b.constants.values)))
-
-
 # --- numeric search -----------------------------------------------------------
 
 
@@ -169,19 +160,20 @@ def _transform_residual(p: np.ndarray, ca: np.ndarray, cb: np.ndarray) -> np.nda
 
 
 def _transform_jacobian(p: np.ndarray, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
-    """Analytic 8 x 4 Jacobian of ``_transform_residual`` in the entries of P."""
-    jac = np.empty((8, 4))
-    for a in range(2):
-        for b in range(2):
-            dp = np.zeros((2, 2))
-            dp[a, b] = 1.0
-            d = (
-                np.einsum("ip,jq,pqk->ijk", dp, p, ca)
-                + np.einsum("ip,jq,pqk->ijk", p, dp, ca)
-                - np.einsum("ijr,rk->ijk", cb, dp)
-            )
-            jac[:, 2 * a + b] = d.ravel()
-    return jac
+    """Analytic 8 x 4 Jacobian of ``_transform_residual`` in the entries of P.
+
+    Row (i, j, k), column (a, b):
+
+        dR_ijk/dP_ab = delta_ia sum_q P_jq cA_bqk + delta_ja sum_p P_ip cA_pbk
+                       - delta_kb cB_ija.
+    """
+    eye = np.eye(2)
+    jac = (
+        np.einsum("ia,jbk->ijkab", eye, np.einsum("jq,bqk->jbk", p, ca))
+        + np.einsum("ja,ibk->ijkab", eye, np.einsum("ip,pbk->ibk", p, ca))
+        - np.einsum("kb,ija->ijkab", eye, cb)
+    )
+    return jac.reshape(8, 4)
 
 
 def _levenberg_descent(
@@ -196,7 +188,7 @@ def _levenberg_descent(
     r = _transform_residual(p, ca, cb)
     cost = float(r @ r)
     lam = 1e-3
-    for _ in range(cfg.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         if float(np.max(np.abs(r))) <= cfg.tol:
             break
         jac = _transform_jacobian(p, ca, cb)
@@ -230,34 +222,23 @@ def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> I
 
     A NotFoundWithinBudget verdict is not a proof of non-isomorphism.
     """
-    _check_dim2(a, b)
+    check_dim2(a, b)
     if cfg is None:
         cfg = SearchConfig()
     ca, cb = a.constants.values, b.constants.values
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.restarts):
-        p0 = _random_invertible(rng)
+        p0 = random_invertible(rng, EPS_DET, np.inf)
         p, eq_residual = _levenberg_descent(p0, ca, cb, cfg)
         if eq_residual > cfg.tol:
             continue
-        if abs(_det2(p)) <= EPS_DET:
+        if abs(determinant(p)) <= EPS_DET:
             continue  # root of the polynomial system, but a singular one
         certificate = BasisChange(p)
         residual = iso_residual(a, b, certificate)
         if residual <= cfg.tol:
             return IsoVerdict.isomorphic(certificate, residual)
     return IsoVerdict.not_found()
-
-
-def _random_invertible(rng: np.random.Generator) -> np.ndarray:
-    while True:
-        p = rng.uniform(-2.0, 2.0, size=(2, 2))
-        if abs(_det2(p)) > EPS_DET:
-            return p
-
-
-def _det2(p: np.ndarray) -> float:
-    return float(p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0])
 
 
 # --- exact decision for the rotation flow ------------------------------------
@@ -329,13 +310,11 @@ def _violated_condition(t1: float, t2: float, tol: float) -> str:
     return "sin(t2 - t1) != 0 (cos t2 / cos t1 and sin t2 / sin t1 cannot agree)"
 
 
-def invariant_signature(
-    a: AlgebraFD, tol: float = DEFAULT_TOL, rank_threshold: float = 1e-8
-) -> InvariantSignature:
+def invariant_signature(a: AlgebraFD) -> InvariantSignature:
     """The (commutative, associative, rank of 2 x 4 form) triple."""
-    _check_dim2(a)
+    check_dim2(a)
     return InvariantSignature(
-        commutative=is_commutative(a, tol),
-        associative=is_associative(a, tol),
-        rank_2x4=rank_2x4(a, rank_threshold),
+        commutative=is_commutative(a),
+        associative=is_associative(a),
+        rank_2x4=rank_2x4(a),
     )

@@ -16,10 +16,12 @@ from algflow.algebra import (
     change_of_basis,
     commutativity_residual,
     commutativity_residuals,
+    determinant,
     from_2x4,
     is_associative,
     is_commutative,
     product,
+    random_invertible,
     rank_2x4,
     to_2x4,
 )
@@ -108,6 +110,18 @@ class TestBasisChange:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             BasisChange(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (4,)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="nonempty square matrix"):
+            BasisChange(np.ones(shape))
+
+
+class TestRandomInvertible:
+    def test_det_in_window(self):
+        rng = np.random.default_rng(3)
+        dets = [abs(determinant(random_invertible(rng, 0.5, 2.0))) for _ in range(200)]
+        assert all(0.5 < d <= 2.0 for d in dets)
 
 
 class TestChangeOfBasis:

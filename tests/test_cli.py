@@ -72,6 +72,29 @@ class TestKce:
                            "--tol", "1e-20")
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("position", ["--s", "--tau", "--t"])
+    def test_non_finite_time_is_usage_error(self, capsys, position, value):
+        times = {"--s": "0", "--tau": "0.4", "--t": "1.0", position: value}
+        code, out, err = run(capsys, "kce", *(x for item in times.items() for x in item))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: time must be finite, got {float(value)}\n"
+
+
+# Algebra file contents that must exit 2, and a fragment of each one's message.
+BAD_ALGEBRA_FILES = {
+    "5": "expected a JSON object",
+    "[1, 2]": "expected a JSON object",
+    '"c2x4"': "expected a JSON object",
+    "null": "expected a JSON object",
+    '{"dim": [1], "c": [[[1]]]}': 'disagrees with "dim": [1]',
+    '{"dim": null, "c2x4": [[1,0,0,0],[0,0,0,1]]}': '"c2x4" form requires dim 2, got None',
+    '{"dim": Infinity, "c2x4": [[1,0,0,0],[0,0,0,1]]}': '"c2x4" form requires dim 2, got inf',
+    '{"dim": 2, "c2x4": {"a": 1}}': '"c2x4" is not a rectangular array of numbers',
+    '{"dim": 2, "c": [[[1, 0], [0, 1]], [[0, 1], [1]]]}': '"c" is not a rectangular array',
+}
+
 
 class TestIsoTimes:
     def test_half_period_with_loose_tolerance(self, capsys):
@@ -138,14 +161,15 @@ class TestIsoFiles:
         code, _, err = run(capsys, "iso", "--a", str(bad), "--b", str(bad))
         assert code == 2
 
-    @pytest.mark.parametrize("content", ["5", "[1, 2]", '"c2x4"', "null"])
+    @pytest.mark.parametrize("content", list(BAD_ALGEBRA_FILES))
     def test_non_object_file(self, capsys, tmp_path, content):
         bad = tmp_path / "bad.json"
         bad.write_text(content)
         code, out, err = run(capsys, "iso", "--a", str(bad), "--b", str(bad))
         assert code == 2
         assert out == ""
-        assert "expected a JSON object" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert BAD_ALGEBRA_FILES[content] in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "iso", "--a", "/nonexistent.json",

@@ -12,7 +12,6 @@ from algflow.cubic import slice_j
 from algflow.flow import (
     ROTATION_FAMILY,
     FlowFamily,
-    TimeInterval,
     build_from_pair,
     check_time,
     commutativity_defect,
@@ -182,17 +181,6 @@ class TestCommutativityDefect:
         assert is_commutative(AlgebraFD(flow_tensor(d))) == (
             abs(commutativity_defect(d)) <= 1e-9
         )
-
-
-class TestTimeInterval:
-    def test_duration(self):
-        assert TimeInterval(1.0, 3.5).duration == 2.5
-
-    def test_rejects_disorder(self):
-        with pytest.raises(ValueError):
-            TimeInterval(2.0, 1.0)
-        with pytest.raises(ValueError):
-            TimeInterval(-0.5, 1.0)
 
 
 def test_paired_tensor_layout():
