@@ -35,6 +35,7 @@ __all__ = [
     "associativity_residuals",
     "change_of_basis",
     "check_dim2",
+    "check_tol",
     "iso_residual",
     "to_2x4",
     "from_2x4",
@@ -236,9 +237,14 @@ def commutativity_residual(algebra: AlgebraFD) -> float:
     return float(commutativity_residuals(algebra.constants.values[np.newaxis])[0])
 
 
+def check_tol(tol: float) -> None:
+    """Refuse a tolerance that is nan, infinite or negative."""
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+
+
 def is_commutative(algebra: AlgebraFD, tol: float = DEFAULT_TOL) -> bool:
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    check_tol(tol)
     return commutativity_residual(algebra) <= tol
 
 
@@ -263,8 +269,7 @@ def associativity_residual(algebra: AlgebraFD) -> float:
 
 
 def is_associative(algebra: AlgebraFD, tol: float = DEFAULT_TOL) -> bool:
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    check_tol(tol)
     return associativity_residual(algebra) <= tol
 
 
@@ -306,10 +311,10 @@ def from_2x4(m2x4: StructMatrix2x4) -> AlgebraFD:
     return AlgebraFD(CubicTensor(m2x4.values.T.reshape(2, 2, 2)))
 
 
-def rank_2x4(algebra: AlgebraFD, threshold: float = 1e-8) -> int:
-    """Numerical rank of the 2 x 4 form via singular values."""
+def rank_2x4(algebra: AlgebraFD) -> int:
+    """Numerical rank of the 2 x 4 form: its singular values above 1e-8."""
     s = np.linalg.svd(to_2x4(algebra).values, compute_uv=False)
-    return int(np.sum(s > threshold))
+    return int(np.sum(s > 1e-8))
 
 
 def algebra_to_json_dict(algebra: AlgebraFD) -> dict:

@@ -2,8 +2,8 @@
 
 Each check exercises one closed-form result at desk scale and reports a
 pass/fail with a one-line detail.  The suite backs the ``verify-theorems``
-CLI command and the acceptance test module; tolerances are arguments so the
-CLI can inject stricter or looser values.
+CLI command and the acceptance test module; a check's one argument is the
+headline tolerance the CLI can override, and its sizes and seeds are constants.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .classification import (
     A0_PLUS,
     ACOS_MINUS,
     ACOS_PLUS,
+    C_GRID,
     FlowClassLabel,
     bekbaev_matrix,
     branch_tensor,
@@ -42,18 +43,10 @@ from .classification import (
     residue_times,
     to_bekbaev,
 )
-from .cubic import CubicTensor, mul_type_c
-from .flow import (
-    ROTATION_FAMILY,
-    commutativity_defect,
-    flow_algebra,
-    flow_tensors,
-    time_blocks,
-    verify_kce,
-)
+from .cubic import CubicTensor, type_c_products
+from .flow import commutativity_defect, flow_algebra, flow_tensors, time_blocks
 from .isomorphism import (
     KIND_NOT_FOUND_WITHIN_BUDGET,
-    SearchConfig,
     invariant_signature,
     iso_search,
     rotation_iso,
@@ -62,6 +55,14 @@ from .isomorphism import (
 __all__ = ["CheckResult", "CHECK_NAMES", "run_checks"]
 
 _SEED = 20260811
+# Sample sizes, grids and bounds other than the headline tolerances.
+_KCE_TRIPLES, _KCE_T_MAX = 1000, 20.0
+_LOCUS_POINTS, _LOCUS_SPAN = 10_000, 4 * math.pi
+_ISO_GRID_N = 50
+# Pairs with tol < |sin(t2 - t1)| < _ISO_EXCLUSION straddle the locus boundary.
+_ISO_EXCLUSION = 1e-6
+_CANONICAL_TIMES, _MINUS_RESIDUAL_TOL = 50, 1e-10
+_ORACLE_TRIALS, _PRODUCT_TRIALS = 500, 1000
 
 
 @dataclass(frozen=True)
@@ -74,30 +75,29 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name:<14} {self.detail}"
 
 
-def check_kce(tol: float = 1e-12, n_triples: int = 1000, t_max: float = 20.0,
-              seed: int = _SEED) -> CheckResult:
-    """Composition law of the rotation flow on random ordered time triples."""
-    rng = np.random.default_rng(seed)
+def check_kce(tol: float = 1e-12) -> CheckResult:
+    """Composition law of the rotation flow on random ordered time triples:
+    the residual of ``flow.verify_kce``, taken for all triples at once."""
+    rng = np.random.default_rng(_SEED)
     start = time.perf_counter()
-    worst = 0.0
-    for _ in range(n_triples):
-        s, tau, t = np.sort(rng.uniform(0.0, t_max, size=3))
-        if not s < tau < t:
-            continue  # coincident draws carry no information
-        worst = max(worst, verify_kce(ROTATION_FAMILY, s, tau, t))
+    s, tau, t = np.sort(rng.uniform(0.0, _KCE_T_MAX, size=(_KCE_TRIPLES, 3)), axis=1).T
+    ordered = (s < tau) & (tau < t)  # coincident draws carry no information
+    s, tau, t = s[ordered], tau[ordered], t[ordered]
+    split = type_c_products(flow_tensors(tau - s), flow_tensors(t - tau))
+    worst = float(np.max(np.abs(flow_tensors(t - s) - split), initial=0.0))
     elapsed = time.perf_counter() - start
     return CheckResult(
         "kce", worst < tol,
-        f"max residual {worst:.2e} over {n_triples} triples (tol {tol:.0e}, "
+        f"max residual {worst:.2e} over {_KCE_TRIPLES} triples (tol {tol:.0e}, "
         f"{elapsed:.2f}s)",
     )
 
 
-def check_commutative_locus(tol: float = 1e-9, n_points: int = 10_000,
-                            span: float = 4 * math.pi) -> CheckResult:
+def check_commutative_locus(tol: float = 1e-9) -> CheckResult:
     """Commutativity holds exactly on the grid points at 3*pi/4 + pi*n."""
     base = 3 * math.pi / 4
-    grid = np.concatenate((np.linspace(0.0, span, n_points), residue_times(base, span)))
+    grid = np.concatenate((np.linspace(0.0, _LOCUS_SPAN, _LOCUS_POINTS),
+                           residue_times(base, _LOCUS_SPAN)))
     locus_distance = np.abs(grid - (base + np.round((grid - base) / math.pi) * math.pi))
     expected = locus_distance <= tol
     commutative = np.concatenate(
@@ -107,40 +107,37 @@ def check_commutative_locus(tol: float = 1e-9, n_points: int = 10_000,
     mismatches = int(np.count_nonzero((commutative != expected) | (commutative != defect_zero)))
     return CheckResult(
         "locus", mismatches == 0,
-        f"{mismatches} mismatches over {len(grid)} points in [0, {span:.4g}] "
+        f"{mismatches} mismatches over {len(grid)} points in [0, {_LOCUS_SPAN:.4g}] "
         f"(tol {tol:.0e})",
     )
 
 
-def check_plus_minus_mirror(tol: float = 1e-12,
-                            c_grid: tuple[float, ...] = tuple(
-                                round(0.1 * k, 1) for k in range(1, 10))) -> CheckResult:
+def check_plus_minus_mirror(tol: float = 1e-12) -> CheckResult:
     """Negating the basis carries the (c, s) algebra onto the (-c, -s) one."""
     minus_identity = BasisChange(-np.eye(2))
     worst = 0.0
-    for c in c_grid:
+    for c in C_GRID:
         s = math.sqrt(1.0 - c * c)
         plus = branch_tensor(c, s)
         mirrored = branch_tensor(-c, -s)
         worst = max(worst, iso_residual(plus, mirrored, minus_identity))
     return CheckResult(
         "mirror", worst <= tol,
-        f"max residual {worst:.2e} over c grid {c_grid[0]}..{c_grid[-1]} (tol {tol:.0e})",
+        f"max residual {worst:.2e} over c grid {C_GRID[0]}..{C_GRID[-1]} (tol {tol:.0e})",
     )
 
 
-def check_iso_grid(tol: float = 1e-9, n: int = 50,
-                   exclusion: float = 1e-6) -> CheckResult:
+def check_iso_grid(tol: float = 1e-9) -> CheckResult:
     """Isomorphism holds iff sin(t2-t1)=0, and the class labels agree with it."""
     start = time.perf_counter()
-    times = [k * 2 * math.pi / n for k in range(n)]
+    times = [k * 2 * math.pi / _ISO_GRID_N for k in range(_ISO_GRID_N)]
     labels = [classify_time(t) for t in times]
     mismatches = 0
     checked = 0
     for i, t1 in enumerate(times):
         for j, t2 in enumerate(times):
             gap = abs(math.sin(t2 - t1))
-            if tol < gap < exclusion:
+            if tol < gap < _ISO_EXCLUSION:
                 continue  # ambiguous band around the locus boundary
             checked += 1
             expected = gap <= tol
@@ -151,13 +148,12 @@ def check_iso_grid(tol: float = 1e-9, n: int = 50,
     elapsed = time.perf_counter() - start
     return CheckResult(
         "iso-grid", mismatches == 0,
-        f"{mismatches} mismatches over {checked} pairs on a {n}x{n} grid "
+        f"{mismatches} mismatches over {checked} pairs on a {_ISO_GRID_N}x{_ISO_GRID_N} grid "
         f"({elapsed:.2f}s)",
     )
 
 
-def check_canonical_reduction(tol: float = 1e-12, residual_tol: float = 1e-10,
-                              n_times: int = 50) -> CheckResult:
+def check_canonical_reduction(tol: float = 1e-12) -> CheckResult:
     """Explicit basis changes reach the canonical matrices.
 
     The generic plus branch is driven directly from the flow tensor; the
@@ -166,7 +162,7 @@ def check_canonical_reduction(tol: float = 1e-12, residual_tol: float = 1e-10,
     reductions must reproduce their targets exactly.
     """
     worst_plus = 0.0
-    for t in np.linspace(0.05, math.pi / 2 - 0.05, n_times):
+    for t in np.linspace(0.05, math.pi / 2 - 0.05, _CANONICAL_TIMES):
         ct, st = math.cos(t), math.sin(t)
         p = BasisChange(np.array([
             [1 / (4 * ct), 1 / (4 * ct)],
@@ -177,7 +173,7 @@ def check_canonical_reduction(tol: float = 1e-12, residual_tol: float = 1e-10,
         worst_plus = max(worst_plus, float(np.max(np.abs(moved - target))))
 
     worst_minus = 0.0
-    for c in np.linspace(0.05, 0.95, n_times):
+    for c in np.linspace(0.05, 0.95, _CANONICAL_TIMES):
         label = FlowClassLabel(ACOS_MINUS, float(c))
         form, cert = to_bekbaev(label)
         worst_minus = max(
@@ -200,17 +196,17 @@ def check_canonical_reduction(tol: float = 1e-12, residual_tol: float = 1e-10,
 
     # Certified reductions across a time grid covering all five classes.
     grid_ok = True
-    for t in np.linspace(0.0, 2 * math.pi, 50):
+    for t in np.linspace(0.0, 2 * math.pi, _CANONICAL_TIMES):
         try:
             to_bekbaev(classify_time(float(t)))
         except AssertionError:
             grid_ok = False
 
-    passed = worst_plus < tol and worst_minus <= residual_tol and exact_ok and grid_ok
+    passed = worst_plus < tol and worst_minus <= _MINUS_RESIDUAL_TOL and exact_ok and grid_ok
     return CheckResult(
         "canonical", passed,
         f"plus-branch max err {worst_plus:.2e} (tol {tol:.0e}), minus-branch "
-        f"max residual {worst_minus:.2e} (tol {residual_tol:.0e}), fixed targets "
+        f"max residual {worst_minus:.2e} (tol {_MINUS_RESIDUAL_TOL:.0e}), fixed targets "
         f"{'exact' if exact_ok else 'INEXACT'}, label grid "
         f"{'certified' if grid_ok else 'FAILED'}",
     )
@@ -232,12 +228,12 @@ def check_associativity_census(margin: float = 0.1) -> CheckResult:
     )
 
 
-def check_invariant_separation(cfg: SearchConfig | None = None) -> CheckResult:
+def check_invariant_separation() -> CheckResult:
     """A0Plus and A1 differ on associativity and defeat the numeric search."""
     a0 = class_representative(FlowClassLabel(A0_PLUS))
     a1 = class_representative(FlowClassLabel(A1))
     sig_gap = invariant_signature(a0).first_difference(invariant_signature(a1))
-    verdict = iso_search(a0, a1, cfg or SearchConfig())
+    verdict = iso_search(a0, a1)
     passed = sig_gap == "associative" and verdict.kind == KIND_NOT_FOUND_WITHIN_BUDGET
     return CheckResult(
         "separation", passed,
@@ -245,12 +241,11 @@ def check_invariant_separation(cfg: SearchConfig | None = None) -> CheckResult:
     )
 
 
-def check_basis_change_oracle(tol: float = 1e-10, trials: int = 500,
-                              seed: int = _SEED) -> CheckResult:
+def check_basis_change_oracle(tol: float = 1e-10) -> CheckResult:
     """Transformation formula vs re-derivation through products and a solve."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(_ORACLE_TRIALS):
         alg = AlgebraFD(CubicTensor(rng.uniform(-1.0, 1.0, size=(2, 2, 2))))
         p = BasisChange(random_invertible(rng, 0.5, 2.0))
         by_formula = change_of_basis(alg, p).constants.values
@@ -262,26 +257,23 @@ def check_basis_change_oracle(tol: float = 1e-10, trials: int = 500,
         worst = max(worst, float(np.max(np.abs(by_formula - by_oracle))))
     return CheckResult(
         "basis-oracle", worst < tol,
-        f"max difference {worst:.2e} over {trials} trials (tol {tol:.0e})",
+        f"max difference {worst:.2e} over {_ORACLE_TRIALS} trials (tol {tol:.0e})",
     )
 
 
-def check_product_associativity(tol: float = 1e-12, trials: int = 1000,
-                                seed: int = _SEED) -> CheckResult:
+def check_product_associativity(tol: float = 1e-12) -> CheckResult:
     """(A*B)*C = A*(B*C) for the slice-wise product, random tensors of dim <= 4."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(_PRODUCT_TRIALS):
         m = int(rng.integers(2, 5))
-        a, b, c = (
-            CubicTensor(rng.uniform(-1.0, 1.0, size=(m, m, m))) for _ in range(3)
-        )
-        left = mul_type_c(mul_type_c(a, b), c)
-        right = mul_type_c(a, mul_type_c(b, c))
-        worst = max(worst, float(np.max(np.abs(left.values - right.values))))
+        a, b, c = rng.uniform(-1.0, 1.0, size=(3, m, m, m))
+        left = type_c_products(type_c_products(a, b), c)
+        right = type_c_products(a, type_c_products(b, c))
+        worst = max(worst, float(np.max(np.abs(left - right))))
     return CheckResult(
         "product-assoc", worst < tol,
-        f"max |(AB)C - A(BC)| = {worst:.2e} over {trials} triples (tol {tol:.0e})",
+        f"max |(AB)C - A(BC)| = {worst:.2e} over {_PRODUCT_TRIALS} triples (tol {tol:.0e})",
     )
 
 

@@ -30,6 +30,7 @@ from .algebra import (
     algebra_from_json_dict,
     algebra_to_json_dict,
     associativity_residuals,
+    check_tol,
     commutativity_residuals,
     is_associative,
     is_commutative,
@@ -88,6 +89,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_kce(args: argparse.Namespace) -> int:
+    check_tol(args.tol)
     residual = verify_kce(ROTATION_FAMILY, args.s, args.tau, args.t)
     ok = residual < args.tol
     _emit({
@@ -212,6 +214,7 @@ def _parse_tol_override(item: str) -> tuple[str, float]:
     name, _, value = item.partition("=")
     if not value:
         raise ValueError(f"expected NAME=VALUE, got {item!r}")
+    check_tol(float(value))
     return name, float(value)
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "basis_unit",
     "add",
     "scale",
+    "type_c_products",
     "mul_type_c",
     "mul_general",
     "slice_j",
@@ -105,11 +106,7 @@ class BinaryOpTable:
     @classmethod
     def from_function(cls, m: int, fn: Callable[[int, int], int]) -> "BinaryOpTable":
         """Tabulate a 1-based operation (j, n) -> fn(j, n) over {1..m}^2."""
-        table = np.empty((m, m), dtype=int)
-        for j in range(1, m + 1):
-            for n in range(1, m + 1):
-                table[j - 1, n - 1] = fn(j, n) - 1
-        return cls(table)
+        return cls([[fn(j, n) - 1 for n in range(1, m + 1)] for j in range(1, m + 1)])
 
     @classmethod
     def left_projection(cls, m: int) -> "BinaryOpTable":
@@ -125,15 +122,9 @@ class BinaryOpTable:
         return int(self.values[j - 1, n - 1]) + 1
 
     def is_associative(self) -> bool:
-        """Brute-force a(a(j,n),r) = a(j,a(n,r)) over all index triples."""
+        """a(a(j,n),r) = a(j,a(n,r)) over all index triples, as two m^3 tables."""
         t = self.values
-        m = self.dim
-        for j in range(m):
-            for n in range(m):
-                for r in range(m):
-                    if t[t[j, n], r] != t[j, t[n, r]]:
-                        return False
-        return True
+        return bool(np.array_equal(t[t], t[:, t]))
 
     def check_associative(self) -> None:
         if not self.is_associative():
@@ -170,19 +161,21 @@ def scale(lam: float, a: CubicTensor) -> CubicTensor:
     return CubicTensor(lam * a.values)
 
 
-def mul_type_c(a: CubicTensor, b: CubicTensor) -> CubicTensor:
-    """Type-C product: c_{ijr} = sum_k a_{ijk} * b_{kjr}.
+def type_c_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Type-C products of two stacks of cubic matrices of shape (..., m, m, m).
 
-    Implemented as an ordinary matrix product per fixed middle index j, so
-    slice_j(mul_type_c(a, b)) equals slice_j(a) @ slice_j(b) bit-exactly
+    One stacked matrix product over the slices of fixed middle index j, so
+    each slice of the result equals slice_j(a) @ slice_j(b) bit-exactly
     (same summation path).
     """
-    _check_same_dim(a, b)
-    av, bv = a.values, b.values
-    out = np.empty_like(av)
-    for j in range(a.dim):
-        out[:, j, :] = av[:, j, :] @ bv[:, j, :]
-    return CubicTensor(out)
+    if a.shape != b.shape or a.ndim < 3 or len(set(a.shape[-3:])) != 1:
+        raise ValueError(f"expected two stacks of m x m x m arrays, got {a.shape} and {b.shape}")
+    return np.swapaxes(np.matmul(np.swapaxes(a, -3, -2), np.swapaxes(b, -3, -2)), -3, -2)
+
+
+def mul_type_c(a: CubicTensor, b: CubicTensor) -> CubicTensor:
+    """Type-C product: c_{ijr} = sum_k a_{ijk} * b_{kjr}."""
+    return CubicTensor(type_c_products(a.values, b.values))
 
 
 def mul_general(a: CubicTensor, b: CubicTensor, op: BinaryOpTable) -> CubicTensor:
@@ -212,13 +205,10 @@ def slice_j(a: CubicTensor, j: int) -> np.ndarray:
 def from_middle_slices(slices: list[np.ndarray] | tuple[np.ndarray, ...]) -> CubicTensor:
     """Assemble a tensor from its fixed-middle-index slices, in order j = 1..m."""
     m = len(slices)
-    values = np.empty((m, m, m))
-    for j, s in enumerate(slices):
-        s = np.asarray(s, dtype=float)
-        if s.shape != (m, m):
-            raise ValueError(f"slice {j + 1} has shape {s.shape}, expected {(m, m)}")
-        values[:, j, :] = s
-    return CubicTensor(values)
+    stacked = np.array(slices, dtype=float)
+    if stacked.shape != (m, m, m):
+        raise ValueError(f"expected {m} slices of shape {(m, m)}, got shape {stacked.shape}")
+    return CubicTensor(np.swapaxes(stacked, 0, 1))
 
 
 def tensor_to_json_dict(a: CubicTensor) -> dict:

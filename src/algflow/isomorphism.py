@@ -39,6 +39,7 @@ from .algebra import (
     AlgebraFD,
     BasisChange,
     check_dim2,
+    check_tol,
     determinant,
     is_associative,
     is_commutative,
@@ -130,7 +131,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.tol <= 0:
+        check_tol(self.tol)
+        if self.tol == 0:
             raise ValueError("tol must be positive")
 
 
@@ -264,8 +266,7 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
     """
     check_time(t1)
     check_time(t2)
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    check_tol(tol)
 
     d = t2 - t1
     if abs(math.sin(d)) <= tol:

@@ -25,8 +25,10 @@ from algflow.algebra import (
     rank_2x4,
     to_2x4,
 )
+from algflow.classification import classify_time, classify_times
 from algflow.cubic import CubicTensor
 from algflow.flow import flow_algebra
+from algflow.isomorphism import SearchConfig, rotation_iso
 
 RNG = np.random.default_rng(99)
 
@@ -91,6 +93,29 @@ class TestPredicates:
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             is_commutative(random_algebra(), tol=-1.0)
+
+
+# Every library entry point that takes a tolerance from its caller.
+TOL_TAKERS = {
+    "is_commutative": lambda tol: is_commutative(flow_algebra(0.5), tol),
+    "is_associative": lambda tol: is_associative(flow_algebra(0.5), tol),
+    "rotation_iso": lambda tol: rotation_iso(0.5, 1.5, tol),
+    "classify_time": lambda tol: classify_time(0.5, tol),
+    "classify_times": lambda tol: classify_times(np.array([0.5]), tol),
+    "SearchConfig": lambda tol: SearchConfig(tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-300])
+@pytest.mark.parametrize("taker", list(TOL_TAKERS))
+def test_bad_tolerance_refused(taker, tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        TOL_TAKERS[taker](tol)
+
+
+@pytest.mark.parametrize("taker", [name for name in TOL_TAKERS if name != "SearchConfig"])
+def test_zero_tolerance_accepted(taker):
+    TOL_TAKERS[taker](0.0)
 
 
 class TestBasisChange:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import algflow.classification
 from algflow.algebra import change_of_basis, to_2x4
 from algflow.classification import (
     A1,
@@ -281,6 +282,27 @@ class TestToBekbaev:
                 class_representative(label), from_2x4(bekbaev_matrix(form)), cert
             )
             assert residual <= 1e-10
+
+    def test_scaled_bound_near_the_ends_of_the_unit_interval(self):
+        # The reduction matrix has entries 1/(4c) and 1/(2 sqrt(2cs)), which
+        # blow up as c -> 0 or 1, and the rounding of the transform with them;
+        # a flat 1e-10 bound refused about a third of these labels.
+        for e in np.linspace(-15.5, 0.0, 400, endpoint=False):
+            for c in (10.0 ** e, 1.0 - 10.0 ** e):
+                for variant in (ACOS_PLUS, ACOS_MINUS):
+                    to_bekbaev(FlowClassLabel(variant, float(c)))
+
+    @pytest.mark.parametrize("c", [1e-6, 0.5, 1.0 - 1e-6])
+    def test_wrong_reduction_matrix_still_raises(self, monkeypatch, c):
+        reduction = algflow.classification._reduction
+
+        def off_by_a_thousandth(label):
+            form, p = reduction(label)
+            return form, p * 1.001
+
+        monkeypatch.setattr(algflow.classification, "_reduction", off_by_a_thousandth)
+        with pytest.raises(AssertionError, match="canonical reduction residual"):
+            to_bekbaev(FlowClassLabel(ACOS_PLUS, c))
 
 
 class TestCensus:

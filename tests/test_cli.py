@@ -52,6 +52,33 @@ class TestClassify:
         assert out == ""
         assert err == f"error: time must be finite, got {float(t)}\n"
 
+    @pytest.mark.parametrize("t", ["962.8981484966943", "1e-8"])
+    def test_reduction_near_a_class_boundary(self, capsys, t):
+        # 1.7e-7 from pi/2 (mod pi) and 1e-8 from 0: the reduction matrix is large.
+        code, out, err = run(capsys, "classify", "--t", t)
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["t"] == float(t)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["classify", "kce", "iso-times", "iso-files",
+                                     "verify-theorems"])
+def test_bad_tolerance_is_usage_error(capsys, tmp_path, command, value):
+    algebra = tmp_path / "a1.json"
+    algebra.write_text(json.dumps(algebra_to_json_dict(class_representative(FlowClassLabel(A1)))))
+    argv = {
+        "classify": ["classify", "--t", "0", "--tol", value],
+        "kce": ["kce", "--s", "0", "--tau", "0.4", "--t", "1", "--tol", value],
+        "iso-times": ["iso", "--t1", "0.5", "--t2", "1.5", "--tol", value],
+        "iso-files": ["iso", "--a", str(algebra), "--b", str(algebra), "--tol", value],
+        "verify-theorems": ["verify-theorems", "--only", "kce", "--tol", f"kce={value}"],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestKce:
     def test_good_triple(self, capsys):

@@ -20,6 +20,7 @@ from algflow.cubic import (
     slice_j,
     tensor_from_json_dict,
     tensor_to_json_dict,
+    type_c_products,
 )
 from algflow.flow import flow_tensor
 
@@ -38,6 +39,12 @@ def type_c_reference(a: CubicTensor, b: CubicTensor) -> np.ndarray:
         if k == l and j == n:
             out[i, j, r] += a.values[i, j, k] * b.values[l, n, r]
     return out
+
+
+def associative_reference(t: np.ndarray) -> bool:
+    """Brute-force a(a(j,n),r) = a(j,a(n,r)) over all index triples, 0-based."""
+    m = len(t)
+    return all(t[t[j, n], r] == t[j, t[n, r]] for j, n, r in iproduct(range(m), repeat=3))
 
 
 class TestBasisUnit:
@@ -156,6 +163,23 @@ class TestTypeCProduct:
         with pytest.raises(ValueError):
             mul_type_c(random_tensor(2), random_tensor(3))
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_stacked_products_match_per_tensor_bit_exact(self, m):
+        a = RNG.uniform(-1.0, 1.0, size=(4, m, m, m))
+        b = RNG.uniform(-1.0, 1.0, size=(4, m, m, m))
+        got = type_c_products(a, b)
+        for n in range(4):
+            single = mul_type_c(CubicTensor(a[n]), CubicTensor(b[n])).values
+            assert np.array_equal(got[n], single)
+            for j in range(m):
+                assert np.array_equal(got[n][:, j, :], a[n][:, j, :] @ b[n][:, j, :])
+
+    @pytest.mark.parametrize("shapes", [((2, 2, 2, 2), (1, 2, 2, 2)), ((2, 2), (2, 2)),
+                                        ((2, 3, 3), (2, 3, 3))])
+    def test_stacked_shape_mismatch(self, shapes):
+        with pytest.raises(ValueError):
+            type_c_products(np.zeros(shapes[0]), np.zeros(shapes[1]))
+
 
 class TestSliceJ:
     def test_flow_slices(self):
@@ -199,6 +223,17 @@ class TestBinaryOpTable:
         assert not op.is_associative()
         with pytest.raises(ValueError):
             op.check_associative()
+
+    def test_is_associative_matches_triple_loop(self):
+        rng = np.random.default_rng(7)
+        verdicts = set()
+        for _ in range(1000):
+            m = int(rng.integers(1, 6))
+            table = rng.integers(0, m, size=(m, m))
+            expected = associative_reference(table)
+            assert BinaryOpTable(table).is_associative() == expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 class TestGeneralProduct:

@@ -1,14 +1,26 @@
-"""Module structure: imports at module level only, and every exported name exists."""
+"""Module structure: imports at module level only, every exported name exists,
+and every name the benchmark's tracer patches is still there."""
 
 import ast
 import importlib
+import importlib.util
+import inspect
 import pathlib
 
 import pytest
 
 import algflow
+from algflow import checks
 
 MODULES = sorted(pathlib.Path(algflow.__file__).parent.glob("*.py"))
+BENCH_TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_bench_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH_TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -29,3 +41,26 @@ def test_exported_names_resolve(path):
         "algflow" if path.stem == "__init__" else f"algflow.{path.stem}")
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+# The tracer wraps these names in place; a rename or a reshaped registry entry
+# should fail here rather than in a benchmark run.
+def test_benchmark_traced_names_resolve():
+    tracing = load_bench_tracing()
+    missing = []
+    for module_name, names in tracing.TRACED.values():
+        module = importlib.import_module(module_name)
+        for name in names:
+            owner = module
+            for part in name.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append(f"{module_name}.{name}")
+    assert missing == []
+
+
+def test_benchmark_checks_are_registered():
+    for name in load_bench_tracing().CHECKS:
+        fn, tol_arg = checks._REGISTRY[name]
+        assert callable(fn)
+        assert tol_arg is None or tol_arg in inspect.signature(fn).parameters
