@@ -37,6 +37,7 @@ __all__ = [
     "check_dim2",
     "check_tol",
     "iso_residual",
+    "iso_residuals",
     "to_2x4",
     "from_2x4",
     "rank_2x4",
@@ -87,9 +88,9 @@ class StructMatrix2x4:
         arr = np.array(self.values, dtype=float)
         if arr.shape != (2, 4):
             raise ValueError(f"expected shape (2, 4), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("all entries must be finite")
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     def __eq__(self, other: object) -> bool:
@@ -115,12 +116,12 @@ class BasisChange:
         arr = np.array(self.matrix, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
             raise ValueError(f"expected a nonempty square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("all entries must be finite")
         det = determinant(arr)
         if abs(det) <= EPS_DET:
             raise ValueError(f"matrix is singular to tolerance: |det| = {abs(det):.3e}")
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
     @classmethod
@@ -292,11 +293,35 @@ def check_dim2(*algebras: AlgebraFD) -> None:
             raise ValueError(f"isomorphism testing supports dim 2 only, got {a.dim}")
 
 
+# Signs of the 2 x 2 adjugate: adj [[a, b], [c, d]] = [[d, -b], [-c, a]].
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def iso_residuals(ca: np.ndarray, cb: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """max |P.P.cA.P^-1 - cB| entrywise for each pair of stacks ca, cb (n, 2, 2, 2)
+    and p (n, 2, 2); zero iff p[n] carries ca[n] onto cb[n].
+
+    The transform of ``change_of_basis`` as three stacked matrix products (equal
+    up to rounding to its einsum), with the closed-form P^-1 = adj(P) / det P.
+    """
+    n = len(p)
+    if ca.shape != (n, 2, 2, 2) or cb.shape != (n, 2, 2, 2) or p.shape != (n, 2, 2):
+        raise ValueError(f"expected shapes (n, 2, 2, 2), (n, 2, 2, 2) and (n, 2, 2), "
+                         f"got {ca.shape}, {cb.shape} and {p.shape}")
+    det = p[:, 0, 0] * p[:, 1, 1] - p[:, 0, 1] * p[:, 1, 0]
+    p_inv = p[:, ::-1, ::-1].transpose(0, 2, 1) * _ADJ_SIGNS / det[:, np.newaxis, np.newaxis]
+    # The sums over r, q and p of c'_ijk, one stacked matrix product each.
+    moved = np.matmul(ca.reshape(n, 4, 2), p_inv).reshape(n, 2, 2, 2)  # [p, q, k]
+    moved = np.matmul(p[:, np.newaxis], moved)                         # [p, j, k]
+    moved = np.matmul(p, moved.reshape(n, 2, 4))                       # [i, (j, k)]
+    return np.abs(moved.reshape(n, 8) - cb.reshape(n, 8)).max(axis=1)
+
+
 def iso_residual(a: AlgebraFD, b: AlgebraFD, p: BasisChange) -> float:
-    """max |change_of_basis(a, p) - b| entrywise; zero iff p certifies a ~ b."""
+    """max |P.P.a.P^-1 - b| entrywise (``iso_residuals``); zero iff p certifies a ~ b."""
     check_dim2(a, b)
-    moved = change_of_basis(a, p)
-    return float(np.max(np.abs(moved.constants.values - b.constants.values)))
+    return float(iso_residuals(a.constants.values[np.newaxis], b.constants.values[np.newaxis],
+                               p.matrix[np.newaxis])[0])
 
 
 def to_2x4(algebra: AlgebraFD) -> StructMatrix2x4:

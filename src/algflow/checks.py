@@ -16,14 +16,10 @@ from typing import Callable
 import numpy as np
 
 from .algebra import (
-    AlgebraFD,
-    BasisChange,
     associativity_residual,
     change_of_basis,
     commutativity_residuals,
-    from_2x4,
-    iso_residual,
-    product,
+    iso_residuals,
     random_invertible,
     to_2x4,
 )
@@ -36,15 +32,16 @@ from .classification import (
     C_GRID,
     FlowClassLabel,
     bekbaev_matrix,
-    branch_tensor,
     class_representative,
     classify_time,
     associativity_census,
     residue_times,
     to_bekbaev,
+    _branch,
+    _family_tensor,
 )
-from .cubic import CubicTensor, type_c_products
-from .flow import commutativity_defect, flow_algebra, flow_tensors, time_blocks
+from .cubic import type_c_products
+from .flow import _paired_slices, commutativity_defect, flow_tensors, time_blocks
 from .isomorphism import (
     KIND_NOT_FOUND_WITHIN_BUDGET,
     invariant_signature,
@@ -114,13 +111,11 @@ def check_commutative_locus(tol: float = 1e-9) -> CheckResult:
 
 def check_plus_minus_mirror(tol: float = 1e-12) -> CheckResult:
     """Negating the basis carries the (c, s) algebra onto the (-c, -s) one."""
-    minus_identity = BasisChange(-np.eye(2))
-    worst = 0.0
-    for c in C_GRID:
-        s = math.sqrt(1.0 - c * c)
-        plus = branch_tensor(c, s)
-        mirrored = branch_tensor(-c, -s)
-        worst = max(worst, iso_residual(plus, mirrored, minus_identity))
+    c = np.array(C_GRID)
+    s = np.sqrt(1.0 - c * c)
+    plus = _paired_slices(np.stack((c, s, -s, c), axis=-1).reshape(-1, 2, 2))
+    mirrored = _paired_slices(np.stack((-c, -s, s, -c), axis=-1).reshape(-1, 2, 2))
+    worst = float(np.max(iso_residuals(plus, mirrored, np.array([-np.eye(2)] * len(c)))))
     return CheckResult(
         "mirror", worst <= tol,
         f"max residual {worst:.2e} over c grid {C_GRID[0]}..{C_GRID[-1]} (tol {tol:.0e})",
@@ -156,34 +151,27 @@ def check_iso_grid(tol: float = 1e-9) -> CheckResult:
 def check_canonical_reduction(tol: float = 1e-12) -> CheckResult:
     """Explicit basis changes reach the canonical matrices.
 
-    The generic plus branch is driven directly from the flow tensor; the
+    The generic plus branch is driven directly from the flow tensors; the
     minus branch and the certified reductions go through ``to_bekbaev``,
     whose residual postcondition is re-measured here; the A1 and A0Plus
     reductions must reproduce their targets exactly.
     """
-    worst_plus = 0.0
-    for t in np.linspace(0.05, math.pi / 2 - 0.05, _CANONICAL_TIMES):
-        ct, st = math.cos(t), math.sin(t)
-        p = BasisChange(np.array([
-            [1 / (4 * ct), 1 / (4 * ct)],
-            [1 / (2 * math.sqrt(math.sin(2 * t))), -1 / (2 * math.sqrt(math.sin(2 * t)))],
-        ]))
-        moved = to_2x4(change_of_basis(flow_algebra(t), p)).values
-        target = np.array([[0.5, 0.0, 0.0, 1.0], [0.0, -st / (2 * ct), 0.5, 0.0]])
-        worst_plus = max(worst_plus, float(np.max(np.abs(moved - target))))
+    times = np.linspace(0.05, math.pi / 2 - 0.05, _CANONICAL_TIMES)
+    a, b = 1 / (4 * np.cos(times)), 1 / (2 * np.sqrt(np.sin(2 * times)))
+    p = np.stack((a, a, b, -b), axis=-1).reshape(-1, 2, 2)
+    target = np.zeros((_CANONICAL_TIMES, 2, 4))
+    target[:, 0, 0], target[:, 0, 3], target[:, 1, 2] = 0.5, 1.0, 0.5
+    target[:, 1, 1] = -np.sin(times) / (2 * np.cos(times))
+    target = target.transpose(0, 2, 1).reshape(-1, 2, 2, 2)  # read as from_2x4 does
+    worst_plus = float(np.max(iso_residuals(flow_tensors(times), target, p)))
 
-    worst_minus = 0.0
-    for c in np.linspace(0.05, 0.95, _CANONICAL_TIMES):
-        label = FlowClassLabel(ACOS_MINUS, float(c))
-        form, cert = to_bekbaev(label)
-        worst_minus = max(
-            worst_minus,
-            iso_residual(
-                class_representative(label),
-                from_2x4(bekbaev_matrix(form)),
-                cert,
-            ),
-        )
+    labels = [FlowClassLabel(ACOS_MINUS, float(c)) for c in np.linspace(0.05, 0.95, _CANONICAL_TIMES)]
+    reductions = [to_bekbaev(label) for label in labels]
+    worst_minus = float(np.max(iso_residuals(
+        _paired_slices(np.array([[[c, s], [-s, c]] for c, s in map(_branch, labels)])),
+        np.array([_family_tensor(form) for form, _ in reductions]),
+        np.array([cert.matrix for _, cert in reductions]),
+    )))
 
     exact_ok = True
     for variant in (A1, A0_PLUS):
@@ -242,19 +230,17 @@ def check_invariant_separation() -> CheckResult:
 
 
 def check_basis_change_oracle(tol: float = 1e-10) -> CheckResult:
-    """Transformation formula vs re-derivation through products and a solve."""
+    """Transformation formula (the kernel of ``iso_residuals``) vs a re-derivation:
+    the new coordinates x of e'_i e'_j solve P^T x = P_i * P_j in the old basis."""
     rng = np.random.default_rng(_SEED)
-    worst = 0.0
-    for _ in range(_ORACLE_TRIALS):
-        alg = AlgebraFD(CubicTensor(rng.uniform(-1.0, 1.0, size=(2, 2, 2))))
-        p = BasisChange(random_invertible(rng, 0.5, 2.0))
-        by_formula = change_of_basis(alg, p).constants.values
-        by_oracle = np.empty((2, 2, 2))
-        for i in range(2):
-            for j in range(2):
-                old_coords = product(alg, p.matrix[i], p.matrix[j])
-                by_oracle[i, j] = np.linalg.solve(p.matrix.T, old_coords)
-        worst = max(worst, float(np.max(np.abs(by_formula - by_oracle))))
+    draws = [(rng.uniform(-1.0, 1.0, size=(2, 2, 2)), random_invertible(rng, 0.5, 2.0))
+             for _ in range(_ORACLE_TRIALS)]
+    c = np.array([alg for alg, _ in draws])
+    p = np.array([mat for _, mat in draws])
+    old_coords = np.einsum("nip,njq,npqk->nijk", p, p, c).reshape(-1, 4, 2)
+    by_oracle = np.linalg.solve(p.transpose(0, 2, 1), old_coords.transpose(0, 2, 1))
+    # max |formula - oracle| is the residual of P carrying c onto the oracle's tensors.
+    worst = float(np.max(iso_residuals(c, by_oracle.transpose(0, 2, 1).reshape(-1, 2, 2, 2), p)))
     return CheckResult(
         "basis-oracle", worst < tol,
         f"max difference {worst:.2e} over {_ORACLE_TRIALS} trials (tol {tol:.0e})",
@@ -264,10 +250,13 @@ def check_basis_change_oracle(tol: float = 1e-10) -> CheckResult:
 def check_product_associativity(tol: float = 1e-12) -> CheckResult:
     """(A*B)*C = A*(B*C) for the slice-wise product, random tensors of dim <= 4."""
     rng = np.random.default_rng(_SEED)
-    worst = 0.0
+    by_dim: dict[int, list[np.ndarray]] = {}
     for _ in range(_PRODUCT_TRIALS):
         m = int(rng.integers(2, 5))
-        a, b, c = rng.uniform(-1.0, 1.0, size=(3, m, m, m))
+        by_dim.setdefault(m, []).append(rng.uniform(-1.0, 1.0, size=(3, m, m, m)))
+    worst = 0.0
+    for triples in by_dim.values():
+        a, b, c = np.moveaxis(np.array(triples), 1, 0)
         left = type_c_products(type_c_products(a, b), c)
         right = type_c_products(a, type_c_products(b, c))
         worst = max(worst, float(np.max(np.abs(left - right))))

@@ -47,7 +47,7 @@ from .classification import (
     residue_times,
     to_bekbaev,
 )
-from .flow import flow_algebra, flow_tensors, time_blocks, verify_kce, ROTATION_FAMILY
+from .flow import check_time, flow_algebra, flow_tensors, time_blocks, verify_kce, ROTATION_FAMILY
 from .isomorphism import (
     IsoVerdict,
     SearchConfig,
@@ -153,6 +153,7 @@ def _partition_times(t_max: float, step: float) -> np.ndarray:
             f"--t-max {t_max} at --step {step} gives about {n_points:.3g} points, "
             f"over the cap of {MAX_PARTITION_POINTS}"
         )
+    check_time(t_max, DEFAULT_TOL)  # the tolerance classify_times bands with
     grid = np.arange(1, math.ceil(n_grid) + 2) * step
     exceptional = [residue_times(residue, t_max) for residue, _ in EXCEPTIONAL_RESIDUES]
     return np.unique(np.concatenate(([0.0], grid[grid < t_max], [t_max], *exceptional)))

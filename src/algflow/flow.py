@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import AlgebraFD
+from .algebra import DEFAULT_TOL, AlgebraFD
 from .cubic import CubicTensor, mul_type_c
 
 __all__ = [
@@ -43,6 +43,8 @@ __all__ = [
     "SWEEP_BLOCK",
     "time_blocks",
     "flow_algebra",
+    "MAX_TIME",
+    "reduce_mod_pi",
     "check_time",
     "verify_kce",
     "verify_base_system",
@@ -50,6 +52,13 @@ __all__ = [
 ]
 
 _GENERATOR_AT_ZERO_TOL = 1e-12
+
+# pi in three parts, the first two of 26 significant bits, so that k * _PI1 and
+# k * _PI2 are exact for k < 2**27 (Cody-Waite reduction).
+_PI1, _PI2, _PI3 = 3.1415926218032837, 3.1786509424591713e-08, 1.2246467991473532e-16
+
+# Largest time reduced mod pi: k stays below 2**26, where r is good to a few ulps.
+MAX_TIME = 2.0**26 * math.pi
 
 # Times per array-kernel call in a sweep over many times; keeps the kernels'
 # temporaries to some hundred kilobytes however long the sweep.
@@ -90,10 +99,8 @@ ROTATION_FAMILY = FlowFamily(rotation_matrix, name="rotation")
 def _paired_slices(mats: np.ndarray) -> np.ndarray:
     """Stack each 2 x 2 matrix of ``mats`` (..., 2, 2) with its transpose as the
     middle-index slices j = 1, 2: out[..., i, 0, r] = a_ir, out[..., i, 1, r] = a_ri."""
-    out = np.empty(mats.shape[:-2] + (2, 2, 2))
-    out[..., 0, :] = mats
-    out[..., 1, :] = np.swapaxes(mats, -1, -2)
-    return out
+    paired = np.concatenate((mats, np.swapaxes(mats, -1, -2)), axis=-1)  # [..., i, (j, r)]
+    return paired.reshape(mats.shape[:-2] + (2, 2, 2))
 
 
 def paired_tensor(mat: np.ndarray) -> CubicTensor:
@@ -139,12 +146,33 @@ def flow_algebra(d: float) -> AlgebraFD:
     return AlgebraFD(flow_tensor(d))
 
 
-def check_time(t: float) -> None:
-    """Refuse a time at which the flow is undefined: non-finite or negative."""
+def reduce_mod_pi(t):
+    """(k, r) with t = k*pi + r, 0 <= r < pi, for a float or an ndarray (operators
+    only).  Cody-Waite, so the 1.2e-16 by which the float pi falls short of pi is
+    not multiplied by k.  Good to a few ulps for t <= MAX_TIME."""
+    k = t // math.pi
+    r = ((t - k * _PI1) - k * _PI2) - k * _PI3
+    below = r < 0  # t // pi overshoots by one just below a multiple of pi
+    return k - below, r + below * math.pi
+
+
+def check_time(t: float, tol: float | None = None) -> None:
+    """Refuse a time at which the flow is undefined: non-finite or negative.
+
+    Given the tolerance of a test mod pi, also refuse a time beyond MAX_TIME, or
+    one whose float spacing exceeds half of both tol and DEFAULT_TOL (so that
+    every tolerance accepts t < 2**22).  Past that, t and t + n*pi as floats
+    can miss a multiple of pi by more than tol: each rounding costs up to half
+    a spacing, and the float pi, 1.2e-16 short, n times as much.
+    """
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
+    if tol is not None and (t > MAX_TIME
+                            or (2 * math.ulp(t) > tol and 2 * math.ulp(t) > DEFAULT_TOL)):
+        raise ValueError(f"time {t} is too large for tolerance {tol:g} (float spacing "
+                         f"{math.ulp(t):.2g}; reduction mod pi up to {MAX_TIME:.4g})")
 
 
 def _check_triple(s: float, tau: float, t: float) -> None:

@@ -44,10 +44,11 @@ from .algebra import (
     is_associative,
     is_commutative,
     iso_residual,
+    iso_residuals,
     random_invertible,
     rank_2x4,
 )
-from .flow import check_time, flow_algebra
+from .flow import check_time, flow_tensors, reduce_mod_pi
 
 __all__ = [
     "KIND_ISOMORPHIC",
@@ -245,6 +246,11 @@ def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> I
 
 # --- exact decision for the rotation flow ------------------------------------
 
+# The certificates rotation_iso hands out, keyed by (sin t1 = 0, (-1)^k), built once.
+_CERTIFICATES = {(sin_zero, sign): BasisChange(
+    np.array([[1.0, sign - 1.0], [0.0, sign]]) if sin_zero else sign * np.eye(2))
+    for sin_zero in (False, True) for sign in (1.0, -1.0)}
+
 
 def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
     """Decide isomorphism of the rotation-flow algebras A^[t1] and A^[t2].
@@ -262,52 +268,46 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
     used, keeping the certificate residual at rounding level even when the
     inputs sit at the edge of the tolerance band.
 
-    Times within ``tol`` of the locus count as on it.
+    k and sin(r2 - r1) come from ``reduce_mod_pi``; times too large for
+    ``tol`` are refused.  Times within ``tol`` of the locus count as on it.
     """
-    check_time(t1)
-    check_time(t2)
     check_tol(tol)
+    check_time(t1, tol)
+    check_time(t2, tol)
+    k1, r1 = reduce_mod_pi(t1)
+    k2, r2 = reduce_mod_pi(t2)
 
-    d = t2 - t1
+    d = r2 - r1
     if abs(math.sin(d)) <= tol:
-        k = round(d / math.pi)
-        sign = -1.0 if k % 2 else 1.0
-        if abs(math.sin(t1)) <= tol:
-            p_matrix = np.array([[1.0, sign - 1.0], [0.0, sign]])
-        else:
-            p_matrix = sign * np.eye(2)
-        certificate = BasisChange(p_matrix)
-        log.debug(
-            "rotation_iso certificate u=%g v=%g alpha=%g beta=%g",
-            certificate.u,
-            certificate.v,
-            certificate.alpha,
-            certificate.beta,
-        )
-        residual = iso_residual(flow_algebra(t1), flow_algebra(t2), certificate)
+        # r2 - r1 is near 0, or near +-pi where one residue wrapped round.
+        k = k2 - k1 + round(d / math.pi)
+        certificate = _CERTIFICATES[abs(math.sin(r1)) <= tol, -1.0 if k % 2 else 1.0]
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("rotation_iso certificate u=%g v=%g alpha=%g beta=%g",
+                      certificate.u, certificate.v, certificate.alpha, certificate.beta)
+        tensors = flow_tensors(np.array([t1, t2]))
+        residual = float(iso_residuals(tensors[:1], tensors[1:],
+                                       certificate.matrix[np.newaxis])[0])
         if residual > tol:
             raise AssertionError(
                 f"certificate soundness violated: residual {residual:.3e} > {tol:.1e}"
             )
         return IsoVerdict.isomorphic(certificate, residual)
 
-    return IsoVerdict.not_isomorphic_exact(_violated_condition(t1, t2, tol))
+    return IsoVerdict.not_isomorphic_exact(_violated_condition(r1, r2, tol))
 
 
-def _violated_condition(t1: float, t2: float, tol: float) -> str:
-    """Name the case condition that rules out an isomorphism."""
-    sin1_zero = abs(math.sin(t1)) <= tol
-    sin2_zero = abs(math.sin(t2)) <= tol
-    if sin1_zero != sin2_zero:
-        return "sin t = 0 at one time only (isomorphism forces sin t1 = sin t2 = 0)"
-    cos1_zero = abs(math.cos(t1)) <= tol
-    cos2_zero = abs(math.cos(t2)) <= tol
-    if cos1_zero != cos2_zero:
-        return "cos t = 0 at one time only (isomorphism forces cos t1 = cos t2 = 0)"
-    comm1 = abs(math.cos(t1) + math.sin(t1)) <= tol
-    comm2 = abs(math.cos(t2) + math.sin(t2)) <= tol
-    if comm1 != comm2:
-        return "commutative at one time only (cos t + sin t = 0 must hold at both)"
+def _violated_condition(r1: float, r2: float, tol: float) -> str:
+    """Name the case condition that rules out an isomorphism, from the times
+    reduced mod pi (a shift by pi flips the signs of cos t and sin t only)."""
+    for condition, value in (
+        ("sin t = 0 at one time only (isomorphism forces sin t1 = sin t2 = 0)", math.sin),
+        ("cos t = 0 at one time only (isomorphism forces cos t1 = cos t2 = 0)", math.cos),
+        ("commutative at one time only (cos t + sin t = 0 must hold at both)",
+         lambda r: math.cos(r) + math.sin(r)),
+    ):
+        if (abs(value(r1)) <= tol) != (abs(value(r2)) <= tol):
+            return condition
     return "sin(t2 - t1) != 0 (cos t2 / cos t1 and sin t2 / sin t1 cannot agree)"
 
 

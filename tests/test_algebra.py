@@ -20,6 +20,8 @@ from algflow.algebra import (
     from_2x4,
     is_associative,
     is_commutative,
+    iso_residual,
+    iso_residuals,
     product,
     random_invertible,
     rank_2x4,
@@ -273,6 +275,52 @@ class TestStackedResiduals:
             associativity_residuals(np.zeros(shape))
         with pytest.raises(ValueError, match="stack"):
             commutativity_residuals(np.zeros(shape))
+
+
+def _brute_force_iso_residual(ca: np.ndarray, cb: np.ndarray, p: np.ndarray) -> float:
+    """max |sum_{p,q,r} P_ip P_jq cA_pqr (P^-1)_rk - cB_ijk| as a quadruple loop."""
+    inv = np.linalg.inv(p)
+    worst = 0.0
+    for i, j, k in np.ndindex(2, 2, 2):
+        moved = sum(p[i, a] * p[j, b] * ca[a, b, r] * inv[r, k]
+                    for a in range(2) for b in range(2) for r in range(2))
+        worst = max(worst, abs(moved - cb[i, j, k]))
+    return worst
+
+
+class TestIsoResiduals:
+    def test_match_scalar_wrapper_and_brute_force(self):
+        rng = np.random.default_rng(2024)
+        ca = rng.uniform(-1.0, 1.0, size=(500, 2, 2, 2))
+        cb = rng.uniform(-1.0, 1.0, size=(500, 2, 2, 2))
+        p = np.array([random_invertible(rng, 0.5, 2.0) for _ in range(500)])
+        # half the pairs are true certificates, so the residual is at rounding level
+        cb[::2] = [change_of_basis(AlgebraFD(CubicTensor(c)), BasisChange(m)).constants.values
+                   for c, m in zip(ca[::2], p[::2])]
+        got = iso_residuals(ca, cb, p)
+        assert got.shape == (500,)
+        for n in range(500):
+            a, b = AlgebraFD(CubicTensor(ca[n])), AlgebraFD(CubicTensor(cb[n]))
+            assert got[n] == iso_residual(a, b, BasisChange(p[n]))
+            assert abs(got[n] - _brute_force_iso_residual(ca[n], cb[n], p[n])) <= 1e-13
+        assert np.max(got[::2]) <= 1e-13 and np.min(got[1::2]) > 1e-3
+
+    def test_certificate_from_change_of_basis(self):
+        a = flow_algebra(0.4)
+        p = BasisChange([[0.7, -1.2], [0.4, 0.9]])
+        moved = change_of_basis(a, p)
+        assert iso_residual(a, moved, p) <= 1e-15
+
+    @pytest.mark.parametrize("ca, cb, p", [
+        ((3, 2, 2, 2), (3, 2, 2, 2), (2, 2, 2)),
+        ((3, 2, 2, 2), (2, 2, 2, 2), (3, 2, 2)),
+        ((2, 2, 2), (2, 2, 2), (2, 2)),
+        ((3, 3, 3, 3), (3, 3, 3, 3), (3, 3, 3)),
+        ((3, 2, 2, 2), (3, 2, 2, 2), (3, 2, 3)),
+    ])
+    def test_wrong_shapes_refused(self, ca, cb, p):
+        with pytest.raises(ValueError, match="expected shapes"):
+            iso_residuals(np.zeros(ca), np.zeros(cb), np.ones(p))
 
 
 class TestJson:

@@ -1,6 +1,9 @@
 """Time-to-class map, canonical families, and certified reductions."""
 
+import importlib.util
 import math
+import pathlib
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import algflow.classification
-from algflow.algebra import change_of_basis, to_2x4
+from algflow.algebra import DEFAULT_TOL, change_of_basis, is_commutative, to_2x4
 from algflow.classification import (
     A1,
     A2,
@@ -27,10 +30,11 @@ from algflow.classification import (
     VARIANTS,
     label_from_json_dict,
     label_to_json_dict,
+    residue_times,
     to_bekbaev,
 )
 from algflow.cubic import slice_j
-from algflow.flow import flow_algebra
+from algflow.flow import MAX_TIME, flow_algebra
 from algflow.isomorphism import iso_residual, rotation_iso
 
 
@@ -160,6 +164,12 @@ class TestLabels:
         assert not a.same_class(FlowClassLabel(ACOS_PLUS, 0.51))
         assert not a.same_class(FlowClassLabel(ACOS_MINUS, 0.5))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("label", [FlowClassLabel(ACOS_PLUS, 0.5), FlowClassLabel(A1)])
+    def test_same_class_refuses_bad_tolerance(self, label, tol):
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            label.same_class(label, tol)
+
     def test_json_round_trip(self):
         for label in (FlowClassLabel(A2), FlowClassLabel(ACOS_MINUS, 0.25)):
             assert label_from_json_dict(label_to_json_dict(label)) == label
@@ -233,6 +243,41 @@ class TestBekbaevMatrices:
     def test_family_range(self):
         with pytest.raises(ValueError):
             BekbaevForm(16)
+
+    @staticmethod
+    def _lambda_rows(form: BekbaevForm) -> np.ndarray:
+        """The family matrices as they were written before the table."""
+        p = form.params
+        rows = {
+            1: lambda: [[p[0], p[1], p[1] + 1, p[2]], [p[3], -p[0], 1 - p[0], -p[1]]],
+            2: lambda: [[p[0], 0, 0, 1], [p[1], p[2], 1 - p[0], 0]],
+            3: lambda: [[p[0], 0, 0, -1], [p[1], p[2], 1 - p[0], 0]],
+            4: lambda: [[0, 1, 1, 0], [p[0], p[1], 1, -1]],
+            5: lambda: [[p[0], 0, 0, 0], [0, p[1], 1 - p[0], 0]],
+            6: lambda: [[p[0], 0, 0, 0], [1, 2 * p[0] - 1, 1 - p[0], 0]],
+            7: lambda: [[p[0], 0, 0, 1], [p[1], 1 - p[0], -p[0], 0]],
+            8: lambda: [[p[0], 0, 0, -1], [p[1], 1 - p[0], -p[0], 0]],
+            9: lambda: [[0, 1, 1, 0], [p[0], 1, 0, -1]],
+            10: lambda: [[p[0], 0, 0, 0], [0, 1 - p[0], -p[0], 0]],
+            11: lambda: [[1 / 3, 0, 0, 0], [1, 2 / 3, -1 / 3, 0]],
+            12: lambda: [[0, 1, 1, 0], [1, 0, 0, -1]],
+            13: lambda: [[0, 1, 1, 0], [-1, 0, 0, -1]],
+            14: lambda: [[0, 1, 1, 0], [0, 0, 0, -1]],
+            15: lambda: [[0, 0, 0, 0], [1, 0, 0, 0]],
+        }
+        return np.array(rows[form.family](), dtype=float)
+
+    @pytest.mark.parametrize("family", sorted(PARAM_COUNTS))
+    def test_table_matches_the_lambda_rows_bit_for_bit(self, family):
+        # zeros too, so that "-p0" at p0 = 0 still prints as -0.0
+        rng = np.random.default_rng(family)
+        draws = [rng.uniform(-3.0, 3.0, size=PARAM_COUNTS[family]) for _ in range(50)]
+        draws += [np.zeros(PARAM_COUNTS[family]), -np.zeros(PARAM_COUNTS[family])]
+        for params in draws:
+            if family in (2, 3, 7, 8):
+                params[1] = abs(params[1])
+            form = BekbaevForm(family, tuple(params))
+            assert bekbaev_matrix(form).values.tobytes() == self._lambda_rows(form).tobytes()
 
 
 class TestToBekbaev:
@@ -329,3 +374,116 @@ class TestConsistencyWithIsomorphism:
         for t in (0.3, 1.0, 2.2, 3.3):
             assert classify_time(t).same_class(classify_time(t + math.pi))
             assert rotation_iso(t, t + math.pi).is_isomorphic
+
+
+def _load_bench_oracles():
+    """``bench/oracles.py``, which imports no algflow, loaded by path."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ORACLES = _load_bench_oracles()
+
+
+def _refused(t: float) -> bool:
+    return t > MAX_TIME or 2 * math.ulp(t) > DEFAULT_TOL
+
+
+def _gap(r1: Decimal, r2: Decimal) -> float:
+    """Distance of r2 - r1 from the nearest multiple of pi."""
+    d = abs(r2 - r1)
+    return float(min(d, ORACLES.PI - d))
+
+
+def _edge_distance(r: Decimal) -> float:
+    """Distance of a residue from 0, pi/2, 3*pi/4 and pi, the band centres."""
+    return float(min(abs(r - e) for e in (Decimal(0), ORACLES._HALF_PI,
+                                          ORACLES._THREE_QUARTER_PI, ORACLES.PI)))
+
+
+def _assert_consistent(t1: float, t2: float, shifted: bool) -> None:
+    """Labels, the exact decider and the commutativity predicate agree on an
+    accepted pair.  Skipped: a time in the ambiguous zone outside a band (1e-9
+    for labels, 1e-9 / sqrt(2) for the predicate) and, unless t2 is t1 + n*pi
+    in floats, a pair whose gap or parameter difference is near the tolerance."""
+    r1, r2 = ORACLES.residue_mod_pi(t1), ORACLES.residue_mod_pi(t2)
+    labels = classify_time(t1), classify_time(t2)
+    for t, r, label in ((t1, r1, labels[0]), (t2, r2, labels[1])):
+        if 6.9e-10 < _edge_distance(r) < 1e-6:
+            return
+        variant, c = ORACLES.flow_class(t)
+        assert label.variant == variant, t
+        assert c is None or abs(label.c - c) <= 1e-12, t
+        assert is_commutative(flow_algebra(t)) == (variant == A2), t
+    same = labels[0].same_class(labels[1])
+    verdict = rotation_iso(t1, t2)
+    if shifted:
+        assert same and verdict.is_isomorphic, (t1, t2)
+        return
+    gap = _gap(r1, r2)
+    if 0.9e-9 < gap < 1e-6:
+        return
+    if gap >= 1e-6 and labels[0].variant == labels[1].variant and labels[0].c is not None:
+        if abs(labels[0].c - labels[1].c) <= 2e-9:
+            return  # near A1 a gap of 1e-6 can move c by less than the tolerance
+    assert verdict.is_isomorphic == same == (gap <= 0.9e-9), (t1, t2)
+
+
+class TestLargeTimes:
+    """Times far from 0: refused when their float spacing is too coarse for the
+    tolerance, consistent between labels, verdicts and predicates otherwise."""
+
+    @pytest.mark.parametrize("n_high", [100_000_000, 2_700_000])
+    def test_seeded_sweep_of_period_shifts(self, n_high):
+        # t2 = t1 + n*pi in floats, n in [1e5, n_high): the pairs that once parted;
+        # n below 2.7e6 straddles the refusal edge at t = 2**22
+        rng = np.random.default_rng(20261018)
+        accepted = 0
+        for _ in range(2000):
+            t1 = float(rng.uniform(0.0, math.pi))
+            t2 = t1 + int(rng.integers(100_000, n_high)) * math.pi
+            if _refused(t2):
+                with pytest.raises(ValueError, match="too large for tolerance"):
+                    classify_time(t2)
+                with pytest.raises(ValueError, match="too large for tolerance"):
+                    rotation_iso(t1, t2)
+                continue
+            accepted += 1
+            _assert_consistent(t1, t2, shifted=True)
+        assert accepted > 10
+
+    def test_cli_example_is_refused(self):
+        with pytest.raises(ValueError, match="too large for tolerance"):
+            rotation_iso(1.5707963267948966, 8397585.547992067)
+        with pytest.raises(ValueError, match="too large for tolerance"):
+            classify_time(1e8 * math.pi)
+        with pytest.raises(ValueError, match="too large for tolerance"):
+            classify_times(np.array([0.5, 1e8 * math.pi]))
+
+    @given(t1=st.one_of(st.floats(0.0, 1e15), st.floats(0.0, 2.0**22)),
+           t2=st.one_of(st.floats(0.0, 1e15), st.floats(0.0, 2.0**22)),
+           n=st.integers(0, 10**9), shift=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_refused_or_consistent(self, t1, t2, n, shift):
+        if shift:
+            t2 = t1 + n * math.pi
+        for t in (t1, t2):
+            if _refused(t):
+                with pytest.raises(ValueError, match="too large for tolerance"):
+                    classify_time(t)
+        if _refused(t1) or _refused(t2):
+            with pytest.raises(ValueError, match="too large for tolerance"):
+                rotation_iso(t1, t2)
+            return
+        _assert_consistent(t1, t2, shift)
+
+    @pytest.mark.parametrize("residue", [0.0, math.pi / 2, 3 * math.pi / 4])
+    def test_residue_times_stay_on_their_residue(self, residue):
+        times = residue_times(residue, 2.0**22)
+        assert len(times) == math.floor((2.0**22 - residue) / math.pi) + 1
+        for n in (0, 1, 2, 1000, 654_321, len(times) - 1):
+            exact = Decimal(residue) + n * ORACLES.PI
+            assert abs(Decimal(times[n]) - exact) <= Decimal(math.ulp(times[n])), n

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import time
 
 import numpy as np
@@ -148,6 +149,19 @@ class TestIsoTimes:
         code, out, _ = run(capsys, "iso", "--t1", "0.5", "--t2", "0.6")
         assert code == 1
         assert json.loads(out)["kind"] == "NotIsomorphicExact"
+
+    @pytest.mark.parametrize("argv", [
+        ("iso", "--t1", "1.5707963267948966", "--t2", "8397585.547992067"),
+        ("iso", "--t1", repr(1e8 * math.pi), "--t2", "0.5", "--tol", "1e-3"),
+        ("classify", "--t", repr(1e8 * math.pi)),
+        ("classify", "--t", "1e15", "--tol", "0"),
+    ])
+    def test_time_too_large_for_tolerance_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: time ") and "too large for tolerance" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("t1, t2", [("nan", "1"), ("1", "nan"), ("inf", "1")])
     def test_non_finite_time_is_usage_error(self, capsys, t1, t2):
@@ -311,6 +325,15 @@ class TestPartition:
         assert out == "" and err.startswith("error: ")
         assert not out_path.exists()
 
+    def test_time_too_large_for_tolerance_refused_at_once(self, capsys, tmp_path):
+        # under the point cap, but its last blocks are past 2**23
+        out_path = tmp_path / "part.csv"
+        code, out, err = run(capsys, "partition", "--t-max", "9e6", "--step", "10",
+                             "--out", str(out_path))
+        assert code == 2
+        assert out == "" and "too large for tolerance" in err
+        assert not out_path.exists()
+
     def test_point_cap_counts_grid_and_exceptional_points(self):
         from algflow.cli import MAX_PARTITION_POINTS, _partition_times
 
@@ -350,6 +373,31 @@ class TestVerifyTheorems:
         assert len(lines) == 10  # nine checks plus the summary
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert "9/9 checks passed" in lines[-1]
+
+    # The nine detail lines with the elapsed times masked.  Three worst residuals
+    # differ from the array-free formulas in their last bits: canonical
+    # 8.88e-16 / 4.44e-16 and basis-oracle 1.07e-14 before the stacked kernel.
+    DETAIL_LINES = [
+        "PASS  kce            max residual 2.78e-15 over 1000 triples (tol 1e-12, #s)",
+        "PASS  locus          0 mismatches over 10004 points in [0, 12.57] (tol 1e-09)",
+        "PASS  mirror         max residual 0.00e+00 over c grid 0.1..0.9 (tol 1e-12)",
+        "PASS  iso-grid       0 mismatches over 2500 pairs on a 50x50 grid (#s)",
+        "PASS  canonical      plus-branch max err 2.11e-15 (tol 1e-12), minus-branch max "
+        "residual 8.88e-16 (tol 1e-10), fixed targets exact, label grid certified",
+        "PASS  census         census over 21 classes matches, residual at c=0.5 is 1.183 "
+        "(> 0.1)",
+        "PASS  separation     signatures differ at 'associative', search verdict "
+        "NotFoundWithinBudget",
+        "PASS  basis-oracle   max difference 1.24e-14 over 500 trials (tol 1e-10)",
+        "PASS  product-assoc  max |(AB)C - A(BC)| = 8.88e-16 over 1000 triples (tol 1e-12)",
+        "9/9 checks passed",
+    ]
+
+    def test_detail_lines_pinned(self, capsys):
+        code, out, _ = run(capsys, "verify-theorems")
+        assert code == 0
+        masked = [re.sub(r"\d+\.\d\ds\)", "#s)", line) for line in out.splitlines()]
+        assert masked == self.DETAIL_LINES
 
     def test_bad_tolerance_argument(self, capsys):
         code, _, err = run(capsys, "verify-theorems", "--tol", "kce")

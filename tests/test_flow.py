@@ -1,6 +1,7 @@
 """The rotation flow: construction, composition law, commutative locus."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from algflow.algebra import AlgebraFD, is_commutative, to_2x4
 from algflow.cubic import slice_j
 from algflow.flow import (
+    MAX_TIME,
     ROTATION_FAMILY,
     FlowFamily,
     build_from_pair,
@@ -18,6 +20,7 @@ from algflow.flow import (
     flow_tensor,
     flow_tensors,
     paired_tensor,
+    reduce_mod_pi,
     rotation_matrix,
     verify_base_system,
     verify_kce,
@@ -88,6 +91,66 @@ class TestCheckTime:
     def test_refuses(self, t, message):
         with pytest.raises(ValueError, match=message):
             check_time(t)
+
+
+    @pytest.mark.parametrize("t, tol", [
+        (2.0**22, 1e-9), (8397585.547992067, 1e-9), (1e8 * math.pi, 1e-9), (1e15, 1e-9),
+        (2.0**22, 0.0), (MAX_TIME * 1.0000001, 1.0),
+    ])
+    def test_refuses_time_too_large_for_tolerance(self, t, tol):
+        check_time(t)  # no tolerance: only finiteness and sign
+        with pytest.raises(ValueError, match="too large for tolerance"):
+            check_time(t, tol)
+
+    @pytest.mark.parametrize("t, tol", [
+        (math.nextafter(2.0**22, 0.0), 1e-9), (1e6, 0.0), (0.5, 0.0), (1e8, 1e-7), (MAX_TIME, 1.0),
+    ])
+    def test_accepts_time_fine_enough(self, t, tol):
+        # spacing up to half the larger of tol and 1e-9 passes, so tol = 0 keeps t < 2**22
+        check_time(t, tol)
+
+
+def _exact_residue(t: float) -> Decimal:
+    """t mod pi from the exact value of t, at 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+        x = Decimal(t)
+        return x - (x // pi) * pi
+
+
+class TestReduceModPi:
+    @staticmethod
+    def _times() -> np.ndarray:
+        rng = np.random.default_rng(11)
+        multiples = [float(k * Decimal(math.pi)) for k in rng.integers(1, 2**26, size=300)]
+        near = [math.nextafter(math.nextafter(k * math.pi, d), d)
+                for k in rng.integers(1, 2**26, size=300).tolist() for d in (0.0, math.inf)]
+        return np.concatenate([rng.uniform(0.0, MAX_TIME, 1000),
+                               np.exp(rng.uniform(-20.0, math.log(MAX_TIME), 1000)),
+                               multiples, near, [0.0, math.pi, MAX_TIME]])
+
+    def test_within_a_few_ulps_of_the_exact_residue(self):
+        # where the exact residue sits within 1e-15 of pi, r may wrap round to ~0;
+        # r = math.pi is allowed, since the float pi is below pi
+        for t in self._times().tolist():
+            k, r = reduce_mod_pi(t)
+            exact = _exact_residue(t)
+            assert 0.0 <= r <= math.pi and k == int(k)
+            err = abs(Decimal(r) - exact)
+            assert min(err, abs(err - Decimal(math.pi))) <= Decimal("5e-16"), t
+
+    def test_array_path_is_the_scalar_path(self):
+        times = self._times()
+        k, r = reduce_mod_pi(times)
+        assert k.shape == r.shape == times.shape
+        for t, k_t, r_t in zip(times.tolist(), k.tolist(), r.tolist()):
+            assert reduce_mod_pi(t) == (k_t, r_t)
+
+    def test_fmod_drifts_where_the_reduction_does_not(self):
+        t = 1e8 * math.pi
+        assert abs(Decimal(math.fmod(t, math.pi)) - _exact_residue(t)) > Decimal("1e-9")
+        assert abs(Decimal(reduce_mod_pi(t)[1]) - _exact_residue(t)) < Decimal("1e-15")
 
 
 class TestBuildFromPair:
