@@ -35,7 +35,6 @@ from .classification import (
     class_representative,
     classify_time,
     classify_times,
-    label_from_json_dict,
     label_to_json_dict,
     to_bekbaev,
 )

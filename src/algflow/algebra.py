@@ -61,10 +61,6 @@ class AlgebraFD:
     def dim(self) -> int:
         return self.constants.dim
 
-    @classmethod
-    def zero(cls, m: int) -> "AlgebraFD":
-        return cls(CubicTensor(np.zeros((m, m, m))))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlgebraFD):
             return NotImplemented
@@ -104,8 +100,7 @@ class BasisChange:
     """An invertible change of basis.
 
     Row i of ``matrix`` holds the coordinates of the new basis vector e'_i in
-    the old basis: e'_i = sum_p P_ip e_p.  For m = 2 the rows are (x1, x2)
-    and (y1, y2), and invertibility means x1*y2 != x2*y1.
+    the old basis: e'_i = sum_p P_ip e_p.
 
     Degenerate matrices are rejected at construction, not at use.
     """
@@ -132,10 +127,6 @@ class BasisChange:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def det(self) -> float:
-        return determinant(self.matrix)
-
     def inverse(self) -> np.ndarray:
         """Closed-form adjugate for m = 2 (exact for exact inputs), LU otherwise."""
         p = self.matrix
@@ -145,46 +136,6 @@ class BasisChange:
             d = determinant(p)
             return np.array([[p[1, 1], -p[0, 1]], [-p[1, 0], p[0, 0]]]) / d
         return np.linalg.inv(p)
-
-    def _entry2(self, r: int, c: int) -> float:
-        if self.dim != 2:
-            raise ValueError("named entries are defined for dim 2 only")
-        return float(self.matrix[r, c])
-
-    # Row entries of the 2 x 2 case, (x1, x2) over (y1, y2).
-    @property
-    def x1(self) -> float:
-        return self._entry2(0, 0)
-
-    @property
-    def x2(self) -> float:
-        return self._entry2(0, 1)
-
-    @property
-    def y1(self) -> float:
-        return self._entry2(1, 0)
-
-    @property
-    def y2(self) -> float:
-        return self._entry2(1, 1)
-
-    # The row sums and differences u = x1+x2, v = y1+y2, alpha = x1-x2,
-    # beta = y1-y2 that drive the two-dimensional isomorphism analysis.
-    @property
-    def u(self) -> float:
-        return self.x1 + self.x2
-
-    @property
-    def v(self) -> float:
-        return self.y1 + self.y2
-
-    @property
-    def alpha(self) -> float:
-        return self.x1 - self.x2
-
-    @property
-    def beta(self) -> float:
-        return self.y1 - self.y2
 
     def __repr__(self) -> str:
         return f"BasisChange({self.matrix.tolist()})"

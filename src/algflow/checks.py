@@ -41,7 +41,7 @@ from .classification import (
     _family_tensor,
 )
 from .cubic import type_c_products
-from .flow import _paired_slices, commutativity_defect, flow_tensors, time_blocks
+from .flow import commutativity_defect, flow_tensors, paired_tensors, time_blocks
 from .isomorphism import (
     KIND_NOT_FOUND_WITHIN_BUDGET,
     invariant_signature,
@@ -113,8 +113,7 @@ def check_plus_minus_mirror(tol: float = 1e-12) -> CheckResult:
     """Negating the basis carries the (c, s) algebra onto the (-c, -s) one."""
     c = np.array(C_GRID)
     s = np.sqrt(1.0 - c * c)
-    plus = _paired_slices(np.stack((c, s, -s, c), axis=-1).reshape(-1, 2, 2))
-    mirrored = _paired_slices(np.stack((-c, -s, s, -c), axis=-1).reshape(-1, 2, 2))
+    plus, mirrored = paired_tensors(c, s, -s, c), paired_tensors(-c, -s, s, -c)
     worst = float(np.max(iso_residuals(plus, mirrored, np.array([-np.eye(2)] * len(c)))))
     return CheckResult(
         "mirror", worst <= tol,
@@ -167,8 +166,9 @@ def check_canonical_reduction(tol: float = 1e-12) -> CheckResult:
 
     labels = [FlowClassLabel(ACOS_MINUS, float(c)) for c in np.linspace(0.05, 0.95, _CANONICAL_TIMES)]
     reductions = [to_bekbaev(label) for label in labels]
+    c, s = np.array([_branch(label) for label in labels]).T
     worst_minus = float(np.max(iso_residuals(
-        _paired_slices(np.array([[[c, s], [-s, c]] for c, s in map(_branch, labels)])),
+        paired_tensors(c, s, -s, c),
         np.array([_family_tensor(form) for form, _ in reductions]),
         np.array([cert.matrix for _, cert in reductions]),
     )))

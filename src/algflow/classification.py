@@ -48,7 +48,8 @@ from .algebra import (
     is_associative,
     iso_residuals,
 )
-from .flow import MAX_TIME, check_time, paired_tensor, reduce_mod_pi
+from .cubic import CubicTensor
+from .flow import MAX_TIME, check_time, paired_tensors, reduce_mod_pi
 
 __all__ = [
     "A1",
@@ -71,7 +72,6 @@ __all__ = [
     "to_bekbaev",
     "associativity_census",
     "label_to_json_dict",
-    "label_from_json_dict",
 ]
 
 A1 = "A1"
@@ -277,7 +277,7 @@ def branch_tensor(cosine: float, sine: float) -> AlgebraFD:
     The plus/minus representatives are the instances (c, +sqrt(1-c^2)) and
     (c, -sqrt(1-c^2)); the builder itself accepts any value pair.
     """
-    return AlgebraFD(paired_tensor(np.array([[cosine, sine], [-sine, cosine]])))
+    return AlgebraFD(CubicTensor(paired_tensors(cosine, sine, -sine, cosine)))
 
 
 def _branch(label: FlowClassLabel) -> tuple[float, float]:
@@ -328,8 +328,7 @@ def to_bekbaev(label: FlowClassLabel) -> tuple[BekbaevForm, BasisChange]:
     form, p_matrix = _reduction(label)
     certificate = BasisChange(p_matrix)
     c, s = _branch(label)
-    # The representative, flow._paired_slices of [[c, s], [-s, c]], entry by entry.
-    representative = np.array([c, s, c, -s, -s, c, s, c]).reshape(1, 2, 2, 2)
+    representative = paired_tensors(c, s, -s, c)[np.newaxis]
     residual = float(iso_residuals(representative, _family_tensor(form)[np.newaxis],
                                    p_matrix[np.newaxis])[0])
     if residual > _REDUCTION_TOL:  # the bound is never smaller, so work it out only here
@@ -357,9 +356,3 @@ def label_to_json_dict(label: FlowClassLabel) -> dict:
     if label.c is not None:
         out["c"] = label.c
     return out
-
-
-def label_from_json_dict(data: dict) -> FlowClassLabel:
-    if "class" not in data:
-        raise ValueError('expected key "class"')
-    return FlowClassLabel(data["class"], data.get("c"))

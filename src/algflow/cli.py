@@ -75,11 +75,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
     label = classify_time(args.t, args.tol)
     representative = class_representative(label)
     form, certificate = to_bekbaev(label)
+    algebra = flow_algebra(args.t)
     _emit({
         "t": args.t,
         "label": label_to_json_dict(label),
-        "commutative": is_commutative(flow_algebra(args.t)),
-        "associative": is_associative(flow_algebra(args.t)),
+        "commutative": is_commutative(algebra),
+        "associative": is_associative(algebra),
         "representative": algebra_to_json_dict(representative),
         "canonical_form": form.to_json_dict(),
         "canonical_matrix": bekbaev_matrix(form).values.tolist(),
@@ -91,6 +92,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_kce(args: argparse.Namespace) -> int:
     check_tol(args.tol)
     residual = verify_kce(ROTATION_FAMILY, args.s, args.tau, args.t)
+    gap = abs(math.fsum((args.t - args.tau, args.tau - args.s, -(args.t - args.s))))
+    if gap > args.tol / 2:  # rotation entries are 1-Lipschitz: residual <= gap + rounding
+        raise ValueError(f"t - tau and tau - s add up to t - s only within {gap:.2g} as floats, "
+                         f"over half of tol {args.tol:g}")
     ok = residual < args.tol
     _emit({
         "s": args.s,
@@ -112,14 +117,6 @@ def _load_algebra(path: str) -> AlgebraFD:
     return algebra_from_json_dict(data)
 
 
-def _file_iso(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig) -> IsoVerdict:
-    sig_a, sig_b = invariant_signature(a), invariant_signature(b)
-    separating = sig_a.first_difference(sig_b)
-    if separating is not None:
-        return IsoVerdict.separated(separating)
-    return iso_search(a, b, cfg)
-
-
 def cmd_iso(args: argparse.Namespace) -> int:
     time_mode = args.t1 is not None or args.t2 is not None
     file_mode = args.a is not None or args.b is not None
@@ -134,7 +131,9 @@ def cmd_iso(args: argparse.Namespace) -> int:
         if seed is None:
             seed = int(os.environ.get("ALGFLOW_SEED", SearchConfig().seed))
         cfg = SearchConfig(restarts=args.restarts, tol=args.tol, seed=seed)
-        verdict = _file_iso(_load_algebra(args.a), _load_algebra(args.b), cfg)
+        a, b = _load_algebra(args.a), _load_algebra(args.b)
+        separating = invariant_signature(a).first_difference(invariant_signature(b))
+        verdict = iso_search(a, b, cfg) if separating is None else IsoVerdict.separated(separating)
         report = {"a": args.a, "b": args.b, **verdict.to_json_dict()}
     _emit(report)
     return EXIT_OK if verdict.is_isomorphic else EXIT_CHECK_FAILED
@@ -281,6 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # Python 3.11's argparse stores "--opt=--" as an empty list, which no command expects.
+    if any(arg.startswith("-") and arg.endswith("=--") for arg in argv):
+        parser.error("'--' is not an option value")
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

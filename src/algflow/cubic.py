@@ -21,6 +21,7 @@ this module is safe to call concurrently.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,14 +64,6 @@ class CubicTensor:
     @property
     def dim(self) -> int:
         return self.values.shape[0]
-
-    def entry(self, i: int, j: int, k: int) -> float:
-        """Entry c_{ijk} with 1-based indices."""
-        _check_index(self.dim, i=i, j=j, k=k)
-        return float(self.values[i - 1, j - 1, k - 1])
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CubicTensor):
@@ -217,14 +210,12 @@ def tensor_to_json_dict(a: CubicTensor) -> dict:
 
 
 def floats_from_json(data: dict, key: str) -> np.ndarray:
-    """The nested list under ``key`` as a float array.
-
-    A value of the wrong type or a ragged nesting is refused with ValueError.
-    """
-    try:
-        return np.array(data[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f'"{key}" is not a rectangular array of numbers: {exc}') from None
+    """The nested list under ``key`` as a float array.  A ragged nesting, or a leaf
+    that is not a finite JSON number (a boolean, a string, null), raises ValueError."""
+    values = np.array(data[key], dtype=object)
+    if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in values.flat):
+        raise ValueError(f'"{key}" is not a rectangular array of numbers')
+    return values.astype(float)
 
 
 def tensor_from_json_dict(data: dict) -> CubicTensor:

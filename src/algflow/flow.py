@@ -13,6 +13,9 @@ its transpose:
 
     c_{i1r} = a_{ir},   c_{i2r} = a_{ri}.
 
+``paired_tensors`` is the one place that writes this layout; every flow
+tensor, class representative and check builds on it.
+
 The built-in solution is the rotation family a(d) = [[cos d, sin d],
 [-sin d, cos d]]; the resulting flow is time-homogeneous, so the tensor
 depends only on the elapsed time d = t - s and we expose it as A^[d].
@@ -36,6 +39,7 @@ __all__ = [
     "FlowFamily",
     "ROTATION_FAMILY",
     "rotation_matrix",
+    "paired_tensors",
     "paired_tensor",
     "build_from_pair",
     "flow_tensor",
@@ -96,11 +100,13 @@ def rotation_matrix(d: float) -> np.ndarray:
 ROTATION_FAMILY = FlowFamily(rotation_matrix, name="rotation")
 
 
-def _paired_slices(mats: np.ndarray) -> np.ndarray:
-    """Stack each 2 x 2 matrix of ``mats`` (..., 2, 2) with its transpose as the
-    middle-index slices j = 1, 2: out[..., i, 0, r] = a_ir, out[..., i, 1, r] = a_ri."""
-    paired = np.concatenate((mats, np.swapaxes(mats, -1, -2)), axis=-1)  # [..., i, (j, r)]
-    return paired.reshape(mats.shape[:-2] + (2, 2, 2))
+def paired_tensors(a11, a12, a21, a22) -> np.ndarray:
+    """The tensors with slices (a, a^T) of the 2 x 2 matrices a = [[a11, a12],
+    [a21, a22]], for floats or equal-shaped arrays: shape (..., 2, 2, 2), with
+    out[..., i, 0, r] = a_ir and out[..., i, 1, r] = a_ri.  Entries are copied,
+    never computed, so every bit of the inputs (signed zeros too) is kept."""
+    entries = np.array((a11, a12, a11, a21, a21, a22, a12, a22), dtype=float)
+    return entries.reshape(8, -1).T.reshape(entries.shape[1:] + (2, 2, 2))
 
 
 def paired_tensor(mat: np.ndarray) -> CubicTensor:
@@ -108,7 +114,7 @@ def paired_tensor(mat: np.ndarray) -> CubicTensor:
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (2, 2):
         raise ValueError(f"expected a 2 x 2 matrix, got shape {mat.shape}")
-    return CubicTensor(_paired_slices(mat))
+    return CubicTensor(paired_tensors(*mat.ravel()))
 
 
 def build_from_pair(family: FlowFamily, d: float) -> CubicTensor:
@@ -118,7 +124,8 @@ def build_from_pair(family: FlowFamily, d: float) -> CubicTensor:
 
 def flow_tensor(d: float) -> CubicTensor:
     """Structure tensor of the rotation flow at elapsed time d."""
-    return paired_tensor(rotation_matrix(d))
+    c, s = math.cos(d), math.sin(d)
+    return CubicTensor(paired_tensors(c, s, -s, c))
 
 
 def flow_tensors(d: np.ndarray) -> np.ndarray:
@@ -129,12 +136,7 @@ def flow_tensors(d: np.ndarray) -> np.ndarray:
     """
     d = np.asarray(d, dtype=float)
     c, s = np.cos(d), np.sin(d)
-    mats = np.empty(d.shape + (2, 2))
-    mats[..., 0, 0] = c
-    mats[..., 0, 1] = s
-    mats[..., 1, 0] = -s
-    mats[..., 1, 1] = c
-    return _paired_slices(mats)
+    return paired_tensors(c, s, -s, c)
 
 
 def time_blocks(times: np.ndarray):

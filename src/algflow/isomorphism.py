@@ -260,7 +260,8 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
 
     * sin t1 = 0 (both times multiples of pi): a representative of the
       solution family x1 = gamma, x2 = u - gamma, y1 = mu, y2 = u - mu
-      (gamma != mu), taken at gamma = 1, mu = 0, where u = cos t2 / cos t1;
+      (gamma != mu), taken at gamma = 1, mu = 0, where u = cos t2 / cos t1,
+      but where its residual, up to some 14 |sin t1|, exceeds tol, the one below;
     * otherwise x1 = y2 = cos t2 / cos t1, x2 = y1 = 0, which covers the
       generic case, the cos t = 0 times and the commutative times alike.
 
@@ -281,17 +282,19 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
     if abs(math.sin(d)) <= tol:
         # r2 - r1 is near 0, or near +-pi where one residue wrapped round.
         k = k2 - k1 + round(d / math.pi)
-        certificate = _CERTIFICATES[abs(math.sin(r1)) <= tol, -1.0 if k % 2 else 1.0]
-        if log.isEnabledFor(logging.DEBUG):
-            log.debug("rotation_iso certificate u=%g v=%g alpha=%g beta=%g",
-                      certificate.u, certificate.v, certificate.alpha, certificate.beta)
         tensors = flow_tensors(np.array([t1, t2]))
-        residual = float(iso_residuals(tensors[:1], tensors[1:],
-                                       certificate.matrix[np.newaxis])[0])
-        if residual > tol:
+        for sin_zero in (abs(math.sin(r1)) <= tol, False):
+            certificate = _CERTIFICATES[sin_zero, -1.0 if k % 2 else 1.0]
+            residual = float(iso_residuals(tensors[:1], tensors[1:],
+                                           certificate.matrix[np.newaxis])[0])
+            if residual <= tol:
+                break
+        else:
             raise AssertionError(
                 f"certificate soundness violated: residual {residual:.3e} > {tol:.1e}"
             )
+        log.debug("rotation_iso case sin t1 %s 0, k %s, certificate %s",
+                  "=" if sin_zero else "!=", "odd" if k % 2 else "even", certificate.matrix)
         return IsoVerdict.isomorphic(certificate, residual)
 
     return IsoVerdict.not_isomorphic_exact(_violated_condition(r1, r2, tol))

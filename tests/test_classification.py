@@ -28,7 +28,6 @@ from algflow.classification import (
     classify_time,
     classify_times,
     VARIANTS,
-    label_from_json_dict,
     label_to_json_dict,
     residue_times,
     to_bekbaev,
@@ -169,10 +168,6 @@ class TestLabels:
     def test_same_class_refuses_bad_tolerance(self, label, tol):
         with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
             label.same_class(label, tol)
-
-    def test_json_round_trip(self):
-        for label in (FlowClassLabel(A2), FlowClassLabel(ACOS_MINUS, 0.25)):
-            assert label_from_json_dict(label_to_json_dict(label)) == label
 
     def test_json_layout(self):
         assert label_to_json_dict(FlowClassLabel(ACOS_PLUS, 0.5)) == {

@@ -1,5 +1,6 @@
 """Command-line surface: reports, exit codes, file formats."""
 
+import copy
 import json
 import math
 import os
@@ -12,10 +13,15 @@ import pytest
 from algflow.algebra import algebra_to_json_dict
 from algflow.classification import A1, A0_PLUS, FlowClassLabel, class_representative
 from algflow.cli import main
+from algflow.flow import MAX_TIME
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of the CLI; argparse's SystemExit gives the code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -100,6 +106,26 @@ class TestKce:
                            "--tol", "1e-20")
         assert code == 1
 
+    def test_float_differences_that_miss_the_tolerance_are_refused(self, capsys):
+        # ulp(1e5) = 1.5e-11: t - tau and tau - s sum to t - s only within 5.8e-12,
+        # so the residual could not meet tol = 1e-12 although the law holds there.
+        code, out, err = run(capsys, "kce", "--s", "0.3", "--tau", "0.7", "--t", "1e5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "only within 5.8e-12" in err
+
+    def test_no_accepted_triple_fails(self, capsys):
+        rng = np.random.default_rng(314)
+        codes = []
+        for _ in range(300):
+            s, tau, t = np.sort(np.exp(rng.uniform(math.log(1e-3), math.log(2.0**22), 3))).tolist()
+            code, _, err = run(capsys, "kce", f"--s={s!r}", f"--tau={tau!r}", f"--t={t!r}")
+            assert code != 1, (s, tau, t)
+            assert code == 0 or "add up to t - s only within" in err
+            codes.append(code)
+        assert codes.count(0) >= 50 and codes.count(2) >= 50
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize("position", ["--s", "--tau", "--t"])
     def test_non_finite_time_is_usage_error(self, capsys, position, value):
@@ -121,6 +147,10 @@ BAD_ALGEBRA_FILES = {
     '{"dim": Infinity, "c2x4": [[1,0,0,0],[0,0,0,1]]}': '"c2x4" form requires dim 2, got inf',
     '{"dim": 2, "c2x4": {"a": 1}}': '"c2x4" is not a rectangular array of numbers',
     '{"dim": 2, "c": [[[1, 0], [0, 1]], [[0, 1], [1]]]}': '"c" is not a rectangular array',
+    '{"dim": 2, "c2x4": [[true, 0, 0, 0], [0, 0, 0, 1]]}': '"c2x4" is not a rectangular array',
+    '{"dim": 2, "c2x4": [["1", 0, 0, 0], [0, 0, 0, 1]]}': '"c2x4" is not a rectangular array',
+    '{"dim": 2, "c2x4": [[1' + '0' * 309 + ', 0, 0, 0], [0, 0, 0, 1]]}':
+        '"c2x4" is not a rectangular array',
 }
 
 
@@ -406,3 +436,88 @@ class TestVerifyTheorems:
     def test_unknown_tolerance_target(self, capsys):
         code, _, err = run(capsys, "verify-theorems", "--tol", "nope=1e-3")
         assert code == 2
+
+
+class TestMalformedInputFuzz:
+    """Seeded malformed times and algebra files: each exits 2 with one error line."""
+
+    GOOD_ALGEBRAS = (
+        {"dim": 2, "c2x4": [[1.0, 0.5, 0.0, -1.0], [0.25, 0.0, 1.0, 0.0]]},
+        {"dim": 2, "c": [[[1.0, 0.0], [0.5, 0.0]], [[0.0, -1.0], [1.0, 0.25]]]},
+    )
+    JUNK = ("x", "1", None, True, False, [], {}, [1.0], {"a": 1}, math.nan, math.inf, 10**400)
+    BAD_DIMS = (3, 1, 0, -2, "2", None, [2], 2.5)
+    NON_NUMERIC = ("abc", "", "1..2", "0x1p", "--", "1e", "pi", "1,5")
+
+    @staticmethod
+    def malformed_times(rng, count):
+        """Non-finite, negative, beyond MAX_TIME and non-numeric times, as option text."""
+        kinds = (
+            lambda: str(rng.choice(["nan", "inf", "-inf"])),
+            lambda: repr(-float(rng.uniform(1e-9, 1e3))),
+            lambda: repr(MAX_TIME * float(rng.uniform(1.0001, 1e6))),
+            lambda: str(rng.choice(TestMalformedInputFuzz.NON_NUMERIC)),
+        )
+        return [kinds[n % len(kinds)]() for n in range(count)]
+
+    def malformed_algebra(self, rng, n):
+        """JSON text of a good algebra broken in one of five ways, chosen by n."""
+        doc = copy.deepcopy(self.GOOD_ALGEBRAS[n % 2])
+        key = "c2x4" if "c2x4" in doc else "c"
+        kind = n // 2 % 5
+        if kind == 0:  # truncated anywhere before the closing brace
+            text = json.dumps(doc)
+            return text[:int(rng.integers(len(text)))]
+        if kind == 1:  # one entry replaced by a value that is not a number
+            leaf = doc[key]
+            while isinstance(leaf[0], list):
+                leaf = leaf[int(rng.integers(len(leaf)))]
+            leaf[int(rng.integers(len(leaf)))] = self.JUNK[int(rng.integers(len(self.JUNK)))]
+        elif kind == 2:  # a row or an entry dropped
+            part = doc[key]
+            for _ in range(int(rng.integers(np.ndim(part)))):
+                part = part[int(rng.integers(len(part)))]
+            del part[int(rng.integers(len(part)))]
+        elif kind == 3:  # a "dim" that is not 2
+            doc["dim"] = self.BAD_DIMS[int(rng.integers(len(self.BAD_DIMS)))]
+        else:  # not an object, or no entries
+            return [json.dumps(doc[key]), "5", "null", '"c2x4"', json.dumps({"dim": 2})][n % 5]
+        return json.dumps(doc)
+
+    def assert_refused(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
+        assert "Traceback" not in err
+
+    def test_malformed_times(self, capsys, tmp_path):
+        rng = np.random.default_rng(20260811)
+        out = str(tmp_path / "part.csv")
+        for bad in self.malformed_times(rng, 40):
+            self.assert_refused(capsys, "classify", f"--t={bad}")
+            for position in ("--s", "--tau", "--t"):
+                times = {"--s": "0", "--tau": "0.4", "--t": "1.0", position: bad}
+                self.assert_refused(capsys, "kce", *(f"{k}={v}" for k, v in times.items()))
+            self.assert_refused(capsys, "iso", f"--t1={bad}", "--t2=0.5")
+            self.assert_refused(capsys, "iso", "--t1=0.5", f"--t2={bad}")
+            self.assert_refused(capsys, "partition", f"--t-max={bad}", "--step=0.5",
+                                f"--out={out}")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv", [
+        ("verify-theorems", "--only=--"), ("verify-theorems", "--tol=--"),
+        ("iso", "--a=--", "--b=x.json"), ("partition", "--t-max=1", "--step=0.5", "--out=--"),
+    ])
+    def test_double_dash_as_option_value(self, capsys, argv):
+        self.assert_refused(capsys, *argv)
+
+    def test_malformed_algebra_files(self, capsys, tmp_path):
+        rng = np.random.default_rng(20260811)
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(self.GOOD_ALGEBRAS[0]))
+        bad = tmp_path / "bad.json"
+        for n in range(60):
+            bad.write_text(self.malformed_algebra(rng, n), encoding="utf-8")
+            self.assert_refused(capsys, "iso", f"--a={bad}", f"--b={good}")
+            self.assert_refused(capsys, "iso", f"--a={good}", f"--b={bad}")

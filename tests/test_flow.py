@@ -9,6 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algflow.algebra import AlgebraFD, is_commutative, to_2x4
+from algflow.classification import (
+    A1,
+    A2,
+    A0_PLUS,
+    ACOS_MINUS,
+    ACOS_PLUS,
+    FlowClassLabel,
+    branch_tensor,
+    class_representative,
+)
 from algflow.cubic import slice_j
 from algflow.flow import (
     MAX_TIME,
@@ -20,6 +30,7 @@ from algflow.flow import (
     flow_tensor,
     flow_tensors,
     paired_tensor,
+    paired_tensors,
     reduce_mod_pi,
     rotation_matrix,
     verify_base_system,
@@ -67,7 +78,48 @@ class TestFlowTensor:
         assert np.array_equal(slice_j(t, 2), slice_j(t, 1).T)
 
 
+def _paired_reference(mats: np.ndarray) -> np.ndarray:
+    """Each 2 x 2 matrix of mats (..., 2, 2) beside its transpose, reshaped to
+    (..., 2, 2, 2): the layout written as concatenate-and-reshape."""
+    paired = np.concatenate((mats, np.swapaxes(mats, -1, -2)), axis=-1)
+    return paired.reshape(mats.shape[:-2] + (2, 2, 2))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and equal bytes, so -0.0 and 0.0 differ."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestFlowTensors:
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    def test_paired_tensors_match_reference_bit_for_bit(self, shape):
+        rng = np.random.default_rng(5)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, -2.25, math.pi, -1e-300])
+        entries = rng.choice(pool, size=(4,) + shape) * rng.uniform(0.5, 2.0, size=(4,) + shape)
+        entries.flat[:2] = -0.0, 0.0
+        mats = np.moveaxis(entries, 0, -1).reshape(shape + (2, 2))
+        args = [float(e) for e in entries] if shape == () else list(entries)
+        assert _same_bits(paired_tensors(*args), _paired_reference(mats))
+
+    @pytest.mark.parametrize("d", [0.0, 1e-300, 0.7, math.pi / 2, 3 * math.pi / 4, 5.0, 1e6 + 0.1])
+    def test_scalar_builders_match_reference(self, d):
+        expected = _paired_reference(rotation_matrix(d))
+        assert _same_bits(flow_tensor(d).values, expected)
+        assert _same_bits(paired_tensor(rotation_matrix(d)).values, expected)
+        c, s = math.cos(d), math.sin(d)
+        assert _same_bits(branch_tensor(c, s).constants.values, expected)
+        assert _same_bits(paired_tensors(c, s, -s, c), expected)
+
+    @pytest.mark.parametrize("label, c, s", [
+        (FlowClassLabel(A1), 1.0, 0.0), (FlowClassLabel(A0_PLUS), 0.0, 1.0),
+        (FlowClassLabel(A2), math.sqrt(0.5), -math.sqrt(0.5)),
+        (FlowClassLabel(ACOS_PLUS, 0.3), 0.3, math.sqrt(0.91)),
+        (FlowClassLabel(ACOS_MINUS, 0.3), 0.3, -math.sqrt(0.91)),
+    ], ids=str)
+    def test_class_representatives_match_reference(self, label, c, s):
+        assert _same_bits(class_representative(label).constants.values,
+                          _paired_reference(np.array([[c, s], [-s, c]])))
+
     def test_matches_scalar_tensors(self):
         d = np.concatenate([np.linspace(0.0, 40.0, 2001), [3 * math.pi / 4, 1e6 + 0.1]])
         stack = flow_tensors(d)

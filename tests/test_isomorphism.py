@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from algflow.algebra import AlgebraFD, BasisChange, change_of_basis
+from algflow.algebra import AlgebraFD, BasisChange, change_of_basis, determinant
 from algflow.classification import (
     A1,
     A0_PLUS,
@@ -61,9 +61,10 @@ class TestIsoSearch:
         assert verdict.residual < 1e-9
         p = verdict.certificate
         # solutions form the family x1+x2 = y1+y2 = -1 here
-        assert abs(p.u - p.v) < 1e-7
-        assert abs(abs(p.u) - 1.0) < 1e-7
-        assert abs(p.det) > 1e-10
+        u, v = p.matrix.sum(axis=1)
+        assert abs(u - v) < 1e-7
+        assert abs(abs(u) - 1.0) < 1e-7
+        assert abs(determinant(p.matrix)) > 1e-10
 
     def test_self_isomorphism_found(self):
         a = flow_algebra(1.3)
@@ -179,8 +180,17 @@ class TestRotationIso:
         verdict = rotation_iso(0.0, math.pi)
         assert verdict.kind == KIND_ISOMORPHIC
         p = verdict.certificate
-        assert abs(p.u + 1.0) < 1e-12 and abs(p.v + 1.0) < 1e-12
-        assert p.x1 != p.y1  # a genuine member of the two-parameter family
+        u, v = p.matrix.sum(axis=1)
+        assert abs(u + 1.0) < 1e-12 and abs(v + 1.0) < 1e-12
+        assert p.matrix[0, 0] != p.matrix[1, 0]  # a genuine member of the two-parameter family
+
+    @pytest.mark.parametrize("t1", [1e-10, 5e-10, math.pi - 3e-10, 1e3 * math.pi + 2e-10])
+    def test_near_a_multiple_of_pi_falls_back_to_the_sign(self, t1):
+        # sin t1 is within tol of 0 but not 0: the family certificate would leave
+        # about 14 |sin t1| over tol, so (-1)^k I is handed out instead.
+        verdict = rotation_iso(t1, t1 + math.pi)
+        assert verdict.is_isomorphic and verdict.residual <= 1e-12
+        assert np.array_equal(verdict.certificate.matrix, -np.eye(2))
 
     def test_quarter_to_three_quarters(self):
         # one commutative time, one not: exact refusal with the right reason
@@ -213,7 +223,7 @@ class TestRotationIso:
             verdict = rotation_iso(t1, t1 + k * math.pi)
             assert verdict.kind == KIND_ISOMORPHIC
             assert verdict.residual <= 1e-9
-            assert abs(verdict.certificate.det) > 1e-10
+            assert abs(determinant(verdict.certificate.matrix)) > 1e-10
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -241,7 +251,8 @@ class TestInvariantSignature:
         assert invariant_signature(A0_REP) == InvariantSignature(False, False, 2)
 
     def test_zero_algebra(self):
-        assert invariant_signature(AlgebraFD.zero(2)) == InvariantSignature(True, True, 0)
+        zero = AlgebraFD(CubicTensor(np.zeros((2, 2, 2))))
+        assert invariant_signature(zero) == InvariantSignature(True, True, 0)
 
     def test_first_difference(self):
         a = invariant_signature(A1_REP)
