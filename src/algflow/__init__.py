@@ -31,7 +31,6 @@ from .classification import (
     FlowClassLabel,
     associativity_census,
     bekbaev_matrix,
-    branch_tensor,
     class_representative,
     classify_time,
     classify_times,
@@ -52,16 +51,10 @@ from .cubic import (
     tensor_to_json_dict,
 )
 from .flow import (
-    ROTATION_FAMILY,
-    FlowFamily,
-    build_from_pair,
     commutativity_defect,
     flow_algebra,
-    flow_tensor,
     flow_tensors,
-    paired_tensor,
-    rotation_matrix,
-    verify_base_system,
+    kce_residuals,
     verify_kce,
 )
 from .isomorphism import (

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    DEFAULT_TOL,
     AlgebraFD,
     BasisChange,
     StructMatrix2x4,
@@ -49,7 +48,7 @@ from .algebra import (
     iso_residuals,
 )
 from .cubic import CubicTensor
-from .flow import MAX_TIME, check_time, paired_tensors, reduce_mod_pi
+from .flow import check_time, paired_tensors, reduce_mod_pi
 
 __all__ = [
     "A1",
@@ -67,7 +66,6 @@ __all__ = [
     "classify_times",
     "residue_times",
     "class_representative",
-    "branch_tensor",
     "bekbaev_matrix",
     "to_bekbaev",
     "associativity_census",
@@ -247,9 +245,11 @@ def classify_times(t: np.ndarray, tol: float = CLASSIFY_TOL) -> tuple[np.ndarray
     """
     t = np.asarray(t, dtype=float)
     check_tol(tol)
-    bad = ~np.isfinite(t) | (t < 0) | (t > MAX_TIME) | (2 * np.spacing(t) > max(tol, DEFAULT_TOL))
-    if np.any(bad):
-        check_time(float(t[bad][0]), tol)
+    # The times check_time accepts form an interval, so the least and the greatest
+    # time decide (np.min returns nan if any time is nan).
+    if t.size:
+        check_time(float(t.min()), tol)
+        check_time(float(t.max()), tol)
     _, r = reduce_mod_pi(t)
     codes = np.where(r < math.pi / 2, VARIANTS.index(ACOS_PLUS), VARIANTS.index(ACOS_MINUS))
     c = np.minimum(np.abs(np.cos(t)), _C_MAX)
@@ -271,15 +271,6 @@ def residue_times(residue: float, t_max: float) -> np.ndarray:
     return times[times <= t_max]
 
 
-def branch_tensor(cosine: float, sine: float) -> AlgebraFD:
-    """Flow-shaped algebra with prescribed (cos, sin) entries.
-
-    The plus/minus representatives are the instances (c, +sqrt(1-c^2)) and
-    (c, -sqrt(1-c^2)); the builder itself accepts any value pair.
-    """
-    return AlgebraFD(CubicTensor(paired_tensors(cosine, sine, -sine, cosine)))
-
-
 def _branch(label: FlowClassLabel) -> tuple[float, float]:
     """The (cos, sin) entries of the representative of a flow class."""
     if label.variant == A1:
@@ -295,7 +286,8 @@ def _branch(label: FlowClassLabel) -> tuple[float, float]:
 
 def class_representative(label: FlowClassLabel) -> AlgebraFD:
     """The representative structure tensor of a flow class, with exact entries."""
-    return branch_tensor(*_branch(label))
+    c, s = _branch(label)
+    return AlgebraFD(CubicTensor(paired_tensors(c, s, -s, c)))
 
 
 def _reduction(label: FlowClassLabel) -> tuple[BekbaevForm, np.ndarray]:

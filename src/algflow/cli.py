@@ -9,8 +9,7 @@ Subcommands:
 * ``verify-theorems``  run the full verification suite
 
 Exit codes: 0 success (for checks: passed), 1 check failed / not isomorphic,
-2 usage or input error.  The environment variable ALGFLOW_SEED overrides the
-default seed of the numeric isomorphism search.
+2 usage or input error.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -37,6 +35,7 @@ from .algebra import (
 )
 from .checks import CHECK_NAMES, run_checks
 from .classification import (
+    CLASSIFY_TOL,
     EXCEPTIONAL_RESIDUES,
     VARIANTS,
     bekbaev_matrix,
@@ -47,7 +46,7 @@ from .classification import (
     residue_times,
     to_bekbaev,
 )
-from .flow import check_time, flow_algebra, flow_tensors, time_blocks, verify_kce, ROTATION_FAMILY
+from .flow import check_time, flow_algebra, flow_tensors, time_blocks, verify_kce
 from .isomorphism import (
     IsoVerdict,
     SearchConfig,
@@ -91,7 +90,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_kce(args: argparse.Namespace) -> int:
     check_tol(args.tol)
-    residual = verify_kce(ROTATION_FAMILY, args.s, args.tau, args.t)
+    residual = verify_kce(args.s, args.tau, args.t)
     gap = abs(math.fsum((args.t - args.tau, args.tau - args.s, -(args.t - args.s))))
     if gap > args.tol / 2:  # rotation entries are 1-Lipschitz: residual <= gap + rounding
         raise ValueError(f"t - tau and tau - s add up to t - s only within {gap:.2g} as floats, "
@@ -127,10 +126,7 @@ def cmd_iso(args: argparse.Namespace) -> int:
         verdict = rotation_iso(args.t1, args.t2, args.tol)
         report = {"t1": args.t1, "t2": args.t2, **verdict.to_json_dict()}
     else:
-        seed = args.seed
-        if seed is None:
-            seed = int(os.environ.get("ALGFLOW_SEED", SearchConfig().seed))
-        cfg = SearchConfig(restarts=args.restarts, tol=args.tol, seed=seed)
+        cfg = SearchConfig(restarts=args.restarts, tol=args.tol, seed=args.seed)
         a, b = _load_algebra(args.a), _load_algebra(args.b)
         separating = invariant_signature(a).first_difference(invariant_signature(b))
         verdict = iso_search(a, b, cfg) if separating is None else IsoVerdict.separated(separating)
@@ -152,7 +148,7 @@ def _partition_times(t_max: float, step: float) -> np.ndarray:
             f"--t-max {t_max} at --step {step} gives about {n_points:.3g} points, "
             f"over the cap of {MAX_PARTITION_POINTS}"
         )
-    check_time(t_max, DEFAULT_TOL)  # the tolerance classify_times bands with
+    check_time(t_max, CLASSIFY_TOL)  # the tolerance classify_times bands with
     grid = np.arange(1, math.ceil(n_grid) + 2) * step
     exceptional = [residue_times(residue, t_max) for residue, _ in EXCEPTIONAL_RESIDUES]
     return np.unique(np.concatenate(([0.0], grid[grid < t_max], [t_max], *exceptional)))
@@ -239,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify the flow algebra at a time")
     p.add_argument("--t", type=float, required=True, help="time, t >= 0")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=float, default=CLASSIFY_TOL,
                    help="band tolerance around the exceptional times")
     p.set_defaults(fn=cmd_classify)
 
@@ -255,10 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2", type=float)
     p.add_argument("--a", help="JSON algebra file")
     p.add_argument("--b", help="JSON algebra file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--restarts", type=int, default=SearchConfig().restarts)
-    p.add_argument("--seed", type=int, default=None,
-                   help="search seed (default: ALGFLOW_SEED or 0)")
+    p.add_argument("--seed", type=int, default=SearchConfig().seed, help="search seed")
     p.set_defaults(fn=cmd_iso)
 
     p = sub.add_parser("partition", help="export the time-axis classification")

@@ -16,9 +16,9 @@ its transpose:
 ``paired_tensors`` is the one place that writes this layout; every flow
 tensor, class representative and check builds on it.
 
-The built-in solution is the rotation family a(d) = [[cos d, sin d],
-[-sin d, cos d]]; the resulting flow is time-homogeneous, so the tensor
-depends only on the elapsed time d = t - s and we expose it as A^[d].
+The flow here is that of the rotation a(d) = [[cos d, sin d], [-sin d, cos d]];
+it is time-homogeneous, so the tensor depends only on the elapsed time
+d = t - s and we expose it as A^[d].
 
 The flow algebra is commutative exactly when cos d = -sin d, i.e. on the
 locus d = 3*pi/4 + pi*n.
@@ -27,22 +27,14 @@ locus d = 3*pi/4 + pi*n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .algebra import DEFAULT_TOL, AlgebraFD
-from .cubic import CubicTensor, mul_type_c
+from .cubic import CubicTensor, type_c_products
 
 __all__ = [
-    "FlowFamily",
-    "ROTATION_FAMILY",
-    "rotation_matrix",
     "paired_tensors",
-    "paired_tensor",
-    "build_from_pair",
-    "flow_tensor",
     "flow_tensors",
     "SWEEP_BLOCK",
     "time_blocks",
@@ -50,12 +42,10 @@ __all__ = [
     "MAX_TIME",
     "reduce_mod_pi",
     "check_time",
+    "kce_residuals",
     "verify_kce",
-    "verify_base_system",
     "commutativity_defect",
 ]
-
-_GENERATOR_AT_ZERO_TOL = 1e-12
 
 # pi in three parts, the first two of 26 significant bits, so that k * _PI1 and
 # k * _PI2 are exact for k < 2**27 (Cody-Waite reduction).
@@ -69,37 +59,6 @@ MAX_TIME = 2.0**26 * math.pi
 SWEEP_BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class FlowFamily:
-    """A one-parameter semigroup of 2 x 2 matrices and its induced flow.
-
-    ``generator`` maps the elapsed time d to a 2 x 2 matrix a(d); the flow
-    tensor pairs a(d) with its transpose as the two middle-index slices.
-    The generator must satisfy a(0) = I (checked at construction to 1e-12);
-    the semigroup property itself is what ``verify_base_system`` and
-    ``verify_kce`` measure.
-    """
-
-    generator: Callable[[float], np.ndarray]
-    name: str = field(default="custom")
-
-    def __post_init__(self) -> None:
-        at_zero = np.asarray(self.generator(0.0), dtype=float)
-        if at_zero.shape != (2, 2):
-            raise ValueError(f"generator must return 2 x 2 matrices, got {at_zero.shape}")
-        if np.max(np.abs(at_zero - np.eye(2))) > _GENERATOR_AT_ZERO_TOL:
-            raise ValueError("generator(0) must be the identity matrix")
-
-
-def rotation_matrix(d: float) -> np.ndarray:
-    """[[cos d, sin d], [-sin d, cos d]], the rotation solution of the base system."""
-    c, s = math.cos(d), math.sin(d)
-    return np.array([[c, s], [-s, c]])
-
-
-ROTATION_FAMILY = FlowFamily(rotation_matrix, name="rotation")
-
-
 def paired_tensors(a11, a12, a21, a22) -> np.ndarray:
     """The tensors with slices (a, a^T) of the 2 x 2 matrices a = [[a11, a12],
     [a21, a22]], for floats or equal-shaped arrays: shape (..., 2, 2, 2), with
@@ -109,31 +68,9 @@ def paired_tensors(a11, a12, a21, a22) -> np.ndarray:
     return entries.reshape(8, -1).T.reshape(entries.shape[1:] + (2, 2, 2))
 
 
-def paired_tensor(mat: np.ndarray) -> CubicTensor:
-    """The type-C structure tensor with slices (mat, mat^T)."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (2, 2):
-        raise ValueError(f"expected a 2 x 2 matrix, got shape {mat.shape}")
-    return CubicTensor(paired_tensors(*mat.ravel()))
-
-
-def build_from_pair(family: FlowFamily, d: float) -> CubicTensor:
-    """Structure tensor of the family's algebra at elapsed time d."""
-    return paired_tensor(family.generator(d))
-
-
-def flow_tensor(d: float) -> CubicTensor:
-    """Structure tensor of the rotation flow at elapsed time d."""
-    c, s = math.cos(d), math.sin(d)
-    return CubicTensor(paired_tensors(c, s, -s, c))
-
-
-def flow_tensors(d: np.ndarray) -> np.ndarray:
-    """Structure tensors of the rotation flow at an array of elapsed times.
-
-    Returns shape d.shape + (2, 2, 2); entry [n] equals ``flow_tensor(d[n]).values``
-    wherever ``np.cos``/``np.sin`` agree with ``math.cos``/``math.sin``.
-    """
+def flow_tensors(d: float | np.ndarray) -> np.ndarray:
+    """Structure tensors of the rotation flow at a float or an array of elapsed
+    times: shape d.shape + (2, 2, 2)."""
     d = np.asarray(d, dtype=float)
     c, s = np.cos(d), np.sin(d)
     return paired_tensors(c, s, -s, c)
@@ -145,7 +82,7 @@ def time_blocks(times: np.ndarray):
 
 
 def flow_algebra(d: float) -> AlgebraFD:
-    return AlgebraFD(flow_tensor(d))
+    return AlgebraFD(CubicTensor(flow_tensors(d)))
 
 
 def reduce_mod_pi(t):
@@ -184,27 +121,20 @@ def _check_triple(s: float, tau: float, t: float) -> None:
         raise ValueError(f"need 0 <= s < tau < t, got ({s}, {tau}, {t})")
 
 
-def verify_kce(family: FlowFamily, s: float, tau: float, t: float) -> float:
-    """Kolmogorov-Chapman residual of a time-homogeneous family.
+def kce_residuals(s, tau, t) -> np.ndarray:
+    """Kolmogorov-Chapman residuals of the rotation flow at time triples given
+    as floats or equal-shaped arrays: max |M^[t-s] - M^[tau-s] * M^[t-tau]|
+    entrywise for each triple, with * the type-C product.  Zero (up to
+    rounding) certifies the composition law at that triple."""
+    s, tau, t = (np.asarray(x, dtype=float) for x in (s, tau, t))
+    split = type_c_products(flow_tensors(tau - s), flow_tensors(t - tau))
+    return np.max(np.abs(flow_tensors(t - s) - split), axis=(-3, -2, -1))
 
-    Returns max |M^[t-s] - M^[tau-s] * M^[t-tau]| entrywise, with * the
-    type-C product.  Zero (up to rounding) certifies the composition law at
-    this triple.
-    """
+
+def verify_kce(s: float, tau: float, t: float) -> float:
+    """``kce_residuals`` at one triple 0 <= s < tau < t."""
     _check_triple(s, tau, t)
-    whole = build_from_pair(family, t - s)
-    split = mul_type_c(build_from_pair(family, tau - s), build_from_pair(family, t - tau))
-    return float(np.max(np.abs(whole.values - split.values)))
-
-
-def verify_base_system(family: FlowFamily, s: float, tau: float, t: float) -> float:
-    """Residual of the 2 x 2 semigroup system a(t-s) = a(tau-s) a(t-tau)."""
-    _check_triple(s, tau, t)
-    whole = np.asarray(family.generator(t - s), dtype=float)
-    split = np.asarray(family.generator(tau - s), dtype=float) @ np.asarray(
-        family.generator(t - tau), dtype=float
-    )
-    return float(np.max(np.abs(whole - split)))
+    return float(kce_residuals(s, tau, t))
 
 
 def commutativity_defect(d: float | np.ndarray) -> float | np.ndarray:

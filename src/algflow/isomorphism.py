@@ -126,12 +126,14 @@ class SearchConfig:
     """Budget and reproducibility knobs for the numeric search."""
 
     restarts: int = 64
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         check_tol(self.tol)
         if self.tol == 0:
             raise ValueError("tol must be positive")

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from algflow.algebra import AlgebraFD, change_of_basis, to_2x4
+from algflow.algebra import change_of_basis, to_2x4
 from algflow.checks import (
     check_associativity_census,
     check_basis_change_oracle,
@@ -29,7 +29,7 @@ from algflow.classification import (
     classify_time,
     to_bekbaev,
 )
-from algflow.flow import flow_algebra, flow_tensor
+from algflow.flow import flow_algebra
 from algflow.isomorphism import iso_search, rotation_iso
 
 
@@ -135,7 +135,7 @@ def test_flow_representative_isomorphic_to_flow_algebra():
         label = classify_time(t)
         if label.c is not None and min(label.c, 1 - label.c) < 1e-3:
             continue  # skip near the class boundaries
-        verdict = iso_search(AlgebraFD(flow_tensor(t)), class_representative(label))
+        verdict = iso_search(flow_algebra(t), class_representative(label))
         assert verdict.is_isomorphic and verdict.residual <= 1e-9
         hits += 1
     assert hits > 80

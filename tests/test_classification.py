@@ -23,7 +23,6 @@ from algflow.classification import (
     PARAM_COUNTS,
     associativity_census,
     bekbaev_matrix,
-    branch_tensor,
     class_representative,
     classify_time,
     classify_times,
@@ -32,8 +31,8 @@ from algflow.classification import (
     residue_times,
     to_bekbaev,
 )
-from algflow.cubic import slice_j
-from algflow.flow import MAX_TIME, flow_algebra
+from algflow.cubic import CubicTensor, slice_j
+from algflow.flow import MAX_TIME, flow_algebra, paired_tensors
 from algflow.isomorphism import iso_residual, rotation_iso
 
 
@@ -135,6 +134,23 @@ class TestClassifyTimes:
         with pytest.raises(ValueError, match=message):
             classify_times(np.array([0.5, bad, 1.0]))
 
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "time must be finite, got nan"),
+        (-math.inf, "time must be finite, got -inf"),
+        (-1.0, "time must be nonnegative, got -1.0"),
+        (2.0**22, "time 4194304.0 is too large for tolerance 1e-09"),
+    ])
+    @pytest.mark.parametrize("position", [0, -1])
+    def test_refuses_a_bad_time_at_either_end(self, bad, message, position):
+        times = np.array([0.5, 2.0, 1.0])
+        times[position] = bad
+        with pytest.raises(ValueError, match=message):
+            classify_times(times)
+
+    def test_empty_input_gives_empty_output(self):
+        codes, c = classify_times(np.array([]))
+        assert codes.shape == c.shape == (0,)
+
 
 def _neg_identity():
     from algflow.algebra import BasisChange
@@ -199,8 +215,8 @@ class TestRepresentatives:
         assert np.max(np.abs(np.abs(rep.constants.values) - r)) == 0.0
 
     def test_branch_tensor_layout(self):
-        a = branch_tensor(0.3, -0.4)
-        assert np.array_equal(slice_j(a.constants, 1), [[0.3, -0.4], [0.4, 0.3]])
+        a = paired_tensors(0.3, -0.4, 0.4, 0.3)
+        assert np.array_equal(slice_j(CubicTensor(a), 1), [[0.3, -0.4], [0.4, 0.3]])
 
 
 class TestBekbaevMatrices:

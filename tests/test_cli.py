@@ -251,11 +251,12 @@ class TestIsoFiles:
         code, _, err = run(capsys, "iso", "--t1", "0.5", "--a", algebra_files["a1"])
         assert code == 2
 
-    def test_seed_env_override(self, capsys, algebra_files, monkeypatch):
-        monkeypatch.setenv("ALGFLOW_SEED", "12345")
-        code, out, _ = run(capsys, "iso", "--a", algebra_files["a1"],
-                           "--b", algebra_files["a1"])
-        assert code == 0
+    def test_negative_seed_is_usage_error(self, capsys, algebra_files):
+        code, out, err = run(capsys, "iso", "--a", algebra_files["a1"],
+                             "--b", algebra_files["a1"], "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be nonnegative, got -1\n"
 
 
 class TestPartition:

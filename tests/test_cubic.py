@@ -22,7 +22,7 @@ from algflow.cubic import (
     tensor_to_json_dict,
     type_c_products,
 )
-from algflow.flow import flow_tensor
+from algflow.flow import flow_algebra
 
 RNG = np.random.default_rng(1234)
 
@@ -127,7 +127,7 @@ class TestTypeCProduct:
 
     def test_flow_tensors_compose_by_angle_addition(self):
         a, b = 0.3, 0.5
-        got = mul_type_c(flow_tensor(a), flow_tensor(b))
+        got = mul_type_c(flow_algebra(a).constants, flow_algebra(b).constants)
         # independent check: expand each entry with the angle-addition identities
         c = math.cos(a) * math.cos(b) - math.sin(a) * math.sin(b)
         s = math.sin(a) * math.cos(b) + math.cos(a) * math.sin(b)
@@ -136,7 +136,7 @@ class TestTypeCProduct:
             np.array([[c, -s], [s, c]]),
         ))
         assert np.max(np.abs(got.values - expected.values)) < 1e-15
-        assert np.max(np.abs(got.values - flow_tensor(a + b).values)) < 1e-12
+        assert np.max(np.abs(got.values - flow_algebra(a + b).constants.values)) < 1e-12
 
     def test_associative_random(self):
         for m in (2, 3, 4):
@@ -184,7 +184,7 @@ class TestTypeCProduct:
 class TestSliceJ:
     def test_flow_slices(self):
         d = 0.9
-        t = flow_tensor(d)
+        t = flow_algebra(d).constants
         rot = np.array([[math.cos(d), math.sin(d)], [-math.sin(d), math.cos(d)]])
         assert np.array_equal(slice_j(t, 1), rot)
         assert np.array_equal(slice_j(t, 2), rot.T)

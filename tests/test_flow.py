@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algflow.algebra import AlgebraFD, is_commutative, to_2x4
+from algflow.algebra import is_commutative, to_2x4
 from algflow.classification import (
     A1,
     A2,
@@ -16,65 +16,51 @@ from algflow.classification import (
     ACOS_MINUS,
     ACOS_PLUS,
     FlowClassLabel,
-    branch_tensor,
     class_representative,
 )
-from algflow.cubic import slice_j
+from algflow.cubic import CubicTensor, slice_j
 from algflow.flow import (
     MAX_TIME,
-    ROTATION_FAMILY,
-    FlowFamily,
-    build_from_pair,
     check_time,
     commutativity_defect,
-    flow_tensor,
+    flow_algebra,
     flow_tensors,
-    paired_tensor,
+    kce_residuals,
     paired_tensors,
     reduce_mod_pi,
-    rotation_matrix,
-    verify_base_system,
     verify_kce,
 )
 
 RNG = np.random.default_rng(7)
 
 
-class TestRotationMatrix:
-    def test_zero_is_identity(self):
-        assert np.array_equal(rotation_matrix(0.0), np.eye(2))
-
-    def test_quarter_turn(self):
-        got = rotation_matrix(math.pi / 2)
-        assert np.max(np.abs(got - [[0.0, 1.0], [-1.0, 0.0]])) < 1e-15
-
-    def test_angle_addition(self):
-        a, b = 0.7, 1.1
-        assert np.max(np.abs(rotation_matrix(a) @ rotation_matrix(b)
-                             - rotation_matrix(a + b))) < 1e-14
+def _rotation(d: float) -> np.ndarray:
+    """[[cos d, sin d], [-sin d, cos d]] from ``math.cos``/``math.sin``."""
+    c, s = math.cos(d), math.sin(d)
+    return np.array([[c, s], [-s, c]])
 
 
 class TestFlowTensor:
     def test_zero_form(self):
         assert np.array_equal(
-            to_2x4(AlgebraFD(flow_tensor(0.0))).values,
+            to_2x4(flow_algebra(0.0)).values,
             [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]],
         )
 
     def test_half_pi_form(self):
-        got = to_2x4(AlgebraFD(flow_tensor(math.pi / 2))).values
+        got = to_2x4(flow_algebra(math.pi / 2)).values
         assert np.max(np.abs(got - [[0.0, 0.0, -1.0, 1.0], [1.0, -1.0, 0.0, 0.0]])) < 1e-15
 
     def test_three_quarters_pi_entries(self):
         # the commutative tensor; its negation is the A2 representative
-        got = flow_tensor(3 * math.pi / 4)
+        got = flow_algebra(3 * math.pi / 4).constants
         r = math.sqrt(0.5)
         assert np.max(np.abs(np.abs(got.values) - r)) < 1e-15
-        a2 = flow_tensor(7 * math.pi / 4)
+        a2 = flow_algebra(7 * math.pi / 4).constants
         assert np.max(np.abs(got.values + a2.values)) < 1e-15
 
     def test_second_slice_is_transpose(self):
-        t = flow_tensor(2.345)
+        t = flow_algebra(2.345).constants
         assert np.array_equal(slice_j(t, 2), slice_j(t, 1).T)
 
 
@@ -103,11 +89,10 @@ class TestFlowTensors:
 
     @pytest.mark.parametrize("d", [0.0, 1e-300, 0.7, math.pi / 2, 3 * math.pi / 4, 5.0, 1e6 + 0.1])
     def test_scalar_builders_match_reference(self, d):
-        expected = _paired_reference(rotation_matrix(d))
-        assert _same_bits(flow_tensor(d).values, expected)
-        assert _same_bits(paired_tensor(rotation_matrix(d)).values, expected)
+        expected = _paired_reference(_rotation(d))
+        assert _same_bits(flow_algebra(d).constants.values, expected)
+        assert _same_bits(flow_tensors(d), expected)
         c, s = math.cos(d), math.sin(d)
-        assert _same_bits(branch_tensor(c, s).constants.values, expected)
         assert _same_bits(paired_tensors(c, s, -s, c), expected)
 
     @pytest.mark.parametrize("label, c, s", [
@@ -125,10 +110,11 @@ class TestFlowTensors:
         stack = flow_tensors(d)
         assert stack.shape == (len(d), 2, 2, 2)
         for di, tensor in zip(d.tolist(), stack):
-            assert np.array_equal(tensor, flow_tensor(di).values)
+            assert np.array_equal(tensor, flow_algebra(di).constants.values)
+            assert np.array_equal(tensor, _paired_reference(_rotation(di)))
 
     def test_scalar_input_gives_one_tensor(self):
-        assert np.array_equal(flow_tensors(2.5), flow_tensor(2.5).values)
+        assert np.array_equal(flow_tensors(2.5), _paired_reference(_rotation(2.5)))
 
 
 class TestCheckTime:
@@ -205,48 +191,43 @@ class TestReduceModPi:
         assert abs(Decimal(reduce_mod_pi(t)[1]) - _exact_residue(t)) < Decimal("1e-15")
 
 
-class TestBuildFromPair:
-    def test_rotation_family_coincides(self):
-        d = 1.618
-        assert build_from_pair(ROTATION_FAMILY, d) == flow_tensor(d)
-
-    def test_identity_generator(self):
-        family = FlowFamily(lambda d: np.eye(2), name="constant")
-        tensor = build_from_pair(family, 5.0)
-        assert np.array_equal(slice_j(tensor, 1), np.eye(2))
-        assert np.array_equal(slice_j(tensor, 2), np.eye(2))
-
-    def test_exponential_family_satisfies_kce(self):
-        family = FlowFamily(lambda d: math.exp(d) * np.eye(2), name="diagonal")
-        assert verify_kce(family, 0.1, 0.5, 1.3) < 1e-12
-        # direct check of the exponential semigroup on the slices
-        assert abs(math.exp(0.4) * math.exp(0.8) - math.exp(1.2)) < 1e-12
-
-    def test_generator_must_fix_zero(self):
-        with pytest.raises(ValueError):
-            FlowFamily(lambda d: 2.0 * np.eye(2))
-
-    def test_generator_must_be_2x2(self):
-        with pytest.raises(ValueError):
-            FlowFamily(lambda d: np.eye(3))
+def _kce_reference(s: float, tau: float, t: float) -> float:
+    """The composition-law residual from ``math.cos``/``math.sin`` tensors and
+    one 2 x 2 product per middle index."""
+    whole, a, b = (_paired_reference(_rotation(d)) for d in (t - s, tau - s, t - tau))
+    split = np.stack([a[:, j, :] @ b[:, j, :] for j in (0, 1)], axis=1)
+    return float(np.max(np.abs(whole - split)))
 
 
 class TestVerifyKce:
+    def test_kernel_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        draws = np.concatenate([rng.uniform(0.0, 20.0, size=(1500, 3)),
+                                np.exp(rng.uniform(-5.0, 15.0, size=(500, 3)))])
+        s, tau, t = np.sort(draws, axis=1).T
+        residuals = kce_residuals(s, tau, t)
+        assert residuals.shape == s.shape
+        assert np.array_equal(kce_residuals(*(x.reshape(40, 50) for x in (s, tau, t))),
+                              residuals.reshape(40, 50))
+        for s_n, tau_n, t_n, r_n in zip(s.tolist(), tau.tolist(), t.tolist(), residuals.tolist()):
+            assert r_n == _kce_reference(s_n, tau_n, t_n)
+            assert verify_kce(s_n, tau_n, t_n) == r_n
+
     def test_single_triple(self):
-        assert verify_kce(ROTATION_FAMILY, 0.0, 0.4, 1.0) < 1e-12
+        assert verify_kce(0.0, 0.4, 1.0) < 1e-12
 
     def test_strict_ordering_required(self):
         with pytest.raises(ValueError):
-            verify_kce(ROTATION_FAMILY, 0.0, 0.0, 1.0)
+            verify_kce(0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            verify_kce(ROTATION_FAMILY, -1.0, 0.5, 1.0)
+            verify_kce(-1.0, 0.5, 1.0)
 
     def test_random_triples(self):
         for _ in range(200):
             s, tau, t = np.sort(RNG.uniform(0.0, 10.0, size=3))
             if not s < tau < t:
                 continue
-            assert verify_kce(ROTATION_FAMILY, s, tau, t) < 1e-12
+            assert verify_kce(s, tau, t) < 1e-12
 
     def test_time_homogeneous_equal_differences(self):
         # same elapsed times -> bit-identical tensors (single code path)
@@ -254,26 +235,9 @@ class TestVerifyKce:
             s = RNG.uniform(0.0, 5.0)
             d = RNG.uniform(0.1, 5.0)
             shift = RNG.uniform(0.0, 3.0)
-            a = build_from_pair(ROTATION_FAMILY, (s + d) - s)
-            b = build_from_pair(ROTATION_FAMILY, (s + shift + d) - (s + shift))
+            a = flow_algebra((s + d) - s).constants
+            b = flow_algebra((s + shift + d) - (s + shift)).constants
             assert (a == b) == ((s + d) - s == (s + shift + d) - (s + shift))
-
-
-class TestVerifyBaseSystem:
-    def test_rotation_family(self):
-        assert verify_base_system(ROTATION_FAMILY, 0.3, 1.1, 2.9) < 1e-12
-
-    def test_constant_identity_exact_zero(self):
-        family = FlowFamily(lambda d: np.eye(2), name="constant")
-        assert verify_base_system(family, 0.0, 1.0, 2.0) == 0.0
-
-    def test_broken_family_detected(self):
-        broken = FlowFamily(lambda d: rotation_matrix(d * d), name="broken")
-        assert verify_base_system(broken, 0.0, 1.0, 2.0) > 0.1
-
-    def test_ordering(self):
-        with pytest.raises(ValueError):
-            verify_base_system(ROTATION_FAMILY, 1.0, 0.5, 2.0)
 
 
 class TestCommutativityDefect:
@@ -286,20 +250,20 @@ class TestCommutativityDefect:
 
     def test_matches_commutativity_predicate_on_grid(self):
         for d in np.linspace(0.0, 4 * math.pi, 500):
-            assert is_commutative(AlgebraFD(flow_tensor(d))) == (
+            assert is_commutative(flow_algebra(d)) == (
                 abs(commutativity_defect(d)) <= 1e-9
             )
 
     @given(d=st.floats(0.0, 4 * math.pi, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_defect_equivalence_everywhere(self, d):
-        assert is_commutative(AlgebraFD(flow_tensor(d))) == (
+        assert is_commutative(flow_algebra(d)) == (
             abs(commutativity_defect(d)) <= 1e-9
         )
 
 
 def test_paired_tensor_layout():
     mat = RNG.uniform(-1, 1, size=(2, 2))
-    t = paired_tensor(mat)
+    t = CubicTensor(paired_tensors(*mat.ravel()))
     assert np.array_equal(slice_j(t, 1), mat)
     assert np.array_equal(slice_j(t, 2), mat.T)

@@ -87,6 +87,8 @@ class TestIsoSearch:
             SearchConfig(restarts=0)
         with pytest.raises(ValueError):
             SearchConfig(tol=0.0)
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            SearchConfig(seed=-1)
 
     def test_dim_guard(self):
         big = AlgebraFD(CubicTensor(np.zeros((3, 3, 3))))
