@@ -1,8 +1,8 @@
 """Cubic structure-constant tensors and the rotational flow of 2D algebras.
 
-The package represents finite-dimensional algebras by their m x m x m
-structure-constant arrays, implements the slice-wise (type C) cubic-matrix
-product, builds the rotation flow of two-dimensional algebras, verifies the
+The package represents two-dimensional algebras by their 2 x 2 x 2
+structure-constant arrays, implements the slice-wise (type C) product of
+m x m x m cubic matrices, builds the rotation flow, verifies the
 Kolmogorov-Chapman composition law, decides isomorphism of flow algebras at
 different times, and reduces each flow class to its canonical form with an
 explicit basis-change certificate.
@@ -11,7 +11,6 @@ explicit basis-change certificate.
 from .algebra import (
     AlgebraFD,
     BasisChange,
-    StructMatrix2x4,
     algebra_from_json_dict,
     algebra_to_json_dict,
     associativity_residual,
@@ -48,7 +47,6 @@ from .cubic import (
     scale,
     slice_j,
     tensor_from_json_dict,
-    tensor_to_json_dict,
 )
 from .flow import (
     commutativity_defect,

@@ -1,11 +1,11 @@
-"""Finite-dimensional algebras over a structure tensor.
+"""Two-dimensional algebras over a structure tensor.
 
-An algebra with basis e_1..e_m is encoded by its structure constants
+An algebra with basis e_1, e_2 is encoded by its structure constants
 c_{ijk}: the bilinear product is e_i e_j = sum_k c_{ijk} e_k.  This module
 provides the product of coordinate vectors, commutativity and associativity
 predicates, change of basis with an explicit transformation formula, and the
-2 x 4 matrix form used for two-dimensional algebras (row k holds c_{ijk} with
-columns ordered (1,1), (1,2), (2,1), (2,2)).
+2 x 4 matrix form (row k holds c_{ijk} with columns ordered (1,1), (1,2),
+(2,1), (2,2)).  The stacked residual kernels take tensors of any dimension m.
 
 Everything is immutable and pure.
 """
@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import CubicTensor, floats_from_json, tensor_from_json_dict, tensor_to_json_dict
+from .cubic import CubicTensor, floats_from_json, tensor_from_json_dict
 
 __all__ = [
     "DEFAULT_TOL",
     "EPS_DET",
     "AlgebraFD",
     "BasisChange",
-    "StructMatrix2x4",
     "determinant",
     "random_invertible",
     "product",
@@ -34,7 +33,6 @@ __all__ = [
     "associativity_residual",
     "associativity_residuals",
     "change_of_basis",
-    "check_dim2",
     "check_tol",
     "iso_residual",
     "iso_residuals",
@@ -53,51 +51,23 @@ EPS_DET = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class AlgebraFD:
-    """A finite-dimensional algebra: its structure-constant tensor."""
+    """A two-dimensional algebra: its 2 x 2 x 2 structure-constant tensor."""
 
     constants: CubicTensor
 
-    @property
-    def dim(self) -> int:
-        return self.constants.dim
+    def __post_init__(self) -> None:
+        if self.constants.dim != 2:
+            raise ValueError(f"algebras are two-dimensional, got dim {self.constants.dim}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlgebraFD):
             return NotImplemented
         return self.constants == other.constants
 
-    def __repr__(self) -> str:
-        return f"AlgebraFD(dim={self.dim})"
-
-
-@dataclass(frozen=True, eq=False)
-class StructMatrix2x4:
-    """The 2 x 4 matrix of structure constants of a two-dimensional algebra.
-
-    Row k lists c_{ijk} over columns (i,j) = (1,1), (1,2), (2,1), (2,2);
-    the rows are often written (alpha_1..alpha_4) and (beta_1..beta_4).
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=float)
-        if arr.shape != (2, 4):
-            raise ValueError(f"expected shape (2, 4), got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("all entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StructMatrix2x4):
-            return NotImplemented
-        return bool(np.array_equal(self.values, other.values))
-
 
 @dataclass(frozen=True, eq=False)
 class BasisChange:
-    """An invertible change of basis.
+    """An invertible 2 x 2 change of basis.
 
     Row i of ``matrix`` holds the coordinates of the new basis vector e'_i in
     the old basis: e'_i = sum_p P_ip e_p.
@@ -109,8 +79,8 @@ class BasisChange:
 
     def __post_init__(self) -> None:
         arr = np.array(self.matrix, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
-            raise ValueError(f"expected a nonempty square matrix, got shape {arr.shape}")
+        if arr.shape != (2, 2):
+            raise ValueError(f"expected a 2 x 2 matrix, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("all entries must be finite")
         det = determinant(arr)
@@ -123,32 +93,27 @@ class BasisChange:
     def identity(cls, m: int) -> "BasisChange":
         return cls(np.eye(m))
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def inverse(self) -> np.ndarray:
-        """Closed-form adjugate for m = 2 (exact for exact inputs), LU otherwise."""
-        p = self.matrix
-        if self.dim == 1:
-            return np.array([[1.0 / p[0, 0]]])
-        if self.dim == 2:
-            d = determinant(p)
-            return np.array([[p[1, 1], -p[0, 1]], [-p[1, 0], p[0, 0]]]) / d
-        return np.linalg.inv(p)
+        """adj(P) / det P (exact for exact inputs)."""
+        return _inverse(self.matrix)
 
     def __repr__(self) -> str:
         return f"BasisChange({self.matrix.tolist()})"
 
 
-def determinant(p: np.ndarray) -> float:
-    """det of a square matrix: the closed form for m <= 2 (exact for exact
-    entries), LU above."""
-    if p.shape == (1, 1):
-        return float(p[0, 0])
-    if p.shape == (2, 2):
-        return float(p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0])
-    return float(np.linalg.det(p))
+def determinant(p: np.ndarray) -> np.ndarray:
+    """det P = ad - bc of each 2 x 2 matrix of p, shape (..., 2, 2)."""
+    return p[..., 0, 0] * p[..., 1, 1] - p[..., 0, 1] * p[..., 1, 0]
+
+
+# Signs of the 2 x 2 adjugate: adj [[a, b], [c, d]] = [[d, -b], [-c, a]].
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _inverse(p: np.ndarray) -> np.ndarray:
+    """P^-1 = adj(P) / det P of each 2 x 2 matrix of p, shape (..., 2, 2)."""
+    det = determinant(p)
+    return p[..., ::-1, ::-1].swapaxes(-1, -2) * _ADJ_SIGNS / det[..., np.newaxis, np.newaxis]
 
 
 def random_invertible(rng: np.random.Generator, det_low: float,
@@ -165,10 +130,9 @@ def product(algebra: AlgebraFD, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The algebra product of coordinate vectors: z_k = sum_{i,j} x_i y_j c_{ijk}."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != (algebra.dim,) or y.shape != (algebra.dim,):
-        raise ValueError(
-            f"vector shapes {x.shape}, {y.shape} do not match dim {algebra.dim}"
-        )
+    # einsum would broadcast a length-1 vector without complaint.
+    if x.shape != (2,) or y.shape != (2,):
+        raise ValueError(f"expected two vectors of length 2, got shapes {x.shape}, {y.shape}")
     return np.einsum("i,j,ijk->k", x, y, algebra.constants.values)
 
 
@@ -230,22 +194,9 @@ def change_of_basis(algebra: AlgebraFD, p: BasisChange) -> AlgebraFD:
 
     New constants: c'_{ijk} = sum_{p,q,r} P_ip P_jq c_pqr (P^-1)_rk.
     """
-    if p.dim != algebra.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} != {algebra.dim}")
     c = algebra.constants.values
     new = np.einsum("ip,jq,pqr,rk->ijk", p.matrix, p.matrix, c, p.inverse())
     return AlgebraFD(CubicTensor(new))
-
-
-def check_dim2(*algebras: AlgebraFD) -> None:
-    """Refuse any algebra whose dimension is not 2."""
-    for a in algebras:
-        if a.dim != 2:
-            raise ValueError(f"isomorphism testing supports dim 2 only, got {a.dim}")
-
-
-# Signs of the 2 x 2 adjugate: adj [[a, b], [c, d]] = [[d, -b], [-c, a]].
-_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def iso_residuals(ca: np.ndarray, cb: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -259,45 +210,45 @@ def iso_residuals(ca: np.ndarray, cb: np.ndarray, p: np.ndarray) -> np.ndarray:
     if ca.shape != (n, 2, 2, 2) or cb.shape != (n, 2, 2, 2) or p.shape != (n, 2, 2):
         raise ValueError(f"expected shapes (n, 2, 2, 2), (n, 2, 2, 2) and (n, 2, 2), "
                          f"got {ca.shape}, {cb.shape} and {p.shape}")
-    det = p[:, 0, 0] * p[:, 1, 1] - p[:, 0, 1] * p[:, 1, 0]
-    p_inv = p[:, ::-1, ::-1].transpose(0, 2, 1) * _ADJ_SIGNS / det[:, np.newaxis, np.newaxis]
     # The sums over r, q and p of c'_ijk, one stacked matrix product each.
-    moved = np.matmul(ca.reshape(n, 4, 2), p_inv).reshape(n, 2, 2, 2)  # [p, q, k]
-    moved = np.matmul(p[:, np.newaxis], moved)                         # [p, j, k]
-    moved = np.matmul(p, moved.reshape(n, 2, 4))                       # [i, (j, k)]
+    moved = np.matmul(ca.reshape(n, 4, 2), _inverse(p)).reshape(n, 2, 2, 2)  # [p, q, k]
+    moved = np.matmul(p[:, np.newaxis], moved)                               # [p, j, k]
+    moved = np.matmul(p, moved.reshape(n, 2, 4))                             # [i, (j, k)]
     return np.abs(moved.reshape(n, 8) - cb.reshape(n, 8)).max(axis=1)
 
 
 def iso_residual(a: AlgebraFD, b: AlgebraFD, p: BasisChange) -> float:
     """max |P.P.a.P^-1 - b| entrywise (``iso_residuals``); zero iff p certifies a ~ b."""
-    check_dim2(a, b)
     return float(iso_residuals(a.constants.values[np.newaxis], b.constants.values[np.newaxis],
                                p.matrix[np.newaxis])[0])
 
 
-def to_2x4(algebra: AlgebraFD) -> StructMatrix2x4:
-    """The 2 x 4 structure-constant matrix of a two-dimensional algebra."""
-    if algebra.dim != 2:
-        raise ValueError(f"2 x 4 form requires dim 2, got {algebra.dim}")
-    # (i,j,k) -> rows k, columns (i,j) in order (1,1),(1,2),(2,1),(2,2).
-    return StructMatrix2x4(algebra.constants.values.reshape(4, 2).T)
+def to_2x4(algebra: AlgebraFD) -> np.ndarray:
+    """The 2 x 4 structure-constant matrix, a read-only view of the tensor.
+
+    Row k lists c_{ijk} over columns (i,j) = (1,1), (1,2), (2,1), (2,2); the
+    rows are often written (alpha_1..alpha_4) and (beta_1..beta_4).
+    """
+    return algebra.constants.values.reshape(4, 2).T
 
 
-def from_2x4(m2x4: StructMatrix2x4) -> AlgebraFD:
-    return AlgebraFD(CubicTensor(m2x4.values.T.reshape(2, 2, 2)))
+def from_2x4(rows: np.ndarray) -> AlgebraFD:
+    """The algebra whose 2 x 4 form is ``rows`` (the inverse of ``to_2x4``)."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape != (2, 4):
+        raise ValueError(f"expected shape (2, 4), got {rows.shape}")
+    return AlgebraFD(CubicTensor(rows.T.reshape(2, 2, 2)))
 
 
 def rank_2x4(algebra: AlgebraFD) -> int:
     """Numerical rank of the 2 x 4 form: its singular values above 1e-8."""
-    s = np.linalg.svd(to_2x4(algebra).values, compute_uv=False)
+    s = np.linalg.svd(to_2x4(algebra), compute_uv=False)
     return int(np.sum(s > 1e-8))
 
 
 def algebra_to_json_dict(algebra: AlgebraFD) -> dict:
-    """Dim-2 algebras serialize through the 2 x 4 form, others as raw tensors."""
-    if algebra.dim == 2:
-        return {"dim": 2, "c2x4": to_2x4(algebra).values.tolist()}
-    return tensor_to_json_dict(algebra.constants)
+    """The JSON form {"dim": 2, "c2x4": [[...], [...]]}."""
+    return {"dim": 2, "c2x4": to_2x4(algebra).tolist()}
 
 
 def algebra_from_json_dict(data: dict) -> AlgebraFD:
@@ -306,5 +257,5 @@ def algebra_from_json_dict(data: dict) -> AlgebraFD:
     if "c2x4" in data:
         if data.get("dim", 2) != 2:
             raise ValueError(f'"c2x4" form requires dim 2, got {data["dim"]!r}')
-        return from_2x4(StructMatrix2x4(floats_from_json(data, "c2x4")))
+        return from_2x4(floats_from_json(data, "c2x4"))
     return AlgebraFD(tensor_from_json_dict(data))

@@ -41,7 +41,6 @@ import numpy as np
 from .algebra import (
     AlgebraFD,
     BasisChange,
-    StructMatrix2x4,
     check_tol,
     determinant,
     is_associative,
@@ -161,6 +160,8 @@ class BekbaevForm:
                 f"family {self.family} takes {PARAM_COUNTS[self.family]} parameters, "
                 f"got {len(params)}"
             )
+        if not all(math.isfinite(x) for x in params):
+            raise ValueError(f"parameters must be finite, got {params}")
         if self.family in _NONNEG_BETA1 and params[1] < 0:
             raise ValueError(f"family {self.family} requires beta1 >= 0")
         object.__setattr__(self, "params", params)
@@ -216,9 +217,10 @@ def _family_tensor(form: BekbaevForm) -> np.ndarray:
     return np.array([c + k * padded[i] for c, k, i in _ENTRIES[form.family - 1]]).reshape(2, 2, 2)
 
 
-def bekbaev_matrix(form: BekbaevForm) -> StructMatrix2x4:
-    """The 2 x 4 structure-constant matrix of a canonical form."""
-    return StructMatrix2x4(_family_tensor(form).reshape(4, 2).T)
+def bekbaev_matrix(form: BekbaevForm) -> np.ndarray:
+    """The 2 x 4 structure-constant matrix of a canonical form, laid out as by
+    ``algebra.to_2x4``."""
+    return _family_tensor(form).reshape(4, 2).T
 
 
 def classify_time(t: float, tol: float = CLASSIFY_TOL) -> FlowClassLabel:

@@ -82,7 +82,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "associative": is_associative(algebra),
         "representative": algebra_to_json_dict(representative),
         "canonical_form": form.to_json_dict(),
-        "canonical_matrix": bekbaev_matrix(form).values.tolist(),
+        "canonical_matrix": bekbaev_matrix(form).tolist(),
         "basis_change": certificate.matrix.tolist(),
     })
     return EXIT_OK

@@ -38,7 +38,6 @@ __all__ = [
     "mul_general",
     "slice_j",
     "from_middle_slices",
-    "tensor_to_json_dict",
     "tensor_from_json_dict",
     "floats_from_json",
 ]
@@ -202,11 +201,6 @@ def from_middle_slices(slices: list[np.ndarray] | tuple[np.ndarray, ...]) -> Cub
     if stacked.shape != (m, m, m):
         raise ValueError(f"expected {m} slices of shape {(m, m)}, got shape {stacked.shape}")
     return CubicTensor(np.swapaxes(stacked, 0, 1))
-
-
-def tensor_to_json_dict(a: CubicTensor) -> dict:
-    """JSON form {"dim": m, "c": [[[...]]]}, index order i -> j -> k, 0-based."""
-    return {"dim": a.dim, "c": a.values.tolist()}
 
 
 def floats_from_json(data: dict, key: str) -> np.ndarray:

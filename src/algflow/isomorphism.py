@@ -38,7 +38,6 @@ from .algebra import (
     EPS_DET,
     AlgebraFD,
     BasisChange,
-    check_dim2,
     check_tol,
     determinant,
     is_associative,
@@ -48,6 +47,7 @@ from .algebra import (
     random_invertible,
     rank_2x4,
 )
+from .cubic import CubicTensor
 from .flow import check_time, flow_tensors, reduce_mod_pi
 
 __all__ = [
@@ -217,7 +217,7 @@ def _levenberg_descent(
 
 
 def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> IsoVerdict:
-    """Hunt for a basis-change certificate between two dim-2 algebras.
+    """Hunt for a basis-change certificate between two algebras.
 
     Runs ``cfg.restarts`` Levenberg descents from random invertible starts
     (entries uniform in [-2, 2]).  Restarts are independent, so they could
@@ -227,7 +227,6 @@ def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> I
 
     A NotFoundWithinBudget verdict is not a proof of non-isomorphism.
     """
-    check_dim2(a, b)
     if cfg is None:
         cfg = SearchConfig()
     ca, cb = a.constants.values, b.constants.values
@@ -272,7 +271,9 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
     inputs sit at the edge of the tolerance band.
 
     k and sin(r2 - r1) come from ``reduce_mod_pi``; times too large for
-    ``tol`` are refused.  Times within ``tol`` of the locus count as on it.
+    ``tol`` are refused.  Times within ``tol`` of the locus count as on it if
+    a certificate meets ``tol``, else not: distinct floats never differ by an
+    exact multiple of pi, and equal times get the identity, residual 0.
     """
     check_tol(tol)
     check_time(t1, tol)
@@ -290,15 +291,10 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
             residual = float(iso_residuals(tensors[:1], tensors[1:],
                                            certificate.matrix[np.newaxis])[0])
             if residual <= tol:
-                break
-        else:
-            raise AssertionError(
-                f"certificate soundness violated: residual {residual:.3e} > {tol:.1e}"
-            )
-        log.debug("rotation_iso case sin t1 %s 0, k %s, certificate %s",
-                  "=" if sin_zero else "!=", "odd" if k % 2 else "even", certificate.matrix)
-        return IsoVerdict.isomorphic(certificate, residual)
-
+                log.debug("rotation_iso case sin t1 %s 0, k %s, certificate %s",
+                          "=" if sin_zero else "!=", "odd" if k % 2 else "even",
+                          certificate.matrix)
+                return IsoVerdict.isomorphic(certificate, residual)
     return IsoVerdict.not_isomorphic_exact(_violated_condition(r1, r2, tol))
 
 
@@ -317,10 +313,16 @@ def _violated_condition(r1: float, r2: float, tol: float) -> str:
 
 
 def invariant_signature(a: AlgebraFD) -> InvariantSignature:
-    """The (commutative, associative, rank of 2 x 4 form) triple."""
-    check_dim2(a)
+    """The (commutative, associative, rank of 2 x 4 form) triple.
+
+    c -> lambda c is an isomorphism (P = lambda I), so the triple is taken of
+    the tensor scaled by a power of two (exact) to max|c| in [1/2, 1): the
+    absolute bounds of the predicates then do not see the scale.
+    """
+    c = a.constants.values
+    scaled = AlgebraFD(CubicTensor(np.ldexp(c, -math.frexp(float(np.abs(c).max()))[1])))
     return InvariantSignature(
-        commutative=is_commutative(a),
-        associative=is_associative(a),
-        rank_2x4=rank_2x4(a),
+        commutative=is_commutative(scaled),
+        associative=is_associative(scaled),
+        rank_2x4=rank_2x4(scaled),
     )

@@ -107,7 +107,7 @@ def test_timed_checks_pass_on_a_slow_host(monkeypatch):
 def test_generic_plus_reduction_matches_closed_form():
     t = 0.9
     _, cert = to_bekbaev(classify_time(t))
-    moved = to_2x4(change_of_basis(class_representative(classify_time(t)), cert)).values
+    moved = to_2x4(change_of_basis(class_representative(classify_time(t)), cert))
     target = np.array([
         [0.5, 0.0, 0.0, 1.0],
         [0.0, -math.sin(t) / (2 * math.cos(t)), 0.5, 0.0],

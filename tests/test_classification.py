@@ -194,11 +194,11 @@ class TestLabels:
 
 class TestRepresentatives:
     def test_a1_matrix(self):
-        got = to_2x4(class_representative(FlowClassLabel(A1))).values
+        got = to_2x4(class_representative(FlowClassLabel(A1)))
         assert np.array_equal(got, [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
 
     def test_a0_plus_matrix(self):
-        got = to_2x4(class_representative(FlowClassLabel(A0_PLUS))).values
+        got = to_2x4(class_representative(FlowClassLabel(A0_PLUS)))
         assert np.array_equal(got, [[0.0, 0.0, -1.0, 1.0], [1.0, -1.0, 0.0, 0.0]])
 
     def test_plus_branch_slice(self):
@@ -221,15 +221,15 @@ class TestRepresentatives:
 
 class TestBekbaevMatrices:
     def test_family_5_half(self):
-        got = bekbaev_matrix(BekbaevForm(5, (0.5, 0.0))).values
+        got = bekbaev_matrix(BekbaevForm(5, (0.5, 0.0)))
         assert np.array_equal(got, [[0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0]])
 
     def test_family_15(self):
-        got = bekbaev_matrix(BekbaevForm(15)).values
+        got = bekbaev_matrix(BekbaevForm(15))
         assert np.array_equal(got, [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
 
     def test_family_8_origin(self):
-        got = bekbaev_matrix(BekbaevForm(8, (0.0, 0.0))).values
+        got = bekbaev_matrix(BekbaevForm(8, (0.0, 0.0)))
         assert np.array_equal(got, [[0.0, 0.0, 0.0, -1.0], [0.0, 1.0, 0.0, 0.0]])
 
     def test_param_counts(self):
@@ -239,7 +239,7 @@ class TestBekbaevMatrices:
     def test_all_families_instantiate(self):
         for family, count in PARAM_COUNTS.items():
             form = BekbaevForm(family, tuple(0.25 for _ in range(count)))
-            assert bekbaev_matrix(form).values.shape == (2, 4)
+            assert bekbaev_matrix(form).shape == (2, 4)
 
     def test_wrong_param_count(self):
         with pytest.raises(ValueError):
@@ -254,6 +254,12 @@ class TestBekbaevMatrices:
     def test_family_range(self):
         with pytest.raises(ValueError):
             BekbaevForm(16)
+
+    @pytest.mark.parametrize("params", [(0.5, math.nan, 0.0), (0.5, 0.0, math.inf),
+                                        (-math.inf, 0.0, 0.0)])
+    def test_non_finite_params_rejected(self, params):
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            BekbaevForm(2, params)
 
     @staticmethod
     def _lambda_rows(form: BekbaevForm) -> np.ndarray:
@@ -288,7 +294,7 @@ class TestBekbaevMatrices:
             if family in (2, 3, 7, 8):
                 params[1] = abs(params[1])
             form = BekbaevForm(family, tuple(params))
-            assert bekbaev_matrix(form).values.tobytes() == self._lambda_rows(form).tobytes()
+            assert bekbaev_matrix(form).tobytes() == self._lambda_rows(form).tobytes()
 
 
 class TestToBekbaev:
@@ -325,8 +331,8 @@ class TestToBekbaev:
         for variant in (A1, A0_PLUS):
             label = FlowClassLabel(variant)
             form, cert = to_bekbaev(label)
-            moved = to_2x4(change_of_basis(class_representative(label), cert)).values
-            assert np.array_equal(moved, bekbaev_matrix(form).values)
+            moved = to_2x4(change_of_basis(class_representative(label), cert))
+            assert np.array_equal(moved, bekbaev_matrix(form))
 
     def test_residual_postcondition_on_label_grid(self):
         from algflow.algebra import from_2x4

@@ -151,6 +151,9 @@ BAD_ALGEBRA_FILES = {
     '{"dim": 2, "c2x4": [["1", 0, 0, 0], [0, 0, 0, 1]]}': '"c2x4" is not a rectangular array',
     '{"dim": 2, "c2x4": [[1' + '0' * 309 + ', 0, 0, 0], [0, 0, 0, 1]]}':
         '"c2x4" is not a rectangular array',
+    '{"dim": 3, "c": ' + json.dumps([[[0] * 3] * 3] * 3) + '}':
+        "algebras are two-dimensional, got dim 3",
+    '{"dim": 2, "c2x4": [[1, 2], [3, 4]]}': "expected shape (2, 4), got (2, 2)",
 }
 
 
@@ -178,6 +181,18 @@ class TestIsoTimes:
     def test_non_isomorphic_times(self, capsys):
         code, out, _ = run(capsys, "iso", "--t1", "0.5", "--t2", "0.6")
         assert code == 1
+        assert json.loads(out)["kind"] == "NotIsomorphicExact"
+
+    # |sin(t2 - t1)| <= tol, but no certificate meets tol: at tol 0 the shift by
+    # the float pi is not exact; at 1e-3 the residual is the chord 2|sin(d/2)| > sin d.
+    @pytest.mark.parametrize("t1, t2, tol", [
+        ("0.3075", "3.4490926535897932", "0"),
+        ("1.570296326712063", "1.57129632687773", "1e-3"),
+    ])
+    def test_no_certificate_within_tol_is_not_isomorphic(self, capsys, t1, t2, tol):
+        code, out, err = run(capsys, "iso", "--t1", t1, "--t2", t2, "--tol", tol)
+        assert code == 1
+        assert err == ""
         assert json.loads(out)["kind"] == "NotIsomorphicExact"
 
     @pytest.mark.parametrize("argv", [

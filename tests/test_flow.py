@@ -43,12 +43,12 @@ def _rotation(d: float) -> np.ndarray:
 class TestFlowTensor:
     def test_zero_form(self):
         assert np.array_equal(
-            to_2x4(flow_algebra(0.0)).values,
+            to_2x4(flow_algebra(0.0)),
             [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]],
         )
 
     def test_half_pi_form(self):
-        got = to_2x4(flow_algebra(math.pi / 2)).values
+        got = to_2x4(flow_algebra(math.pi / 2))
         assert np.max(np.abs(got - [[0.0, 0.0, -1.0, 1.0], [1.0, -1.0, 0.0, 0.0]])) < 1e-15
 
     def test_three_quarters_pi_entries(self):

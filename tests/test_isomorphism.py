@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algflow.algebra import AlgebraFD, BasisChange, change_of_basis, determinant
 from algflow.classification import (
     A1,
     A0_PLUS,
+    A2,
+    ACOS_PLUS,
     FlowClassLabel,
     class_representative,
 )
@@ -49,9 +53,10 @@ class TestIsoResidual:
         assert iso_residual(flow_algebra(t1), flow_algebra(t1 + math.pi), p) < 1e-12
 
     def test_dim_guard(self):
-        big = AlgebraFD(CubicTensor(np.zeros((3, 3, 3))))
-        with pytest.raises(ValueError):
-            iso_residual(big, big, BasisChange.identity(3))
+        # No dim-3 algebra reaches iso_residual: construction refuses it.
+        with pytest.raises(ValueError, match="algebras are two-dimensional, got dim 3"):
+            big = AlgebraFD(CubicTensor(np.zeros((3, 3, 3))))
+            iso_residual(big, big, BasisChange.identity(2))
 
 
 class TestIsoSearch:
@@ -91,8 +96,9 @@ class TestIsoSearch:
             SearchConfig(seed=-1)
 
     def test_dim_guard(self):
-        big = AlgebraFD(CubicTensor(np.zeros((3, 3, 3))))
-        with pytest.raises(ValueError):
+        # No dim-3 algebra reaches iso_search: construction refuses it.
+        with pytest.raises(ValueError, match="algebras are two-dimensional, got dim 3"):
+            big = AlgebraFD(CubicTensor(np.zeros((3, 3, 3))))
             iso_search(big, big)
 
 
@@ -236,6 +242,27 @@ class TestRotationIso:
         with pytest.raises(ValueError, match="time must be finite"):
             rotation_iso(t1, t2)
 
+    def test_shift_by_float_pi_at_zero_tol(self):
+        # t1 + k * pi as a float misses the locus by some ulps, so at tol 0 most of
+        # these pairs have no certificate; each must still get a verdict.
+        for i in range(400):
+            t1 = 0.0123 * i
+            for k in (1, 2, 3):
+                verdict = rotation_iso(t1, t1 + k * math.pi, 0.0)
+                assert verdict.kind in (KIND_ISOMORPHIC, KIND_NOT_ISOMORPHIC_EXACT)
+                assert not verdict.is_isomorphic or verdict.residual == 0.0
+
+    @given(t1=st.floats(0.0, 1e3), t2=st.floats(0.0, 1e3), k=st.integers(0, 3),
+           on_locus=st.booleans(), tol=st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_always_certified(self, t1, t2, k, on_locus, tol):
+        if on_locus:
+            t2 = t1 + k * math.pi
+        verdict = rotation_iso(t1, t2, tol)
+        assert verdict.kind in (KIND_ISOMORPHIC, KIND_NOT_ISOMORPHIC_EXACT)
+        if verdict.is_isomorphic:
+            assert verdict.residual <= tol
+
     def test_agrees_with_search_where_isomorphic(self):
         rng = np.random.default_rng(31)
         for _ in range(12):
@@ -268,6 +295,33 @@ class TestInvariantSignature:
         sig_zero = invariant_signature(flow_algebra(0.0))
         assert sig_half_pi.first_difference(sig_zero) is not None
         assert not rotation_iso(math.pi / 2, 0.0).is_isomorphic
+
+    # Tensors of every signature the flow has, and a commutative random one.
+    SCALED = {
+        "A1": A1_REP.constants.values,
+        "A0Plus": A0_REP.constants.values,
+        "A2": class_representative(FlowClassLabel(A2)).constants.values,
+        "ACosPlus": class_representative(FlowClassLabel(ACOS_PLUS, 0.5)).constants.values,
+        "symmetric": (lambda c: c + c.transpose(1, 0, 2))(
+            np.random.default_rng(5).uniform(-1.0, 1.0, (2, 2, 2))),
+    }
+    MOVE = BasisChange([[0.7, -1.2], [0.4, 0.9]])
+
+    @pytest.mark.parametrize("name, scale", [("A1", 1e4), ("symmetric", 1e8), ("A1", 1e-9)])
+    def test_scaled_pair_agrees(self, name, scale):
+        # c -> scale * c is an isomorphism, so no invariant may separate the pair.
+        a = AlgebraFD(CubicTensor(scale * self.SCALED[name]))
+        moved = change_of_basis(a, self.MOVE)
+        assert invariant_signature(a).first_difference(invariant_signature(moved)) is None
+
+    @given(k=st.integers(-60, 60))
+    @settings(max_examples=50, deadline=None)
+    def test_power_of_two_scale_invariant(self, k):
+        for c in self.SCALED.values():
+            expected = invariant_signature(AlgebraFD(CubicTensor(c)))
+            a = AlgebraFD(CubicTensor(np.ldexp(c, k)))
+            assert invariant_signature(a) == expected
+            assert invariant_signature(change_of_basis(a, self.MOVE)) == expected
 
     def test_signature_difference_never_isomorphic_sampled(self):
         rng = np.random.default_rng(59)

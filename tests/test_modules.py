@@ -1,5 +1,5 @@
 """Module structure: imports at module level only, every exported name exists,
-and every name the benchmark's tracer patches is still there."""
+and every name the benchmark calls or its tracer patches is still there."""
 
 import ast
 import importlib
@@ -13,7 +13,8 @@ import algflow
 from algflow import checks
 
 MODULES = sorted(pathlib.Path(algflow.__file__).parent.glob("*.py"))
-BENCH_TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+BENCH_TRACING = BENCH / "tracing.py"
 
 
 def load_bench_tracing():
@@ -57,6 +58,42 @@ def test_benchmark_traced_names_resolve():
             if not callable(owner):
                 missing.append(f"{module_name}.{name}")
     assert missing == []
+
+
+def _algflow_chains(tree: ast.AST) -> set[str]:
+    """The dotted names x.y.z of every attribute chain algflow.x.y.z in a tree."""
+    chains = set()
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id == "algflow" and parts:
+            chains.add(".".join(reversed(parts)))
+    return chains
+
+
+# The benchmark reaches these names through the package (algflow.cli.main,
+# algflow.BasisChange.identity...); deleting one should fail here rather than
+# in a benchmark run.
+def test_benchmark_attribute_chains_resolve():
+    chains = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("algflow."):
+                        importlib.import_module(alias.name)
+        chains |= _algflow_chains(tree)
+    missing = []
+    for chain in sorted(chains):
+        owner = algflow
+        for part in chain.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(chain)
+    assert len(chains) >= 19 and missing == []
 
 
 def test_benchmark_checks_are_registered():
