@@ -37,8 +37,6 @@ from .classification import (
     associativity_census,
     residue_times,
     to_bekbaev,
-    _branch,
-    _family_tensor,
 )
 from .cubic import type_c_products
 from .flow import commutativity_defect, flow_tensors, kce_residuals, paired_tensors, time_blocks
@@ -164,10 +162,9 @@ def check_canonical_reduction(tol: float = 1e-12) -> CheckResult:
 
     labels = [FlowClassLabel(ACOS_MINUS, float(c)) for c in np.linspace(0.05, 0.95, _CANONICAL_TIMES)]
     reductions = [to_bekbaev(label) for label in labels]
-    c, s = np.array([_branch(label) for label in labels]).T
     worst_minus = float(np.max(iso_residuals(
-        paired_tensors(c, s, -s, c),
-        np.array([_family_tensor(form) for form, _ in reductions]),
+        np.array([class_representative(label).constants.values for label in labels]),
+        np.array([bekbaev_matrix(form).T.reshape(2, 2, 2) for form, _ in reductions]),
         np.array([cert.matrix for _, cert in reductions]),
     )))
 
@@ -283,16 +280,17 @@ def run_checks(only: list[str] | None = None,
     """Run the suite (or a named subset), with optional tolerance injection."""
     names = list(only) if only else list(CHECK_NAMES)
     overrides = tol_overrides or {}
-    for name in list(names) + list(overrides):
+    for name in names + list(overrides):
         if name not in _REGISTRY:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+    # Refuse an override that would go unused before any check runs.
+    for name in overrides:
+        if _REGISTRY[name][1] is None:
+            raise ValueError(f"check {name!r} takes no tolerance")
+        if name not in names:
+            raise ValueError(f"a tolerance is given for check {name!r}, which is not run")
     results = []
     for name in names:
         fn, tol_arg = _REGISTRY[name]
-        kwargs = {}
-        if name in overrides:
-            if tol_arg is None:
-                raise ValueError(f"check {name!r} takes no tolerance")
-            kwargs[tol_arg] = overrides[name]
-        results.append(fn(**kwargs))
+        results.append(fn(**({tol_arg: overrides[name]} if name in overrides else {})))
     return results

@@ -15,8 +15,8 @@ since the algebra with parameters (c, s) is carried onto (-c, -s) by
 negating the basis.
 
 Every nontrivial two-dimensional real algebra is isomorphic to exactly one
-member of the fifteen parametrized canonical families A_1..A_15 of Bekbaev's
-classification, given here as 2 x 4 structure-constant matrices.  Each flow
+member of the fifteen canonical families A_1..A_15 of Ahmed, Bekbaev and
+Rakhimov (2017), given here as 2 x 4 structure-constant matrices.  Each flow
 class reduces to its canonical family by an explicit change of basis:
 
     A1           -> family 5 (1/2, 0)          via e1* = e1/2, e2* = -e1 + e2
@@ -61,6 +61,7 @@ __all__ = [
     "VARIANTS",
     "EXCEPTIONAL_RESIDUES",
     "C_GRID",
+    "class_codes",
     "classify_time",
     "classify_times",
     "residue_times",
@@ -77,20 +78,10 @@ A2 = "A2"
 ACOS_PLUS = "ACosPlus"
 ACOS_MINUS = "ACosMinus"
 
-_FIXED_VARIANTS = (A1, A0_PLUS, A2)
 _PARAMETRIZED_VARIANTS = (ACOS_PLUS, ACOS_MINUS)
-# The variant codes of ``classify_times`` index this tuple.
-VARIANTS = _FIXED_VARIANTS + _PARAMETRIZED_VARIANTS
 
 # Band half-width around the exceptional residues 0, pi/2, 3*pi/4 (mod pi).
 CLASSIFY_TOL = 1e-9
-
-# The exceptional residues of t mod pi and their classes.
-EXCEPTIONAL_RESIDUES = ((0.0, A1), (math.pi / 2, A0_PLUS), (3 * math.pi / 4, A2))
-
-# The bands of half-width tol around them, in the order both classifiers
-# test them; t mod pi just below pi lies in the A1 band of 0, wrapped round.
-_BANDS = ((math.pi, A1),) + EXCEPTIONAL_RESIDUES
 
 # Largest parameter below 1: just outside the band |cos t| can round to 1.0.
 _C_MAX = math.nextafter(1.0, 0.0)
@@ -110,7 +101,7 @@ class FlowClassLabel:
     c: float | None = None
 
     def __post_init__(self) -> None:
-        if self.variant in _FIXED_VARIANTS:
+        if self.variant in _EXCEPTIONAL:
             if self.c is not None:
                 raise ValueError(f"{self.variant} carries no parameter")
         elif self.variant in _PARAMETRIZED_VARIANTS:
@@ -170,6 +161,23 @@ class BekbaevForm:
         return {"family": self.family, "params": list(self.params)}
 
 
+# The exceptional classes: residue of t mod pi, (cos, sin) of the representative,
+# canonical form and the basis change that reaches it.  A2 takes the minus-branch
+# reduction at c = s = sqrt(1/2), where the normalizer 2*sqrt(2cs) is 2 exactly.
+_EXCEPTIONAL = {
+    A1: (0.0, (1.0, 0.0), BekbaevForm(5, (0.5, 0.0)), ((0.5, 0.0), (-1.0, 1.0))),
+    A0_PLUS: (math.pi / 2, (0.0, 1.0), BekbaevForm(8, (0.0, 0.0)), ((-0.5, -0.5), (0.5, -0.5))),
+    A2: (3 * math.pi / 4, (math.sqrt(0.5), -math.sqrt(0.5)), BekbaevForm(3, (0.5, 0.0, 0.5)),
+         ((math.sqrt(2.0) / 4.0,) * 2, (0.5, -0.5))),
+}
+# The variant codes of ``class_codes`` index this tuple.
+VARIANTS = tuple(_EXCEPTIONAL) + _PARAMETRIZED_VARIANTS
+EXCEPTIONAL_RESIDUES = tuple((residue, variant) for variant, (residue, *_) in _EXCEPTIONAL.items())
+# (residue, code) of the bands, lowest precedence first; t mod pi just below pi
+# lies in the A1 band of 0, wrapped round.
+_BANDS = tuple((r, VARIANTS.index(v)) for r, v in reversed(((math.pi, A1),) + EXCEPTIONAL_RESIDUES))
+
+
 # Rows of the fifteen canonical 2 x 4 matrices.  An entry is a constant or
 # c + k*p_i, written "p1", "-p0", "1-p0", "p1+1", "2p0-1".
 _FAMILY_ROWS = {
@@ -223,20 +231,27 @@ def bekbaev_matrix(form: BekbaevForm) -> np.ndarray:
     return _family_tensor(form).reshape(4, 2).T
 
 
-def classify_time(t: float, tol: float = CLASSIFY_TOL) -> FlowClassLabel:
-    """Map a time to its flow class; congruences mod pi are tested to tol.
+def class_codes(r, tol: float):
+    """Indices into ``VARIANTS`` of the classes of times r reduced mod pi, for a
+    float or an ndarray (operators only): the first band of half-width tol that
+    holds r, else ACosPlus below pi/2 and ACosMinus above.  The one band test."""
+    code = (r >= math.pi / 2) + VARIANTS.index(ACOS_PLUS)
+    for residue, band_code in _BANDS:  # the first band that holds r is assigned last
+        code += (abs(r - residue) <= tol) * (band_code - code)
+    return code
 
-    The scalar twin of ``classify_times``, kept free of numpy for speed.
-    Times too large for tol are refused (``flow.check_time``).
+
+def classify_time(t: float, tol: float = CLASSIFY_TOL) -> FlowClassLabel:
+    """Map a time to its flow class: ``class_codes`` of t reduced mod pi, with
+    |cos t| as the parameter of the continuous classes.  Times too large for
+    tol are refused (``flow.check_time``).
     """
     check_tol(tol)
     check_time(t, tol)
-    _, r = reduce_mod_pi(t)
-    for residue, variant in _BANDS:
-        if abs(r - residue) <= tol:
-            return FlowClassLabel(variant)
-    c = min(abs(math.cos(t)), _C_MAX)
-    return FlowClassLabel(ACOS_PLUS if r < math.pi / 2 else ACOS_MINUS, c)
+    variant = VARIANTS[class_codes(reduce_mod_pi(t)[1], tol)]
+    if variant in _EXCEPTIONAL:
+        return FlowClassLabel(variant)
+    return FlowClassLabel(variant, min(abs(math.cos(t)), _C_MAX))
 
 
 def classify_times(t: np.ndarray, tol: float = CLASSIFY_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -252,15 +267,9 @@ def classify_times(t: np.ndarray, tol: float = CLASSIFY_TOL) -> tuple[np.ndarray
     if t.size:
         check_time(float(t.min()), tol)
         check_time(float(t.max()), tol)
-    _, r = reduce_mod_pi(t)
-    codes = np.where(r < math.pi / 2, VARIANTS.index(ACOS_PLUS), VARIANTS.index(ACOS_MINUS))
-    c = np.minimum(np.abs(np.cos(t)), _C_MAX)
-    # Assigned in reverse, so that the first band that holds t wins.
-    for residue, variant in reversed(_BANDS):
-        hit = np.abs(r - residue) <= tol
-        codes[hit] = VARIANTS.index(variant)
-        c[hit] = np.nan
-    return codes, c
+    codes = class_codes(reduce_mod_pi(t)[1], tol)
+    return codes, np.where(codes < len(_EXCEPTIONAL), np.nan,
+                           np.minimum(np.abs(np.cos(t)), _C_MAX))
 
 
 def residue_times(residue: float, t_max: float) -> np.ndarray:
@@ -275,13 +284,8 @@ def residue_times(residue: float, t_max: float) -> np.ndarray:
 
 def _branch(label: FlowClassLabel) -> tuple[float, float]:
     """The (cos, sin) entries of the representative of a flow class."""
-    if label.variant == A1:
-        return 1.0, 0.0
-    if label.variant == A0_PLUS:
-        return 0.0, 1.0
-    if label.variant == A2:
-        r = math.sqrt(0.5)
-        return r, -r
+    if label.c is None:
+        return _EXCEPTIONAL[label.variant][1]
     s = math.sqrt(1.0 - label.c * label.c)
     return (label.c, s) if label.variant == ACOS_PLUS else (label.c, -s)
 
@@ -293,15 +297,9 @@ def class_representative(label: FlowClassLabel) -> AlgebraFD:
 
 
 def _reduction(label: FlowClassLabel) -> tuple[BekbaevForm, np.ndarray]:
-    if label.variant == A1:
-        return BekbaevForm(5, (0.5, 0.0)), np.array([[0.5, 0.0], [-1.0, 1.0]])
-    if label.variant == A0_PLUS:
-        return BekbaevForm(8, (0.0, 0.0)), np.array([[-0.5, -0.5], [0.5, -0.5]])
-    if label.variant == A2:
-        # The generic minus-branch formula at c = s = sqrt(1/2), where the
-        # normalizer 2*sqrt(2cs) collapses to 2 exactly.
-        a = math.sqrt(2.0) / 4.0
-        return BekbaevForm(3, (0.5, 0.0, 0.5)), np.array([[a, a], [0.5, -0.5]])
+    if label.c is None:
+        _, _, form, p = _EXCEPTIONAL[label.variant]
+        return form, np.array(p)
     c = label.c
     s = math.sqrt(1.0 - c * c)
     a = 1.0 / (4.0 * c)

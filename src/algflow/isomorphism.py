@@ -47,6 +47,7 @@ from .algebra import (
     random_invertible,
     rank_2x4,
 )
+from .classification import A0_PLUS, A1, A2, VARIANTS, class_codes
 from .cubic import CubicTensor
 from .flow import check_time, flow_tensors, reduce_mod_pi
 
@@ -252,6 +253,14 @@ _CERTIFICATES = {(sin_zero, sign): BasisChange(
     np.array([[1.0, sign - 1.0], [0.0, sign]]) if sin_zero else sign * np.eye(2))
     for sin_zero in (False, True) for sign in (1.0, -1.0)}
 
+# What a NotIsomorphicExact verdict names first: an exceptional class (``class_codes``)
+# that holds at one time only, since an isomorphism needs its condition at both or neither.
+_ONE_TIME_ONLY = {
+    A1: "sin t = 0 at one time only (isomorphism forces sin t1 = sin t2 = 0)",
+    A0_PLUS: "cos t = 0 at one time only (isomorphism forces cos t1 = cos t2 = 0)",
+    A2: "commutative at one time only (cos t + sin t = 0 must hold at both)",
+}
+
 
 def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
     """Decide isomorphism of the rotation-flow algebras A^[t1] and A^[t2].
@@ -259,8 +268,8 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
     The complete case analysis reduces to one condition: the algebras are
     isomorphic iff sin(t2 - t1) = 0, i.e. t2 = t1 + pi*k.  Certificates:
 
-    * sin t1 = 0 (both times multiples of pi): a representative of the
-      solution family x1 = gamma, x2 = u - gamma, y1 = mu, y2 = u - mu
+    * sin t1 = 0 (t1 in the A1 band of ``class_codes``): a representative of
+      the solution family x1 = gamma, x2 = u - gamma, y1 = mu, y2 = u - mu
       (gamma != mu), taken at gamma = 1, mu = 0, where u = cos t2 / cos t1,
       but where its residual, up to some 14 |sin t1|, exceeds tol, the one below;
     * otherwise x1 = y2 = cos t2 / cos t1, x2 = y1 = 0, which covers the
@@ -280,13 +289,15 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
     check_time(t2, tol)
     k1, r1 = reduce_mod_pi(t1)
     k2, r2 = reduce_mod_pi(t2)
+    variant1 = VARIANTS[class_codes(r1, tol)]
 
     d = r2 - r1
+    residual = None
     if abs(math.sin(d)) <= tol:
         # r2 - r1 is near 0, or near +-pi where one residue wrapped round.
         k = k2 - k1 + round(d / math.pi)
         tensors = flow_tensors(np.array([t1, t2]))
-        for sin_zero in (abs(math.sin(r1)) <= tol, False):
+        for sin_zero in (variant1 == A1, False):
             certificate = _CERTIFICATES[sin_zero, -1.0 if k % 2 else 1.0]
             residual = float(iso_residuals(tensors[:1], tensors[1:],
                                            certificate.matrix[np.newaxis])[0])
@@ -295,21 +306,14 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
                           "=" if sin_zero else "!=", "odd" if k % 2 else "even",
                           certificate.matrix)
                 return IsoVerdict.isomorphic(certificate, residual)
-    return IsoVerdict.not_isomorphic_exact(_violated_condition(r1, r2, tol))
-
-
-def _violated_condition(r1: float, r2: float, tol: float) -> str:
-    """Name the case condition that rules out an isomorphism, from the times
-    reduced mod pi (a shift by pi flips the signs of cos t and sin t only)."""
-    for condition, value in (
-        ("sin t = 0 at one time only (isomorphism forces sin t1 = sin t2 = 0)", math.sin),
-        ("cos t = 0 at one time only (isomorphism forces cos t1 = cos t2 = 0)", math.cos),
-        ("commutative at one time only (cos t + sin t = 0 must hold at both)",
-         lambda r: math.cos(r) + math.sin(r)),
-    ):
-        if (abs(value(r1)) <= tol) != (abs(value(r2)) <= tol):
-            return condition
-    return "sin(t2 - t1) != 0 (cos t2 / cos t1 and sin t2 / sin t1 cannot agree)"
+    variant2 = VARIANTS[class_codes(r2, tol)]
+    reason = next((condition for variant, condition in _ONE_TIME_ONLY.items()
+                   if (variant1 == variant) != (variant2 == variant)), None)
+    if reason is None and residual is not None:
+        reason = (f"certificate residual {residual!r} exceeds tol {tol!r}, "
+                  "although |sin(t2 - t1)| is within it")
+    return IsoVerdict.not_isomorphic_exact(
+        reason or "sin(t2 - t1) != 0 (cos t2 / cos t1 and sin t2 / sin t1 cannot agree)")
 
 
 def invariant_signature(a: AlgebraFD) -> InvariantSignature:

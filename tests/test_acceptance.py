@@ -6,9 +6,11 @@ run with ``pytest tests/test_acceptance.py -v -s`` to see them.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
+import algflow.checks
 from algflow.algebra import change_of_basis, to_2x4
 from algflow.checks import (
     check_associativity_census,
@@ -22,7 +24,9 @@ from algflow.checks import (
     check_product_associativity,
 )
 from algflow.classification import (
+    A1,
     ACOS_MINUS,
+    ACOS_PLUS,
     FlowClassLabel,
     bekbaev_matrix,
     class_representative,
@@ -91,14 +95,38 @@ def test_kce_detail_matches_the_triple_loop():
 
 def test_timed_checks_pass_on_a_slow_host(monkeypatch):
     """A correct result passes however long it took; the time is only reported."""
-    import algflow.checks
-
     clock = iter(range(0, 10**6, 1000))
     monkeypatch.setattr(algflow.checks.time, "perf_counter", lambda: float(next(clock)))
     kce = check_kce()
     grid = check_iso_grid()
     assert kce.passed and kce.detail.endswith("1000.00s)")
     assert grid.passed and grid.detail.endswith("(1000.00s)")
+
+
+def test_iso_grid_fails_on_flipped_verdicts(monkeypatch):
+    """Every pair counts as a mismatch when the decider answers the opposite."""
+    monkeypatch.setattr(algflow.checks, "rotation_iso", lambda t1, t2, tol: SimpleNamespace(
+        is_isomorphic=not rotation_iso(t1, t2, tol).is_isomorphic))
+    line = check_iso_grid().line()
+    assert line.startswith("FAIL  iso-grid       2500 mismatches over 2500 pairs"), line
+
+
+def test_iso_grid_fails_on_wrong_labels(monkeypatch):
+    """Labels that put every time in one class disagree on the non-isomorphic pairs."""
+    monkeypatch.setattr(algflow.checks, "classify_time", lambda t: FlowClassLabel(A1))
+    result = check_iso_grid()
+    assert result.line().startswith("FAIL  iso-grid") and not result.detail.startswith("0 ")
+
+
+def test_canonical_fails_when_a_grid_reduction_raises(monkeypatch):
+    def to_bekbaev_failing_plus(label):
+        if label.variant == ACOS_PLUS:
+            raise AssertionError("canonical reduction residual too large")
+        return to_bekbaev(label)
+
+    monkeypatch.setattr(algflow.checks, "to_bekbaev", to_bekbaev_failing_plus)
+    line = check_canonical_reduction().line()
+    assert line.startswith("FAIL  canonical") and line.endswith("label grid FAILED"), line
 
 
 # --- spot checks pinning individual numbers used above ------------------------

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from algflow import checks
 from algflow.algebra import algebra_to_json_dict
 from algflow.classification import A1, A0_PLUS, FlowClassLabel, class_representative
 from algflow.cli import main
@@ -194,6 +195,17 @@ class TestIsoTimes:
         assert code == 1
         assert err == ""
         assert json.loads(out)["kind"] == "NotIsomorphicExact"
+
+    @pytest.mark.parametrize("t1, t2, tol, residual", [
+        ("0.3075", "3.4490926535897932", "0", "1.1102230246251565e-16"),
+        ("1.570296326712063", "1.57129632687773", "1e-3", "0.0010000001240002387"),
+    ])
+    def test_missed_certificate_reason(self, capsys, t1, t2, tol, residual):
+        code, out, _ = run(capsys, "iso", "--t1", t1, "--t2", t2, "--tol", tol)
+        assert code == 1
+        assert json.loads(out)["reason"] == (
+            f"certificate residual {residual} exceeds tol {float(tol)!r}, "
+            "although |sin(t2 - t1)| is within it")
 
     @pytest.mark.parametrize("argv", [
         ("iso", "--t1", "1.5707963267948966", "--t2", "8397585.547992067"),
@@ -452,6 +464,24 @@ class TestVerifyTheorems:
     def test_unknown_tolerance_target(self, capsys):
         code, _, err = run(capsys, "verify-theorems", "--tol", "nope=1e-3")
         assert code == 2
+
+    # An override that would go unused is refused before any check runs.
+    @pytest.mark.parametrize("argv, message", [
+        (("--only", "kce", "--tol", "separation=1"), "check 'separation' takes no tolerance"),
+        (("--only", "locus", "--tol", "kce=1e-30"),
+         "a tolerance is given for check 'kce', which is not run"),
+        (("--tol", "separation=1"), "check 'separation' takes no tolerance"),
+    ])
+    def test_unused_tolerance_refused(self, capsys, monkeypatch, argv, message):
+        ran = []
+        for name, (fn, tol_arg) in checks._REGISTRY.items():
+            monkeypatch.setitem(checks._REGISTRY, name,
+                                (lambda *a, name=name, fn=fn, **kw: ran.append(name) or fn(*a, **kw),
+                                 tol_arg))
+        code, out, err = run(capsys, "verify-theorems", *argv)
+        assert code == 2
+        assert out == "" and ran == []
+        assert err == f"error: {message}\n"
 
 
 class TestMalformedInputFuzz:

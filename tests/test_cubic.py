@@ -94,6 +94,10 @@ class TestVectorSpace:
         with pytest.raises(ValueError):
             CubicTensor(bad)
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            CubicTensor(np.zeros((0, 0, 0)))
+
     def test_immutable(self):
         a = random_tensor(2)
         with pytest.raises(ValueError):
@@ -201,6 +205,11 @@ class TestSliceJ:
         assert rebuilt == a
 
 
+    def test_from_middle_slices_wrong_slice_shape(self):
+        with pytest.raises(ValueError, match=r"expected 2 slices of shape \(2, 2\), "
+                                             r"got shape \(2, 3, 3\)"):
+            from_middle_slices([np.zeros((3, 3))] * 2)
+
 class TestBinaryOpTable:
     def test_left_projection_values(self):
         op = BinaryOpTable.left_projection(3)
@@ -210,6 +219,14 @@ class TestBinaryOpTable:
     def test_out_of_range_values_rejected(self):
         with pytest.raises(ValueError):
             BinaryOpTable(np.array([[0, 2], [0, 1]]))
+
+    @pytest.mark.parametrize("table, message", [
+        ([[0, 1, 0]], r"expected a square table, got shape \(1, 3\)"),
+        (np.zeros((0, 0)), "dimension must be at least 1"),
+    ])
+    def test_bad_shape_rejected(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            BinaryOpTable(table)
 
     def test_from_function_tabulates(self):
         op = BinaryOpTable.from_function(2, max)

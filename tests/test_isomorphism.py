@@ -15,6 +15,7 @@ from algflow.classification import (
     ACOS_PLUS,
     FlowClassLabel,
     class_representative,
+    classify_time,
 )
 from algflow.cubic import CubicTensor
 from algflow.flow import flow_algebra
@@ -262,6 +263,54 @@ class TestRotationIso:
         assert verdict.kind in (KIND_ISOMORPHIC, KIND_NOT_ISOMORPHIC_EXACT)
         if verdict.is_isomorphic:
             assert verdict.residual <= tol
+
+    # The condition each exceptional class imposes, as the reasons word it.
+    CONDITIONS = {
+        A1: "sin t = 0 at one time only",
+        A0_PLUS: "cos t = 0 at one time only",
+        A2: "commutative at one time only",
+    }
+    NEAR_EXCEPTIONAL = st.builds(
+        lambda residue, n, offset: abs(residue + n * math.pi + offset),
+        st.sampled_from((0.0, math.pi / 2, 3 * math.pi / 4, math.pi)),
+        st.integers(0, 300), st.floats(-2e-9, 2e-9))
+
+    @given(t1=st.one_of(st.floats(0.0, 1e3), NEAR_EXCEPTIONAL),
+           t2=st.one_of(st.floats(0.0, 1e3), NEAR_EXCEPTIONAL),
+           tol=st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1e-9, 1e-3))))
+    @settings(max_examples=400, deadline=None)
+    def test_reason_agrees_with_the_classes(self, t1, t2, tol):
+        # A reason names the condition of an exceptional class exactly when that
+        # class holds at one of the times only (the first such class in the order
+        # A1, A0Plus, A2, where the two times lie in two of them).
+        verdict = rotation_iso(t1, t2, tol)
+        if verdict.kind != KIND_NOT_ISOMORPHIC_EXACT:
+            return
+        v1, v2 = classify_time(t1, tol).variant, classify_time(t2, tol).variant
+        one_time_only = [x for x in self.CONDITIONS if (v1 == x) != (v2 == x)]
+        named = [x for x, text in self.CONDITIONS.items() if text in verdict.reason]
+        assert named == one_time_only[:1]
+
+    def test_commutative_band_edge(self):
+        # Within 1e-9 of 3*pi/4 but further than 1e-9 / sqrt(2): classify_time
+        # gives A2, and so does the reason.
+        t1 = 3 * math.pi / 4 + 8e-10
+        assert classify_time(t1).variant == A2
+        verdict = rotation_iso(t1, 0.5)
+        assert verdict.reason.startswith("commutative at one time only")
+
+    @pytest.mark.parametrize("t1, t2, tol, reason", [
+        (0.3075, 3.4490926535897932, 0.0,
+         "certificate residual 1.1102230246251565e-16 exceeds tol 0.0, "
+         "although |sin(t2 - t1)| is within it"),
+        (1.570296326712063, 1.57129632687773, 1e-3,
+         "certificate residual 0.0010000001240002387 exceeds tol 0.001, "
+         "although |sin(t2 - t1)| is within it"),
+    ])
+    def test_missed_certificate_names_its_residual(self, t1, t2, tol, reason):
+        verdict = rotation_iso(t1, t2, tol)
+        assert verdict.kind == KIND_NOT_ISOMORPHIC_EXACT
+        assert verdict.reason == reason
 
     def test_agrees_with_search_where_isomorphic(self):
         rng = np.random.default_rng(31)

@@ -36,6 +36,21 @@ def test_no_import_inside_a_function(path):
     assert nested == [], f"{path.name}: imports inside functions at lines {nested}"
 
 
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_imported_from_another_module(path):
+    # A _-prefixed name belongs to its module; another module that needs it
+    # should use a public name instead.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("algflow"))
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == [], f"{path.name} imports private names {private}"
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_exported_names_resolve(path):
     module = importlib.import_module(
