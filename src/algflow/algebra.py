@@ -169,14 +169,16 @@ def associativity_residuals(c: np.ndarray) -> np.ndarray:
     tensor of a stack c of shape (n, m, m, m).
 
     The two contractions are the coefficients of (e_i e_j) e_k and
-    e_i (e_j e_k).  Each is one stacked matrix product: rows (i,j) of c
-    times rows r of c for the first, rows (j,k) of c times the slice c_i
-    for the second; both come out in (i, j, k, l) order.
+    e_i (e_j e_k).  Each is a sum over r of broadcast elementwise products,
+    laid out on axes (n, i, j, k, l): for a 2 x 2 x 2 stack that is a few
+    whole-array operations, where a stacked matrix product pays per tensor.
     """
-    n, m = _check_stack(c)
-    lhs = np.matmul(c.reshape(n, m * m, m), c.reshape(n, m, m * m))
-    rhs = np.matmul(c.reshape(n, 1, m * m, m), c)
-    return np.max(np.abs(lhs.reshape(n, -1) - rhs.reshape(n, -1)), axis=1)
+    _check_stack(c)
+    lhs = rhs = 0.0
+    for r in range(c.shape[1]):
+        lhs = lhs + c[:, :, :, r, None, None] * c[:, None, None, r]      # c_ijr c_rkl
+        rhs = rhs + c[:, :, None, None, r] * c[:, None, :, :, r, None]   # c_irl c_jkr
+    return np.max(np.abs(lhs - rhs), axis=(1, 2, 3, 4))
 
 
 def associativity_residual(algebra: AlgebraFD) -> float:

@@ -15,7 +15,7 @@ Exit codes: 0 success (for checks: passed), 1 check failed / not isomorphic,
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import math
 import sys
@@ -154,42 +154,46 @@ def _partition_times(t_max: float, step: float) -> np.ndarray:
     return np.unique(np.concatenate(([0.0], grid[grid < t_max], [t_max], *exceptional)))
 
 
-def _partition_rows(times: np.ndarray):
-    """(t, class, param_c, commutative, associative) for each time.
+_BOOL_TEXT = ("false", "true")
 
-    The class comes from the time; the two predicates are tested on the
-    structure tensors, so the partition checks the classification rather
-    than restating it.
-    """
+
+def _partition_columns(times: np.ndarray, missing: str):
+    """Text columns (t, class, param_c, commutative, associative) for each block of
+    ``times``, each made by one C-level loop; param_c is ``missing`` for a class
+    without one.  The predicates are tested on the structure tensors, so the
+    partition checks the classification rather than restating it."""
     for block in time_blocks(times):
         codes, c = classify_times(block)
         tensors = flow_tensors(block)
         commutative = commutativity_residuals(tensors) <= DEFAULT_TOL
         associative = associativity_residuals(tensors) <= DEFAULT_TOL
-        for t, code, c_t, comm, assoc in zip(block.tolist(), codes.tolist(), c.tolist(),
-                                             commutative.tolist(), associative.tolist()):
-            yield t, VARIANTS[code], None if math.isnan(c_t) else c_t, comm, assoc
+        c_text = list(map(repr, c.tolist()))
+        for i in np.flatnonzero(np.isnan(c)).tolist():
+            c_text[i] = missing
+        yield (map(repr, block.tolist()), map(VARIANTS.__getitem__, codes.tolist()), c_text,
+               map(_BOOL_TEXT.__getitem__, commutative.tolist()),
+               map(_BOOL_TEXT.__getitem__, associative.tolist()))
 
 
-_CSV_BOOL = {True: "true", False: "false"}
+def _write_csv(fh, times: np.ndarray) -> None:
+    """The partition as CSV, one write per block.  No field needs quoting: floats,
+    class names and true/false hold no comma, quote or line break."""
+    fh.write("t,class,param_c,commutative,associative\n")
+    for columns in _partition_columns(times, ""):
+        fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
-def _write_csv(fh, rows) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["t", "class", "param_c", "commutative", "associative"])
-    writer.writerows(
-        (repr(t), variant, "" if c is None else repr(c), _CSV_BOOL[comm], _CSV_BOOL[assoc])
-        for t, variant, c, comm, assoc in rows
-    )
+# One record of json.dumps(records, indent=2), as it reads inside the list.
+_JSON_RECORD = ('{{\n    "t": {},\n    "class": "{}",\n    "param_c": {},\n'
+                '    "commutative": {},\n    "associative": {}\n  }}')
 
 
-def _write_json(fh, rows) -> None:
-    """The bytes of ``json.dumps(records, indent=2)``, written one record at a time."""
+def _write_json(fh, times: np.ndarray) -> None:
+    """The bytes of ``json.dumps(records, indent=2)``, written one block at a time:
+    each block's records are formatted from ``_JSON_RECORD`` column by column."""
     separator = "[\n  "
-    for t, variant, c, comm, assoc in rows:
-        record = {"t": t, "class": variant, "param_c": c,
-                  "commutative": comm, "associative": assoc}
-        fh.write(separator + json.dumps(record, indent=2).replace("\n", "\n  "))
+    for columns in _partition_columns(times, "null"):
+        fh.write(separator + ",\n  ".join(map(_JSON_RECORD.format, *columns)))
         separator = ",\n  "
     fh.write("\n]\n")
 
@@ -199,7 +203,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     write = _write_csv if args.format == "csv" else _write_json
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write(fh, _partition_rows(times))
+            write(fh, times)
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {len(times)} records to {args.out}")
@@ -273,8 +277,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else argv
     # Python 3.11's argparse stores "--opt=--" as an empty list, which no command expects.
     if any(arg.startswith("-") and arg.endswith("=--") for arg in argv):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from algflow.algebra import (
+    DEFAULT_TOL,
     AlgebraFD,
     BasisChange,
     _inverse,
@@ -28,9 +29,9 @@ from algflow.algebra import (
     rank_2x4,
     to_2x4,
 )
-from algflow.classification import classify_time, classify_times
+from algflow.classification import EXCEPTIONAL_RESIDUES, classify_time, classify_times
 from algflow.cubic import CubicTensor
-from algflow.flow import flow_algebra
+from algflow.flow import flow_algebra, flow_tensors
 from algflow.isomorphism import SearchConfig, rotation_iso
 
 RNG = np.random.default_rng(99)
@@ -267,7 +268,48 @@ def _einsum_associativity_residual(c: np.ndarray) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def _brute_force_associativity_residual(c: np.ndarray) -> float:
+    """max |sum_r c_ijr c_rkl - sum_r c_irl c_jkr| as a quadruple loop."""
+    m = len(c)
+    worst = 0.0
+    for i, j, k, l in np.ndindex(m, m, m, m):
+        lhs = sum(c[i, j, r] * c[r, k, l] for r in range(m))
+        rhs = sum(c[i, r, l] * c[j, k, r] for r in range(m))
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def _matmul_associativity_residuals(c: np.ndarray) -> np.ndarray:
+    """The residuals as two stacked matrix products, laid out in (i, j, k, l) order."""
+    n, m = c.shape[:2]
+    lhs = np.matmul(c.reshape(n, m * m, m), c.reshape(n, m, m * m))
+    rhs = np.matmul(c.reshape(n, 1, m * m, m), c)
+    return np.max(np.abs(lhs.reshape(n, -1) - rhs.reshape(n, -1)), axis=1)
+
+
 class TestStackedResiduals:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_associativity_matches_brute_force(self, m):
+        rng = np.random.default_rng(m)
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=30)
+        stack = rng.uniform(-1.0, 1.0, size=(30, m, m, m)) * scales[:, None, None, None]
+        for c, residual in zip(stack, associativity_residuals(stack)):
+            # each side sums m products of size up to max|c|^2
+            ulp = np.spacing(m * np.max(np.abs(c)) ** 2)
+            assert abs(residual - _brute_force_associativity_residual(c)) <= 4 * ulp
+
+    def test_associativity_flags_match_matmul_form(self):
+        # 20,000 flow tensors, a fifth of them within 2e-9 of an exceptional
+        # residue, where the residual is about the distance to the residue.
+        rng = np.random.default_rng(2024)
+        residues = np.array([0.0] + [residue for residue, _ in EXCEPTIONAL_RESIDUES])
+        near = (rng.choice(residues, size=4000) + math.pi * rng.integers(1, 300, size=4000)
+                + rng.uniform(-2e-9, 2e-9, size=4000))
+        stack = flow_tensors(np.concatenate([rng.uniform(0.0, 1e3, size=16000), near]))
+        flags = associativity_residuals(stack) <= DEFAULT_TOL
+        assert flags.tolist() == (_matmul_associativity_residuals(stack) <= DEFAULT_TOL).tolist()
+        assert 0 < flags[16000:].sum() < 4000  # both sides of the tolerance are reached
+
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_match_per_tensor_reference(self, m):
         stack = RNG.uniform(-1.0, 1.0, size=(40, m, m, m))

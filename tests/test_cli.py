@@ -1,6 +1,9 @@
 """Command-line surface: reports, exit codes, file formats."""
 
+import contextlib
 import copy
+import csv
+import io
 import json
 import math
 import os
@@ -9,12 +12,27 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import algflow.cli
 from algflow import checks
-from algflow.algebra import algebra_to_json_dict
-from algflow.classification import A1, A0_PLUS, FlowClassLabel, class_representative
-from algflow.cli import main
-from algflow.flow import MAX_TIME
+from algflow.algebra import (
+    DEFAULT_TOL,
+    algebra_to_json_dict,
+    associativity_residuals,
+    commutativity_residuals,
+)
+from algflow.classification import (
+    A1,
+    A0_PLUS,
+    VARIANTS,
+    FlowClassLabel,
+    class_representative,
+    classify_times,
+)
+from algflow.cli import _partition_times, main
+from algflow.flow import MAX_TIME, SWEEP_BLOCK, flow_tensors, time_blocks
 
 
 def run(capsys, *argv):
@@ -286,6 +304,50 @@ class TestIsoFiles:
         assert err == "error: seed must be nonnegative, got -1\n"
 
 
+def _reference_rows(times):
+    """(t, class, param_c, commutative, associative) for each time, one row at a time."""
+    for block in time_blocks(times):
+        codes, c = classify_times(block)
+        tensors = flow_tensors(block)
+        commutative = commutativity_residuals(tensors) <= DEFAULT_TOL
+        associative = associativity_residuals(tensors) <= DEFAULT_TOL
+        for t, code, c_t, comm, assoc in zip(block.tolist(), codes.tolist(), c.tolist(),
+                                             commutative.tolist(), associative.tolist()):
+            yield t, VARIANTS[code], None if math.isnan(c_t) else c_t, comm, assoc
+
+
+def _reference_csv(times) -> bytes:
+    """The partition CSV as ``csv.writer`` writes it row by row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["t", "class", "param_c", "commutative", "associative"])
+    writer.writerows(
+        (repr(t), variant, "" if c is None else repr(c), json.dumps(comm), json.dumps(assoc))
+        for t, variant, c, comm, assoc in _reference_rows(times)
+    )
+    return buffer.getvalue().encode()
+
+
+def _reference_json(times) -> bytes:
+    """The partition JSON as ``json.dumps(record, indent=2)`` writes it record by record."""
+    records = [
+        json.dumps({"t": t, "class": variant, "param_c": c, "commutative": comm,
+                    "associative": assoc}, indent=2).replace("\n", "\n  ")
+        for t, variant, c, comm, assoc in _reference_rows(times)
+    ]
+    return ("[\n  " + ",\n  ".join(records) + "\n]\n").encode()
+
+
+_REFERENCE_WRITERS = {"csv": _reference_csv, "json": _reference_json}
+
+
+def _partition_bytes(capsys, path, t_max: float, step: float, fmt: str) -> bytes:
+    code, _, _ = run(capsys, "partition", "--t-max", repr(t_max), "--step", repr(step),
+                     "--out", str(path), "--format", fmt)
+    assert code == 0
+    return path.read_bytes()
+
+
 class TestPartition:
     def test_short_grid(self, capsys, tmp_path):
         out_path = tmp_path / "part.csv"
@@ -410,6 +472,57 @@ class TestPartition:
                            "--out", str(tmp_path / "part.csv"))
         assert code == 2
 
+    # Each block's text is built column by column; the bytes are those of the
+    # row-by-row writers above.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("t_max, step", [
+        (0.04, 0.05),                  # t_max < step
+        (3 * math.pi / 4, 0.01),       # t_max on A2's residue
+        (2 * math.pi, 0.01),           # t_max on a multiple of pi
+        (20.5 * math.pi, 0.01),        # the benchmark's grid, seven blocks
+    ])
+    def test_fixed_cases_byte_identical(self, capsys, tmp_path, t_max, step, fmt):
+        got = _partition_bytes(capsys, tmp_path / f"part.{fmt}", t_max, step, fmt)
+        assert got == _REFERENCE_WRITERS[fmt](_partition_times(t_max, step))
+
+    @given(t_max=st.floats(0.0, 200.0, exclude_min=True), step=st.floats(1e-3, 2.0),
+           fmt=st.sampled_from(["csv", "json"]))
+    @settings(max_examples=20, deadline=None)
+    def test_sampled_grids_byte_identical(self, tmp_path_factory, t_max, step, fmt):
+        path = tmp_path_factory.mktemp("partition") / f"part.{fmt}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["partition", "--t-max", repr(t_max), "--step", repr(step),
+                         "--out", str(path), "--format", fmt]) == 0
+        got = path.read_bytes()
+        assert got == _REFERENCE_WRITERS[fmt](_partition_times(t_max, step))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_write_per_block(self, capsys, tmp_path, monkeypatch, fmt):
+        # No write holds more than one block's text, so the whole file is
+        # never joined in memory.
+        sizes = []
+        real_open = open
+
+        class RecordingFile(io.TextIOWrapper):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+
+        def recording_open(path, mode, **kwargs):
+            fh = real_open(path, mode.replace("w", "wb"))
+            return RecordingFile(fh, encoding=kwargs["encoding"], newline=kwargs["newline"])
+
+        monkeypatch.setattr(algflow.cli, "open", recording_open, raising=False)
+        step = 0.01
+        t_max = 3.5 * SWEEP_BLOCK * step
+        path = tmp_path / f"part.{fmt}"
+        got = _partition_bytes(capsys, path, t_max, step, fmt)
+        n_blocks = math.ceil(len(_partition_times(t_max, step)) / SWEEP_BLOCK)
+        assert n_blocks > 3
+        assert n_blocks <= len(sizes) <= n_blocks + 2
+        assert max(sizes) <= SWEEP_BLOCK * 200
+        assert sum(sizes) == len(got)
+
 
 class TestVerifyTheorems:
     def test_single_check_passes(self, capsys):
@@ -417,6 +530,17 @@ class TestVerifyTheorems:
         assert code == 0
         assert out.splitlines()[0].startswith("PASS  kce")
         assert "1/1 checks passed" in out
+
+    def test_no_state_carried_across_calls(self, capsys):
+        # main reuses one parser; the appended --only and --tol of one call
+        # must not reach the next.
+        code, out, _ = run(capsys, "verify-theorems", "--only", "kce", "--tol", "kce=1e-3")
+        assert code == 0 and out.splitlines()[0].startswith("PASS  kce")
+        code, out, _ = run(capsys, "verify-theorems", "--only", "mirror")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("PASS  mirror") and lines[1] == "1/1 checks passed"
 
     def test_injected_tolerance_fails(self, capsys):
         code, out, _ = run(capsys, "verify-theorems", "--only", "kce",
