@@ -16,7 +16,10 @@ Three complementary tools:
   eight polynomial equations in the four entries of P.  A multi-start
   Gauss-Newton descent with Levenberg damping hunts for a root with
   |det P| bounded away from zero.  Failure to find one is NOT a proof of
-  non-isomorphism, and the verdict says so.
+  non-isomorphism, and the verdict says so.  The equations and their
+  Jacobian are closed forms in Python floats, summed from 0.0 in the order
+  of ``np.einsum`` on C-ordered arrays: the tests pin certificates to the
+  last bit and keep the einsum forms as the oracle.
 
 * ``invariant_signature`` separates algebras by cheap isomorphism
   invariants (commutativity, associativity, rank of the 2 x 4 form).
@@ -120,6 +123,7 @@ class IsoVerdict:
 
 # Levenberg iterations per restart of the numeric search.
 _MAX_ITERATIONS = 200
+_EYE4 = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,9 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, value in (("restarts", self.restarts), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.seed < 0:
@@ -158,63 +165,96 @@ class InvariantSignature:
 # --- numeric search -----------------------------------------------------------
 
 
-def _transform_residual(p: np.ndarray, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
-    """The 8 polynomial equations, flattened: P.P.cA - cB.P."""
-    lhs = np.einsum("ip,jq,pqk->ijk", p, p, ca)
-    rhs = np.einsum("ijr,rk->ijk", cb, p)
-    return (lhs - rhs).ravel()
+def _transform_residual(p, ca, cb) -> np.ndarray:
+    """The 8 equations P.P.cA - cB.P, flattened; P, cA, cB as arrays or ``tolist()``."""
+    (p00, p01), (p10, p11) = p
+    ((a000, a001), (a010, a011)), ((a100, a101), (a110, a111)) = ca
+    ((b000, b001), (b010, b011)), ((b100, b101), (b110, b111)) = cb
+    # P_ip P_jq for rows (i, j) = (0, 0), (0, 1) and (1, 1); (1, 0) reuses v, as a b = b a.
+    u00, u01, u11 = p00 * p00, p00 * p01, p01 * p01
+    v00, v01, v10, v11 = p00 * p10, p00 * p11, p01 * p10, p01 * p11
+    w00, w01, w11 = p10 * p10, p10 * p11, p11 * p11
+    return np.array([
+        0.0 + u00 * a000 + u01 * a010 + u01 * a100 + u11 * a110 - (b000 * p00 + b001 * p10),
+        0.0 + u00 * a001 + u01 * a011 + u01 * a101 + u11 * a111 - (b000 * p01 + b001 * p11),
+        0.0 + v00 * a000 + v01 * a010 + v10 * a100 + v11 * a110 - (b010 * p00 + b011 * p10),
+        0.0 + v00 * a001 + v01 * a011 + v10 * a101 + v11 * a111 - (b010 * p01 + b011 * p11),
+        0.0 + v00 * a000 + v10 * a010 + v01 * a100 + v11 * a110 - (b100 * p00 + b101 * p10),
+        0.0 + v00 * a001 + v10 * a011 + v01 * a101 + v11 * a111 - (b100 * p01 + b101 * p11),
+        0.0 + w00 * a000 + w01 * a010 + w01 * a100 + w11 * a110 - (b110 * p00 + b111 * p10),
+        0.0 + w00 * a001 + w01 * a011 + w01 * a101 + w11 * a111 - (b110 * p01 + b111 * p11),
+    ])
 
 
-def _transform_jacobian(p: np.ndarray, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
-    """Analytic 8 x 4 Jacobian of ``_transform_residual`` in the entries of P.
+def _transform_jacobian(p, ca, cb) -> np.ndarray:
+    """Analytic 8 x 4 Jacobian of ``_transform_residual`` in the entries of P:
 
-    Row (i, j, k), column (a, b):
+        dR_ijk/dP_ab = delta_ia x_jbk + delta_ja y_ibk - delta_kb cB_ija,
+        x_jbk = sum_q P_jq cA_bqk,    y_ibk = sum_p P_ip cA_pbk,
 
-        dR_ijk/dP_ab = delta_ia sum_q P_jq cA_bqk + delta_ja sum_p P_ip cA_pbk
-                       - delta_kb cB_ija.
+    row (i, j, k), column (a, b), in Python floats as (x + y) - cB with absent
+    terms 0.0: the order of einsum, on which the pinned certificates depend.
     """
-    eye = np.eye(2)
-    jac = (
-        np.einsum("ia,jbk->ijkab", eye, np.einsum("jq,bqk->jbk", p, ca))
-        + np.einsum("ja,ibk->ijkab", eye, np.einsum("ip,pbk->ibk", p, ca))
-        - np.einsum("kb,ija->ijkab", eye, cb)
-    )
-    return jac.reshape(8, 4)
+    (p00, p01), (p10, p11) = p
+    ((a000, a001), (a010, a011)), ((a100, a101), (a110, a111)) = ca
+    ((b000, b001), (b010, b011)), ((b100, b101), (b110, b111)) = cb
+    x000, x001 = 0.0 + p00 * a000 + p01 * a010, 0.0 + p00 * a001 + p01 * a011
+    x010, x011 = 0.0 + p00 * a100 + p01 * a110, 0.0 + p00 * a101 + p01 * a111
+    x100, x101 = 0.0 + p10 * a000 + p11 * a010, 0.0 + p10 * a001 + p11 * a011
+    x110, x111 = 0.0 + p10 * a100 + p11 * a110, 0.0 + p10 * a101 + p11 * a111
+    y000, y001 = 0.0 + p00 * a000 + p01 * a100, 0.0 + p00 * a001 + p01 * a101
+    y010, y011 = 0.0 + p00 * a010 + p01 * a110, 0.0 + p00 * a011 + p01 * a111
+    y100, y101 = 0.0 + p10 * a000 + p11 * a100, 0.0 + p10 * a001 + p11 * a101
+    y110, y111 = 0.0 + p10 * a010 + p11 * a110, 0.0 + p10 * a011 + p11 * a111
+    return np.array([
+        x000 + y000 - b000, x010 + y010, 0.0 - b001, 0.0,
+        x001 + y001, x011 + y011 - b000, 0.0, 0.0 - b001,
+        x100 - b010, x110, y000 - b011, y010,
+        x101, x111 - b010, y001, y011 - b011,
+        y100 - b100, y110, x000 - b101, x010,
+        y101, y111 - b100, x001, x011 - b101,
+        0.0 - b110, 0.0, x100 + y100 - b111, x110 + y110,
+        0.0, 0.0 - b110, x101 + y101, x111 + y111 - b111,
+    ]).reshape(8, 4)
 
 
-def _levenberg_descent(
-    p0: np.ndarray, ca: np.ndarray, cb: np.ndarray, cfg: SearchConfig
-) -> tuple[np.ndarray, float]:
+def _max_abs(values: list[float]) -> float:
+    """``np.max(np.abs(values))`` of a list of floats: nan if any value is nan."""
+    mags = list(map(abs, values))
+    return math.nan if math.isnan(sum(mags)) else max(mags)
+
+
+def _levenberg_descent(p0: np.ndarray, ca, cb, cfg: SearchConfig) -> tuple[np.ndarray, float]:
     """Gauss-Newton with Levenberg damping from one starting matrix.
 
-    Damping starts at 1e-3 and adapts by factors of 10.  Returns the best
-    point reached and its max-abs equation residual.
+    P, ``ca`` and ``cb`` are nested lists.  Damping starts at 1e-3 and adapts
+    by factors of 10.  Returns the best point reached and its max-abs equation residual.
     """
-    p = p0.copy()
+    p = p0.tolist()
     r = _transform_residual(p, ca, cb)
     cost = float(r @ r)
     lam = 1e-3
     for _ in range(_MAX_ITERATIONS):
-        if float(np.max(np.abs(r))) <= cfg.tol:
+        if _max_abs(r.tolist()) <= cfg.tol:
             break
         jac = _transform_jacobian(p, ca, cb)
         grad = jac.T @ r
-        if float(np.max(np.abs(grad))) < 1e-14:
+        if _max_abs(grad.tolist()) < 1e-14:
             break  # stationary point, further iterations cannot move
-        step = np.linalg.solve(jac.T @ jac + lam * np.eye(4), -grad)
-        candidate = p + step.reshape(2, 2)
+        step = np.linalg.solve(jac.T @ jac + lam * _EYE4, -grad).tolist()
+        candidate = [[p[0][0] + step[0], p[0][1] + step[1]], [p[1][0] + step[2], p[1][1] + step[3]]]
         r_new = _transform_residual(candidate, ca, cb)
         cost_new = float(r_new @ r_new)
         if cost_new < cost:
             p, r, cost = candidate, r_new, cost_new
             lam = max(lam / 10.0, 1e-12)
-            if float(np.max(np.abs(step))) < 1e-14:
+            if _max_abs(step) < 1e-14:
                 break
         else:
             lam *= 10.0
             if lam > 1e12:
                 break
-    return p, float(np.max(np.abs(r)))
+    return np.array(p), _max_abs(r.tolist())
 
 
 def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> IsoVerdict:
@@ -230,7 +270,7 @@ def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> I
     """
     if cfg is None:
         cfg = SearchConfig()
-    ca, cb = a.constants.values, b.constants.values
+    ca, cb = a.constants.values.tolist(), b.constants.values.tolist()
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.restarts):
         p0 = random_invertible(rng, EPS_DET, np.inf)

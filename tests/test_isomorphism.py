@@ -1,5 +1,6 @@
 """Isomorphism deciders: residual, numeric search, exact case analysis."""
 
+import collections
 import math
 
 import numpy as np
@@ -7,11 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algflow.algebra import AlgebraFD, BasisChange, change_of_basis, determinant
+from algflow import isomorphism
+from algflow.algebra import (
+    AlgebraFD,
+    BasisChange,
+    change_of_basis,
+    determinant,
+    random_invertible,
+)
 from algflow.classification import (
     A1,
     A0_PLUS,
     A2,
+    ACOS_MINUS,
     ACOS_PLUS,
     FlowClassLabel,
     class_representative,
@@ -26,6 +35,8 @@ from algflow.isomorphism import (
     InvariantSignature,
     IsoVerdict,
     SearchConfig,
+    _MAX_ITERATIONS,
+    _max_abs,
     _transform_jacobian,
     _transform_residual,
     invariant_signature,
@@ -95,6 +106,20 @@ class TestIsoSearch:
             SearchConfig(tol=0.0)
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
             SearchConfig(seed=-1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"restarts": 2.5}, "restarts must be an integer, got 2.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"restarts": True}, "restarts must be an integer, got True"),
+        ({"seed": False}, "seed must be an integer, got False"),
+        ({"restarts": "8"}, "restarts must be an integer, got '8'"),
+    ])
+    def test_config_refuses_non_integers(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SearchConfig(**kwargs)
+
+    def test_config_accepts_numpy_integers(self):
+        assert SearchConfig(restarts=np.int64(3), seed=np.uint8(2)).restarts == 3
 
     def test_dim_guard(self):
         # No dim-3 algebra reaches iso_search: construction refuses it.
@@ -167,6 +192,192 @@ def test_jacobian_matches_central_differences():
             fd[:, col] = (_transform_residual(p + dp, ca, cb)
                           - _transform_residual(p - dp, ca, cb)) / (2 * h)
         assert np.max(np.abs(fd - jac)) <= 1e-6 * np.max(np.abs(jac))
+
+
+# The einsum forms of the residual and the Jacobian, and the descent that called
+# them, as they were before the kernels were written out in Python floats: the
+# oracles of the two tests below.
+def _einsum_residual(p, ca, cb):
+    lhs = np.einsum("ip,jq,pqk->ijk", p, p, ca)
+    rhs = np.einsum("ijr,rk->ijk", cb, p)
+    return (lhs - rhs).ravel()
+
+
+def _einsum_jacobian(p, ca, cb):
+    eye = np.eye(2)
+    jac = (
+        np.einsum("ia,jbk->ijkab", eye, np.einsum("jq,bqk->jbk", p, ca))
+        + np.einsum("ja,ibk->ijkab", eye, np.einsum("ip,pbk->ibk", p, ca))
+        - np.einsum("kb,ija->ijkab", eye, cb)
+    )
+    return jac.reshape(8, 4)
+
+
+def _einsum_descent(p0, ca, cb, cfg, exits):
+    """The einsum descent; counts in ``exits`` how each run ended."""
+    ca, cb = np.array(ca), np.array(cb)
+    p = p0.copy()
+    r = _einsum_residual(p, ca, cb)
+    cost = float(r @ r)
+    lam = 1e-3
+    end = "iteration cap"
+    for _ in range(_MAX_ITERATIONS):
+        if float(np.max(np.abs(r))) <= cfg.tol:
+            end = "tolerance met"
+            break
+        jac = _einsum_jacobian(p, ca, cb)
+        grad = jac.T @ r
+        if float(np.max(np.abs(grad))) < 1e-14:
+            end = "stationary gradient"
+            break
+        step = np.linalg.solve(jac.T @ jac + lam * np.eye(4), -grad)
+        candidate = p + step.reshape(2, 2)
+        r_new = _einsum_residual(candidate, ca, cb)
+        cost_new = float(r_new @ r_new)
+        if cost_new < cost:
+            p, r, cost = candidate, r_new, cost_new
+            lam = max(lam / 10.0, 1e-12)
+            if float(np.max(np.abs(step))) < 1e-14:
+                end = "tiny step"
+                break
+        else:
+            lam *= 10.0
+            if lam > 1e12:
+                end = "damping above 1e12"
+                break
+    exits[end] += 1
+    return p, float(np.max(np.abs(r)))
+
+
+def _seeded_triples(rng, n):
+    """n (P, cA, cB) with scales from 1e-3 to 1e3; every fourth holds zeros of both signs."""
+    arrays = []
+    for shape in ((n, 2, 2), (n, 2, 2, 2), (n, 2, 2, 2)):
+        ones = (n,) + (1,) * (len(shape) - 1)
+        x = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-3.0, 3.0, ones)
+        zeros = (rng.random(shape) < 0.4) & (np.arange(n) % 4 == 0).reshape(ones)
+        x[zeros] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zeros]
+        arrays.append(x)
+    return arrays
+
+
+class TestKernelsMatchEinsum:
+    """The closed-form kernels against the einsum forms, byte for byte (signed zeros count)."""
+
+    def test_seeded_triples_byte_identical(self):
+        ps, cas, cbs = _seeded_triples(np.random.default_rng(2026), 20_000)
+        assert np.signbit(cas[cas == 0.0]).any() and not np.signbit(cas[cas == 0.0]).all()
+        for p, ca, cb in zip(ps, cas, cbs):
+            lists = p.tolist(), ca.tolist(), cb.tolist()
+            assert _transform_residual(*lists).tobytes() == _einsum_residual(p, ca, cb).tobytes()
+            assert _transform_jacobian(*lists).tobytes() == _einsum_jacobian(p, ca, cb).tobytes()
+
+    @staticmethod
+    def _entries(bound):
+        entry = st.floats(-bound, bound, allow_nan=False, allow_infinity=False)
+        return st.tuples(*[entry] * 20).map(lambda v: (
+            np.array(v[:4]).reshape(2, 2), np.array(v[4:12]).reshape(2, 2, 2),
+            np.array(v[12:]).reshape(2, 2, 2)))
+
+    @given(args=_entries(1.7976931348623157e308))
+    @settings(max_examples=300, deadline=None)
+    def test_residual_over_finite_floats(self, args):
+        # Overflow to inf and inf - inf = nan happen the same way in both forms.
+        p, ca, cb = args
+        with np.errstate(all="ignore"):
+            expected = _einsum_residual(p, ca, cb).tobytes()
+        got = _transform_residual(p.tolist(), ca.tolist(), cb.tolist())
+        assert got.tobytes() == expected
+
+    @given(args=_entries(1e100))
+    @settings(max_examples=300, deadline=None)
+    def test_jacobian_over_finite_floats(self, args):
+        # Up to 1e100 no sum overflows.  Beyond, einsum multiplies an infinite sum
+        # by a zero of the identity (nan) where the closed form writes 0.0.
+        p, ca, cb = args
+        got = _transform_jacobian(p.tolist(), ca.tolist(), cb.tolist())
+        assert got.tobytes() == _einsum_jacobian(p, ca, cb).tobytes()
+
+    def test_arrays_accepted(self):
+        p, ca, cb = (x[0] for x in _seeded_triples(np.random.default_rng(4), 1))
+        assert _transform_residual(p, ca, cb).shape == (8,)
+        assert _transform_jacobian(p, ca, cb).tobytes() == _einsum_jacobian(p, ca, cb).tobytes()
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, -3.0, 2.0], [-0.0, 0.0], [-0.0], [math.inf, -math.inf, 1.0],
+    [math.nan, 1.0], [1.0, math.nan, 5.0], [7.0, -math.inf, math.nan],
+])
+def test_max_abs_as_numpy(values):
+    # The descent's tests read nan as failed, as np.max(np.abs(...)) makes them.
+    assert repr(_max_abs(values)) == repr(float(np.max(np.abs(values))))
+
+
+def _moved(rng, c, det_sign):
+    """A random basis change of c, with the sign of det P given."""
+    q = random_invertible(rng, 0.3, np.inf)
+    if np.sign(determinant(q)) != det_sign:
+        q = q[::-1]
+    return change_of_basis(AlgebraFD(CubicTensor(c)), BasisChange(q))
+
+
+def _verdict_corpus():
+    """360 (pair, seed) cases over the kinds of input the search meets."""
+    rng = np.random.default_rng(1944)
+    pairs = []
+    for i in range(60):
+        c = rng.uniform(-1.0, 1.0, (2, 2, 2))
+        pairs.append(("moved random", AlgebraFD(CubicTensor(c)), _moved(rng, c, (-1) ** i)))
+    for i in range(60):
+        c = flow_algebra(float(rng.uniform(0.0, 2 * math.pi))).constants.values
+        pairs.append(("moved flow", AlgebraFD(CubicTensor(c)), _moved(rng, c, (-1) ** i)))
+    for _ in range(60):
+        pairs.append(("unrelated", *(AlgebraFD(CubicTensor(rng.uniform(-1.0, 1.0, (2, 2, 2))))
+                                      for _ in range(2))))
+    for i in range(60):
+        minus = class_representative(FlowClassLabel(ACOS_MINUS, float(rng.uniform(0.3, 0.9))))
+        plus = class_representative(FlowClassLabel(ACOS_PLUS, float(rng.uniform(0.3, 0.9))))
+        pairs.append(("hopeless", *((minus, plus) if i % 2 else (plus, minus))))
+    special = [A1_REP, A0_REP, NEG_A1]
+    for i in range(60):
+        a = special[i % 3]
+        b = special[(i // 3) % 3] if i % 2 else _moved(rng, a.constants.values, (-1) ** (i // 2))
+        pairs.append(("A1 and A0Plus", a, b))
+    for i in range(60):
+        # Below about 1e154 the descent moves; above, r @ r and jac.T @ jac overflow.
+        exponent = rng.uniform(150.5, 153.5) if i % 2 else rng.uniform(154.0, 308.2)
+        c = rng.uniform(-1.0, 1.0, (2, 2, 2)) * 10.0 ** exponent
+        b = (_moved(rng, c / 1e3, (-1) ** i) if i % 3 else
+             AlgebraFD(CubicTensor(rng.uniform(-1.0, 1.0, (2, 2, 2)) * np.abs(c).max())))
+        pairs.append(("max|c| >= 1e150", AlgebraFD(CubicTensor(c)), b))
+    return [(kind, a, b, seed) for seed, (kind, a, b) in enumerate(pairs)]
+
+
+def test_search_verdicts_match_einsum_descent(monkeypatch):
+    # Every exit of the descent is reached on this corpus: of 2,169 descents, 1,654
+    # meet the tolerance, 309 end with damping above 1e12, 203 on a tiny step, 2 at
+    # the iteration cap and 1 at a stationary gradient.
+    corpus = _verdict_corpus()
+    assert len(corpus) >= 300
+    exits = collections.Counter()
+    kinds = collections.Counter()
+    with np.errstate(all="ignore"):
+        verdicts = [iso_search(a, b, SearchConfig(restarts=8, seed=seed))
+                    for _, a, b, seed in corpus]
+        monkeypatch.setattr(isomorphism, "_levenberg_descent",
+                            lambda p0, ca, cb, cfg: _einsum_descent(p0, ca, cb, cfg, exits))
+        for (kind, a, b, seed), verdict in zip(corpus, verdicts):
+            expected = iso_search(a, b, SearchConfig(restarts=8, seed=seed))
+            assert verdict.kind == expected.kind, (kind, seed)
+            assert verdict.residual == expected.residual, (kind, seed)
+            if expected.certificate is None:
+                assert verdict.certificate is None
+            else:
+                assert verdict.certificate.matrix.tobytes() == expected.certificate.matrix.tobytes()
+            kinds[kind, verdict.kind] += 1
+    assert set(exits) == {"tolerance met", "stationary gradient", "tiny step",
+                          "damping above 1e12", "iteration cap"}
+    assert kinds["moved random", KIND_ISOMORPHIC] > 0 and kinds["hopeless", KIND_ISOMORPHIC] == 0
 
 
 class TestRotationIso:
