@@ -19,17 +19,18 @@ from .algebra import (
     associativity_residual,
     change_of_basis,
     commutativity_residuals,
+    is_commutative,
     iso_residuals,
     random_invertible,
     to_2x4,
 )
 from .classification import (
     A1,
-    A2,
     A0_PLUS,
     ACOS_MINUS,
     ACOS_PLUS,
     C_GRID,
+    CLASS_PREDICATES,
     FlowClassLabel,
     bekbaev_matrix,
     class_representative,
@@ -39,7 +40,8 @@ from .classification import (
     to_bekbaev,
 )
 from .cubic import type_c_products
-from .flow import commutativity_defect, flow_tensors, kce_residuals, paired_tensors, time_blocks
+from .flow import (commutativity_defect, flow_tensors, kce_residuals, paired_tensors,
+                   reduce_mod_pi, time_blocks)
 from .isomorphism import (
     KIND_NOT_FOUND_WITHIN_BUDGET,
     invariant_signature,
@@ -53,6 +55,7 @@ _SEED = 20260811
 # Sample sizes, grids and bounds other than the headline tolerances.
 _KCE_TRIPLES, _KCE_T_MAX = 1000, 20.0
 _LOCUS_POINTS, _LOCUS_SPAN = 10_000, 4 * math.pi
+_LOCUS_ROUNDING = 8 * math.ulp(_LOCUS_SPAN)  # rounding of t mod pi over the locus span
 _ISO_GRID_N = 50
 # Pairs with tol < |sin(t2 - t1)| < _ISO_EXCLUSION straddle the locus boundary.
 _ISO_EXCLUSION = 1e-6
@@ -87,16 +90,19 @@ def check_kce(tol: float = 1e-12) -> CheckResult:
 
 
 def check_commutative_locus(tol: float = 1e-9) -> CheckResult:
-    """Commutativity holds exactly on the grid points at 3*pi/4 + pi*n."""
+    """Commutativity holds exactly on the grid points at 3*pi/4 + pi*n.  tol is a
+    distance in t (plus rounding) to that locus, and the commutativity residual
+    and defect, sqrt(2) |sin distance|, are held to the bound it converts to."""
     base = 3 * math.pi / 4
     grid = np.concatenate((np.linspace(0.0, _LOCUS_SPAN, _LOCUS_POINTS),
                            residue_times(base, _LOCUS_SPAN)))
-    locus_distance = np.abs(grid - (base + np.round((grid - base) / math.pi) * math.pi))
-    expected = locus_distance <= tol
-    commutative = np.concatenate(
-        [commutativity_residuals(flow_tensors(block)) for block in time_blocks(grid)]
-    ) <= tol
-    defect_zero = np.abs(commutativity_defect(grid)) <= tol
+    r = reduce_mod_pi(grid)[1]
+    reach = tol + _LOCUS_ROUNDING
+    expected = np.minimum(np.abs(r - base), r + (math.pi - base)) <= reach
+    bound = math.sqrt(2.0) * math.sin(min(reach, math.pi / 2))
+    residuals = [commutativity_residuals(flow_tensors(block)) for block in time_blocks(grid)]
+    commutative = np.concatenate(residuals) <= bound
+    defect_zero = np.abs(commutativity_defect(grid)) <= bound
     mismatches = int(np.count_nonzero((commutative != expected) | (commutative != defect_zero)))
     return CheckResult(
         "locus", mismatches == 0,
@@ -118,23 +124,24 @@ def check_plus_minus_mirror(tol: float = 1e-12) -> CheckResult:
 
 
 def check_iso_grid(tol: float = 1e-9) -> CheckResult:
-    """Isomorphism holds iff sin(t2-t1)=0, and the class labels agree with it."""
+    """Isomorphism holds iff sin(t2-t1)=0, and labels agree.  tol bounds |sin(t2 - t1)| and,
+    in one continuous variant, the labels' distance in t mod pi; from sin(2*pi/N) it is refused."""
+    if tol >= (limit := math.sin(2 * math.pi / _ISO_GRID_N)):
+        raise ValueError(f"iso-grid tol {tol:g} is not below sin(2 pi / {_ISO_GRID_N}) = "
+                         f"{limit:.4g}, the least gap between its grid points")
     start = time.perf_counter()
     times = [k * 2 * math.pi / _ISO_GRID_N for k in range(_ISO_GRID_N)]
-    labels = [classify_time(t) for t in times]
-    mismatches = 0
-    checked = 0
-    for i, t1 in enumerate(times):
-        for j, t2 in enumerate(times):
+    points = [(t, classify_time(t), reduce_mod_pi(t)[1]) for t in times]
+    mismatches = checked = 0
+    for t1, label1, r1 in points:
+        for t2, label2, r2 in points:
             gap = abs(math.sin(t2 - t1))
             if tol < gap < _ISO_EXCLUSION:
                 continue  # ambiguous band around the locus boundary
             checked += 1
             expected = gap <= tol
-            if rotation_iso(t1, t2, tol).is_isomorphic != expected:
-                mismatches += 1
-            if labels[i].same_class(labels[j], tol) != expected:
-                mismatches += 1
+            same = label1.variant == label2.variant and (label1.c is None or abs(r2 - r1) <= tol)
+            mismatches += (rotation_iso(t1, t2, tol).is_isomorphic != expected) + (same != expected)
     elapsed = time.perf_counter() - start
     return CheckResult(
         "iso-grid", mismatches == 0,
@@ -194,12 +201,10 @@ def check_canonical_reduction(tol: float = 1e-12) -> CheckResult:
 
 
 def check_associativity_census(margin: float = 0.1) -> CheckResult:
-    """Only A1 and A2 are associative; the defect is large off those classes."""
+    """Representatives have the predicates of ``CLASS_PREDICATES``; large defect off A1, A2."""
     census = associativity_census()
-    expected_true = {A1, A2}
-    census_ok = all(
-        flag == (label.variant in expected_true) for label, flag in census
-    )
+    census_ok = all((is_commutative(class_representative(label)), associative)
+                    == CLASS_PREDICATES[label.variant] for label, associative in census)
     half = associativity_residual(class_representative(FlowClassLabel(ACOS_PLUS, 0.5)))
     return CheckResult(
         "census", census_ok and half > margin,

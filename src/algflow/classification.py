@@ -59,6 +59,7 @@ __all__ = [
     "BekbaevForm",
     "PARAM_COUNTS",
     "VARIANTS",
+    "CLASS_PREDICATES",
     "EXCEPTIONAL_RESIDUES",
     "C_GRID",
     "class_codes",
@@ -111,7 +112,8 @@ class FlowClassLabel:
             raise ValueError(f"unknown class variant {self.variant!r}")
 
     def same_class(self, other: "FlowClassLabel", tol: float = CLASSIFY_TOL) -> bool:
-        """Equal variant, and parameters equal to within tol where present."""
+        """Equal variant, and parameters equal to within tol where present: tol
+        bounds |c1 - c2|, not a distance in t."""
         check_tol(tol)
         if self.variant != other.variant:
             return False
@@ -172,6 +174,8 @@ _EXCEPTIONAL = {
 }
 # The variant codes of ``class_codes`` index this tuple.
 VARIANTS = tuple(_EXCEPTIONAL) + _PARAMETRIZED_VARIANTS
+# (commutative, associative) of each class's representative: A2 both, A1 associative only.
+CLASS_PREDICATES = dict.fromkeys(VARIANTS, (False, False)) | {A1: (False, True), A2: (True, True)}
 EXCEPTIONAL_RESIDUES = tuple((residue, variant) for variant, (residue, *_) in _EXCEPTIONAL.items())
 # (residue, code) of the bands, lowest precedence first; t mod pi just below pi
 # lies in the A1 band of 0, wrapped round.
@@ -335,10 +339,9 @@ def to_bekbaev(label: FlowClassLabel) -> tuple[BekbaevForm, BasisChange]:
 
 
 def associativity_census() -> list[tuple[FlowClassLabel, bool]]:
-    """Associativity of every class representative; true exactly for A1 and A2."""
-    labels = [FlowClassLabel(A1), FlowClassLabel(A0_PLUS), FlowClassLabel(A2)]
-    labels += [FlowClassLabel(ACOS_PLUS, c) for c in C_GRID]
-    labels += [FlowClassLabel(ACOS_MINUS, c) for c in C_GRID]
+    """Associativity of every class representative, to check against ``CLASS_PREDICATES``."""
+    labels = [FlowClassLabel(variant) for variant in _EXCEPTIONAL]
+    labels += [FlowClassLabel(variant, c) for variant in _PARAMETRIZED_VARIANTS for c in C_GRID]
     return [(label, is_associative(class_representative(label), CLASSIFY_TOL))
             for label in labels]
 

@@ -27,14 +27,11 @@ from .algebra import (
     AlgebraFD,
     algebra_from_json_dict,
     algebra_to_json_dict,
-    associativity_residuals,
     check_tol,
-    commutativity_residuals,
-    is_associative,
-    is_commutative,
 )
 from .checks import CHECK_NAMES, run_checks
 from .classification import (
+    CLASS_PREDICATES,
     CLASSIFY_TOL,
     EXCEPTIONAL_RESIDUES,
     VARIANTS,
@@ -46,7 +43,7 @@ from .classification import (
     residue_times,
     to_bekbaev,
 )
-from .flow import check_time, flow_algebra, flow_tensors, time_blocks, verify_kce
+from .flow import check_time, time_blocks, verify_kce
 from .isomorphism import (
     IsoVerdict,
     SearchConfig,
@@ -65,22 +62,20 @@ EXIT_USAGE = 2
 MAX_PARTITION_POINTS = 10**7
 
 
-
 def _emit(data: dict) -> None:
     print(json.dumps(data, indent=2))
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     label = classify_time(args.t, args.tol)
-    representative = class_representative(label)
     form, certificate = to_bekbaev(label)
-    algebra = flow_algebra(args.t)
+    commutative, associative = CLASS_PREDICATES[label.variant]
     _emit({
         "t": args.t,
         "label": label_to_json_dict(label),
-        "commutative": is_commutative(algebra),
-        "associative": is_associative(algebra),
-        "representative": algebra_to_json_dict(representative),
+        "commutative": commutative,
+        "associative": associative,
+        "representative": algebra_to_json_dict(class_representative(label)),
         "canonical_form": form.to_json_dict(),
         "canonical_matrix": bekbaev_matrix(form).tolist(),
         "basis_change": certificate.matrix.tolist(),
@@ -154,25 +149,21 @@ def _partition_times(t_max: float, step: float) -> np.ndarray:
     return np.unique(np.concatenate(([0.0], grid[grid < t_max], [t_max], *exceptional)))
 
 
-_BOOL_TEXT = ("false", "true")
-
-
 def _partition_columns(times: np.ndarray, missing: str):
     """Text columns (t, class, param_c, commutative, associative) for each block of
-    ``times``, each made by one C-level loop; param_c is ``missing`` for a class
-    without one.  The predicates are tested on the structure tensors, so the
-    partition checks the classification rather than restating it."""
+    ``times``, each made by one C-level loop; param_c is ``missing`` for a class without
+    one.  The class bands are CLASSIFY_TOL wide in t mod pi on each side; the predicates
+    are the class's (``CLASS_PREDICATES``, tested on tensors by ``locus`` and ``census``)."""
+    commutative, associative = ([("false", "true")[CLASS_PREDICATES[variant][i]]
+                                 for variant in VARIANTS] for i in (0, 1))
     for block in time_blocks(times):
         codes, c = classify_times(block)
-        tensors = flow_tensors(block)
-        commutative = commutativity_residuals(tensors) <= DEFAULT_TOL
-        associative = associativity_residuals(tensors) <= DEFAULT_TOL
+        codes = codes.tolist()
         c_text = list(map(repr, c.tolist()))
         for i in np.flatnonzero(np.isnan(c)).tolist():
             c_text[i] = missing
-        yield (map(repr, block.tolist()), map(VARIANTS.__getitem__, codes.tolist()), c_text,
-               map(_BOOL_TEXT.__getitem__, commutative.tolist()),
-               map(_BOOL_TEXT.__getitem__, associative.tolist()))
+        yield (map(repr, block.tolist()), map(VARIANTS.__getitem__, codes), c_text,
+               map(commutative.__getitem__, codes), map(associative.__getitem__, codes))
 
 
 def _write_csv(fh, times: np.ndarray) -> None:

@@ -9,6 +9,7 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 import algflow.checks
 from algflow.algebra import change_of_basis, to_2x4
@@ -24,16 +25,20 @@ from algflow.checks import (
     check_product_associativity,
 )
 from algflow.classification import (
+    A0_PLUS,
     A1,
+    A2,
     ACOS_MINUS,
     ACOS_PLUS,
+    CLASS_PREDICATES,
     FlowClassLabel,
     bekbaev_matrix,
     class_representative,
     classify_time,
+    residue_times,
     to_bekbaev,
 )
-from algflow.flow import flow_algebra
+from algflow.flow import flow_algebra, flow_tensors
 from algflow.isomorphism import iso_search, rotation_iso
 
 
@@ -116,6 +121,57 @@ def test_iso_grid_fails_on_wrong_labels(monkeypatch):
     monkeypatch.setattr(algflow.checks, "classify_time", lambda t: FlowClassLabel(A1))
     result = check_iso_grid()
     assert result.line().startswith("FAIL  iso-grid") and not result.detail.startswith("0 ")
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 1e-2, 0.1, 0.3, 0.7])
+def test_locus_passes_at_every_distance_in_t(tol):
+    """tol is a distance to the locus; the residuals are held to what it converts to."""
+    report(check_commutative_locus(tol=tol))
+
+
+def test_locus_fails_on_a_perturbed_tensor(monkeypatch):
+    """One entry of the tensor at the first time on the locus, moved by 1e-3."""
+    on_locus = residue_times(3 * math.pi / 4, math.pi)[0]
+
+    def perturbed(d):
+        tensors = flow_tensors(d)
+        tensors[d == on_locus, 0, 1, 0] += 1e-3
+        return tensors
+
+    monkeypatch.setattr(algflow.checks, "flow_tensors", perturbed)
+    line = check_commutative_locus().line()
+    assert line.startswith("FAIL  locus          1 mismatches"), line
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-15, 1e-9, 1e-3, 0.1, 0.125])
+def test_iso_grid_passes_at_every_tol_it_resolves(tol):
+    report(check_iso_grid(tol=tol))
+
+
+@pytest.mark.parametrize("tol", [math.sin(2 * math.pi / 50), 0.2, 1e300])
+def test_iso_grid_refuses_a_tol_its_grid_cannot_resolve(monkeypatch, tol):
+    """From sin(2*pi/50), neighbouring grid points would count as isomorphic."""
+    calls = []
+    monkeypatch.setattr(algflow.checks, "rotation_iso", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"not below sin\(2 pi / 50\) = 0\.1253"):
+        check_iso_grid(tol)
+    assert calls == []
+
+
+def test_iso_grid_fails_on_wrong_residues(monkeypatch):
+    """Labels of one continuous variant are compared by residue in t: residues
+    that put every time at one place make non-isomorphic pairs agree."""
+    monkeypatch.setattr(algflow.checks, "reduce_mod_pi", lambda t: (0.0, 1.0))
+    result = check_iso_grid()
+    assert result.line().startswith("FAIL  iso-grid") and not result.detail.startswith("0 ")
+
+
+@pytest.mark.parametrize("variant, entry", [(A2, (False, True)), (A0_PLUS, (False, True))])
+def test_census_fails_on_a_wrong_table_entry(monkeypatch, variant, entry):
+    """The census holds both predicates of every representative to the table."""
+    monkeypatch.setitem(CLASS_PREDICATES, variant, entry)
+    line = check_associativity_census().line()
+    assert line.startswith("FAIL  census         census over 21 classes DIVERGES"), line
 
 
 def test_canonical_fails_when_a_grid_reduction_raises(monkeypatch):

@@ -26,6 +26,8 @@ from algflow.algebra import (
 from algflow.classification import (
     A1,
     A0_PLUS,
+    A2,
+    CLASS_PREDICATES,
     VARIANTS,
     FlowClassLabel,
     class_representative,
@@ -85,6 +87,35 @@ class TestClassify:
         assert code == 0
         assert err == ""
         assert json.loads(out)["t"] == float(t)
+
+    # 3*pi/4 + 9e-10 and 1e-9: inside the A2 and A1 bands, where the tensor
+    # residuals (sqrt(2) |sin delta| and |sin delta| (1 + delta)) exceed 1e-9.
+    @pytest.mark.parametrize("t, variant", [("2.356194491092345", A2), ("1e-9", A1)])
+    def test_band_edge_predicates_are_those_of_the_class(self, capsys, t, variant):
+        code, out, _ = run(capsys, "classify", "--t", t)
+        assert code == 0
+        report = json.loads(out)
+        assert report["label"] == {"class": variant}
+        assert (report["commutative"], report["associative"]) == (variant == A2, True)
+
+    @given(t=st.one_of(st.floats(0.0, 2.0**22),
+                       st.builds(lambda k, residue, offset: abs(k * math.pi + residue + offset),
+                                 st.integers(0, 1000),
+                                 st.sampled_from([0.0, math.pi / 2, 3 * math.pi / 4]),
+                                 st.floats(-3e-6, 3e-6))),
+           tol=st.one_of(st.floats(0.0, 3e-6), st.floats(0.0, 1.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_predicates_are_those_of_the_class(self, t, tol):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["classify", "--t", repr(t), "--tol", repr(tol)])
+        if code == 2:
+            assert "too large for tolerance" in err.getvalue()
+            return
+        assert code == 0
+        report = json.loads(out.getvalue())
+        assert (report["commutative"], report["associative"]) == \
+            CLASS_PREDICATES[report["label"]["class"]]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
@@ -386,6 +417,25 @@ class TestPartition:
         assert by_time[times[i - 1]] == "ACosPlus"
         assert by_time[times[i + 1]] == "ACosMinus"
 
+    def test_band_edge_rows_agree_with_their_class(self, capsys, tmp_path, monkeypatch):
+        # Within 3e-9 of 3*pi/4 and of 0 the tensor residuals cross 1e-9 at other
+        # distances than the class bands do; the predicates must follow the class.
+        rng = np.random.default_rng(20261018)
+        times = np.concatenate((3 * math.pi / 4 + rng.uniform(-3e-9, 3e-9, 10_000),
+                                rng.uniform(0.0, 3e-9, 10_000)))
+        monkeypatch.setattr(algflow.cli, "_partition_times", lambda t_max, step: times)
+        out_path = tmp_path / "part.csv"
+        code, _, _ = run(capsys, "partition", "--t-max", "1", "--step", "1",
+                         "--out", str(out_path))
+        assert code == 0
+        rows = list(csv.reader(out_path.read_text().splitlines()[1:]))
+        assert len(rows) == 20_000
+        assert {row[1] for row in rows} == {"A1", "A2", "ACosPlus", "ACosMinus"}
+        contradicting = [row for row in rows
+                         if row[3:] != [json.dumps(row[1] == "A2"),
+                                        json.dumps(row[1] in ("A1", "A2"))]]
+        assert contradicting == []
+
     def test_byte_identical_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -580,6 +630,23 @@ class TestVerifyTheorems:
         assert code == 0
         masked = [re.sub(r"\d+\.\d\ds\)", "#s)", line) for line in out.splitlines()]
         assert masked == self.DETAIL_LINES
+
+    # The reproducers of two checks that held a distance in t against a residual
+    # or a difference of c.
+    @pytest.mark.parametrize("override", ["locus=1e-3", "iso-grid=0.1"])
+    def test_overrides_in_t_pass(self, capsys, override):
+        name = override.partition("=")[0]
+        code, out, _ = run(capsys, "verify-theorems", "--only", name, "--tol", override)
+        assert code == 0
+        assert out.splitlines()[0].startswith(f"PASS  {name:<14} 0 mismatches")
+
+    def test_unresolvable_iso_grid_tolerance_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify-theorems", "--only", "iso-grid",
+                             "--tol", "iso-grid=1e300")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: iso-grid tol 1e+300 is not below sin(2 pi / 50) = 0.1253, "
+                       "the least gap between its grid points\n")
 
     def test_bad_tolerance_argument(self, capsys):
         code, _, err = run(capsys, "verify-theorems", "--tol", "kce")
