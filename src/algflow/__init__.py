@@ -28,7 +28,6 @@ from .algebra import (
 from .classification import (
     BekbaevForm,
     FlowClassLabel,
-    associativity_census,
     bekbaev_matrix,
     class_representative,
     classify_time,
@@ -39,13 +38,9 @@ from .classification import (
 from .cubic import (
     BinaryOpTable,
     CubicTensor,
-    add,
-    basis_unit,
     from_middle_slices,
     mul_general,
     mul_type_c,
-    scale,
-    slice_j,
     tensor_from_json_dict,
 )
 from .flow import (

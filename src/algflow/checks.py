@@ -19,6 +19,7 @@ from .algebra import (
     associativity_residual,
     change_of_basis,
     commutativity_residuals,
+    is_associative,
     is_commutative,
     iso_residuals,
     random_invertible,
@@ -31,11 +32,11 @@ from .classification import (
     ACOS_PLUS,
     C_GRID,
     CLASS_PREDICATES,
+    EXCEPTIONAL_RESIDUES,
     FlowClassLabel,
     bekbaev_matrix,
     class_representative,
     classify_time,
-    associativity_census,
     residue_times,
     to_bekbaev,
 )
@@ -59,6 +60,9 @@ _LOCUS_ROUNDING = 8 * math.ulp(_LOCUS_SPAN)  # rounding of t mod pi over the loc
 _ISO_GRID_N = 50
 # Pairs with tol < |sin(t2 - t1)| < _ISO_EXCLUSION straddle the locus boundary.
 _ISO_EXCLUSION = 1e-6
+# Rounding of a certificate residual and of t mod pi over the grid: below it, a
+# tol cannot tell t + pi from t.
+_ISO_ROUNDING = 8 * math.ulp(2 * math.pi)
 _CANONICAL_TIMES, _MINUS_RESIDUAL_TOL = 50, 1e-10
 _ORACLE_TRIALS, _PRODUCT_TRIALS = 500, 1000
 
@@ -125,7 +129,8 @@ def check_plus_minus_mirror(tol: float = 1e-12) -> CheckResult:
 
 def check_iso_grid(tol: float = 1e-9) -> CheckResult:
     """Isomorphism holds iff sin(t2-t1)=0, and labels agree.  tol bounds |sin(t2 - t1)| and,
-    in one continuous variant, the labels' distance in t mod pi; from sin(2*pi/N) it is refused."""
+    in one continuous variant, the labels' distance in t mod pi; from sin(2*pi/N) it is refused.
+    Below the rounding scale, distinct times within tol of the locus are not judged."""
     if tol >= (limit := math.sin(2 * math.pi / _ISO_GRID_N)):
         raise ValueError(f"iso-grid tol {tol:g} is not below sin(2 pi / {_ISO_GRID_N}) = "
                          f"{limit:.4g}, the least gap between its grid points")
@@ -136,8 +141,8 @@ def check_iso_grid(tol: float = 1e-9) -> CheckResult:
     for t1, label1, r1 in points:
         for t2, label2, r2 in points:
             gap = abs(math.sin(t2 - t1))
-            if tol < gap < _ISO_EXCLUSION:
-                continue  # ambiguous band around the locus boundary
+            if tol < gap < _ISO_EXCLUSION or 0.0 < gap <= tol < _ISO_ROUNDING:
+                continue  # ambiguous band around the locus boundary, or below rounding
             checked += 1
             expected = gap <= tol
             same = label1.variant == label2.variant and (label1.c is None or abs(r2 - r1) <= tol)
@@ -182,9 +187,12 @@ def check_canonical_reduction(tol: float = 1e-12) -> CheckResult:
         moved = change_of_basis(class_representative(label), cert)
         exact_ok &= bool(np.array_equal(to_2x4(moved), bekbaev_matrix(form)))
 
-    # Certified reductions across a time grid covering all five classes.
+    # Certified reductions across a time grid covering all five classes: the
+    # exceptional ones at their own times, which a uniform grid mostly misses.
+    grid = np.concatenate((np.linspace(0.0, 2 * math.pi, _CANONICAL_TIMES), *(
+        residue_times(residue, 2 * math.pi) for residue, _ in EXCEPTIONAL_RESIDUES)))
     grid_ok = True
-    for t in np.linspace(0.0, 2 * math.pi, _CANONICAL_TIMES):
+    for t in grid:
         try:
             to_bekbaev(classify_time(float(t)))
         except AssertionError:
@@ -201,10 +209,12 @@ def check_canonical_reduction(tol: float = 1e-12) -> CheckResult:
 
 
 def check_associativity_census(margin: float = 0.1) -> CheckResult:
-    """Representatives have the predicates of ``CLASS_PREDICATES``; large defect off A1, A2."""
-    census = associativity_census()
-    census_ok = all((is_commutative(class_representative(label)), associative)
-                    == CLASS_PREDICATES[label.variant] for label, associative in census)
+    """Representatives of the exceptional classes, and of the continuous ones at
+    ``C_GRID``, have the predicates of ``CLASS_PREDICATES``; large defect off A1, A2."""
+    census = [FlowClassLabel(variant) for _, variant in EXCEPTIONAL_RESIDUES]
+    census += [FlowClassLabel(variant, c) for variant in (ACOS_PLUS, ACOS_MINUS) for c in C_GRID]
+    census_ok = all((is_commutative(rep := class_representative(label)), is_associative(rep))
+                    == CLASS_PREDICATES[label.variant] for label in census)
     half = associativity_residual(class_representative(FlowClassLabel(ACOS_PLUS, 0.5)))
     return CheckResult(
         "census", census_ok and half > margin,

@@ -43,7 +43,6 @@ from .algebra import (
     BasisChange,
     check_tol,
     determinant,
-    is_associative,
     iso_residuals,
 )
 from .cubic import CubicTensor
@@ -69,7 +68,6 @@ __all__ = [
     "class_representative",
     "bekbaev_matrix",
     "to_bekbaev",
-    "associativity_census",
     "label_to_json_dict",
 ]
 
@@ -127,11 +125,30 @@ class FlowClassLabel:
         return f"{self.variant}({self.c:.12g})"
 
 
-# Parameter vector length per canonical family 1..15.
-PARAM_COUNTS = {
-    1: 4, 2: 3, 3: 3, 4: 2, 5: 2, 6: 1, 7: 2, 8: 2, 9: 1, 10: 1,
-    11: 0, 12: 0, 13: 0, 14: 0, 15: 0,
+# Rows of the fifteen canonical 2 x 4 matrices.  An entry is a constant or
+# c + k*p_i, written "p1", "-p0", "1-p0", "p1+1", "2p0-1".
+_FAMILY_ROWS = {
+    1: ("p0 p1 p1+1 p2", "p3 -p0 1-p0 -p1"),
+    2: ("p0 0 0 1", "p1 p2 1-p0 0"),
+    3: ("p0 0 0 -1", "p1 p2 1-p0 0"),
+    4: ("0 1 1 0", "p0 p1 1 -1"),
+    5: ("p0 0 0 0", "0 p1 1-p0 0"),
+    6: ("p0 0 0 0", "1 2p0-1 1-p0 0"),
+    7: ("p0 0 0 1", "p1 1-p0 -p0 0"),
+    8: ("p0 0 0 -1", "p1 1-p0 -p0 0"),
+    9: ("0 1 1 0", "p0 1 0 -1"),
+    10: ("p0 0 0 0", "0 1-p0 -p0 0"),
+    11: ("1/3 0 0 0", "1 2/3 -1/3 0"),
+    12: ("0 1 1 0", "1 0 0 -1"),
+    13: ("0 1 1 0", "-1 0 0 -1"),
+    14: ("0 1 1 0", "0 0 0 -1"),
+    15: ("0 0 0 0", "1 0 0 0"),
 }
+
+# Parameter vector length per canonical family 1..15: one more than its largest p index.
+PARAM_COUNTS = {family: 1 + max(map(int, re.findall(r"p(\d)", " ".join(rows))), default=-1)
+                for family, rows in _FAMILY_ROWS.items()}
+
 
 # Families whose first second-row parameter is constrained nonnegative.
 _NONNEG_BETA1 = frozenset({2, 3, 7, 8})
@@ -180,27 +197,6 @@ EXCEPTIONAL_RESIDUES = tuple((residue, variant) for variant, (residue, *_) in _E
 # (residue, code) of the bands, lowest precedence first; t mod pi just below pi
 # lies in the A1 band of 0, wrapped round.
 _BANDS = tuple((r, VARIANTS.index(v)) for r, v in reversed(((math.pi, A1),) + EXCEPTIONAL_RESIDUES))
-
-
-# Rows of the fifteen canonical 2 x 4 matrices.  An entry is a constant or
-# c + k*p_i, written "p1", "-p0", "1-p0", "p1+1", "2p0-1".
-_FAMILY_ROWS = {
-    1: ("p0 p1 p1+1 p2", "p3 -p0 1-p0 -p1"),
-    2: ("p0 0 0 1", "p1 p2 1-p0 0"),
-    3: ("p0 0 0 -1", "p1 p2 1-p0 0"),
-    4: ("0 1 1 0", "p0 p1 1 -1"),
-    5: ("p0 0 0 0", "0 p1 1-p0 0"),
-    6: ("p0 0 0 0", "1 2p0-1 1-p0 0"),
-    7: ("p0 0 0 1", "p1 1-p0 -p0 0"),
-    8: ("p0 0 0 -1", "p1 1-p0 -p0 0"),
-    9: ("0 1 1 0", "p0 1 0 -1"),
-    10: ("p0 0 0 0", "0 1-p0 -p0 0"),
-    11: ("1/3 0 0 0", "1 2/3 -1/3 0"),
-    12: ("0 1 1 0", "1 0 0 -1"),
-    13: ("0 1 1 0", "-1 0 0 -1"),
-    14: ("0 1 1 0", "0 0 0 -1"),
-    15: ("0 0 0 0", "1 0 0 0"),
-}
 
 
 def _parse_entry(text: str) -> tuple[float, float, int]:
@@ -336,14 +332,6 @@ def to_bekbaev(label: FlowClassLabel) -> tuple[BekbaevForm, BasisChange]:
                 f"canonical reduction residual {residual:.3e} exceeds {bound:.1e} for {label}"
             )
     return form, certificate
-
-
-def associativity_census() -> list[tuple[FlowClassLabel, bool]]:
-    """Associativity of every class representative, to check against ``CLASS_PREDICATES``."""
-    labels = [FlowClassLabel(variant) for variant in _EXCEPTIONAL]
-    labels += [FlowClassLabel(variant, c) for variant in _PARAMETRIZED_VARIANTS for c in C_GRID]
-    return [(label, is_associative(class_representative(label), CLASSIFY_TOL))
-            for label in labels]
 
 
 def label_to_json_dict(label: FlowClassLabel) -> dict:

@@ -13,30 +13,26 @@ position (i,j,k)).  Two multiplications are provided:
   extended bilinearly, where a is an arbitrary associative binary operation
   on the index set {1..m}.
 
-Public signatures use 1-based indices, matching the usual structure-constant
-notation; the backing numpy arrays are 0-based.  All values are immutable
-after construction and every operation is a pure function, so everything in
-this module is safe to call concurrently.
+The formulas are 1-based, as in the usual structure-constant notation; the
+numpy arrays behind every value are 0-based, so E_{ijk} is a 1 at
+values[i-1, j-1, k-1] and a table holds a(j, n) - 1 at values[j-1, n-1].
+All values are immutable after construction and every operation is a pure
+function, so everything in this module is safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "CubicTensor",
     "BinaryOpTable",
-    "basis_unit",
-    "add",
-    "scale",
     "type_c_products",
     "mul_type_c",
     "mul_general",
-    "slice_j",
     "from_middle_slices",
     "tensor_from_json_dict",
     "floats_from_json",
@@ -75,11 +71,7 @@ class CubicTensor:
 
 @dataclass(frozen=True, eq=False)
 class BinaryOpTable:
-    """A total binary operation a(j,n) on the index set {1..m}.
-
-    ``values`` stores the table 0-based; ``from_function`` and ``__call__``
-    speak the 1-based convention of the rest of the API.
-    """
+    """A total binary operation a(j,n) on the index set {1..m}, stored 0-based."""
 
     values: np.ndarray
 
@@ -95,23 +87,9 @@ class BinaryOpTable:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
-    @classmethod
-    def from_function(cls, m: int, fn: Callable[[int, int], int]) -> "BinaryOpTable":
-        """Tabulate a 1-based operation (j, n) -> fn(j, n) over {1..m}^2."""
-        return cls([[fn(j, n) - 1 for n in range(1, m + 1)] for j in range(1, m + 1)])
-
-    @classmethod
-    def left_projection(cls, m: int) -> "BinaryOpTable":
-        """The associative operation a(j, n) = j."""
-        return cls.from_function(m, lambda j, n: j)
-
     @property
     def dim(self) -> int:
         return self.values.shape[0]
-
-    def __call__(self, j: int, n: int) -> int:
-        _check_index(self.dim, j=j, n=n)
-        return int(self.values[j - 1, n - 1]) + 1
 
     def is_associative(self) -> bool:
         """a(a(j,n),r) = a(j,a(n,r)) over all index triples, as two m^3 tables."""
@@ -123,41 +101,16 @@ class BinaryOpTable:
             raise ValueError("binary operation table is not associative")
 
 
-def _check_index(m: int, **named: int) -> None:
-    for name, value in named.items():
-        if not 1 <= value <= m:
-            raise ValueError(f"index {name}={value} out of range 1..{m}")
-
-
-def basis_unit(m: int, i: int, j: int, k: int) -> CubicTensor:
-    """The unit cubic matrix E_{ijk}: a single 1 at (i,j,k), 1-based."""
-    _check_index(m, i=i, j=j, k=k)
-    values = np.zeros((m, m, m))
-    values[i - 1, j - 1, k - 1] = 1.0
-    return CubicTensor(values)
-
-
 def _check_same_dim(a: CubicTensor, b: CubicTensor) -> None:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-
-
-def add(a: CubicTensor, b: CubicTensor) -> CubicTensor:
-    """Entrywise sum."""
-    _check_same_dim(a, b)
-    return CubicTensor(a.values + b.values)
-
-
-def scale(lam: float, a: CubicTensor) -> CubicTensor:
-    """Entrywise scaling by a real number."""
-    return CubicTensor(lam * a.values)
 
 
 def type_c_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Type-C products of two stacks of cubic matrices of shape (..., m, m, m).
 
     One stacked matrix product over the slices of fixed middle index j, so
-    each slice of the result equals slice_j(a) @ slice_j(b) bit-exactly
+    each slice of the result equals a[..., :, j, :] @ b[..., :, j, :] bit-exactly
     (same summation path).
     """
     if a.shape != b.shape or a.ndim < 3 or len(set(a.shape[-3:])) != 1:
@@ -186,12 +139,6 @@ def mul_general(a: CubicTensor, b: CubicTensor, op: BinaryOpTable) -> CubicTenso
             p = op.values[j, n]
             out[:, p, :] += av[:, j, :] @ bv[:, n, :]
     return CubicTensor(out)
-
-
-def slice_j(a: CubicTensor, j: int) -> np.ndarray:
-    """The m x m matrix S with S[i][k] = a_{ijk} for fixed middle index j (1-based)."""
-    _check_index(a.dim, j=j)
-    return np.array(a.values[:, j - 1, :])
 
 
 def from_middle_slices(slices: list[np.ndarray] | tuple[np.ndarray, ...]) -> CubicTensor:

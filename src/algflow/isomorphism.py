@@ -288,10 +288,8 @@ def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> I
 
 # --- exact decision for the rotation flow ------------------------------------
 
-# The certificates rotation_iso hands out, keyed by (sin t1 = 0, (-1)^k), built once.
-_CERTIFICATES = {(sin_zero, sign): BasisChange(
-    np.array([[1.0, sign - 1.0], [0.0, sign]]) if sin_zero else sign * np.eye(2))
-    for sin_zero in (False, True) for sign in (1.0, -1.0)}
+# The certificate rotation_iso hands out, (-1)^k I, indexed by the parity of k.
+_CERTIFICATES = (BasisChange(np.eye(2)), BasisChange(-np.eye(2)))
 
 # What a NotIsomorphicExact verdict names first: an exceptional class (``class_codes``)
 # that holds at one time only, since an isomorphism needs its condition at both or neither.
@@ -306,14 +304,12 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
     """Decide isomorphism of the rotation-flow algebras A^[t1] and A^[t2].
 
     The complete case analysis reduces to one condition: the algebras are
-    isomorphic iff sin(t2 - t1) = 0, i.e. t2 = t1 + pi*k.  Certificates:
-
-    * sin t1 = 0 (t1 in the A1 band of ``class_codes``): a representative of
-      the solution family x1 = gamma, x2 = u - gamma, y1 = mu, y2 = u - mu
-      (gamma != mu), taken at gamma = 1, mu = 0, where u = cos t2 / cos t1,
-      but where its residual, up to some 14 |sin t1|, exceeds tol, the one below;
-    * otherwise x1 = y2 = cos t2 / cos t1, x2 = y1 = 0, which covers the
-      generic case, the cos t = 0 times and the commutative times alike.
+    isomorphic iff sin(t2 - t1) = 0, i.e. t2 = t1 + pi*k.  The certificate is
+    (-1)^k I, that is x1 = y2 = cos t2 / cos t1, x2 = y1 = 0, for the generic
+    case, the cos t = 0 times and the commutative times alike.  Where sin t1 = 0
+    the isomorphisms form the family x1 = gamma, x2 = u - gamma, y1 = mu,
+    y2 = u - mu (gamma != mu, u = cos t2 / cos t1), and (-1)^k I is its member
+    gamma = u, mu = 0.
 
     On the locus cos t2 / cos t1 equals (-1)^k exactly, and that value is
     used, keeping the certificate residual at rounding level even when the
@@ -321,7 +317,7 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
 
     k and sin(r2 - r1) come from ``reduce_mod_pi``; times too large for
     ``tol`` are refused.  Times within ``tol`` of the locus count as on it if
-    a certificate meets ``tol``, else not: distinct floats never differ by an
+    the certificate meets ``tol``, else not: distinct floats never differ by an
     exact multiple of pi, and equal times get the identity, residual 0.
     """
     check_tol(tol)
@@ -329,24 +325,21 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
     check_time(t2, tol)
     k1, r1 = reduce_mod_pi(t1)
     k2, r2 = reduce_mod_pi(t2)
-    variant1 = VARIANTS[class_codes(r1, tol)]
 
     d = r2 - r1
     residual = None
     if abs(math.sin(d)) <= tol:
         # r2 - r1 is near 0, or near +-pi where one residue wrapped round.
-        k = k2 - k1 + round(d / math.pi)
+        parity = int(k2 - k1 + round(d / math.pi)) % 2
+        certificate = _CERTIFICATES[parity]
         tensors = flow_tensors(np.array([t1, t2]))
-        for sin_zero in (variant1 == A1, False):
-            certificate = _CERTIFICATES[sin_zero, -1.0 if k % 2 else 1.0]
-            residual = float(iso_residuals(tensors[:1], tensors[1:],
-                                           certificate.matrix[np.newaxis])[0])
-            if residual <= tol:
-                log.debug("rotation_iso case sin t1 %s 0, k %s, certificate %s",
-                          "=" if sin_zero else "!=", "odd" if k % 2 else "even",
-                          certificate.matrix)
-                return IsoVerdict.isomorphic(certificate, residual)
-    variant2 = VARIANTS[class_codes(r2, tol)]
+        residual = float(iso_residuals(tensors[:1], tensors[1:],
+                                       certificate.matrix[np.newaxis])[0])
+        if residual <= tol:
+            log.debug("rotation_iso k %s, certificate %s", ("even", "odd")[parity],
+                      certificate.matrix)
+            return IsoVerdict.isomorphic(certificate, residual)
+    variant1, variant2 = (VARIANTS[class_codes(r, tol)] for r in (r1, r2))
     reason = next((condition for variant, condition in _ONE_TIME_ONLY.items()
                    if (variant1 == variant) != (variant2 == variant)), None)
     if reason is None and residual is not None:

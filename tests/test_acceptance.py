@@ -143,9 +143,19 @@ def test_locus_fails_on_a_perturbed_tensor(monkeypatch):
     assert line.startswith("FAIL  locus          1 mismatches"), line
 
 
-@pytest.mark.parametrize("tol", [0.0, 1e-15, 1e-9, 1e-3, 0.1, 0.125])
+@pytest.mark.parametrize("tol", [0.0, 1e-15, 1e-9, 1e-3, 0.1, 0.125, 2.247e-16])
 def test_iso_grid_passes_at_every_tol_it_resolves(tol):
     report(check_iso_grid(tol=tol))
+
+
+def test_iso_grid_decides_at_rounding_scale_tols(monkeypatch):
+    """Below the certificate's rounding scale, t and t + pi are not judged, so working
+    code passes; the pairs still judged make flipped verdicts fail at every such tol."""
+    tols = 10.0 ** np.random.default_rng(14).uniform(-17.0, -13.0, size=40)
+    assert all(check_iso_grid(float(tol)).passed for tol in tols)
+    monkeypatch.setattr(algflow.checks, "rotation_iso", lambda t1, t2, tol: SimpleNamespace(
+        is_isomorphic=not rotation_iso(t1, t2, tol).is_isomorphic))
+    assert not any(check_iso_grid(float(tol)).passed for tol in tols)
 
 
 @pytest.mark.parametrize("tol", [math.sin(2 * math.pi / 50), 0.2, 1e300])
@@ -181,6 +191,18 @@ def test_canonical_fails_when_a_grid_reduction_raises(monkeypatch):
         return to_bekbaev(label)
 
     monkeypatch.setattr(algflow.checks, "to_bekbaev", to_bekbaev_failing_plus)
+    line = check_canonical_reduction().line()
+    assert line.startswith("FAIL  canonical") and line.endswith("label grid FAILED"), line
+
+
+def test_canonical_fails_when_the_a2_reduction_raises(monkeypatch):
+    """Only the label grid reduces A2, so the grid must hold an A2 time."""
+    def to_bekbaev_failing_a2(label):
+        if label.variant == A2:
+            raise AssertionError("canonical reduction residual too large")
+        return to_bekbaev(label)
+
+    monkeypatch.setattr(algflow.checks, "to_bekbaev", to_bekbaev_failing_a2)
     line = check_canonical_reduction().line()
     assert line.startswith("FAIL  canonical") and line.endswith("label grid FAILED"), line
 

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import algflow.checks
 import algflow.classification
-from algflow.algebra import DEFAULT_TOL, change_of_basis, is_commutative, to_2x4
+from algflow.algebra import DEFAULT_TOL, change_of_basis, is_associative, is_commutative, to_2x4
+from algflow.checks import check_associativity_census
 from algflow.classification import (
     A1,
     A2,
@@ -21,7 +23,6 @@ from algflow.classification import (
     BekbaevForm,
     FlowClassLabel,
     PARAM_COUNTS,
-    associativity_census,
     bekbaev_matrix,
     class_representative,
     classify_time,
@@ -31,7 +32,7 @@ from algflow.classification import (
     residue_times,
     to_bekbaev,
 )
-from algflow.cubic import CubicTensor, slice_j
+from algflow.cubic import CubicTensor
 from algflow.flow import MAX_TIME, flow_algebra, paired_tensors
 from algflow.isomorphism import iso_residual, rotation_iso
 
@@ -203,11 +204,11 @@ class TestRepresentatives:
 
     def test_plus_branch_slice(self):
         rep = class_representative(FlowClassLabel(ACOS_PLUS, 0.6))
-        assert np.allclose(slice_j(rep.constants, 1), [[0.6, 0.8], [-0.8, 0.6]])
+        assert np.allclose(rep.constants.values[:, 0, :], [[0.6, 0.8], [-0.8, 0.6]])
 
     def test_minus_branch_slice(self):
         rep = class_representative(FlowClassLabel(ACOS_MINUS, 0.6))
-        assert np.allclose(slice_j(rep.constants, 1), [[0.6, -0.8], [0.8, 0.6]])
+        assert np.allclose(rep.constants.values[:, 0, :], [[0.6, -0.8], [0.8, 0.6]])
 
     def test_a2_entries(self):
         rep = class_representative(FlowClassLabel(A2))
@@ -216,7 +217,7 @@ class TestRepresentatives:
 
     def test_branch_tensor_layout(self):
         a = paired_tensors(0.3, -0.4, 0.4, 0.3)
-        assert np.array_equal(slice_j(CubicTensor(a), 1), [[0.3, -0.4], [0.4, 0.3]])
+        assert np.array_equal(CubicTensor(a).values[:, 0, :], [[0.3, -0.4], [0.4, 0.3]])
 
 
 class TestBekbaevMatrices:
@@ -368,12 +369,25 @@ class TestToBekbaev:
 
 
 class TestCensus:
-    def test_true_exactly_for_a1_and_a2(self):
-        for label, flag in associativity_census():
-            assert flag == (label.variant in (A1, A2))
+    @pytest.fixture
+    def census(self, monkeypatch):
+        """The labels whose representatives the census check builds, once each."""
+        seen = []
 
-    def test_covers_both_branches(self):
-        variants = [label.variant for label, _ in associativity_census()]
+        def recording(label):
+            seen.append(label)
+            return class_representative(label)
+
+        monkeypatch.setattr(algflow.checks, "class_representative", recording)
+        assert check_associativity_census().passed
+        return set(seen)
+
+    def test_true_exactly_for_a1_and_a2(self, census):
+        for label in census:
+            assert is_associative(class_representative(label)) == (label.variant in (A1, A2))
+
+    def test_covers_both_branches(self, census):
+        variants = [label.variant for label in census]
         assert variants.count(ACOS_PLUS) == 9
         assert variants.count(ACOS_MINUS) == 9
 

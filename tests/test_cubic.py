@@ -1,4 +1,4 @@
-"""Cubic-matrix arithmetic: vector-space ops and both products."""
+"""Cubic-matrix arithmetic: the tensor and table types and both products."""
 
 import math
 from itertools import product as iproduct
@@ -11,13 +11,9 @@ from hypothesis import strategies as st
 from algflow.cubic import (
     BinaryOpTable,
     CubicTensor,
-    add,
-    basis_unit,
     from_middle_slices,
     mul_general,
     mul_type_c,
-    scale,
-    slice_j,
     tensor_from_json_dict,
     type_c_products,
 )
@@ -40,54 +36,20 @@ def type_c_reference(a: CubicTensor, b: CubicTensor) -> np.ndarray:
     return out
 
 
+def unit(m: int, i: int, j: int, k: int) -> CubicTensor:
+    """The unit cubic matrix E_{ijk}, 1-based: a single 1 at values[i-1, j-1, k-1]."""
+    values = np.zeros((m, m, m))
+    values[i - 1, j - 1, k - 1] = 1.0
+    return CubicTensor(values)
+
+
 def associative_reference(t: np.ndarray) -> bool:
     """Brute-force a(a(j,n),r) = a(j,a(n,r)) over all index triples, 0-based."""
     m = len(t)
     return all(t[t[j, n], r] == t[j, t[n, r]] for j, n, r in iproduct(range(m), repeat=3))
 
 
-class TestBasisUnit:
-    def test_places_single_one(self):
-        e = basis_unit(2, 1, 1, 1)
-        assert e.values[0, 0, 0] == 1.0
-        assert np.sum(e.values) == 1.0
-
-    def test_other_position(self):
-        e = basis_unit(2, 2, 1, 2)
-        assert e.values[1, 0, 1] == 1.0
-        assert np.sum(np.abs(e.values)) == 1.0
-
-    @pytest.mark.parametrize("bad", [(0, 1, 1), (3, 1, 1), (1, 0, 1), (1, 1, 3)])
-    def test_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            basis_unit(2, *bad)
-
-    def test_basis_decomposition_reconstructs(self):
-        q = random_tensor(2)
-        total = CubicTensor(np.zeros((2, 2, 2)))
-        for i, j, k in iproduct(range(1, 3), repeat=3):
-            total = add(total, scale(q.values[i - 1, j - 1, k - 1], basis_unit(2, i, j, k)))
-        assert np.allclose(total.values, q.values)
-
-
 class TestVectorSpace:
-    def test_additive_inverse(self):
-        a = random_tensor(3)
-        assert not add(a, scale(-1.0, a)).values.any()
-
-    def test_scale_identity(self):
-        a = random_tensor(2)
-        assert scale(1.0, a) == a
-
-    def test_basis_sum(self):
-        s = add(basis_unit(2, 1, 1, 1), basis_unit(2, 2, 2, 2))
-        assert s.values[0, 0, 0] == 1.0 and s.values[1, 1, 1] == 1.0
-        assert np.sum(s.values) == 2.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            add(random_tensor(2), random_tensor(3))
-
     def test_rejects_nonfinite(self):
         bad = np.zeros((2, 2, 2))
         bad[0, 0, 0] = np.inf
@@ -106,20 +68,20 @@ class TestVectorSpace:
 
 class TestTypeCProduct:
     def test_unit_squares(self):
-        e111 = basis_unit(2, 1, 1, 1)
+        e111 = unit(2, 1, 1, 1)
         assert mul_type_c(e111, e111) == e111
 
     def test_unit_deltas(self):
         # k of the left factor must meet i of the right, middle indices must agree
-        assert mul_type_c(basis_unit(2, 1, 1, 2), basis_unit(2, 2, 1, 1)) == basis_unit(2, 1, 1, 1)
-        assert not mul_type_c(basis_unit(2, 1, 1, 2), basis_unit(2, 1, 2, 1)).values.any()
+        assert mul_type_c(unit(2, 1, 1, 2), unit(2, 2, 1, 1)) == unit(2, 1, 1, 1)
+        assert not mul_type_c(unit(2, 1, 1, 2), unit(2, 1, 2, 1)).values.any()
 
     def test_all_basis_pairs_match_delta_rule(self):
         m = 2
         for i, j, k, l, n, r in iproduct(range(1, m + 1), repeat=6):
-            got = mul_type_c(basis_unit(m, i, j, k), basis_unit(m, l, n, r))
+            got = mul_type_c(unit(m, i, j, k), unit(m, l, n, r))
             if k == l and j == n:
-                assert got == basis_unit(m, i, j, r)
+                assert got == unit(m, i, j, r)
             else:
                 assert not got.values.any()
 
@@ -152,15 +114,16 @@ class TestTypeCProduct:
     @settings(max_examples=50, deadline=None)
     def test_bilinear_in_left_argument(self, lam):
         a, b, c = (random_tensor(2) for _ in range(3))
-        combined = mul_type_c(add(scale(lam, a), b), c)
-        split = add(scale(lam, mul_type_c(a, c)), mul_type_c(b, c))
-        assert np.max(np.abs(combined.values - split.values)) < 1e-12
+        combined = mul_type_c(CubicTensor(lam * a.values + b.values), c)
+        split = lam * mul_type_c(a, c).values + mul_type_c(b, c).values
+        assert np.max(np.abs(combined.values - split)) < 1e-12
 
     def test_slice_product_commutation_bit_exact(self):
         a, b = random_tensor(3), random_tensor(3)
         prod = mul_type_c(a, b)
         for j in range(1, 4):
-            assert np.array_equal(slice_j(prod, j), slice_j(a, j) @ slice_j(b, j))
+            assert np.array_equal(prod.values[:, j - 1, :],
+                                  a.values[:, j - 1, :] @ b.values[:, j - 1, :])
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
@@ -189,19 +152,12 @@ class TestSliceJ:
         d = 0.9
         t = flow_algebra(d).constants
         rot = np.array([[math.cos(d), math.sin(d)], [-math.sin(d), math.cos(d)]])
-        assert np.array_equal(slice_j(t, 1), rot)
-        assert np.array_equal(slice_j(t, 2), rot.T)
-
-    def test_unit_slice(self):
-        assert np.array_equal(slice_j(basis_unit(2, 2, 1, 2), 1), [[0.0, 0.0], [0.0, 1.0]])
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            slice_j(random_tensor(2), 3)
+        assert np.array_equal(t.values[:, 0, :], rot)
+        assert np.array_equal(t.values[:, 1, :], rot.T)
 
     def test_from_middle_slices_roundtrip(self):
         a = random_tensor(3)
-        rebuilt = from_middle_slices([slice_j(a, j) for j in (1, 2, 3)])
+        rebuilt = from_middle_slices([a.values[:, j - 1, :] for j in (1, 2, 3)])
         assert rebuilt == a
 
 
@@ -212,8 +168,8 @@ class TestSliceJ:
 
 class TestBinaryOpTable:
     def test_left_projection_values(self):
-        op = BinaryOpTable.left_projection(3)
-        assert op(2, 3) == 2 and op(1, 1) == 1
+        op = BinaryOpTable([[0, 0, 0], [1, 1, 1], [2, 2, 2]])  # a(j, n) = j
+        assert op.values[1, 2] == 1 and op.values[0, 0] == 0
         assert op.is_associative()
 
     def test_out_of_range_values_rejected(self):
@@ -228,14 +184,9 @@ class TestBinaryOpTable:
         with pytest.raises(ValueError, match=message):
             BinaryOpTable(table)
 
-    def test_from_function_tabulates(self):
-        op = BinaryOpTable.from_function(2, max)
-        assert op(1, 2) == 2 and op(2, 1) == 2
-        assert op.is_associative()
-
     def test_non_associative_detected(self):
         # a(j, n) = j - n + 1 clipped into range is not associative for m = 3
-        op = BinaryOpTable.from_function(3, lambda j, n: min(max(j - n + 1, 1), 3))
+        op = BinaryOpTable([[0, 0, 0], [1, 0, 0], [2, 1, 0]])
         assert not op.is_associative()
         with pytest.raises(ValueError):
             op.check_associative()
@@ -254,27 +205,27 @@ class TestBinaryOpTable:
 
 class TestGeneralProduct:
     def test_left_projection_units(self):
-        op = BinaryOpTable.left_projection(2)
-        got = mul_general(basis_unit(2, 1, 1, 2), basis_unit(2, 2, 2, 1), op)
-        assert got == basis_unit(2, 1, 1, 1)
-        e111 = basis_unit(2, 1, 1, 1)
+        op = BinaryOpTable([[0, 0], [1, 1]])  # a(j, n) = j
+        got = mul_general(unit(2, 1, 1, 2), unit(2, 2, 2, 1), op)
+        assert got == unit(2, 1, 1, 1)
+        e111 = unit(2, 1, 1, 1)
         assert mul_general(e111, e111, op) == e111
 
     def test_all_basis_pairs_match_delta_rule(self):
         m = 2
-        op = BinaryOpTable.left_projection(m)
+        op = BinaryOpTable([[0, 0], [1, 1]])  # a(j, n) = j
         for i, j, k, l, n, r in iproduct(range(1, m + 1), repeat=6):
-            got = mul_general(basis_unit(m, i, j, k), basis_unit(m, l, n, r), op)
+            got = mul_general(unit(m, i, j, k), unit(m, l, n, r), op)
             if k == l:
-                assert got == basis_unit(m, i, op(j, n), r)
+                assert got == unit(m, i, op.values[j - 1, n - 1] + 1, r)
             else:
                 assert not got.values.any()
 
     def test_associative_on_all_basis_triples(self):
         m = 2
-        op = BinaryOpTable.left_projection(m)
+        op = BinaryOpTable([[0, 0], [1, 1]])  # a(j, n) = j
         op.check_associative()
-        units = [basis_unit(m, i, j, k) for i, j, k in iproduct(range(1, m + 1), repeat=3)]
+        units = [unit(m, i, j, k) for i, j, k in iproduct(range(1, m + 1), repeat=3)]
         for a in units:
             for b in units:
                 ab = mul_general(a, b, op)
@@ -295,7 +246,7 @@ class TestGeneralProduct:
 
     def test_dim_mismatch_with_op(self):
         with pytest.raises(ValueError):
-            mul_general(random_tensor(2), random_tensor(2), BinaryOpTable.left_projection(3))
+            mul_general(random_tensor(2), random_tensor(2), BinaryOpTable([[0, 0, 0], [1, 1, 1], [2, 2, 2]]))
 
 
 class TestJson:
@@ -305,7 +256,7 @@ class TestJson:
 
     def test_layout(self):
         data = {"dim": 2, "c": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}
-        assert tensor_from_json_dict(data) == basis_unit(2, 1, 2, 1)  # 0-based i -> j -> k
+        assert tensor_from_json_dict(data) == unit(2, 1, 2, 1)  # 0-based i -> j -> k
 
     def test_bad_dim(self):
         with pytest.raises(ValueError):

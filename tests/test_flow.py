@@ -18,7 +18,7 @@ from algflow.classification import (
     FlowClassLabel,
     class_representative,
 )
-from algflow.cubic import CubicTensor, slice_j
+from algflow.cubic import CubicTensor
 from algflow.flow import (
     MAX_TIME,
     check_time,
@@ -61,7 +61,7 @@ class TestFlowTensor:
 
     def test_second_slice_is_transpose(self):
         t = flow_algebra(2.345).constants
-        assert np.array_equal(slice_j(t, 2), slice_j(t, 1).T)
+        assert np.array_equal(t.values[:, 1, :], t.values[:, 0, :].T)
 
 
 def _paired_reference(mats: np.ndarray) -> np.ndarray:
@@ -265,5 +265,5 @@ class TestCommutativityDefect:
 def test_paired_tensor_layout():
     mat = RNG.uniform(-1, 1, size=(2, 2))
     t = CubicTensor(paired_tensors(*mat.ravel()))
-    assert np.array_equal(slice_j(t, 1), mat)
-    assert np.array_equal(slice_j(t, 2), mat.T)
+    assert np.array_equal(t.values[:, 0, :], mat)
+    assert np.array_equal(t.values[:, 1, :], mat.T)

@@ -27,7 +27,7 @@ from algflow.classification import (
     classify_time,
 )
 from algflow.cubic import CubicTensor
-from algflow.flow import flow_algebra
+from algflow.flow import flow_algebra, reduce_mod_pi
 from algflow.isomorphism import (
     KIND_ISOMORPHIC,
     KIND_NOT_FOUND_WITHIN_BUDGET,
@@ -474,6 +474,25 @@ class TestRotationIso:
         assert verdict.kind in (KIND_ISOMORPHIC, KIND_NOT_ISOMORPHIC_EXACT)
         if verdict.is_isomorphic:
             assert verdict.residual <= tol
+
+    NEAR_PI = st.builds(lambda n, offset: abs(n * math.pi + offset),
+                        st.integers(0, 300), st.floats(-1e-6, 1e-6))
+
+    @given(t1=st.one_of(st.floats(0.0, 1e3), NEAR_PI), shift=st.integers(0, 3),
+           offset=st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6)),
+           tol=st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1e-15, 1e-9, 1e-3))))
+    @settings(max_examples=400, deadline=None)
+    def test_certificate_is_the_sign_of_k(self, t1, shift, offset, tol):
+        # The one certificate is (-1)^k I, k the number of half turns between the
+        # times as reduce_mod_pi counts them; near sin t1 = 0 too.
+        t2 = abs(t1 + shift * math.pi + offset)
+        verdict = rotation_iso(t1, t2, tol)
+        if not verdict.is_isomorphic:
+            return
+        (k1, r1), (k2, r2) = reduce_mod_pi(t1), reduce_mod_pi(t2)
+        k = int(k2 - k1) + round((r2 - r1) / math.pi)
+        assert np.array_equal(verdict.certificate.matrix, (-1.0) ** k * np.eye(2))
+        assert verdict.residual <= tol
 
     # The condition each exceptional class imposes, as the reasons word it.
     CONDITIONS = {
