@@ -58,6 +58,7 @@ from .isomorphism import (
     iso_residual,
     iso_search,
     rotation_iso,
+    rotation_isomorphic,
 )
 
 __version__ = "0.1.0"

@@ -46,7 +46,7 @@ from .algebra import (
     iso_residuals,
 )
 from .cubic import CubicTensor
-from .flow import check_time, paired_tensors, reduce_mod_pi
+from .flow import check_time, check_times, paired_tensors, reduce_mod_pi
 
 __all__ = [
     "A1",
@@ -262,11 +262,7 @@ def classify_times(t: np.ndarray, tol: float = CLASSIFY_TOL) -> tuple[np.ndarray
     """
     t = np.asarray(t, dtype=float)
     check_tol(tol)
-    # The times check_time accepts form an interval, so the least and the greatest
-    # time decide (np.min returns nan if any time is nan).
-    if t.size:
-        check_time(float(t.min()), tol)
-        check_time(float(t.max()), tol)
+    check_times(t, tol)
     codes = class_codes(reduce_mod_pi(t)[1], tol)
     return codes, np.where(codes < len(_EXCEPTIONAL), np.nan,
                            np.minimum(np.abs(np.cos(t)), _C_MAX))

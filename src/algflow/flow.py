@@ -42,6 +42,7 @@ __all__ = [
     "MAX_TIME",
     "reduce_mod_pi",
     "check_time",
+    "check_times",
     "kce_residuals",
     "verify_kce",
     "commutativity_defect",
@@ -112,6 +113,14 @@ def check_time(t: float, tol: float | None = None) -> None:
                             or (2 * math.ulp(t) > tol and 2 * math.ulp(t) > DEFAULT_TOL)):
         raise ValueError(f"time {t} is too large for tolerance {tol:g} (float spacing "
                          f"{math.ulp(t):.2g}; reduction mod pi up to {MAX_TIME:.4g})")
+
+
+def check_times(t: np.ndarray, tol: float) -> None:
+    """``check_time`` for every time of an array: the times it accepts form an
+    interval, so the least and the greatest decide (np.min is nan if any time is)."""
+    if t.size:
+        check_time(float(t.min()), tol)
+        check_time(float(t.max()), tol)
 
 
 def _check_triple(s: float, tau: float, t: float) -> None:

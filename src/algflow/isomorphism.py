@@ -6,7 +6,8 @@ Three complementary tools:
   A^[t2] exactly, by case analysis on the times: the algebras are isomorphic
   precisely when sin(t2 - t1) = 0, and the decider returns an explicit
   basis-change certificate on the positive side or the violated case
-  condition on the negative side.
+  condition on the negative side.  ``rotation_isomorphic`` takes the same
+  decisions over arrays of times, without verdicts.
 
 * ``iso_search`` attacks the general problem numerically: an isomorphism is
   an invertible P solving the quadratic system
@@ -52,7 +53,7 @@ from .algebra import (
 )
 from .classification import A0_PLUS, A1, A2, VARIANTS, class_codes
 from .cubic import CubicTensor
-from .flow import check_time, flow_tensors, reduce_mod_pi
+from .flow import check_time, check_times, flow_tensors, reduce_mod_pi
 
 __all__ = [
     "KIND_ISOMORPHIC",
@@ -65,6 +66,7 @@ __all__ = [
     "iso_residual",
     "iso_search",
     "rotation_iso",
+    "rotation_isomorphic",
     "invariant_signature",
 ]
 
@@ -288,8 +290,9 @@ def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> I
 
 # --- exact decision for the rotation flow ------------------------------------
 
-# The certificate rotation_iso hands out, (-1)^k I, indexed by the parity of k.
-_CERTIFICATES = (BasisChange(np.eye(2)), BasisChange(-np.eye(2)))
+# The certificate the rotation flow hands out, (-1)^k I, indexed by the parity of k.
+_CERTIFICATE_MATRICES = np.array([np.eye(2), -np.eye(2)])
+_CERTIFICATES = tuple(map(BasisChange, _CERTIFICATE_MATRICES))
 
 # What a NotIsomorphicExact verdict names first: an exceptional class (``class_codes``)
 # that holds at one time only, since an isomorphism needs its condition at both or neither.
@@ -298,6 +301,25 @@ _ONE_TIME_ONLY = {
     A0_PLUS: "cos t = 0 at one time only (isomorphism forces cos t1 = cos t2 = 0)",
     A2: "commutative at one time only (cos t + sin t = 0 must hold at both)",
 }
+
+
+# x + _HALF_EVEN - _HALF_EVEN rounds |x| < 2**51 to an integer, half to even (as round
+# and np.rint do), with operators only, for floats and arrays alike.
+_HALF_EVEN = 1.5 * 2.0**52
+
+
+def _parity(k1, k2, d):
+    """Parity of k in t2 = t1 + k*pi, from the half turns k1, k2 of ``reduce_mod_pi``
+    and d = r2 - r1, near 0 or near +-pi where one residue wrapped round; for floats
+    or equal-shaped arrays, operators only: 0.0 or 1.0 each."""
+    return (k2 - k1 + ((d / math.pi + _HALF_EVEN) - _HALF_EVEN)) % 2
+
+
+def _certificate_residuals(times: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``iso_residuals`` of the certificates p (n, 2, 2) from A^[t1] to A^[t2] for
+    n pairs of times, given as the n times t1 followed by the n times t2."""
+    tensors = flow_tensors(times)
+    return iso_residuals(tensors[:len(p)], tensors[len(p):], p)
 
 
 def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
@@ -319,6 +341,7 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
     ``tol`` are refused.  Times within ``tol`` of the locus count as on it if
     the certificate meets ``tol``, else not: distinct floats never differ by an
     exact multiple of pi, and equal times get the identity, residual 0.
+    ``rotation_isomorphic`` gives the same decisions over arrays of times.
     """
     check_tol(tol)
     check_time(t1, tol)
@@ -329,12 +352,10 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
     d = r2 - r1
     residual = None
     if abs(math.sin(d)) <= tol:
-        # r2 - r1 is near 0, or near +-pi where one residue wrapped round.
-        parity = int(k2 - k1 + round(d / math.pi)) % 2
+        parity = int(_parity(k1, k2, d))
         certificate = _CERTIFICATES[parity]
-        tensors = flow_tensors(np.array([t1, t2]))
-        residual = float(iso_residuals(tensors[:1], tensors[1:],
-                                       certificate.matrix[np.newaxis])[0])
+        residual = float(_certificate_residuals(np.array([t1, t2]),
+                                                _CERTIFICATE_MATRICES[parity:parity + 1])[0])
         if residual <= tol:
             log.debug("rotation_iso k %s, certificate %s", ("even", "odd")[parity],
                       certificate.matrix)
@@ -347,6 +368,26 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
                   "although |sin(t2 - t1)| is within it")
     return IsoVerdict.not_isomorphic_exact(
         reason or "sin(t2 - t1) != 0 (cos t2 / cos t1 and sin t2 / sin t1 cannot agree)")
+
+
+def rotation_isomorphic(t1, t2, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``rotation_iso(t1, t2, tol).is_isomorphic`` for each pair of two arrays of
+    times of one shape (or shapes that broadcast to one), as a bool array.
+
+    Refuses what ``rotation_iso`` refuses (``flow.check_times``).  The certificate
+    residual is measured only on the pairs within tol of the locus, in one call.
+    """
+    t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
+    check_tol(tol)
+    check_times(t1, tol)
+    check_times(t2, tol)
+    (k1, r1), (k2, r2) = reduce_mod_pi(t1), reduce_mod_pi(t2)
+    d = r2 - r1
+    isomorphic = np.asarray(np.abs(np.sin(d)) <= tol)
+    parity = _parity(k1[isomorphic], k2[isomorphic], d[isomorphic]).astype(np.intp)
+    isomorphic[isomorphic] = _certificate_residuals(
+        np.concatenate((t1[isomorphic], t2[isomorphic])), _CERTIFICATE_MATRICES[parity]) <= tol
+    return isomorphic
 
 
 def invariant_signature(a: AlgebraFD) -> InvariantSignature:

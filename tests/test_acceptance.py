@@ -6,7 +6,6 @@ run with ``pytest tests/test_acceptance.py -v -s`` to see them.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from algflow.classification import (
     ACOS_MINUS,
     ACOS_PLUS,
     CLASS_PREDICATES,
+    VARIANTS,
     FlowClassLabel,
     bekbaev_matrix,
     class_representative,
@@ -38,8 +38,8 @@ from algflow.classification import (
     residue_times,
     to_bekbaev,
 )
-from algflow.flow import flow_algebra, flow_tensors
-from algflow.isomorphism import iso_search, rotation_iso
+from algflow.flow import flow_algebra, flow_tensors, reduce_mod_pi
+from algflow.isomorphism import iso_search, rotation_iso, rotation_isomorphic
 
 
 def report(result):
@@ -110,15 +110,16 @@ def test_timed_checks_pass_on_a_slow_host(monkeypatch):
 
 def test_iso_grid_fails_on_flipped_verdicts(monkeypatch):
     """Every pair counts as a mismatch when the decider answers the opposite."""
-    monkeypatch.setattr(algflow.checks, "rotation_iso", lambda t1, t2, tol: SimpleNamespace(
-        is_isomorphic=not rotation_iso(t1, t2, tol).is_isomorphic))
+    monkeypatch.setattr(algflow.checks, "rotation_isomorphic",
+                        lambda t1, t2, tol: ~rotation_isomorphic(t1, t2, tol))
     line = check_iso_grid().line()
     assert line.startswith("FAIL  iso-grid       2500 mismatches over 2500 pairs"), line
 
 
 def test_iso_grid_fails_on_wrong_labels(monkeypatch):
     """Labels that put every time in one class disagree on the non-isomorphic pairs."""
-    monkeypatch.setattr(algflow.checks, "classify_time", lambda t: FlowClassLabel(A1))
+    monkeypatch.setattr(algflow.checks, "classify_times", lambda t: (
+        np.full(len(t), VARIANTS.index(A1)), np.full(len(t), np.nan)))
     result = check_iso_grid()
     assert result.line().startswith("FAIL  iso-grid") and not result.detail.startswith("0 ")
 
@@ -153,8 +154,8 @@ def test_iso_grid_decides_at_rounding_scale_tols(monkeypatch):
     code passes; the pairs still judged make flipped verdicts fail at every such tol."""
     tols = 10.0 ** np.random.default_rng(14).uniform(-17.0, -13.0, size=40)
     assert all(check_iso_grid(float(tol)).passed for tol in tols)
-    monkeypatch.setattr(algflow.checks, "rotation_iso", lambda t1, t2, tol: SimpleNamespace(
-        is_isomorphic=not rotation_iso(t1, t2, tol).is_isomorphic))
+    monkeypatch.setattr(algflow.checks, "rotation_isomorphic",
+                        lambda t1, t2, tol: ~rotation_isomorphic(t1, t2, tol))
     assert not any(check_iso_grid(float(tol)).passed for tol in tols)
 
 
@@ -162,7 +163,7 @@ def test_iso_grid_decides_at_rounding_scale_tols(monkeypatch):
 def test_iso_grid_refuses_a_tol_its_grid_cannot_resolve(monkeypatch, tol):
     """From sin(2*pi/50), neighbouring grid points would count as isomorphic."""
     calls = []
-    monkeypatch.setattr(algflow.checks, "rotation_iso", lambda *args: calls.append(args))
+    monkeypatch.setattr(algflow.checks, "rotation_isomorphic", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match=r"not below sin\(2 pi / 50\) = 0\.1253"):
         check_iso_grid(tol)
     assert calls == []
@@ -171,9 +172,49 @@ def test_iso_grid_refuses_a_tol_its_grid_cannot_resolve(monkeypatch, tol):
 def test_iso_grid_fails_on_wrong_residues(monkeypatch):
     """Labels of one continuous variant are compared by residue in t: residues
     that put every time at one place make non-isomorphic pairs agree."""
-    monkeypatch.setattr(algflow.checks, "reduce_mod_pi", lambda t: (0.0, 1.0))
+    monkeypatch.setattr(algflow.checks, "reduce_mod_pi",
+                        lambda t: (np.zeros_like(t), np.ones_like(t)))
     result = check_iso_grid()
     assert result.line().startswith("FAIL  iso-grid") and not result.detail.startswith("0 ")
+
+
+def iso_grid_pairs_by_loop(tol, rows):
+    """Rows of the iso-grid's four matrices as its former loop over pairs judged
+    them, one ``classify_time`` per time and one ``rotation_iso`` per pair: the oracle."""
+    n = algflow.checks._ISO_GRID_N
+    times = [k * 2 * math.pi / n for k in range(n)]
+    points = [(t, classify_time(t), reduce_mod_pi(t)[1]) for t in times]
+    judged, expected, isomorphic, same = np.zeros((4, len(rows), n), dtype=bool)
+    for row, i in enumerate(rows):
+        t1, label1, r1 = points[i]
+        for j, (t2, label2, r2) in enumerate(points):
+            gap = abs(math.sin(t2 - t1))
+            judged[row, j] = not (tol < gap < algflow.checks._ISO_EXCLUSION
+                                  or 0.0 < gap <= tol < algflow.checks._ISO_ROUNDING)
+            expected[row, j] = gap <= tol
+            isomorphic[row, j] = rotation_iso(t1, t2, tol).is_isomorphic
+            same[row, j] = label1.variant == label2.variant and (
+                label1.c is None or abs(r2 - r1) <= tol)
+    return judged, expected, isomorphic, same
+
+
+# Every tol the iso-grid tests above use, with all rows of the grid; then 400 seeded
+# tols from below rounding scale to the grid's limit, with 5 seeded rows each.
+ISO_GRID_CASES = [(tol, np.arange(50)) for tol in sorted({
+    0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 1e-2, 0.1, 0.125, 2.247e-16,
+    *map(float, 10.0 ** np.random.default_rng(14).uniform(-17.0, -13.0, size=40))})]
+ISO_GRID_CASES += [
+    (float(tol), np.random.default_rng(i).choice(50, size=5, replace=False))
+    for i, tol in enumerate(10.0 ** np.random.default_rng(15).uniform(
+        -17.0, math.log10(0.125), size=400))]
+
+
+def test_iso_grid_judges_every_pair_as_its_loop_did():
+    for tol, rows in ISO_GRID_CASES:
+        by_arrays = algflow.checks._iso_grid_pairs(tol)
+        for name, got, want in zip(("judged", "expected", "isomorphic", "same"),
+                                   by_arrays, iso_grid_pairs_by_loop(tol, rows)):
+            assert np.array_equal(got[rows], want), (tol, name)
 
 
 @pytest.mark.parametrize("variant, entry", [(A2, (False, True)), (A0_PLUS, (False, True))])

@@ -27,11 +27,13 @@ from algflow.classification import (
     A1,
     A0_PLUS,
     A2,
+    ACOS_MINUS,
     CLASS_PREDICATES,
     VARIANTS,
     FlowClassLabel,
     class_representative,
     classify_times,
+    to_bekbaev,
 )
 from algflow.cli import _partition_times, main
 from algflow.flow import MAX_TIME, SWEEP_BLOCK, flow_tensors, time_blocks
@@ -630,6 +632,22 @@ class TestVerifyTheorems:
         assert code == 0
         masked = [re.sub(r"\d+\.\d\ds\)", "#s)", line) for line in out.splitlines()]
         assert masked == self.DETAIL_LINES
+
+    @pytest.mark.parametrize("variant, failed", [
+        (A1, "fixed targets INEXACT"), (ACOS_MINUS, "minus-branch reduction FAILED")])
+    def test_raising_reduction_is_a_fail_line(self, capsys, monkeypatch, variant, failed):
+        # The minus branch and the exact targets reduce outside the label grid.
+        def to_bekbaev_failing(label):
+            if label.variant == variant:
+                raise AssertionError("canonical reduction residual too large")
+            return to_bekbaev(label)
+
+        monkeypatch.setattr(checks, "to_bekbaev", to_bekbaev_failing)
+        code, out, err = run(capsys, "verify-theorems", "--only", "canonical")
+        assert code == 1 and err == ""
+        line, summary = out.splitlines()
+        assert line.startswith("FAIL  canonical") and failed in line, line
+        assert line.endswith("label grid FAILED") and summary == "0/1 checks passed"
 
     # The reproducers of two checks that held a distance in t against a residual
     # or a difference of c.

@@ -17,6 +17,7 @@ from algflow.algebra import (
     random_invertible,
 )
 from algflow.classification import (
+    EXCEPTIONAL_RESIDUES,
     A1,
     A0_PLUS,
     A2,
@@ -27,7 +28,7 @@ from algflow.classification import (
     classify_time,
 )
 from algflow.cubic import CubicTensor
-from algflow.flow import flow_algebra, reduce_mod_pi
+from algflow.flow import MAX_TIME, flow_algebra, reduce_mod_pi
 from algflow.isomorphism import (
     KIND_ISOMORPHIC,
     KIND_NOT_FOUND_WITHIN_BUDGET,
@@ -43,6 +44,7 @@ from algflow.isomorphism import (
     iso_residual,
     iso_search,
     rotation_iso,
+    rotation_isomorphic,
 )
 
 A1_REP = class_representative(FlowClassLabel(A1))
@@ -550,6 +552,80 @@ class TestRotationIso:
             assert rotation_iso(t1, t2).kind == KIND_ISOMORPHIC
             assert iso_search(flow_algebra(t1), flow_algebra(t2)).kind == KIND_ISOMORPHIC
 
+
+def rotation_iso_corpus(rng, n):
+    """Seeded time pairs of four kinds, n of each: within 0.1 of a multiple of pi
+    apart, t and t + k*pi moved by a tiny offset (or none), generic, and times at
+    or near the exceptional residues.  Every time is below 2**21, so that every
+    tol accepts it."""
+    t1 = rng.uniform(0.0, 1e3, size=3 * n)
+    t1[::10] = rng.uniform(0.0, 2.0**21, size=len(t1[::10]))
+    k = rng.integers(0, 4, size=3 * n)
+    near = rng.uniform(-0.1, 0.1, size=n)
+    tiny = rng.choice([-1.0, 0.0, 1.0], size=n) * 10.0 ** rng.uniform(-18.0, -6.0, size=n)
+    t2 = np.abs(t1 + k * math.pi + np.concatenate((near, tiny, np.zeros(n))))
+    t2[2 * n:] = rng.uniform(0.0, 1e3, size=n)
+    residues = np.array([residue for residue, _ in EXCEPTIONAL_RESIDUES] + [math.pi])
+    at_residues = [np.abs(rng.choice(residues, size=n) + rng.integers(0, 300, size=n) * math.pi
+                          + rng.choice([0.0, 1e-12, -1e-9, 1e-3], size=n)) for _ in range(2)]
+    return np.concatenate((t1, at_residues[0])), np.concatenate((t2, at_residues[1]))
+
+
+class TestRotationIsomorphic:
+    """The array decider gives the decisions of ``rotation_iso`` pair by pair."""
+
+    TOLS = [0.0, 1e-9, *np.random.default_rng(41).uniform(0.0, 1.0, size=20),
+            *10.0 ** np.random.default_rng(43).uniform(-17.0, 0.0, size=20)]
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_agrees_with_rotation_iso_on_a_seeded_corpus(self, tol):
+        t1, t2 = rotation_iso_corpus(np.random.default_rng(47), 75)
+        expected = [rotation_iso(a, b, tol).is_isomorphic for a, b in zip(t1.tolist(), t2.tolist())]
+        assert rotation_isomorphic(t1, t2, tol).tolist() == expected
+
+    TIMES = st.one_of(st.floats(0.0, MAX_TIME), st.floats(0.0, 1e3),
+                      st.builds(lambda n, offset: abs(n * math.pi + offset),
+                                st.integers(0, 2**26), st.floats(-1e-6, 1e-6)))
+
+    @given(pairs=st.lists(st.tuples(TIMES, st.integers(0, 3), st.booleans()), min_size=1,
+                          max_size=6),
+           tol=st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1e-15, 1e-9, 1e-3))))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_over_the_accepted_domain(self, pairs, tol):
+        # t2 is t1 + k*pi (as a float) or the t1 of the mirrored pair in the list.
+        t1 = [t for t, _, _ in pairs]
+        t2 = [t + k * math.pi if shifted else t1[-1 - i] for i, (t, k, shifted) in enumerate(pairs)]
+        try:
+            expected = [rotation_iso(a, b, tol).is_isomorphic for a, b in zip(t1, t2)]
+        except ValueError:
+            with pytest.raises(ValueError):
+                rotation_isomorphic(np.array(t1), np.array(t2), tol)
+            return
+        assert rotation_isomorphic(np.array(t1), np.array(t2), tol).tolist() == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, 2**26 * math.pi])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_refuses_a_time_rotation_iso_refuses(self, bad, side):
+        good = np.array([0.5, 1.0, 2.0])
+        times = [good, good.copy()]
+        times[side][1] = bad
+        with pytest.raises(ValueError):
+            rotation_iso(*(float(t[1]) for t in times))
+        with pytest.raises(ValueError):
+            rotation_isomorphic(*times)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_refuses_a_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            rotation_isomorphic(np.array([0.5]), np.array([0.5]), tol)
+
+    def test_refuses_shapes_that_do_not_broadcast(self):
+        with pytest.raises(ValueError):
+            rotation_isomorphic(np.zeros(2), np.zeros(3))
+
+    def test_empty_arrays(self):
+        decided = rotation_isomorphic(np.array([]), np.array([]))
+        assert decided.dtype == bool and decided.shape == (0,)
 
 class TestInvariantSignature:
     def test_a1(self):
