@@ -109,16 +109,6 @@ class FlowClassLabel:
         else:
             raise ValueError(f"unknown class variant {self.variant!r}")
 
-    def same_class(self, other: "FlowClassLabel", tol: float = CLASSIFY_TOL) -> bool:
-        """Equal variant, and parameters equal to within tol where present: tol
-        bounds |c1 - c2|, not a distance in t."""
-        check_tol(tol)
-        if self.variant != other.variant:
-            return False
-        if self.c is None:
-            return True
-        return abs(self.c - other.c) <= tol
-
     def __str__(self) -> str:
         if self.c is None:
             return self.variant

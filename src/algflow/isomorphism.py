@@ -47,13 +47,12 @@ from .algebra import (
     is_associative,
     is_commutative,
     iso_residual,
-    iso_residuals,
     random_invertible,
     rank_2x4,
 )
 from .classification import A0_PLUS, A1, A2, VARIANTS, class_codes
 from .cubic import CubicTensor
-from .flow import check_time, check_times, flow_tensors, reduce_mod_pi
+from .flow import check_time, check_times, reduce_mod_pi
 
 __all__ = [
     "KIND_ISOMORPHIC",
@@ -291,8 +290,7 @@ def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> I
 # --- exact decision for the rotation flow ------------------------------------
 
 # The certificate the rotation flow hands out, (-1)^k I, indexed by the parity of k.
-_CERTIFICATE_MATRICES = np.array([np.eye(2), -np.eye(2)])
-_CERTIFICATES = tuple(map(BasisChange, _CERTIFICATE_MATRICES))
+_CERTIFICATES = (BasisChange(np.eye(2)), BasisChange(-np.eye(2)))
 
 # What a NotIsomorphicExact verdict names first: an exceptional class (``class_codes``)
 # that holds at one time only, since an isomorphism needs its condition at both or neither.
@@ -315,11 +313,13 @@ def _parity(k1, k2, d):
     return (k2 - k1 + ((d / math.pi + _HALF_EVEN) - _HALF_EVEN)) % 2
 
 
-def _certificate_residuals(times: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``iso_residuals`` of the certificates p (n, 2, 2) from A^[t1] to A^[t2] for
-    n pairs of times, given as the n times t1 followed by the n times t2."""
-    tensors = flow_tensors(times)
-    return iso_residuals(tensors[:len(p)], tensors[len(p):], p)
+def _sign_residual(t1, t2, parity):
+    """``iso_residual`` of (-1)^parity I from A^[t1] to A^[t2], for floats or
+    equal-shaped arrays: max(|+-cos t1 - cos t2|, |+-sin t1 - sin t2|).  Every
+    entry of a flow tensor is +-cos t or +-sin t and +-I moves a tensor to +-itself,
+    so this is the transform's residual to the bit, with no tensor built."""
+    sign = 1 - 2 * parity
+    return np.maximum(abs(sign * np.cos(t1) - np.cos(t2)), abs(sign * np.sin(t1) - np.sin(t2)))
 
 
 def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
@@ -327,15 +327,13 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
 
     The complete case analysis reduces to one condition: the algebras are
     isomorphic iff sin(t2 - t1) = 0, i.e. t2 = t1 + pi*k.  The certificate is
-    (-1)^k I, that is x1 = y2 = cos t2 / cos t1, x2 = y1 = 0, for the generic
-    case, the cos t = 0 times and the commutative times alike.  Where sin t1 = 0
-    the isomorphisms form the family x1 = gamma, x2 = u - gamma, y1 = mu,
-    y2 = u - mu (gamma != mu, u = cos t2 / cos t1), and (-1)^k I is its member
-    gamma = u, mu = 0.
+    (-1)^k I for the generic case, the cos t = 0 times and the commutative
+    times alike.  Where sin t1 = 0 the isomorphisms form the family x1 = gamma,
+    x2 = u - gamma, y1 = mu, y2 = u - mu (gamma != mu, u = cos t2 / cos t1),
+    and (-1)^k I is its member gamma = u, mu = 0.
 
-    On the locus cos t2 / cos t1 equals (-1)^k exactly, and that value is
-    used, keeping the certificate residual at rounding level even when the
-    inputs sit at the edge of the tolerance band.
+    Its residual is the closed form max(|+-cos t1 - cos t2|, |+-sin t1 - sin t2|),
+    sign (-1)^k, which equals ``iso_residual`` of the two flow algebras to the bit.
 
     k and sin(r2 - r1) come from ``reduce_mod_pi``; times too large for
     ``tol`` are refused.  Times within ``tol`` of the locus count as on it if
@@ -354,8 +352,7 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
     if abs(math.sin(d)) <= tol:
         parity = int(_parity(k1, k2, d))
         certificate = _CERTIFICATES[parity]
-        residual = float(_certificate_residuals(np.array([t1, t2]),
-                                                _CERTIFICATE_MATRICES[parity:parity + 1])[0])
+        residual = float(_sign_residual(t1, t2, parity))
         if residual <= tol:
             log.debug("rotation_iso k %s, certificate %s", ("even", "odd")[parity],
                       certificate.matrix)
@@ -374,8 +371,9 @@ def rotation_isomorphic(t1, t2, tol: float = DEFAULT_TOL) -> np.ndarray:
     """``rotation_iso(t1, t2, tol).is_isomorphic`` for each pair of two arrays of
     times of one shape (or shapes that broadcast to one), as a bool array.
 
-    Refuses what ``rotation_iso`` refuses (``flow.check_times``).  The certificate
-    residual is measured only on the pairs within tol of the locus, in one call.
+    Refuses what ``rotation_iso`` refuses (``flow.check_times``).  The closed-form
+    certificate residual of ``rotation_iso`` is taken only on the pairs within tol
+    of the locus.
     """
     t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
     check_tol(tol)
@@ -384,9 +382,8 @@ def rotation_isomorphic(t1, t2, tol: float = DEFAULT_TOL) -> np.ndarray:
     (k1, r1), (k2, r2) = reduce_mod_pi(t1), reduce_mod_pi(t2)
     d = r2 - r1
     isomorphic = np.asarray(np.abs(np.sin(d)) <= tol)
-    parity = _parity(k1[isomorphic], k2[isomorphic], d[isomorphic]).astype(np.intp)
-    isomorphic[isomorphic] = _certificate_residuals(
-        np.concatenate((t1[isomorphic], t2[isomorphic])), _CERTIFICATE_MATRICES[parity]) <= tol
+    parity = _parity(k1[isomorphic], k2[isomorphic], d[isomorphic])
+    isomorphic[isomorphic] = _sign_residual(t1[isomorphic], t2[isomorphic], parity) <= tol
     return isomorphic
 
 

@@ -28,7 +28,7 @@ from algflow.classification import (
     classify_time,
 )
 from algflow.cubic import CubicTensor
-from algflow.flow import MAX_TIME, flow_algebra, reduce_mod_pi
+from algflow.flow import MAX_TIME, check_time, flow_algebra, reduce_mod_pi
 from algflow.isomorphism import (
     KIND_ISOMORPHIC,
     KIND_NOT_FOUND_WITHIN_BUDGET,
@@ -382,6 +382,15 @@ def test_search_verdicts_match_einsum_descent(monkeypatch):
     assert kinds["moved random", KIND_ISOMORPHIC] > 0 and kinds["hopeless", KIND_ISOMORPHIC] == 0
 
 
+def _refused(t: float, tol: float) -> bool:
+    """Whether ``check_time`` refuses the time t at tolerance tol."""
+    try:
+        check_time(t, tol)
+    except ValueError:
+        return True
+    return False
+
+
 class TestRotationIso:
     def test_half_period_shift(self):
         verdict = rotation_iso(math.pi / 6, 7 * math.pi / 6)
@@ -398,18 +407,20 @@ class TestRotationIso:
         assert verdict.kind == KIND_NOT_ISOMORPHIC_EXACT
         assert verdict.reason
 
-    def test_multiples_of_pi_use_family_certificate(self):
+    def test_multiples_of_pi_get_the_sign_as_a_family_member(self):
+        # Where sin t1 = 0 the isomorphisms form a two-parameter family; -I is its
+        # member gamma = u, mu = 0: rows sum to u = -1 and its columns differ.
         verdict = rotation_iso(0.0, math.pi)
         assert verdict.kind == KIND_ISOMORPHIC
         p = verdict.certificate
         u, v = p.matrix.sum(axis=1)
         assert abs(u + 1.0) < 1e-12 and abs(v + 1.0) < 1e-12
-        assert p.matrix[0, 0] != p.matrix[1, 0]  # a genuine member of the two-parameter family
+        assert p.matrix[0, 0] != p.matrix[1, 0]  # gamma != mu
 
     @pytest.mark.parametrize("t1", [1e-10, 5e-10, math.pi - 3e-10, 1e3 * math.pi + 2e-10])
-    def test_near_a_multiple_of_pi_falls_back_to_the_sign(self, t1):
-        # sin t1 is within tol of 0 but not 0: the family certificate would leave
-        # about 14 |sin t1| over tol, so (-1)^k I is handed out instead.
+    def test_near_a_multiple_of_pi_gets_the_sign(self, t1):
+        # sin t1 is within tol of 0 but not 0: the certificate is still (-1)^k I,
+        # with a residual at the rounding level.
         verdict = rotation_iso(t1, t1 + math.pi)
         assert verdict.is_isomorphic and verdict.residual <= 1e-12
         assert np.array_equal(verdict.certificate.matrix, -np.eye(2))
@@ -466,21 +477,25 @@ class TestRotationIso:
                 assert verdict.kind in (KIND_ISOMORPHIC, KIND_NOT_ISOMORPHIC_EXACT)
                 assert not verdict.is_isomorphic or verdict.residual == 0.0
 
-    @given(t1=st.floats(0.0, 1e3), t2=st.floats(0.0, 1e3), k=st.integers(0, 3),
-           on_locus=st.booleans(), tol=st.floats(0.0, 1.0))
+    # The whole accepted domain, up to MAX_TIME (defined with the array decider below).
+    TIMES = st.deferred(lambda: TestRotationIsomorphic.TIMES)
+
+    @given(t1=TIMES, t2=TIMES, k=st.integers(0, 3), on_locus=st.booleans(),
+           tol=st.floats(0.0, 1.0))
     @settings(max_examples=300, deadline=None)
     def test_verdict_always_certified(self, t1, t2, k, on_locus, tol):
         if on_locus:
             t2 = t1 + k * math.pi
+        if _refused(t1, tol) or _refused(t2, tol):
+            with pytest.raises(ValueError, match="too large for tolerance"):
+                rotation_iso(t1, t2, tol)
+            return
         verdict = rotation_iso(t1, t2, tol)
         assert verdict.kind in (KIND_ISOMORPHIC, KIND_NOT_ISOMORPHIC_EXACT)
         if verdict.is_isomorphic:
             assert verdict.residual <= tol
 
-    NEAR_PI = st.builds(lambda n, offset: abs(n * math.pi + offset),
-                        st.integers(0, 300), st.floats(-1e-6, 1e-6))
-
-    @given(t1=st.one_of(st.floats(0.0, 1e3), NEAR_PI), shift=st.integers(0, 3),
+    @given(t1=TIMES, shift=st.integers(0, 3),
            offset=st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6)),
            tol=st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1e-15, 1e-9, 1e-3))))
     @settings(max_examples=400, deadline=None)
@@ -488,6 +503,10 @@ class TestRotationIso:
         # The one certificate is (-1)^k I, k the number of half turns between the
         # times as reduce_mod_pi counts them; near sin t1 = 0 too.
         t2 = abs(t1 + shift * math.pi + offset)
+        if _refused(t1, tol) or _refused(t2, tol):
+            with pytest.raises(ValueError, match="too large for tolerance"):
+                rotation_iso(t1, t2, tol)
+            return
         verdict = rotation_iso(t1, t2, tol)
         if not verdict.is_isomorphic:
             return
@@ -569,6 +588,21 @@ def rotation_iso_corpus(rng, n):
     at_residues = [np.abs(rng.choice(residues, size=n) + rng.integers(0, 300, size=n) * math.pi
                           + rng.choice([0.0, 1e-12, -1e-9, 1e-3], size=n)) for _ in range(2)]
     return np.concatenate((t1, at_residues[0])), np.concatenate((t2, at_residues[1]))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.3])
+def test_sign_residual_is_the_tensor_residual(tol):
+    # The closed-form residual of rotation_iso against the transform of the two
+    # flow tensors by the certificate, bit for bit.
+    t1, t2 = rotation_iso_corpus(np.random.default_rng(53), 75)
+    isomorphic = 0
+    for a, b in zip(t1.tolist(), t2.tolist()):
+        verdict = rotation_iso(a, b, tol)
+        if verdict.is_isomorphic:
+            isomorphic += 1
+            assert verdict.residual == iso_residual(flow_algebra(a), flow_algebra(b),
+                                                    verdict.certificate), (a, b)
+    assert isomorphic > 0
 
 
 class TestRotationIsomorphic:
