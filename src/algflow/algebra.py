@@ -116,13 +116,19 @@ def _inverse(p: np.ndarray) -> np.ndarray:
     return p[..., ::-1, ::-1].swapaxes(-1, -2) * _ADJ_SIGNS / det[..., np.newaxis, np.newaxis]
 
 
+def det_in_window(p: np.ndarray, det_low: float, det_high: float) -> np.ndarray:
+    """det_low < |det P| <= det_high for each 2 x 2 matrix of p, shape (..., 2, 2)."""
+    d = abs(determinant(p))  # the builtin: cheap on the numpy scalar of one matrix
+    return (det_low < d) & (d <= det_high)
+
+
 def random_invertible(rng: np.random.Generator, det_low: float,
                       det_high: float) -> np.ndarray:
     """A 2 x 2 matrix with entries uniform in [-2, 2], drawn again until
-    det_low < |det| <= det_high."""
+    ``det_in_window(p, det_low, det_high)``."""
     while True:
         p = rng.uniform(-2.0, 2.0, size=(2, 2))
-        if det_low < abs(determinant(p)) <= det_high:
+        if det_in_window(p, det_low, det_high):
             return p
 
 

@@ -8,6 +8,7 @@ headline tolerance the CLI can override, and its sizes and seeds are constants.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass
@@ -19,10 +20,10 @@ from .algebra import (
     associativity_residual,
     change_of_basis,
     commutativity_residuals,
+    det_in_window,
     is_associative,
     is_commutative,
     iso_residuals,
-    random_invertible,
     to_2x4,
 )
 from .classification import (
@@ -65,7 +66,7 @@ _ISO_EXCLUSION = 1e-6
 # tol cannot tell t + pi from t.
 _ISO_ROUNDING = 8 * math.ulp(2 * math.pi)
 _CANONICAL_TIMES, _MINUS_RESIDUAL_TOL = 50, 1e-10
-_ORACLE_TRIALS, _PRODUCT_TRIALS = 500, 1000
+_ORACLE_TRIALS, _ORACLE_BLOCKS, _PRODUCT_TRIALS = 500, 2400, 1000
 
 
 @dataclass(frozen=True)
@@ -257,11 +258,7 @@ def check_invariant_separation() -> CheckResult:
 def check_basis_change_oracle(tol: float = 1e-10) -> CheckResult:
     """Transformation formula (the kernel of ``iso_residuals``) vs a re-derivation:
     the new coordinates x of e'_i e'_j solve P^T x = P_i * P_j in the old basis."""
-    rng = np.random.default_rng(_SEED)
-    draws = [(rng.uniform(-1.0, 1.0, size=(2, 2, 2)), random_invertible(rng, 0.5, 2.0))
-             for _ in range(_ORACLE_TRIALS)]
-    c = np.array([alg for alg, _ in draws])
-    p = np.array([mat for _, mat in draws])
+    c, p = _oracle_draws(np.random.default_rng(_SEED), _ORACLE_TRIALS)
     old_coords = np.einsum("nip,njq,npqk->nijk", p, p, c).reshape(-1, 4, 2)
     by_oracle = np.linalg.solve(p.transpose(0, 2, 1), old_coords.transpose(0, 2, 1))
     # max |formula - oracle| is the residual of P carrying c onto the oracle's tensors.
@@ -272,16 +269,34 @@ def check_basis_change_oracle(tol: float = 1e-10) -> CheckResult:
     )
 
 
+def _oracle_draws(rng: np.random.Generator, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """``trials`` rounds of ``(rng.uniform(-1, 1, (2, 2, 2)), random_invertible(rng, 0.5,
+    2.0))``, bit for bit, from bulk draws.  Those calls read the stream in blocks of four
+    doubles: a tensor is two blocks, a matrix try one, and uniform(-2, 2) is exactly
+    2 * uniform(-1, 1)."""
+    stream, accepted, picks, start = np.empty((0, 4)), [], [], 0
+    while len(picks) < trials:
+        k = bisect.bisect_left(accepted, start + 2)  # the trial's matrix block
+        if k < len(accepted):
+            picks.append((start, accepted[k]))
+            start = accepted[k] + 1
+            continue
+        more = rng.uniform(-1.0, 1.0, size=(_ORACLE_BLOCKS, 4))  # top up from the same stream
+        window = det_in_window(2.0 * more.reshape(-1, 2, 2), 0.5, 2.0)
+        accepted += (len(stream) + np.flatnonzero(window)).tolist()
+        stream = np.concatenate((stream, more))
+    first, matrix = np.array(picks).T
+    return (stream[first[:, np.newaxis] + [0, 1]].reshape(-1, 2, 2, 2),
+            2.0 * stream[matrix].reshape(-1, 2, 2))
+
+
 def check_product_associativity(tol: float = 1e-12) -> CheckResult:
     """(A*B)*C = A*(B*C) for the slice-wise product, random tensors of dim <= 4."""
     rng = np.random.default_rng(_SEED)
-    by_dim: dict[int, list[np.ndarray]] = {}
-    for _ in range(_PRODUCT_TRIALS):
-        m = int(rng.integers(2, 5))
-        by_dim.setdefault(m, []).append(rng.uniform(-1.0, 1.0, size=(3, m, m, m)))
+    dims = rng.integers(2, 5, size=_PRODUCT_TRIALS)
     worst = 0.0
-    for triples in by_dim.values():
-        a, b, c = np.moveaxis(np.array(triples), 1, 0)
+    for m in range(2, 5):
+        a, b, c = rng.uniform(-1.0, 1.0, size=(3, np.count_nonzero(dims == m), m, m, m))
         left = type_c_products(type_c_products(a, b), c)
         right = type_c_products(a, type_c_products(b, c))
         worst = max(worst, float(np.max(np.abs(left - right))))
@@ -309,8 +324,8 @@ CHECK_NAMES = tuple(_REGISTRY)
 
 def run_checks(only: list[str] | None = None,
                tol_overrides: dict[str, float] | None = None) -> list[CheckResult]:
-    """Run the suite (or a named subset), with optional tolerance injection."""
-    names = list(only) if only else list(CHECK_NAMES)
+    """Run the suite (or a named subset, each name once), with optional tolerance injection."""
+    names = list(dict.fromkeys(only)) if only else list(CHECK_NAMES)
     overrides = tol_overrides or {}
     for name in names + list(overrides):
         if name not in _REGISTRY:

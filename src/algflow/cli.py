@@ -210,7 +210,11 @@ def _parse_tol_override(item: str) -> tuple[str, float]:
 
 
 def cmd_verify_theorems(args: argparse.Namespace) -> int:
-    overrides = dict(_parse_tol_override(s) for s in args.tol or [])
+    overrides: dict[str, float] = {}
+    for name, value in map(_parse_tol_override, args.tol or []):
+        if name in overrides:
+            raise ValueError(f"--tol is given twice for check {name!r}")
+        overrides[name] = value
     results = run_checks(only=args.only or None, tol_overrides=overrides)
     for result in results:
         print(result.line())
@@ -260,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-theorems", help="run the verification suite")
     p.add_argument("--only", action="append", choices=CHECK_NAMES,
-                   help="run only the named check (repeatable)")
+                   help="run only the named check (repeatable; each runs once)")
     p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                   help="override a check's headline tolerance (repeatable)")
+                   help="override a check's headline tolerance (once per check)")
     p.set_defaults(fn=cmd_verify_theorems)
 
     return parser

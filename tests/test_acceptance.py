@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import algflow.checks
-from algflow.algebra import change_of_basis, to_2x4
+from algflow.algebra import change_of_basis, random_invertible, to_2x4
 from algflow.checks import (
     check_associativity_census,
     check_basis_change_oracle,
@@ -38,6 +38,7 @@ from algflow.classification import (
     residue_times,
     to_bekbaev,
 )
+from algflow.cubic import type_c_products
 from algflow.flow import flow_algebra, flow_tensors, reduce_mod_pi
 from algflow.isomorphism import iso_search, rotation_iso, rotation_isomorphic
 
@@ -96,6 +97,56 @@ def test_kce_detail_matches_the_triple_loop():
     """The one-pass residual reports what the loop over triples reported."""
     detail = check_kce().detail
     assert detail.startswith("max residual 2.78e-15 over 1000 triples (tol 1e-12, ")
+
+
+def _oracle_loop(rng, trials):
+    """The oracle's draws as one call per tensor and per matrix try."""
+    draws = [(rng.uniform(-1.0, 1.0, size=(2, 2, 2)), random_invertible(rng, 0.5, 2.0))
+             for _ in range(trials)]
+    return np.array([c for c, _ in draws]), np.array([p for _, p in draws])
+
+
+# 2000 trials read about 8,100 blocks, so the first bulk draw runs short and the
+# stream is topped up several times.
+@pytest.mark.parametrize("seed, trials", [
+    *((seed, algflow.checks._ORACLE_TRIALS) for seed in (algflow.checks._SEED, *range(50))),
+    *((seed, 2000) for seed in (7, 8, 9))])
+def test_oracle_draws_equal_the_loop(seed, trials):
+    c, p = algflow.checks._oracle_draws(np.random.default_rng(seed), trials)
+    c_loop, p_loop = _oracle_loop(np.random.default_rng(seed), trials)
+    assert np.array_equal(c, c_loop) and np.array_equal(p, p_loop)
+
+
+def test_basis_oracle_fails_on_a_wrong_inverse(monkeypatch):
+    """The transform with P^T in place of P^-1 disagrees with the re-derivation."""
+    def transposed(ca, cb, p):
+        moved = np.einsum("nip,njq,npqr,nkr->nijk", p, p, ca, p)
+        return np.abs(moved - cb).max(axis=(1, 2, 3))
+
+    monkeypatch.setattr(algflow.checks, "iso_residuals", transposed)
+    result = check_basis_change_oracle()
+    assert result.line().startswith("FAIL  basis-oracle"), result.line()
+
+
+def test_product_assoc_fails_on_a_non_associative_term(monkeypatch):
+    monkeypatch.setattr(algflow.checks, "type_c_products",
+                        lambda a, b: type_c_products(a, b) + 1e-9 * a * a)
+    result = check_product_associativity()
+    assert result.line().startswith("FAIL  product-assoc"), result.line()
+
+
+def test_product_sample_covers_every_dim(monkeypatch):
+    """Triples of dim 2, 3 and 4, 1000 in all, as the detail line reports."""
+    counts = {}
+
+    def recording(a, b):
+        counts[a.shape[1]] = len(a)  # every product of one dim is over all its triples
+        return type_c_products(a, b)
+
+    monkeypatch.setattr(algflow.checks, "type_c_products", recording)
+    report(check_product_associativity())
+    assert sorted(counts) == [2, 3, 4] and min(counts.values()) > 250
+    assert sum(counts.values()) == algflow.checks._PRODUCT_TRIALS == 1000
 
 
 def test_timed_checks_pass_on_a_slow_host(monkeypatch):

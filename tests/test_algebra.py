@@ -18,6 +18,7 @@ from algflow.algebra import (
     change_of_basis,
     commutativity_residual,
     commutativity_residuals,
+    det_in_window,
     determinant,
     from_2x4,
     is_associative,
@@ -167,6 +168,21 @@ class TestRandomInvertible:
         rng = np.random.default_rng(3)
         dets = [abs(determinant(random_invertible(rng, 0.5, 2.0))) for _ in range(200)]
         assert all(0.5 < d <= 2.0 for d in dets)
+
+
+class TestDetInWindow:
+    def test_stack_matches_each_matrix(self):
+        p = np.random.default_rng(8).uniform(-2.0, 2.0, size=(400, 2, 2))
+        got = det_in_window(p, 0.5, 2.0)
+        assert got.shape == (400,) and 0 < np.count_nonzero(got) < 400
+        assert got.tolist() == [bool(det_in_window(m, 0.5, 2.0)) for m in p]
+        assert got.tolist() == [0.5 < abs(determinant(m)) <= 2.0 for m in p]
+
+    @pytest.mark.parametrize("det, inside", [
+        (0.5, False), (np.nextafter(0.5, 1.0), True), (2.0, True),
+        (np.nextafter(2.0, 3.0), False), (-2.0, True), (-0.5, False), (0.0, False)])
+    def test_open_below_closed_above(self, det, inside):
+        assert bool(det_in_window(np.diag([det, 1.0]), 0.5, 2.0)) is inside
 
 
 class TestChangeOfBasis:

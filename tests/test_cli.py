@@ -682,15 +682,55 @@ class TestVerifyTheorems:
         (("--tol", "separation=1"), "check 'separation' takes no tolerance"),
     ])
     def test_unused_tolerance_refused(self, capsys, monkeypatch, argv, message):
+        ran = self._record_runs(monkeypatch)
+        code, out, err = run(capsys, "verify-theorems", *argv)
+        assert code == 2
+        assert out == "" and ran == []
+        assert err == f"error: {message}\n"
+
+    @staticmethod
+    def _record_runs(monkeypatch) -> list[str]:
+        """The names of the checks run from now on, in order."""
         ran = []
         for name, (fn, tol_arg) in checks._REGISTRY.items():
             monkeypatch.setitem(checks._REGISTRY, name,
                                 (lambda *a, name=name, fn=fn, **kw: ran.append(name) or fn(*a, **kw),
                                  tol_arg))
+        return ran
+
+    def test_repeated_only_runs_each_check_once(self, capsys, monkeypatch):
+        ran = self._record_runs(monkeypatch)
+        code, out, _ = run(capsys, "verify-theorems", "--only", "mirror", "--only", "kce",
+                           "--only", "mirror", "--only", "kce", "--tol", "kce=1e-3")
+        assert code == 0 and ran == ["mirror", "kce"]
+        lines = out.splitlines()
+        assert [line.split()[1] for line in lines[:-1]] == ["mirror", "kce"]
+        assert "(tol 1e-03, " in lines[1] and lines[-1] == "2/2 checks passed"
+
+    @pytest.mark.parametrize("argv", [
+        ("--tol", "kce=1e-20", "--tol", "kce=1"),
+        ("--only", "kce", "--tol", "kce=1", "--tol", "kce=1"),
+        ("--tol", "mirror=1", "--tol", "kce=1", "--tol", "mirror=1e-3"),
+    ])
+    def test_repeated_tolerance_refused(self, capsys, monkeypatch, argv):
+        ran = self._record_runs(monkeypatch)
         code, out, err = run(capsys, "verify-theorems", *argv)
         assert code == 2
         assert out == "" and ran == []
-        assert err == f"error: {message}\n"
+        assert err.startswith("error: --tol is given twice for check ")
+
+    def test_each_check_alone_prints_its_suite_line(self, capsys):
+        """No check reads random state another one left: alone, each prints what it
+        prints in the full suite."""
+        def masked(out):
+            return [re.sub(r"\d+\.\d\ds\)", "#s)", line) for line in out.splitlines()]
+
+        code, out, _ = run(capsys, "verify-theorems")
+        suite = masked(out)[:-1]
+        assert code == 0 and len(suite) == len(checks.CHECK_NAMES)
+        for name, line in zip(reversed(checks.CHECK_NAMES), reversed(suite)):
+            code, out, _ = run(capsys, "verify-theorems", "--only", name)
+            assert code == 0 and masked(out) == [line, "1/1 checks passed"]
 
 
 class TestMalformedInputFuzz:
