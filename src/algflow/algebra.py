@@ -12,6 +12,7 @@ Everything is immutable and pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +82,10 @@ class BasisChange:
         arr = np.array(self.matrix, dtype=float)
         if arr.shape != (2, 2):
             raise ValueError(f"expected a 2 x 2 matrix, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
+        (a, b), (c, d) = arr.tolist()  # Python floats: cheaper than numpy scalars
+        if not all(map(math.isfinite, (a, b, c, d))):
             raise ValueError("all entries must be finite")
-        det = determinant(arr)
+        det = det_entries(a, b, c, d)
         if abs(det) <= EPS_DET:
             raise ValueError(f"matrix is singular to tolerance: |det| = {abs(det):.3e}")
         arr.setflags(write=False)
@@ -101,9 +103,14 @@ class BasisChange:
         return f"BasisChange({self.matrix.tolist()})"
 
 
+def det_entries(a, b, c, d):
+    """det [[a, b], [c, d]] = ad - bc for floats or arrays (operators only)."""
+    return a * d - b * c
+
+
 def determinant(p: np.ndarray) -> np.ndarray:
     """det P = ad - bc of each 2 x 2 matrix of p, shape (..., 2, 2)."""
-    return p[..., 0, 0] * p[..., 1, 1] - p[..., 0, 1] * p[..., 1, 0]
+    return det_entries(p[..., 0, 0], p[..., 0, 1], p[..., 1, 0], p[..., 1, 1])
 
 
 # Signs of the 2 x 2 adjugate: adj [[a, b], [c, d]] = [[d, -b], [-c, a]].
@@ -223,6 +230,22 @@ def iso_residuals(ca: np.ndarray, cb: np.ndarray, p: np.ndarray) -> np.ndarray:
     moved = np.matmul(p[:, np.newaxis], moved)                               # [p, j, k]
     moved = np.matmul(p, moved.reshape(n, 2, 4))                             # [i, (j, k)]
     return np.abs(moved.reshape(n, 8) - cb.reshape(n, 8)).max(axis=1)
+
+
+def iso_residual_entries(ca, cb, p) -> float:
+    """``iso_residuals`` of one pair in Python floats: ca and cb are the eight entries
+    of 2 x 2 x 2 tensors in (i, j, k) order, p the rows ((a, b), (c, d)) of P.  Equal
+    to it up to rounding, not to the bit: matmul may fuse its sums with FMA."""
+    (a, b), (c, d) = p
+    x, det = ca, det_entries(a, b, c, d)
+    # The sums over r, q and p: (P^-1)^T, P and P along the last axis, each pass
+    # writing that axis first, so [i, j, k] -> [k, i, j] -> [j, k, i] -> [i, j, k].
+    for (e, f), (g, h) in (((d / det, -c / det), (-b / det, a / det)), p, p):
+        x0, x1, x2, x3, x4, x5, x6, x7 = x
+        x = (e * x0 + f * x1, e * x2 + f * x3, e * x4 + f * x5, e * x6 + f * x7,
+             g * x0 + h * x1, g * x2 + h * x3, g * x4 + h * x5, g * x6 + h * x7)
+    diffs = [abs(u - v) for u, v in zip(x, cb)]
+    return math.nan if math.isnan(sum(diffs)) else max(diffs)  # max alone can drop a nan
 
 
 def iso_residual(a: AlgebraFD, b: AlgebraFD, p: BasisChange) -> float:

@@ -42,11 +42,11 @@ from .algebra import (
     AlgebraFD,
     BasisChange,
     check_tol,
-    determinant,
-    iso_residuals,
+    det_entries,
+    iso_residual_entries,
 )
 from .cubic import CubicTensor
-from .flow import check_time, check_times, paired_tensors, reduce_mod_pi
+from .flow import check_time, check_times, paired_entries, paired_tensors, reduce_mod_pi
 
 __all__ = [
     "A1",
@@ -208,17 +208,17 @@ _ENTRIES = tuple(tuple(_parse_entry(rows[k].split()[2 * i + j])
                  for rows in (_FAMILY_ROWS[f] for f in range(1, 16)))
 
 
-def _family_tensor(form: BekbaevForm) -> np.ndarray:
-    """The tensor of a canonical form, read off the table in Python floats
-    (for one form, 2.5x as fast as gathering from arrays)."""
+def _family_entries(form: BekbaevForm) -> list[float]:
+    """The eight tensor entries of a canonical form in (i, j, k) order, read off
+    the table in Python floats (for one form, 2.5x as fast as gathering from arrays)."""
     padded = form.params + (0.0,) * (5 - len(form.params))
-    return np.array([c + k * padded[i] for c, k, i in _ENTRIES[form.family - 1]]).reshape(2, 2, 2)
+    return [c + k * padded[i] for c, k, i in _ENTRIES[form.family - 1]]
 
 
 def bekbaev_matrix(form: BekbaevForm) -> np.ndarray:
     """The 2 x 4 structure-constant matrix of a canonical form, laid out as by
     ``algebra.to_2x4``."""
-    return _family_tensor(form).reshape(4, 2).T
+    return np.array(_family_entries(form)).reshape(4, 2).T
 
 
 def class_codes(r, tol: float):
@@ -301,19 +301,20 @@ def to_bekbaev(label: FlowClassLabel) -> tuple[BekbaevForm, BasisChange]:
 
     The certificate is checked before being returned: the transformed class
     representative must reproduce the canonical matrix to 1e-10 times the
-    rounding scale max(1, max|P|^2 max|P^-1|), large as c -> 0 or 1.
+    rounding scale max(1, max|P|^2 max|P^-1|), large as c -> 0 or 1.  A
+    certificate that misses it (or a nan residual) raises AssertionError.
     """
     form, p_matrix = _reduction(label)
     certificate = BasisChange(p_matrix)
     c, s = _branch(label)
-    representative = paired_tensors(c, s, -s, c)[np.newaxis]
-    residual = float(iso_residuals(representative, _family_tensor(form)[np.newaxis],
-                                   p_matrix[np.newaxis])[0])
-    if residual > _REDUCTION_TOL:  # the bound is never smaller, so work it out only here
-        # P is 2 x 2, so P^-1 = adj(P) / det P and max|P^-1| = max|P| / |det P|.
-        p_max = float(np.abs(p_matrix).max())
-        bound = _REDUCTION_TOL * max(1.0, p_max ** 3 / abs(determinant(p_matrix)))
-        if residual > bound:
+    p = certificate.matrix.tolist()
+    residual = iso_residual_entries(paired_entries(c, s, -s, c), _family_entries(form), p)
+    if not residual <= _REDUCTION_TOL:  # the bound is never smaller, so work it out only here
+        # P is 2 x 2, so P^-1 = adj(P) / det P and max|P^-1| = max|P| / |det P|.  Not
+        # p_max ** 3, which raises OverflowError, nor cubed first, which can reach inf.
+        p_max = max(map(abs, p[0] + p[1]))
+        bound = _REDUCTION_TOL * max(1.0, p_max / abs(det_entries(*p[0], *p[1])) * p_max * p_max)
+        if not residual <= bound:
             raise AssertionError(
                 f"canonical reduction residual {residual:.3e} exceeds {bound:.1e} for {label}"
             )

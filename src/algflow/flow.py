@@ -13,8 +13,8 @@ its transpose:
 
     c_{i1r} = a_{ir},   c_{i2r} = a_{ri}.
 
-``paired_tensors`` is the one place that writes this layout; every flow
-tensor, class representative and check builds on it.
+``paired_entries`` is the one place that writes this layout; ``paired_tensors``
+wraps it, and every flow tensor, class representative and check builds on them.
 
 The flow here is that of the rotation a(d) = [[cos d, sin d], [-sin d, cos d]];
 it is time-homogeneous, so the tensor depends only on the elapsed time
@@ -60,12 +60,17 @@ MAX_TIME = 2.0**26 * math.pi
 SWEEP_BLOCK = 1024
 
 
+def paired_entries(a11, a12, a21, a22) -> tuple:
+    """The eight entries of ``paired_tensors`` in (i, j, r) order, as given."""
+    return a11, a12, a11, a21, a21, a22, a12, a22
+
+
 def paired_tensors(a11, a12, a21, a22) -> np.ndarray:
     """The tensors with slices (a, a^T) of the 2 x 2 matrices a = [[a11, a12],
     [a21, a22]], for floats or equal-shaped arrays: shape (..., 2, 2, 2), with
     out[..., i, 0, r] = a_ir and out[..., i, 1, r] = a_ri.  Entries are copied,
     never computed, so every bit of the inputs (signed zeros too) is kept."""
-    entries = np.array((a11, a12, a11, a21, a21, a22, a12, a22), dtype=float)
+    entries = np.array(paired_entries(a11, a12, a21, a22), dtype=float)
     return entries.reshape(8, -1).T.reshape(entries.shape[1:] + (2, 2, 2))
 
 

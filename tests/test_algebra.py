@@ -24,6 +24,7 @@ from algflow.algebra import (
     is_associative,
     is_commutative,
     iso_residual,
+    iso_residual_entries,
     iso_residuals,
     product,
     random_invertible,
@@ -149,6 +150,21 @@ class TestBasisChange:
         with pytest.raises(ValueError, match="expected a 2 x 2 matrix"):
             BasisChange(np.ones(shape))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_named(self, entry):
+        with pytest.raises(ValueError, match="all entries must be finite"):
+            BasisChange([[1.0, 0.0], [entry, 1.0]])
+
+    def test_singular_named_with_its_determinant(self):
+        with pytest.raises(ValueError, match=r"singular to tolerance: \|det\| = 1\.000e-11"):
+            BasisChange([[1e-11, 0.0], [0.0, 1.0]])
+
+    def test_huge_entries_accepted(self):
+        # det P = 1e400 overflows to inf, and |inf| > EPS_DET.
+        p = BasisChange([[1e200, 0.0], [0.0, 1e200]])
+        assert p.matrix.tolist() == [[1e200, 0.0], [0.0, 1e200]]
+        assert not p.matrix.flags.writeable
+
 
 class TestDeterminantAndInverse:
     def test_stack_matches_per_matrix_closed_form_bit_for_bit(self):
@@ -161,6 +177,39 @@ class TestDeterminantAndInverse:
             expected = np.array([[d / det_n, -b / det_n], [-c / det_n, a / det_n]])
             assert inv[n].tobytes() == expected.tobytes()
             assert BasisChange(p[n]).inverse().tobytes() == inv[n].tobytes()
+
+
+class TestIsoResidualEntries:
+    def test_agrees_with_the_array_kernel_to_its_rounding_scale(self):
+        # Not bit for bit: matmul may fuse multiply and add (FMA).  The scale is the
+        # size of the moved entries; 6.5 of it was the largest gap seen here.
+        rng = np.random.default_rng(18)
+        p = rng.uniform(-2.0, 2.0, size=(40_000, 2, 2))
+        p = p[det_in_window(p, 0.1, 8.0)][:10_000]
+        assert len(p) == 10_000
+        ca, cb = rng.uniform(-1.0, 1.0, size=(2, len(p), 2, 2, 2))
+        # Every third pair near zero residual: cB = P.P.cA.P^-1 up to rounding.
+        q = p[::3]
+        cb[::3] = np.einsum("nip,njq,npqr,nrk->nijk", q, q, ca[::3], _inverse(q))
+        expected = iso_residuals(ca, cb, p)
+        got = np.array([iso_residual_entries(a.ravel().tolist(), b.ravel().tolist(), m.tolist())
+                        for a, b, m in zip(ca, cb, p)])
+        scale = (np.maximum(1.0, np.abs(p).max(axis=(1, 2)) ** 2
+                            * np.abs(_inverse(p)).max(axis=(1, 2)))
+                 * np.abs(ca).max(axis=(1, 2, 3)) * np.finfo(float).eps)
+        assert np.all(np.abs(got - expected) <= 16 * scale)
+
+    def test_identity_gives_the_entrywise_gap_exactly(self):
+        ca = [0.5, -1.0, 2.0, 0.0, 0.25, 3.0, -0.5, 1.0]
+        cb = [0.5, -1.0, 2.0, 0.0, 0.25, 3.0, -0.5, 1.5]
+        assert iso_residual_entries(ca, cb, ((1.0, 0.0), (0.0, 1.0))) == 0.5
+        assert iso_residual_entries(ca, cb, ((-1.0, 0.0), (0.0, -1.0))) == 6.0
+
+    @pytest.mark.parametrize("position", range(8))
+    def test_nan_anywhere_gives_nan(self, position):
+        cb = [0.0] * 8
+        cb[position] = np.nan
+        assert math.isnan(iso_residual_entries([1.0] * 8, cb, ((1.0, 0.0), (0.0, 1.0))))
 
 
 class TestRandomInvertible:

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import algflow.checks
 import algflow.classification
-from algflow.algebra import DEFAULT_TOL, change_of_basis, is_associative, is_commutative, to_2x4
+from algflow.algebra import (DEFAULT_TOL, change_of_basis, determinant, from_2x4,
+                             is_associative, is_commutative, iso_residuals, to_2x4)
 from algflow.checks import check_associativity_census
 from algflow.classification import (
     A1,
@@ -291,6 +292,12 @@ class TestBekbaevMatrices:
             assert bekbaev_matrix(form).tobytes() == self._lambda_rows(form).tobytes()
 
 
+def _documented_bound(p: np.ndarray) -> float:
+    """1e-10 max(1, max|P|^3 / |det P|), the bound ``to_bekbaev`` holds its residual to."""
+    p_max = float(np.abs(p).max())
+    return 1e-10 * max(1.0, p_max / abs(float(determinant(p))) * p_max * p_max)
+
+
 class TestToBekbaev:
     def test_a1_reduction(self):
         form, cert = to_bekbaev(FlowClassLabel(A1))
@@ -347,6 +354,77 @@ class TestToBekbaev:
             for c in (10.0 ** e, 1.0 - 10.0 ** e):
                 for variant in (ACOS_PLUS, ACOS_MINUS):
                     to_bekbaev(FlowClassLabel(variant, float(c)))
+
+    def test_tiny_parameters_raise_no_overflow_error(self):
+        # max|P|^3 overflowed a float power for c from about 3e-309 to 4e-104.
+        for e in range(-320, -99):
+            for variant in (ACOS_PLUS, ACOS_MINUS):
+                try:
+                    to_bekbaev(FlowClassLabel(variant, 10.0 ** e))
+                except (ValueError, AssertionError):
+                    pass
+
+    @pytest.mark.parametrize("scale", [1e150, 1e300])
+    def test_huge_reduction_matrix_raises_assertion_error(self, monkeypatch, scale):
+        reduction = algflow.classification._reduction
+        monkeypatch.setattr(algflow.classification, "_reduction",
+                            lambda label: (reduction(label)[0], reduction(label)[1] * scale))
+        with pytest.raises(AssertionError, match="canonical reduction residual"):
+            to_bekbaev(FlowClassLabel(ACOS_PLUS, 0.5))
+
+    def test_nan_residual_raises(self, monkeypatch):
+        # det P = 1 and the bound is inf, but the transform meets inf - inf.
+        reduction = algflow.classification._reduction
+        monkeypatch.setattr(algflow.classification, "_reduction", lambda label: (
+            reduction(label)[0], np.array([[1e200, 1e200], [1e-200, 2e-200]])))
+        with pytest.raises(AssertionError, match="residual nan exceeds inf"):
+            to_bekbaev(FlowClassLabel(ACOS_PLUS, 0.5))
+
+    @given(c=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           variant=st.sampled_from((ACOS_PLUS, ACOS_MINUS)))
+    @settings(max_examples=300, deadline=None)
+    def test_returned_certificate_meets_its_bound_under_the_array_kernel(self, c, variant):
+        label = FlowClassLabel(variant, c)
+        try:
+            form, cert = to_bekbaev(label)
+        except (ValueError, AssertionError):
+            return
+        residual = iso_residual(class_representative(label), from_2x4(bekbaev_matrix(form)), cert)
+        assert residual <= _documented_bound(cert.matrix)
+
+    def test_raises_exactly_where_the_array_kernel_rule_does(self, monkeypatch):
+        # The old rule: the residual from ``iso_residuals`` against the same bound.
+        # Scaling P by 1 + delta scales its transform too, so a small delta of r
+        # times bound / max|target| puts the residual near r times the bound, and r
+        # log-uniform in [1e-2, 1e2] gives both outcomes.  A third keep delta = 0.
+        # Below c of about 1e-20 the bound outgrows the target and nothing raises.
+        rng = np.random.default_rng(1818)
+        reduction = algflow.classification._reduction
+        delta = {}
+        monkeypatch.setattr(algflow.classification, "_reduction", lambda label: (
+            reduction(label)[0], reduction(label)[1] * (1.0 + delta[label])))
+        c_max = algflow.classification._C_MAX
+        cs = np.concatenate(([1e-100, c_max], 10.0 ** rng.uniform(-100.0, 0.0, size=500),
+                             rng.uniform(0.0, 1.0, size=800), 1.0 - 10.0 ** rng.uniform(-16, 0, 200)))
+        raised = []
+        for c in cs.tolist():
+            for variant in (ACOS_PLUS, ACOS_MINUS):
+                label = FlowClassLabel(variant, min(c, c_max))
+                form, p = reduction(label)
+                target = bekbaev_matrix(form)
+                delta[label] = (rng.choice([0.0, -1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0)
+                                * _documented_bound(p) / float(np.abs(target).max()))
+                p = p * (1.0 + delta[label])
+                residual = float(iso_residuals(class_representative(label).constants.values[None],
+                                               from_2x4(target).constants.values[None], p[None])[0])
+                try:
+                    to_bekbaev(label)
+                    new = False
+                except AssertionError:
+                    new = True
+                assert new == (not residual <= _documented_bound(p)), (label, delta[label])
+                raised.append(new)
+        assert 0.1 < np.mean(raised) < 0.5  # 0.24 at this seed
 
     @pytest.mark.parametrize("c", [1e-6, 0.5, 1.0 - 1e-6])
     def test_wrong_reduction_matrix_still_raises(self, monkeypatch, c):
