@@ -86,6 +86,9 @@ class BasisChange:
         if not all(map(math.isfinite, (a, b, c, d))):
             raise ValueError("all entries must be finite")
         det = det_entries(a, b, c, d)
+        if det != det:  # inf - inf: decide on the entries scaled exactly by a power of two
+            scale = -math.frexp(max(map(abs, (a, b, c, d))))[1]
+            det = det_entries(*(math.ldexp(x, scale) for x in (a, b, c, d)))
         if abs(det) <= EPS_DET:
             raise ValueError(f"matrix is singular to tolerance: |det| = {abs(det):.3e}")
         arr.setflags(write=False)

@@ -16,8 +16,9 @@ negating the basis.
 
 Every nontrivial two-dimensional real algebra is isomorphic to exactly one
 member of the fifteen canonical families A_1..A_15 of Ahmed, Bekbaev and
-Rakhimov (2017), given here as 2 x 4 structure-constant matrices.  Each flow
-class reduces to its canonical family by an explicit change of basis:
+Rakhimov (2017), each given here as a function of its parameters that returns
+the two rows of its 2 x 4 structure-constant matrix.  Each flow class reduces
+to its canonical family by an explicit change of basis:
 
     A1           -> family 5 (1/2, 0)          via e1* = e1/2, e2* = -e1 + e2
     A0Plus       -> family 8 (0, 0)            via e1* = -(e1+e2)/2, e2* = (e1-e2)/2
@@ -33,7 +34,6 @@ class representative before being handed out.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,30 +115,27 @@ class FlowClassLabel:
         return f"{self.variant}({self.c:.12g})"
 
 
-# Rows of the fifteen canonical 2 x 4 matrices.  An entry is a constant or
-# c + k*p_i, written "p1", "-p0", "1-p0", "p1+1", "2p0-1".
+# The fifteen canonical 2 x 4 matrices as functions of their parameters, row by row.
 _FAMILY_ROWS = {
-    1: ("p0 p1 p1+1 p2", "p3 -p0 1-p0 -p1"),
-    2: ("p0 0 0 1", "p1 p2 1-p0 0"),
-    3: ("p0 0 0 -1", "p1 p2 1-p0 0"),
-    4: ("0 1 1 0", "p0 p1 1 -1"),
-    5: ("p0 0 0 0", "0 p1 1-p0 0"),
-    6: ("p0 0 0 0", "1 2p0-1 1-p0 0"),
-    7: ("p0 0 0 1", "p1 1-p0 -p0 0"),
-    8: ("p0 0 0 -1", "p1 1-p0 -p0 0"),
-    9: ("0 1 1 0", "p0 1 0 -1"),
-    10: ("p0 0 0 0", "0 1-p0 -p0 0"),
-    11: ("1/3 0 0 0", "1 2/3 -1/3 0"),
-    12: ("0 1 1 0", "1 0 0 -1"),
-    13: ("0 1 1 0", "-1 0 0 -1"),
-    14: ("0 1 1 0", "0 0 0 -1"),
-    15: ("0 0 0 0", "1 0 0 0"),
+    1: lambda p0, p1, p2, p3: ((p0, p1, p1 + 1, p2), (p3, -p0, 1 - p0, -p1)),
+    2: lambda p0, p1, p2: ((p0, 0.0, 0.0, 1.0), (p1, p2, 1 - p0, 0.0)),
+    3: lambda p0, p1, p2: ((p0, 0.0, 0.0, -1.0), (p1, p2, 1 - p0, 0.0)),
+    4: lambda p0, p1: ((0.0, 1.0, 1.0, 0.0), (p0, p1, 1.0, -1.0)),
+    5: lambda p0, p1: ((p0, 0.0, 0.0, 0.0), (0.0, p1, 1 - p0, 0.0)),
+    6: lambda p0: ((p0, 0.0, 0.0, 0.0), (1.0, 2 * p0 - 1, 1 - p0, 0.0)),
+    7: lambda p0, p1: ((p0, 0.0, 0.0, 1.0), (p1, 1 - p0, -p0, 0.0)),
+    8: lambda p0, p1: ((p0, 0.0, 0.0, -1.0), (p1, 1 - p0, -p0, 0.0)),
+    9: lambda p0: ((0.0, 1.0, 1.0, 0.0), (p0, 1.0, 0.0, -1.0)),
+    10: lambda p0: ((p0, 0.0, 0.0, 0.0), (0.0, 1 - p0, -p0, 0.0)),
+    11: lambda: ((1 / 3, 0.0, 0.0, 0.0), (1.0, 2 / 3, -1 / 3, 0.0)),
+    12: lambda: ((0.0, 1.0, 1.0, 0.0), (1.0, 0.0, 0.0, -1.0)),
+    13: lambda: ((0.0, 1.0, 1.0, 0.0), (-1.0, 0.0, 0.0, -1.0)),
+    14: lambda: ((0.0, 1.0, 1.0, 0.0), (0.0, 0.0, 0.0, -1.0)),
+    15: lambda: ((0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
 }
 
-# Parameter vector length per canonical family 1..15: one more than its largest p index.
-PARAM_COUNTS = {family: 1 + max(map(int, re.findall(r"p(\d)", " ".join(rows))), default=-1)
-                for family, rows in _FAMILY_ROWS.items()}
-
+# Parameter vector length per canonical family 1..15.
+PARAM_COUNTS = {family: rows.__code__.co_argcount for family, rows in _FAMILY_ROWS.items()}
 
 # Families whose first second-row parameter is constrained nonnegative.
 _NONNEG_BETA1 = frozenset({2, 3, 7, 8})
@@ -152,18 +149,21 @@ class BekbaevForm:
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.family not in PARAM_COUNTS:
-            raise ValueError(f"family must be 1..15, got {self.family}")
-        params = tuple(float(x) for x in self.params)
-        if len(params) != PARAM_COUNTS[self.family]:
+        if isinstance(self.family, bool) or not isinstance(self.family, (int, np.integer)):
+            raise ValueError(f"family must be an integer, got {self.family!r}")
+        family = int(self.family)
+        if family not in PARAM_COUNTS:
+            raise ValueError(f"family must be 1..15, got {family}")
+        params = tuple(map(float, self.params))
+        if len(params) != PARAM_COUNTS[family]:
             raise ValueError(
-                f"family {self.family} takes {PARAM_COUNTS[self.family]} parameters, "
-                f"got {len(params)}"
+                f"family {family} takes {PARAM_COUNTS[family]} parameters, got {len(params)}"
             )
-        if not all(math.isfinite(x) for x in params):
+        if not all(map(math.isfinite, params)):
             raise ValueError(f"parameters must be finite, got {params}")
-        if self.family in _NONNEG_BETA1 and params[1] < 0:
-            raise ValueError(f"family {self.family} requires beta1 >= 0")
+        if family in _NONNEG_BETA1 and params[1] < 0:
+            raise ValueError(f"family {family} requires beta1 >= 0")
+        object.__setattr__(self, "family", family)
         object.__setattr__(self, "params", params)
 
     def to_json_dict(self) -> dict:
@@ -189,36 +189,16 @@ EXCEPTIONAL_RESIDUES = tuple((residue, variant) for variant, (residue, *_) in _E
 _BANDS = tuple((r, VARIANTS.index(v)) for r, v in reversed(((math.pi, A1),) + EXCEPTIONAL_RESIDUES))
 
 
-def _parse_entry(text: str) -> tuple[float, float, int]:
-    """(c, k, i) of the entry c + k*p_i; i = 4, a padding zero, for a constant.
-    c defaults to -0.0, the additive identity, so "-p0" at p0 = 0 stays -0.0."""
-    term = re.fullmatch(r"(.*?)([+-]?\d*)p(\d)(.*)", text)
-    if term is None:
-        const, coef, index = text, 0.0, 4
-    else:
-        const, coef, index = term[1] + term[4] or "-0", term[2], int(term[3])
-        coef = float(coef + "1" if coef in "+-" else coef)
-    numerator, _, denominator = const.partition("/")
-    return float(numerator) / float(denominator or 1), coef, index
-
-
-# (c, k, i) of the family tensors' entries in (i, j, k) order: row k, column (i, j).
-_ENTRIES = tuple(tuple(_parse_entry(rows[k].split()[2 * i + j])
-                       for i in (0, 1) for j in (0, 1) for k in (0, 1))
-                 for rows in (_FAMILY_ROWS[f] for f in range(1, 16)))
-
-
 def _family_entries(form: BekbaevForm) -> list[float]:
-    """The eight tensor entries of a canonical form in (i, j, k) order, read off
-    the table in Python floats (for one form, 2.5x as fast as gathering from arrays)."""
-    padded = form.params + (0.0,) * (5 - len(form.params))
-    return [c + k * padded[i] for c, k, i in _ENTRIES[form.family - 1]]
+    """The eight tensor entries of a canonical form in (i, j, k) order: the two
+    rows interleaved column by column, in Python floats."""
+    return [x for column in zip(*_FAMILY_ROWS[form.family](*form.params)) for x in column]
 
 
 def bekbaev_matrix(form: BekbaevForm) -> np.ndarray:
     """The 2 x 4 structure-constant matrix of a canonical form, laid out as by
     ``algebra.to_2x4``."""
-    return np.array(_family_entries(form)).reshape(4, 2).T
+    return np.array(_FAMILY_ROWS[form.family](*form.params))
 
 
 def class_codes(r, tol: float):

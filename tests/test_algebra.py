@@ -159,6 +159,15 @@ class TestBasisChange:
         with pytest.raises(ValueError, match=r"singular to tolerance: \|det\| = 1\.000e-11"):
             BasisChange([[1e-11, 0.0], [0.0, 1.0]])
 
+    def test_singular_with_overflowing_determinant_rejected(self):
+        # a*d - b*c = inf - inf = nan; the entries scaled by 2**-665 decide
+        with pytest.raises(ValueError, match="singular to tolerance"):
+            BasisChange([[1e200, 1e200], [1e200, 1e200]])
+
+    def test_nonsingular_with_overflowing_determinant_accepted(self):
+        p = BasisChange([[1e200, 1e200], [1e200, 2e200]])
+        assert p.matrix.tolist() == [[1e200, 1e200], [1e200, 2e200]]
+
     def test_huge_entries_accepted(self):
         # det P = 1e400 overflows to inf, and |inf| > EPS_DET.
         p = BasisChange([[1e200, 0.0], [0.0, 1e200]])

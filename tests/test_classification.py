@@ -1,6 +1,7 @@
 """Time-to-class map, canonical families, and certified reductions."""
 
 import importlib.util
+import json
 import math
 import pathlib
 from decimal import Decimal
@@ -16,6 +17,7 @@ from algflow.algebra import (DEFAULT_TOL, change_of_basis, determinant, from_2x4
                              is_associative, is_commutative, iso_residuals, to_2x4)
 from algflow.checks import check_associativity_census
 from algflow.classification import (
+    _family_entries,
     A1,
     A2,
     A0_PLUS,
@@ -255,6 +257,29 @@ class TestBekbaevMatrices:
     def test_non_finite_params_rejected(self, params):
         with pytest.raises(ValueError, match="parameters must be finite"):
             BekbaevForm(2, params)
+
+    @pytest.mark.parametrize("family", [2.0, True, "2", np.float64(2)])
+    def test_non_integer_family_refused(self, family):
+        with pytest.raises(ValueError, match="family must be an integer"):
+            BekbaevForm(family, (0.5, 0.5, 0.5))
+
+    def test_numpy_integer_family_stored_as_int(self):
+        form = BekbaevForm(np.int64(2), (0.5, 0.5, 0.5))
+        assert type(form.family) is int and form == BekbaevForm(2, (0.5, 0.5, 0.5))
+        assert json.dumps(form.to_json_dict()) == '{"family": 2, "params": [0.5, 0.5, 0.5]}'
+
+    @pytest.mark.parametrize("family", sorted(PARAM_COUNTS))
+    def test_tensor_entries_match_the_matrix_bit_for_bit(self, family):
+        # the (i, j, k) entries that to_bekbaev reads against the 2 x 4 matrix's tensor
+        rng = np.random.default_rng(100 + family)
+        draws = [rng.uniform(-3.0, 3.0, size=PARAM_COUNTS[family]) for _ in range(20)]
+        draws += [np.zeros(PARAM_COUNTS[family]), -np.zeros(PARAM_COUNTS[family])]
+        for params in draws:
+            if family in (2, 3, 7, 8):
+                params[1] = abs(params[1])
+            form = BekbaevForm(family, tuple(params))
+            tensor = from_2x4(bekbaev_matrix(form)).constants.values
+            assert np.array(_family_entries(form)).tobytes() == tensor.ravel().tobytes()
 
     @staticmethod
     def _lambda_rows(form: BekbaevForm) -> np.ndarray:
