@@ -133,13 +133,21 @@ def det_in_window(p: np.ndarray, det_low: float, det_high: float) -> np.ndarray:
 
 
 def random_invertible(rng: np.random.Generator, det_low: float,
-                      det_high: float) -> np.ndarray:
+                      det_high: float, count: int | None = None) -> np.ndarray:
     """A 2 x 2 matrix with entries uniform in [-2, 2], drawn again until
-    ``det_in_window(p, det_low, det_high)``."""
-    while True:
-        p = rng.uniform(-2.0, 2.0, size=(2, 2))
-        if det_in_window(p, det_low, det_high):
-            return p
+    ``det_in_window(p, det_low, det_high)``.  With ``count``, the next ``count``
+    such matrices as one array (count, 2, 2), drawn in bulk: the same doubles as
+    ``count`` calls without it, since uniform reads the stream in order."""
+    if count is None:
+        while True:
+            p = rng.uniform(-2.0, 2.0, size=(2, 2))
+            if det_in_window(p, det_low, det_high):
+                return p
+    accepted = np.empty((0, 2, 2))
+    while len(accepted) < count:  # top a rejected draw up from the same stream
+        more = rng.uniform(-2.0, 2.0, size=(count - len(accepted), 2, 2))
+        accepted = np.concatenate((accepted, more[det_in_window(more, det_low, det_high)]))
+    return accepted
 
 
 def product(algebra: AlgebraFD, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -85,8 +85,10 @@ CLASSIFY_TOL = 1e-9
 # Largest parameter below 1: just outside the band |cos t| can round to 1.0.
 _C_MAX = math.nextafter(1.0, 0.0)
 
-# Reduction certificate residual bound, in units of its transform's rounding scale.
+# Reduction certificate residual bound, in units of its transform's rounding scale,
+# and its cap in units of the canonical tensor's scale max(1, max|target|).
 _REDUCTION_TOL = 1e-10
+_REDUCTION_CAP = 1e-6
 
 # Parameters at which the census and the mirror check sample the continuous classes.
 C_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -141,6 +143,13 @@ PARAM_COUNTS = {family: rows.__code__.co_argcount for family, rows in _FAMILY_RO
 _NONNEG_BETA1 = frozenset({2, 3, 7, 8})
 
 
+def _all_real(values: tuple) -> bool:
+    """Every value an int, float or numpy real, and none a bool (plain types first: cheap)."""
+    return {float, int}.issuperset(map(type, values)) or all(
+        isinstance(x, (float, int, np.floating, np.integer)) and not isinstance(x, bool)
+        for x in values)
+
+
 @dataclass(frozen=True)
 class BekbaevForm:
     """One of the fifteen canonical families with its parameter vector."""
@@ -154,7 +163,10 @@ class BekbaevForm:
         family = int(self.family)
         if family not in PARAM_COUNTS:
             raise ValueError(f"family must be 1..15, got {family}")
-        params = tuple(map(float, self.params))
+        params = tuple(self.params)
+        if not _all_real(params):  # float() would take "1" and True
+            raise ValueError(f"parameters must be real numbers, got {params!r}")
+        params = tuple(map(float, params))
         if len(params) != PARAM_COUNTS[family]:
             raise ValueError(
                 f"family {family} takes {PARAM_COUNTS[family]} parameters, got {len(params)}"
@@ -281,19 +293,25 @@ def to_bekbaev(label: FlowClassLabel) -> tuple[BekbaevForm, BasisChange]:
 
     The certificate is checked before being returned: the transformed class
     representative must reproduce the canonical matrix to 1e-10 times the
-    rounding scale max(1, max|P|^2 max|P^-1|), large as c -> 0 or 1.  A
-    certificate that misses it (or a nan residual) raises AssertionError.
+    rounding scale max(1, max|P|^2 max|P^-1|), large as c -> 0 or 1, and never
+    beyond 1e-6 times the canonical tensor's scale max(1, max|target|): that cap
+    binds within about 3e-10 of c = 0 or 1, and below c of about 1e-21 the
+    rounding scale alone would outgrow the target.  A certificate that misses
+    it (or a nan residual) raises AssertionError.
     """
     form, p_matrix = _reduction(label)
     certificate = BasisChange(p_matrix)
     c, s = _branch(label)
     p = certificate.matrix.tolist()
-    residual = iso_residual_entries(paired_entries(c, s, -s, c), _family_entries(form), p)
+    target = _family_entries(form)
+    residual = iso_residual_entries(paired_entries(c, s, -s, c), target, p)
     if not residual <= _REDUCTION_TOL:  # the bound is never smaller, so work it out only here
         # P is 2 x 2, so P^-1 = adj(P) / det P and max|P^-1| = max|P| / |det P|.  Not
         # p_max ** 3, which raises OverflowError, nor cubed first, which can reach inf.
         p_max = max(map(abs, p[0] + p[1]))
-        bound = _REDUCTION_TOL * max(1.0, p_max / abs(det_entries(*p[0], *p[1])) * p_max * p_max)
+        rounding = max(1.0, p_max / abs(det_entries(*p[0], *p[1])) * p_max * p_max)
+        scale = max(1.0, max(map(abs, target)))
+        bound = min(_REDUCTION_TOL * rounding, _REDUCTION_CAP * scale)
         if not residual <= bound:
             raise AssertionError(
                 f"canonical reduction residual {residual:.3e} exceeds {bound:.1e} for {label}"

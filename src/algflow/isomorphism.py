@@ -20,7 +20,12 @@ Three complementary tools:
   non-isomorphism, and the verdict says so.  The equations and their
   Jacobian are closed forms in Python floats, summed from 0.0 in the order
   of ``np.einsum`` on C-ordered arrays: the tests pin certificates to the
-  last bit and keep the einsum forms as the oracle.
+  last bit and keep the einsum forms as the oracle.  The first
+  ``_SCALAR_RESTARTS`` restarts run one at a time, where a certificate is
+  usually found; the rest run in lockstep, the same closed forms on lane
+  arrays of P (2, 2, n), each lane with the float operations of the scalar
+  descent.  Restarts are checked in index order as they end, so the verdict
+  is that of the one-by-one walk, to the bit.
 
 * ``invariant_signature`` separates algebras by cheap isomorphism
   invariants (commutativity, associativity, rank of the 2 x 4 form).
@@ -195,8 +200,11 @@ def _transform_jacobian(p, ca, cb) -> np.ndarray:
 
     row (i, j, k), column (a, b), in Python floats as (x + y) - cB with absent
     terms 0.0: the order of einsum, on which the pinned certificates depend.
+    On P of shape (2, 2, n), the n lanes of the lockstep, it returns (8, 4, n).
     """
     (p00, p01), (p10, p11) = p
+    lanes = p00.shape if isinstance(p00, np.ndarray) else ()
+    zero = np.zeros(lanes) if lanes else 0.0  # the absent terms, broadcast over the lanes
     ((a000, a001), (a010, a011)), ((a100, a101), (a110, a111)) = ca
     ((b000, b001), (b010, b011)), ((b100, b101), (b110, b111)) = cb
     x000, x001 = 0.0 + p00 * a000 + p01 * a010, 0.0 + p00 * a001 + p01 * a011
@@ -208,15 +216,15 @@ def _transform_jacobian(p, ca, cb) -> np.ndarray:
     y100, y101 = 0.0 + p10 * a000 + p11 * a100, 0.0 + p10 * a001 + p11 * a101
     y110, y111 = 0.0 + p10 * a010 + p11 * a110, 0.0 + p10 * a011 + p11 * a111
     return np.array([
-        x000 + y000 - b000, x010 + y010, 0.0 - b001, 0.0,
-        x001 + y001, x011 + y011 - b000, 0.0, 0.0 - b001,
+        x000 + y000 - b000, x010 + y010, zero - b001, zero,
+        x001 + y001, x011 + y011 - b000, zero, zero - b001,
         x100 - b010, x110, y000 - b011, y010,
         x101, x111 - b010, y001, y011 - b011,
         y100 - b100, y110, x000 - b101, x010,
         y101, y111 - b100, x001, x011 - b101,
-        0.0 - b110, 0.0, x100 + y100 - b111, x110 + y110,
-        0.0, 0.0 - b110, x101 + y101, x111 + y111 - b111,
-    ]).reshape(8, 4)
+        zero - b110, zero, x100 + y100 - b111, x110 + y110,
+        zero, zero - b110, x101 + y101, x111 + y111 - b111,
+    ]).reshape((8, 4) + lanes)
 
 
 def _max_abs(values: list[float]) -> float:
@@ -234,8 +242,14 @@ def _levenberg_descent(p0: np.ndarray, ca, cb, cfg: SearchConfig) -> tuple[np.nd
     p = p0.tolist()
     r = _transform_residual(p, ca, cb)
     cost = float(r @ r)
-    lam = 1e-3
-    for _ in range(_MAX_ITERATIONS):
+    return _levenberg_iterations(p, r, cost, 1e-3, _MAX_ITERATIONS, ca, cb, cfg)
+
+
+def _levenberg_iterations(p: list, r: np.ndarray, cost: float, lam: float, iterations: int,
+                          ca, cb, cfg: SearchConfig) -> tuple[np.ndarray, float]:
+    """At most ``iterations`` iterations of the descent from P (nested lists) with
+    its residual r, cost r @ r and damping ``lam``."""
+    for _ in range(iterations):
         if _max_abs(r.tolist()) <= cfg.tol:
             break
         jac = _transform_jacobian(p, ca, cb)
@@ -258,24 +272,119 @@ def _levenberg_descent(p0: np.ndarray, ca, cb, cfg: SearchConfig) -> tuple[np.nd
     return np.array(p), _max_abs(r.tolist())
 
 
+# The first restarts run one at a time: a found pair usually ends among them.  The
+# rest run together, in lockstep over lane arrays.
+_SCALAR_RESTARTS = 8
+# The lockstep runs while this many lanes are live; fewer finish one at a time.
+_LOCKSTEP_LANES = 8
+
+
+def _lane_residuals(p: np.ndarray, ca, cb) -> np.ndarray:
+    """``_transform_residual`` of each lane of P (2, 2, n), as C-contiguous rows (n, 8)."""
+    return np.ascontiguousarray(_transform_residual(p, ca, cb).T)
+
+
+def _lane_costs(r: np.ndarray) -> np.ndarray:
+    """r @ r of each row of r (n, 8), each a (1, 8) @ (8, 1) matmul: the scalar dot."""
+    return np.matmul(r[:, np.newaxis, :], r[:, :, np.newaxis])[:, 0, 0]
+
+
+def _lockstep_descents(starts: np.ndarray, ca, cb, cfg: SearchConfig):
+    """``_levenberg_descent`` from each start of ``starts`` (n, 2, 2), run in lockstep.
+
+    Yields each lane's (P, max-abs residual) in index order, as soon as it and
+    every lane before it have ended.  Each lane keeps its own P, residual, cost
+    and damping, and makes the float operations of the scalar descent: the
+    kernels on P of shape (2, 2, n), and each BLAS call in the scalar call's
+    shape on C-contiguous per-lane blocks, so the results are the same to the
+    bit.  The lane arithmetic ignores floating-point warnings: a stacked call
+    would raise one for all its lanes, not where the walk meets it.
+
+    Lanes still live when fewer than ``_LOCKSTEP_LANES`` remain, or when a
+    stacked solve meets a singular system, finish in the scalar loop from where
+    they stand (the scalar solve then raises LinAlgError where the walk would).
+    """
+    n = len(starts)
+    p = starts.transpose(1, 2, 0).copy()  # lane i is p[:, :, i]
+    with np.errstate(all="ignore"):
+        r = _lane_residuals(p, ca, cb)
+        cost = _lane_costs(r)
+    lam = np.full(n, 1e-3)
+    ended = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    walked = iteration = 0
+
+    def finish(i):
+        left = 0 if ended[i] else _MAX_ITERATIONS - iteration
+        return _levenberg_iterations(p[:, :, i].tolist(), r[i], float(cost[i]), float(lam[i]),
+                                     left, ca, cb, cfg)
+
+    while live.size >= _LOCKSTEP_LANES and iteration < _MAX_ITERATIONS:
+        try:
+            with np.errstate(all="ignore"):
+                met = np.abs(r[live]).max(axis=1) <= cfg.tol
+                ended[live[met]] = True
+                live = live[~met]
+                jac = _transform_jacobian(p[:, :, live], ca, cb)
+                jac = np.ascontiguousarray(jac.transpose(2, 0, 1))  # (k, 8, 4), as the scalar's
+                grad = jac.transpose(0, 2, 1) @ r[live, :, np.newaxis]
+                flat = np.abs(grad).max(axis=(1, 2)) < 1e-14  # stationary point
+                ended[live[flat]] = True
+                live, jac, grad = live[~flat], jac[~flat], grad[~flat]
+                normal = jac.transpose(0, 2, 1) @ jac + lam[live, np.newaxis, np.newaxis] * _EYE4
+                step = np.linalg.solve(normal, -grad)
+                candidate = p[:, :, live] + step[:, :, 0].T.reshape(2, 2, -1)
+                r_new = _lane_residuals(candidate, ca, cb)
+                cost_new = _lane_costs(r_new)
+                better = cost_new < cost[live]
+                moved, stuck = live[better], live[~better]
+                p[:, :, moved] = candidate[:, :, better]
+                r[moved], cost[moved] = r_new[better], cost_new[better]
+                lam[moved] = np.maximum(lam[moved] / 10.0, 1e-12)
+                ended[moved[np.abs(step[better]).max(axis=(1, 2)) < 1e-14]] = True
+                lam[stuck] *= 10.0
+                ended[stuck[lam[stuck] > 1e12]] = True
+                live = live[~ended[live]]
+        except np.linalg.LinAlgError:
+            break
+        iteration += 1
+        while walked < n and ended[walked]:
+            yield finish(walked)
+            walked += 1
+    for i in range(walked, n):
+        yield finish(i)
+
+
+def _descents(ca, cb, cfg: SearchConfig):
+    """(P, max-abs residual) of the descent from each of ``cfg.restarts`` seeded
+    random starts, in index order: the first ``_SCALAR_RESTARTS`` one at a time,
+    the rest in lockstep from starts drawn in bulk, the same doubles."""
+    rng = np.random.default_rng(cfg.seed)
+    scalar = min(cfg.restarts, _SCALAR_RESTARTS)
+    for _ in range(scalar):
+        yield _levenberg_descent(random_invertible(rng, EPS_DET, np.inf), ca, cb, cfg)
+    if cfg.restarts > scalar:
+        starts = random_invertible(rng, EPS_DET, np.inf, cfg.restarts - scalar)
+        yield from _lockstep_descents(starts, ca, cb, cfg)
+
+
 def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> IsoVerdict:
     """Hunt for a basis-change certificate between two algebras.
 
     Runs ``cfg.restarts`` Levenberg descents from random invertible starts
-    (entries uniform in [-2, 2]).  Restarts are independent, so they could
-    run concurrently; this implementation walks them in index order and
-    returns the first certificate found, which gives the same result as a
-    parallel first-found merge with index tie-break.
+    (entries uniform in [-2, 2]).  The first ``_SCALAR_RESTARTS`` run one at a
+    time; if none of them gives a certificate, the rest run together in
+    lockstep, each lane with the arithmetic of the scalar descent.  The
+    descents are checked in index order, each as soon as it and all before it
+    have ended, and the first certificate is returned: the result of walking
+    the restarts one by one, to the bit.
 
     A NotFoundWithinBudget verdict is not a proof of non-isomorphism.
     """
     if cfg is None:
         cfg = SearchConfig()
     ca, cb = a.constants.values.tolist(), b.constants.values.tolist()
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.restarts):
-        p0 = random_invertible(rng, EPS_DET, np.inf)
-        p, eq_residual = _levenberg_descent(p0, ca, cb, cfg)
+    for p, eq_residual in _descents(ca, cb, cfg):
         if eq_residual > cfg.tol:
             continue
         if abs(determinant(p)) <= EPS_DET:

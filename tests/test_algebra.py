@@ -227,6 +227,16 @@ class TestRandomInvertible:
         dets = [abs(determinant(random_invertible(rng, 0.5, 2.0))) for _ in range(200)]
         assert all(0.5 < d <= 2.0 for d in dets)
 
+    @pytest.mark.parametrize("window, count", [((0.5, 2.0), 300), ((1e-10, np.inf), 56),
+                                               ((3.0, 3.5), 40), ((0.5, 2.0), 1)])
+    def test_count_draws_the_matrices_of_as_many_calls(self, window, count):
+        # The narrow windows reject most draws, so the bulk draw tops up many times.
+        one_by_one, bulk = np.random.default_rng(17), np.random.default_rng(17)
+        expected = np.array([random_invertible(one_by_one, *window) for _ in range(count)])
+        got = random_invertible(bulk, *window, count)
+        assert got.shape == (count, 2, 2)
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestDetInWindow:
     def test_stack_matches_each_matrix(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from algflow import isomorphism
 from algflow.algebra import (
+    EPS_DET,
     AlgebraFD,
     BasisChange,
     change_of_basis,
@@ -37,6 +38,7 @@ from algflow.isomorphism import (
     IsoVerdict,
     SearchConfig,
     _MAX_ITERATIONS,
+    _lockstep_descents,
     _max_abs,
     _transform_jacobian,
     _transform_residual,
@@ -215,11 +217,12 @@ def _einsum_jacobian(p, ca, cb):
     return jac.reshape(8, 4)
 
 
-def _einsum_descent(p0, ca, cb, cfg, exits):
-    """The einsum descent; counts in ``exits`` how each run ended."""
+def _einsum_descent(p0, ca, cb, cfg, exits, residual=_einsum_residual, jacobian=_einsum_jacobian):
+    """The einsum descent (or the same descent on other kernels); counts in
+    ``exits`` how each run ended."""
     ca, cb = np.array(ca), np.array(cb)
     p = p0.copy()
-    r = _einsum_residual(p, ca, cb)
+    r = residual(p, ca, cb)
     cost = float(r @ r)
     lam = 1e-3
     end = "iteration cap"
@@ -227,14 +230,14 @@ def _einsum_descent(p0, ca, cb, cfg, exits):
         if float(np.max(np.abs(r))) <= cfg.tol:
             end = "tolerance met"
             break
-        jac = _einsum_jacobian(p, ca, cb)
+        jac = jacobian(p, ca, cb)
         grad = jac.T @ r
         if float(np.max(np.abs(grad))) < 1e-14:
             end = "stationary gradient"
             break
         step = np.linalg.solve(jac.T @ jac + lam * np.eye(4), -grad)
         candidate = p + step.reshape(2, 2)
-        r_new = _einsum_residual(candidate, ca, cb)
+        r_new = residual(candidate, ca, cb)
         cost_new = float(r_new @ r_new)
         if cost_new < cost:
             p, r, cost = candidate, r_new, cost_new
@@ -299,6 +302,23 @@ class TestKernelsMatchEinsum:
         p, ca, cb = args
         got = _transform_jacobian(p.tolist(), ca.tolist(), cb.tolist())
         assert got.tobytes() == _einsum_jacobian(p, ca, cb).tobytes()
+
+    def test_lanes_match_per_lane_calls(self):
+        # The lockstep's form, P of shape (2, 2, n): here with per-lane tensors
+        # (2, 2, 2, n), and with one pair of tensors as nested lists, as the lockstep has.
+        ps, cas, cbs = _seeded_triples(np.random.default_rng(2026), 20_000)
+        lanes = [np.moveaxis(x, 0, -1) for x in (ps, cas, cbs)]
+        shared = cas[0].tolist(), cbs[0].tolist()  # zeros of both signs
+        res, jac = _transform_residual(*lanes), _transform_jacobian(*lanes)
+        res0, jac0 = _transform_residual(lanes[0], *shared), _transform_jacobian(lanes[0], *shared)
+        assert res.shape == res0.shape == (8, 20_000) and jac.shape == jac0.shape == (8, 4, 20_000)
+        for i, (p, ca, cb) in enumerate(zip(ps, cas, cbs)):
+            lists = p.tolist(), ca.tolist(), cb.tolist()
+            assert res[:, i].tobytes() == _transform_residual(*lists).tobytes()
+            assert jac[:, :, i].tobytes() == _transform_jacobian(*lists).tobytes()
+            if i % 4 == 0:
+                assert res0[:, i].tobytes() == _transform_residual(lists[0], *shared).tobytes()
+                assert jac0[:, :, i].tobytes() == _transform_jacobian(lists[0], *shared).tobytes()
 
     def test_arrays_accepted(self):
         p, ca, cb = (x[0] for x in _seeded_triples(np.random.default_rng(4), 1))
@@ -380,6 +400,103 @@ def test_search_verdicts_match_einsum_descent(monkeypatch):
     assert set(exits) == {"tolerance met", "stationary gradient", "tiny step",
                           "damping above 1e12", "iteration cap"}
     assert kinds["moved random", KIND_ISOMORPHIC] > 0 and kinds["hopeless", KIND_ISOMORPHIC] == 0
+
+
+def _closed_form(kernel):
+    """``kernel`` on the ndarrays of ``_einsum_descent``, through its Python-float form."""
+    return lambda p, ca, cb: kernel(p.tolist(), ca.tolist(), cb.tolist())
+
+
+def _verdict_bits(verdict):
+    certificate = verdict.certificate
+    return verdict.kind, repr(verdict.residual), certificate and certificate.matrix.tobytes()
+
+
+def test_lockstep_lanes_match_the_scalar_descent(monkeypatch):
+    # Every lane stays in the lockstep until it ends.  On every other case of
+    # the corpus the five exits are each reached: 1,180 lanes meet the
+    # tolerance, 253 end with damping above 1e12, 4 on a tiny step, 2 at the
+    # iteration cap and 1 at a stationary gradient.
+    monkeypatch.setattr(isomorphism, "_LOCKSTEP_LANES", 1)
+    cfg = SearchConfig(restarts=8)
+    exits = collections.Counter()
+    kernels = _closed_form(_transform_residual), _closed_form(_transform_jacobian)
+    with np.errstate(all="ignore"):  # the oracle's matmuls warn on overflow
+        for kind, a, b, seed in _verdict_corpus()[::2]:
+            ca, cb = a.constants.values.tolist(), b.constants.values.tolist()
+            starts = random_invertible(np.random.default_rng(seed), EPS_DET, np.inf, 8)
+            lanes = list(_lockstep_descents(starts, ca, cb, cfg))
+            assert len(lanes) == 8
+            for (p, eq_residual), p0 in zip(lanes, starts):
+                q, expected = _einsum_descent(p0, ca, cb, cfg, exits, *kernels)
+                assert p.tobytes() == q.tobytes(), (kind, seed)
+                assert repr(eq_residual) == repr(expected), (kind, seed)
+    assert set(exits) == {"tolerance met", "stationary gradient", "tiny step",
+                          "damping above 1e12", "iteration cap"}
+
+
+@pytest.mark.parametrize("lanes", [1, 12, 17])
+def test_lanes_handed_to_the_scalar_loop_match_the_scalar_descent(monkeypatch, lanes):
+    # With the iteration cap cut to 8, many lanes reach it, in the lockstep
+    # (lanes=1 hands none over) or in the scalar loop that finishes the lanes
+    # handed over: part way (12, about 200 lanes) or from their starts (17, more
+    # than there are).
+    monkeypatch.setattr(isomorphism, "_MAX_ITERATIONS", 8)
+    monkeypatch.setattr(isomorphism, "_LOCKSTEP_LANES", lanes)
+    cfg = SearchConfig(restarts=16)
+    with np.errstate(all="ignore"):
+        for kind, a, b, seed in _verdict_corpus()[::10]:
+            ca, cb = a.constants.values.tolist(), b.constants.values.tolist()
+            starts = random_invertible(np.random.default_rng(seed), EPS_DET, np.inf, 16)
+            expected = [isomorphism._levenberg_descent(p0, ca, cb, cfg) for p0 in starts]
+            got = list(_lockstep_descents(starts, ca, cb, cfg))
+            assert [(p.tobytes(), repr(e)) for p, e in got] == \
+                [(p.tobytes(), repr(e)) for p, e in expected], (kind, seed)
+
+
+@pytest.mark.parametrize("restarts, every", [(8, 6), (64, 12)])
+def test_lockstep_gives_the_verdicts_of_the_scalar_walk(monkeypatch, restarts, every):
+    # With no scalar prefix every restart runs in the lockstep, which hands its
+    # last few lanes to the scalar loop; with all restarts scalar, none does.
+    # A slice of the corpus, every kind alike, keeps the 64-restart walks short.
+    corpus = _verdict_corpus()[::every]
+    verdicts = {}
+    with np.errstate(all="ignore"):  # the scalar descent's matmuls warn on overflow
+        for prefix in (0, restarts):
+            monkeypatch.setattr(isomorphism, "_SCALAR_RESTARTS", prefix)
+            verdicts[prefix] = [_verdict_bits(iso_search(a, b, SearchConfig(restarts, seed=seed)))
+                                for _, a, b, seed in corpus]
+    assert verdicts[0] == verdicts[restarts]
+    kinds = collections.Counter(kind for kind, _, _ in verdicts[0])
+    assert kinds[KIND_ISOMORPHIC] > 0 and kinds[KIND_NOT_FOUND_WITHIN_BUDGET] > 0
+
+
+@pytest.mark.parametrize("failing_call", [1, 3])
+def test_singular_stacked_solve_finishes_in_the_scalar_loop(monkeypatch, failing_call):
+    # A stacked solve that raises LinAlgError sends the lanes not yet walked to
+    # the scalar loop from where they stand, which gives the scalar walk's verdict.
+    solve = np.linalg.solve
+    stacked_calls = 0
+
+    def failing_solve(a, b):
+        nonlocal stacked_calls
+        if a.ndim == 3:
+            stacked_calls += 1
+            if stacked_calls == failing_call:
+                raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    corpus = _verdict_corpus()[::20]
+    monkeypatch.setattr(isomorphism, "_SCALAR_RESTARTS", 16)
+    with np.errstate(all="ignore"):
+        expected = [_verdict_bits(iso_search(a, b, SearchConfig(16, seed=seed)))
+                    for _, a, b, seed in corpus]
+        monkeypatch.setattr(isomorphism, "_SCALAR_RESTARTS", 0)
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        for (_, a, b, seed), verdict in zip(corpus, expected):
+            stacked_calls = 0
+            assert _verdict_bits(iso_search(a, b, SearchConfig(16, seed=seed))) == verdict
+            assert stacked_calls == failing_call  # no stacked solve after the one that raised
 
 
 def _refused(t: float, tol: float) -> bool:
