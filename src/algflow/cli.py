@@ -50,6 +50,7 @@ from .isomorphism import (
     invariant_signature,
     iso_search,
     rotation_iso,
+    trace_separation,
 )
 
 EXIT_OK = 0
@@ -123,7 +124,8 @@ def cmd_iso(args: argparse.Namespace) -> int:
     else:
         cfg = SearchConfig(restarts=args.restarts, tol=args.tol, seed=args.seed)
         a, b = _load_algebra(args.a), _load_algebra(args.b)
-        separating = invariant_signature(a).first_difference(invariant_signature(b))
+        separating = (invariant_signature(a).first_difference(invariant_signature(b))
+                      or trace_separation(a, b))
         verdict = iso_search(a, b, cfg) if separating is None else IsoVerdict.separated(separating)
         report = {"a": args.a, "b": args.b, **verdict.to_json_dict()}
     _emit(report)

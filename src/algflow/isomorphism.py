@@ -28,7 +28,10 @@ Three complementary tools:
   is that of the one-by-one walk, to the bit.
 
 * ``invariant_signature`` separates algebras by cheap isomorphism
-  invariants (commutativity, associativity, rank of the 2 x 4 form).
+  invariants (commutativity, associativity, rank of the 2 x 4 form), and
+  ``trace_separation`` by the continuous invariants of the trace form
+  B(x, y) = tr(L_x L_y), where B is nondegenerate.  ``iso_search`` asks
+  ``trace_separation`` first and searches only where it separates nothing.
 
 Certificates are sound by construction: an Isomorphic verdict always
 carries a basis change whose transformation residual is below tolerance.
@@ -72,6 +75,7 @@ __all__ = [
     "rotation_iso",
     "rotation_isomorphic",
     "invariant_signature",
+    "trace_separation",
 ]
 
 log = logging.getLogger(__name__)
@@ -248,7 +252,8 @@ def _levenberg_descent(p0: np.ndarray, ca, cb, cfg: SearchConfig) -> tuple[np.nd
 def _levenberg_iterations(p: list, r: np.ndarray, cost: float, lam: float, iterations: int,
                           ca, cb, cfg: SearchConfig) -> tuple[np.ndarray, float]:
     """At most ``iterations`` iterations of the descent from P (nested lists) with
-    its residual r, cost r @ r and damping ``lam``."""
+    its residual r, cost r @ r and damping ``lam``.  A singular damped system ends
+    the descent where it stands."""
     for _ in range(iterations):
         if _max_abs(r.tolist()) <= cfg.tol:
             break
@@ -256,7 +261,10 @@ def _levenberg_iterations(p: list, r: np.ndarray, cost: float, lam: float, itera
         grad = jac.T @ r
         if _max_abs(grad.tolist()) < 1e-14:
             break  # stationary point, further iterations cannot move
-        step = np.linalg.solve(jac.T @ jac + lam * _EYE4, -grad).tolist()
+        try:
+            step = np.linalg.solve(jac.T @ jac + lam * _EYE4, -grad).tolist()
+        except np.linalg.LinAlgError:
+            break  # lam below the rounding of an exactly singular J^T J
         candidate = [[p[0][0] + step[0], p[0][1] + step[1]], [p[1][0] + step[2], p[1][1] + step[3]]]
         r_new = _transform_residual(candidate, ca, cb)
         cost_new = float(r_new @ r_new)
@@ -302,7 +310,8 @@ def _lockstep_descents(starts: np.ndarray, ca, cb, cfg: SearchConfig):
 
     Lanes still live when fewer than ``_LOCKSTEP_LANES`` remain, or when a
     stacked solve meets a singular system, finish in the scalar loop from where
-    they stand (the scalar solve then raises LinAlgError where the walk would).
+    they stand (a lane whose scalar solve then meets a singular system ends there,
+    as it does in the walk).
     """
     n = len(starts)
     p = starts.transpose(1, 2, 0).copy()  # lane i is p[:, :, i]
@@ -379,21 +388,37 @@ def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> I
     have ended, and the first certificate is returned: the result of walking
     the restarts one by one, to the bit.
 
+    Where ``trace_separation`` separates the pair no certificate exists, and
+    the verdict is NotFoundWithinBudget at once, with no descent run.
+
     A NotFoundWithinBudget verdict is not a proof of non-isomorphism.
     """
     if cfg is None:
         cfg = SearchConfig()
+    separating = trace_separation(a, b)
+    if separating is not None:
+        log.debug("iso_search skipped: %s", separating)
+        return IsoVerdict.not_found()
     ca, cb = a.constants.values.tolist(), b.constants.values.tolist()
-    for p, eq_residual in _descents(ca, cb, cfg):
-        if eq_residual > cfg.tol:
-            continue
-        if abs(determinant(p)) <= EPS_DET:
-            continue  # root of the polynomial system, but a singular one
-        certificate = BasisChange(p)
-        residual = iso_residual(a, b, certificate)
-        if residual <= cfg.tol:
-            return IsoVerdict.isomorphic(certificate, residual)
-    return IsoVerdict.not_found()
+    verdict = IsoVerdict.not_found()
+    overflowed = 0
+    # Where max|r| passes about 1e154, r @ r and J^T J overflow and the descent
+    # cannot move: logged once below, not printed as numpy warnings.
+    with np.errstate(all="ignore"):
+        for p, eq_residual in _descents(ca, cb, cfg):
+            overflowed += not math.isfinite(eq_residual * eq_residual)
+            if eq_residual > cfg.tol:
+                continue
+            if abs(determinant(p)) <= EPS_DET:
+                continue  # root of the polynomial system, but a singular one
+            certificate = BasisChange(p)
+            residual = iso_residual(a, b, certificate)
+            if residual <= cfg.tol:
+                verdict = IsoVerdict.isomorphic(certificate, residual)
+                break
+    if overflowed:
+        log.debug("iso_search: %d descents ended where r @ r overflows", overflowed)
+    return verdict
 
 
 # --- exact decision for the rotation flow ------------------------------------
@@ -510,3 +535,61 @@ def invariant_signature(a: AlgebraFD) -> InvariantSignature:
         associative=is_associative(scaled),
         rank_2x4=rank_2x4(scaled),
     )
+
+
+# The trace-form invariants, as a SeparatedByInvariant reason names them.
+_TRACE_INVARIANTS = ("I1 = B^-1(tr L, tr L)", "I2 = B^-1(tr L, tr R)", "I3 = B^-1(tr R, tr R)")
+# How far |det B| must stand above the scale of its rounding, and two invariants
+# apart (in units of max(1, |I|)), for the invariants to separate.
+_TRACE_MARGIN = 1e-6
+
+
+def _trace_invariants(c: list) -> tuple[float, float, float] | None:
+    """(I1, I2, I3) of the tensor c (nested lists), or None where B is near degenerate.
+
+    With B(x, y) = tr(L_x L_y), B_ab = sum_jk c_ajk c_bkj, and the covectors
+    l = tr L, r = tr R, the invariants are I1 = B^-1(l, l), I2 = B^-1(l, r) and
+    I3 = B^-1(r, r).  Each is unchanged by a basis change and by c -> lambda c,
+    so c is first scaled by a power of two (exact) to max|c| in [1/2, 1).
+
+    An entry of c is known only to about the rounding of max|c|: a tensor moved
+    in floats errs by that much in every entry, zeros included.  So B counts as
+    nondegenerate only where |det B| > _TRACE_MARGIN * 2 S^4, S = sum |c_ijk|,
+    2 S^4 bounding |det B|.  The rounding of B from c alone, sum_jk |c_ajk c_bkj|,
+    is too small a floor: against it a family-2 member, with parameters
+    (0, 4e-13, 0), and its move by [[1.5, 0], [0.4375, 1]] differ in I2 by 4e-4.
+    Python floats throughout.
+    """
+    e = -math.frexp(max(abs(x) for plane in c for row in plane for x in row))[1]
+    entries = [math.ldexp(x, e) for plane in c for row in plane for x in row]
+    a000, a001, a010, a011, a100, a101, a110, a111 = entries
+    b00 = a000 * a000 + a001 * a010 + a010 * a001 + a011 * a011
+    b01 = a000 * a100 + a001 * a110 + a010 * a101 + a011 * a111
+    b11 = a100 * a100 + a101 * a110 + a110 * a101 + a111 * a111
+    det = b00 * b11 - b01 * b01
+    if not abs(det) > _TRACE_MARGIN * 2.0 * sum(map(abs, entries)) ** 4:
+        return None
+    l0, l1 = a000 + a011, a100 + a111
+    r0, r1 = a000 + a101, a010 + a111
+
+    def inverse_form(u0, u1, v0, v1):  # B^-1(u, v), from the adjugate of B
+        return (u0 * v0 * b11 - (u0 * v1 + u1 * v0) * b01 + u1 * v1 * b00) / det
+
+    return inverse_form(l0, l1, l0, l1), inverse_form(l0, l1, r0, r1), inverse_form(r0, r1, r0, r1)
+
+
+def trace_separation(a: AlgebraFD, b: AlgebraFD) -> str | None:
+    """The trace-form invariant that separates a from b, with both values, or None.
+
+    None unless B is nondegenerate on both sides (``_trace_invariants``) and some
+    invariant differs by more than _TRACE_MARGIN * max(1, |I(a)|, |I(b)|).  A
+    separated pair is not isomorphic: no basis change carries a onto b.
+    """
+    ia = _trace_invariants(a.constants.values.tolist())
+    ib = _trace_invariants(b.constants.values.tolist()) if ia is not None else None
+    if ib is None:
+        return None
+    for name, x, y in zip(_TRACE_INVARIANTS, ia, ib):
+        if abs(x - y) > _TRACE_MARGIN * max(1.0, abs(x), abs(y)):
+            return f"{name}: {x!r} vs {y!r}"
+    return None

@@ -5,10 +5,12 @@ import copy
 import csv
 import io
 import json
+import logging
 import math
 import os
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -19,23 +21,31 @@ import algflow.cli
 from algflow import checks
 from algflow.algebra import (
     DEFAULT_TOL,
+    AlgebraFD,
+    BasisChange,
     algebra_to_json_dict,
     associativity_residuals,
+    change_of_basis,
     commutativity_residuals,
+    from_2x4,
 )
 from algflow.classification import (
     A1,
     A0_PLUS,
     A2,
     ACOS_MINUS,
+    ACOS_PLUS,
     CLASS_PREDICATES,
     VARIANTS,
+    BekbaevForm,
     FlowClassLabel,
+    bekbaev_matrix,
     class_representative,
     classify_times,
     to_bekbaev,
 )
 from algflow.cli import _partition_times, main
+from algflow.cubic import CubicTensor
 from algflow.flow import MAX_TIME, SWEEP_BLOCK, flow_tensors, time_blocks
 
 
@@ -303,6 +313,54 @@ class TestIsoFiles:
                            "--b", algebra_files["a1"])
         assert code == 0
         assert json.loads(out)["kind"] == "Isomorphic"
+
+    @staticmethod
+    def _write(tmp_path, name: str, c: np.ndarray) -> str:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(algebra_to_json_dict(AlgebraFD(CubicTensor(c)))))
+        return str(path)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-10])
+    def test_separated_by_a_trace_form_invariant(self, capsys, tmp_path, scale):
+        # The invariants are scale-free; at 1e-10 the search's absolute tol would
+        # certify this pair Isomorphic.
+        a, b = (self._write(tmp_path, f"plus{c}", scale * class_representative(
+            FlowClassLabel(ACOS_PLUS, c)).constants.values) for c in (0.3, 0.5))
+        code, out, err = run(capsys, "iso", "--a", a, "--b", b)
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["kind"] == "SeparatedByInvariant"
+        name, values = report["reason"].split(": ")
+        assert name == "I1 = B^-1(tr L, tr L)"
+        assert np.allclose([float(x) for x in values.split(" vs ")], [0.42764, 0.13397], atol=1e-5)
+
+    @pytest.mark.parametrize("k", [24, 40])
+    def test_singular_descent_is_not_an_input_error(self, capsys, tmp_path, k):
+        # Families 12 and 14 scaled by 2^k: J^T J of their sparse tensors can be exactly
+        # singular with the damping below its rounding.  The LinAlgError of that solve is
+        # a ValueError, which cli.main would report as an input error (exit 2).
+        a, b = (self._write(tmp_path, f"fam{family}", np.ldexp(from_2x4(
+            bekbaev_matrix(BekbaevForm(family, ()))).constants.values, k)) for family in (12, 14))
+        code, out, err = run(capsys, "iso", "--a", a, "--b", b)
+        assert code in (0, 1) and err == ""
+        assert json.loads(out)["kind"] in ("Isomorphic", "NotFoundWithinBudget")
+
+    def test_overflowing_descent_prints_no_numpy_warning(self, capsys, caplog, tmp_path):
+        # Past max|c| of about 1e154 the descent's matmuls overflow: one debug record
+        # says so, and no RuntimeWarning reaches stderr.
+        c = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 2, 2)) * 1e200
+        moved = change_of_basis(AlgebraFD(CubicTensor(c)), BasisChange([[0.7, -1.2], [0.4, 0.9]]))
+        a = self._write(tmp_path, "big", c)
+        b = self._write(tmp_path, "moved", moved.constants.values)
+        caplog.set_level(logging.DEBUG, logger="algflow.isomorphism")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # record every warning, not only the first
+            code, out, err = run(capsys, "iso", "--a", a, "--b", b, "--restarts", "12")
+        assert [str(w.message) for w in caught] == []
+        assert (code, err) == (1, "")
+        assert json.loads(out)["kind"] == "NotFoundWithinBudget"
+        assert [r.getMessage() for r in caplog.records] == \
+            ["iso_search: 12 descents ended where r @ r overflows"]
 
     def test_parse_failure(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

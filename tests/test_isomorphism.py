@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from algflow import isomorphism
@@ -15,6 +15,7 @@ from algflow.algebra import (
     BasisChange,
     change_of_basis,
     determinant,
+    from_2x4,
     random_invertible,
 )
 from algflow.classification import (
@@ -24,7 +25,10 @@ from algflow.classification import (
     A2,
     ACOS_MINUS,
     ACOS_PLUS,
+    PARAM_COUNTS,
+    BekbaevForm,
     FlowClassLabel,
+    bekbaev_matrix,
     class_representative,
     classify_time,
 )
@@ -40,6 +44,7 @@ from algflow.isomorphism import (
     _MAX_ITERATIONS,
     _lockstep_descents,
     _max_abs,
+    _trace_invariants,
     _transform_jacobian,
     _transform_residual,
     invariant_signature,
@@ -47,6 +52,7 @@ from algflow.isomorphism import (
     iso_search,
     rotation_iso,
     rotation_isomorphic,
+    trace_separation,
 )
 
 A1_REP = class_representative(FlowClassLabel(A1))
@@ -375,10 +381,17 @@ def _verdict_corpus():
     return [(kind, a, b, seed) for seed, (kind, a, b) in enumerate(pairs)]
 
 
+def _search_every_pair(monkeypatch):
+    """Turn off ``trace_separation`` inside ``iso_search``, so that its hopeless and
+    unrelated pairs still go through the descent these tests compare."""
+    monkeypatch.setattr(isomorphism, "trace_separation", lambda a, b: None)
+
+
 def test_search_verdicts_match_einsum_descent(monkeypatch):
     # Every exit of the descent is reached on this corpus: of 2,169 descents, 1,654
     # meet the tolerance, 309 end with damping above 1e12, 203 on a tiny step, 2 at
     # the iteration cap and 1 at a stationary gradient.
+    _search_every_pair(monkeypatch)
     corpus = _verdict_corpus()
     assert len(corpus) >= 300
     exits = collections.Counter()
@@ -459,6 +472,7 @@ def test_lockstep_gives_the_verdicts_of_the_scalar_walk(monkeypatch, restarts, e
     # With no scalar prefix every restart runs in the lockstep, which hands its
     # last few lanes to the scalar loop; with all restarts scalar, none does.
     # A slice of the corpus, every kind alike, keeps the 64-restart walks short.
+    _search_every_pair(monkeypatch)
     corpus = _verdict_corpus()[::every]
     verdicts = {}
     with np.errstate(all="ignore"):  # the scalar descent's matmuls warn on overflow
@@ -486,6 +500,7 @@ def test_singular_stacked_solve_finishes_in_the_scalar_loop(monkeypatch, failing
                 raise np.linalg.LinAlgError("Singular matrix")
         return solve(a, b)
 
+    _search_every_pair(monkeypatch)
     corpus = _verdict_corpus()[::20]
     monkeypatch.setattr(isomorphism, "_SCALAR_RESTARTS", 16)
     with np.errstate(all="ignore"):
@@ -838,6 +853,136 @@ class TestInvariantSignature:
             )
             if differs is not None:
                 assert not rotation_iso(t1, t2).is_isomorphic
+
+
+# Families whose trace form B is degenerate: the trace-form invariants do not exist.
+DEGENERATE_B = (5, 6, 10, 11, 14, 15)
+
+
+def _family_tensor(family: int, params) -> np.ndarray:
+    """The canonical tensor of ``family`` at the first parameters of ``params``."""
+    params = list(params[:PARAM_COUNTS[family]])
+    if family in (2, 3, 7, 8):  # beta1 >= 0
+        params[1] = abs(params[1])
+    return from_2x4(bekbaev_matrix(BekbaevForm(family, params))).constants.values
+
+
+def _scaled_and_moved(c: np.ndarray, k: int, p: np.ndarray) -> tuple[AlgebraFD, AlgebraFD]:
+    a = AlgebraFD(CubicTensor(np.ldexp(c, k)))
+    return a, change_of_basis(a, BasisChange(p))
+
+
+def _moved_pairs(rng, n: int):
+    """n (kind, A, A moved by P), |det P| in (0.3, 3], scaled by a common 2^k, |k| <= 500:
+    family members, members of the families with degenerate B perturbed by 1e-8 to
+    1e-2 (B near degenerate), random tensors and flow algebras, in turn."""
+    for i in range(n):
+        kind = i % 4
+        if kind == 0:
+            c = _family_tensor(int(rng.integers(1, 16)), rng.uniform(-2.0, 2.0, 4))
+        elif kind == 1:
+            c = _family_tensor(int(rng.choice(DEGENERATE_B)), rng.uniform(-2.0, 2.0, 4))
+            c = c + 10.0 ** rng.uniform(-8.0, -2.0) * rng.uniform(-1.0, 1.0, (2, 2, 2))
+        elif kind == 2:
+            c = rng.uniform(-1.0, 1.0, (2, 2, 2))
+        else:
+            c = flow_algebra(float(rng.uniform(0.0, 2 * math.pi))).constants.values
+        k = int(rng.integers(-500, 501))
+        yield (("family", "near-degenerate B", "random", "flow")[kind],
+               *_scaled_and_moved(c, k, random_invertible(rng, 0.3, 3.0)))
+
+
+_MOVES = st.tuples(*[st.floats(-2.0, 2.0)] * 4).map(
+    lambda v: np.array(v).reshape(2, 2)).filter(lambda p: 0.3 < abs(determinant(p)) <= 3.0)
+_PARAMS = st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4)
+_SCALES = st.integers(-500, 500)
+
+
+class TestTraceSeparation:
+    """The trace-form rule: it separates only pairs that are not isomorphic."""
+
+    def test_moved_pairs_never_separated(self):
+        # About 0.5 s.  The same generator over 64,000 pairs, on other seeds,
+        # separated none either.
+        kinds = collections.Counter()
+        for kind, a, b in _moved_pairs(np.random.default_rng(21), 4_000):
+            assert trace_separation(a, b) is None, kind
+            kinds[kind, _trace_invariants(a.constants.values.tolist()) is None] += 1
+        # Every kind reaches the comparison of the invariants, not only the decline.
+        assert all(kinds[kind, False] > 100 for kind in ("family", "random", "flow"))
+        assert kinds["near-degenerate B", False] > 0
+
+    # The move leaves rounding errors in entries that are 0 in the member; against
+    # the rounding of B from exact entries alone, I2 read -0.0 and 4.3e-4.
+    @example(family=2, params=[0.0, 3.957071917420653e-13, 0.0, 0.0],
+             p=np.array([[1.5, 0.0], [0.4375, 1.0]]), k=0)
+    @given(family=st.integers(1, 15), params=_PARAMS, p=_MOVES, k=_SCALES)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_moved_family_member_never_separated(self, family, params, p, k):
+        a, b = _scaled_and_moved(_family_tensor(family, params), k, p)
+        assert trace_separation(a, b) is None
+
+    @given(family=st.sampled_from(DEGENERATE_B), params=_PARAMS, p=_MOVES, k=_SCALES)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_declines_where_b_is_degenerate(self, family, params, p, k):
+        for algebra in _scaled_and_moved(_family_tensor(family, params), k, p):
+            assert _trace_invariants(algebra.constants.values.tolist()) is None
+
+    @pytest.mark.parametrize("algebra", [A1_REP, A0_REP, NEG_A1])
+    @example(p=np.array([[0.0, 1.0], [-2.0, 2.0]]), k=0)  # rounding errors of 2e-16 in zeros
+    @given(p=_MOVES, k=_SCALES)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_declines_on_a1_and_a0_plus(self, algebra, p, k):
+        for moved in _scaled_and_moved(algebra.constants.values, k, p):
+            assert _trace_invariants(moved.constants.values.tolist()) is None
+
+    _C = st.floats(1e-3, 1.0 - 1e-6)
+
+    @given(c1=_C, c2=_C, minus_first=st.booleans())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_separates_the_two_continuous_classes(self, c1, c2, minus_first):
+        plus = class_representative(FlowClassLabel(ACOS_PLUS, c1))
+        minus = class_representative(FlowClassLabel(ACOS_MINUS, c2))
+        pair = (minus, plus) if minus_first else (plus, minus)
+        assert trace_separation(*pair) is not None
+
+    @given(c1=_C, c2=_C, variant=st.sampled_from([ACOS_PLUS, ACOS_MINUS]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_separates_distinct_parameters(self, c1, c2, variant):
+        assume(abs(c1 - c2) >= 1e-3)
+        assert trace_separation(class_representative(FlowClassLabel(variant, c1)),
+                                class_representative(FlowClassLabel(variant, c2))) is not None
+
+    def test_reason_names_the_invariant_and_both_values(self):
+        plus = class_representative(FlowClassLabel(ACOS_PLUS, 0.3))
+        minus = class_representative(FlowClassLabel(ACOS_MINUS, 0.3))
+        assert trace_separation(plus, minus) == \
+            "I1 = B^-1(tr L, tr L): 0.4276364791498325 vs 1.5723635208501676"
+        assert trace_separation(plus, plus) is None
+
+    def test_the_flow_invariants(self):
+        # ACosPlus(c) and ACosMinus(c) share I3 = 4 c^2 and differ in I1 and I2.
+        plus, minus = (_trace_invariants(class_representative(FlowClassLabel(v, 0.3))
+                                         .constants.values.tolist())
+                       for v in (ACOS_PLUS, ACOS_MINUS))
+        assert np.allclose(plus, (0.4276, -0.3924, 0.36), atol=1e-4)
+        assert np.allclose(minus, (1.5724, 0.7524, 0.36), atol=1e-4)
+
+    def test_zero_algebra_declines(self):
+        zero = AlgebraFD(CubicTensor(np.zeros((2, 2, 2))))
+        assert _trace_invariants(zero.constants.values.tolist()) is None
+        assert trace_separation(zero, A1_REP) is None
+
+    def test_iso_search_runs_no_descent_on_a_separated_pair(self, monkeypatch):
+        def no_descent(*args):
+            raise AssertionError("a descent ran")
+
+        monkeypatch.setattr(isomorphism, "_descents", no_descent)
+        plus = class_representative(FlowClassLabel(ACOS_PLUS, 0.3))
+        minus = class_representative(FlowClassLabel(ACOS_MINUS, 0.7))
+        assert iso_search(plus, minus).kind == KIND_NOT_FOUND_WITHIN_BUDGET
+        with pytest.raises(AssertionError, match="a descent ran"):
+            iso_search(A0_REP, A1_REP)  # B is degenerate: the search runs
 
 
 class TestVerdictJson:
