@@ -1,6 +1,7 @@
 """Isomorphism deciders: residual, numeric search, exact case analysis."""
 
 import collections
+import hashlib
 import math
 
 import numpy as np
@@ -10,12 +11,12 @@ from hypothesis import strategies as st
 
 from algflow import isomorphism
 from algflow.algebra import (
-    EPS_DET,
     AlgebraFD,
     BasisChange,
     change_of_basis,
     determinant,
     from_2x4,
+    is_associative,
     random_invertible,
 )
 from algflow.classification import (
@@ -42,8 +43,8 @@ from algflow.isomorphism import (
     IsoVerdict,
     SearchConfig,
     _MAX_ITERATIONS,
-    _lockstep_descents,
     _max_abs,
+    _search_ruled_out,
     _trace_invariants,
     _transform_jacobian,
     _transform_residual,
@@ -223,12 +224,11 @@ def _einsum_jacobian(p, ca, cb):
     return jac.reshape(8, 4)
 
 
-def _einsum_descent(p0, ca, cb, cfg, exits, residual=_einsum_residual, jacobian=_einsum_jacobian):
-    """The einsum descent (or the same descent on other kernels); counts in
-    ``exits`` how each run ended."""
+def _einsum_descent(p0, ca, cb, cfg, exits):
+    """The einsum descent; counts in ``exits`` how each run ended."""
     ca, cb = np.array(ca), np.array(cb)
     p = p0.copy()
-    r = residual(p, ca, cb)
+    r = _einsum_residual(p, ca, cb)
     cost = float(r @ r)
     lam = 1e-3
     end = "iteration cap"
@@ -236,14 +236,14 @@ def _einsum_descent(p0, ca, cb, cfg, exits, residual=_einsum_residual, jacobian=
         if float(np.max(np.abs(r))) <= cfg.tol:
             end = "tolerance met"
             break
-        jac = jacobian(p, ca, cb)
+        jac = _einsum_jacobian(p, ca, cb)
         grad = jac.T @ r
         if float(np.max(np.abs(grad))) < 1e-14:
             end = "stationary gradient"
             break
         step = np.linalg.solve(jac.T @ jac + lam * np.eye(4), -grad)
         candidate = p + step.reshape(2, 2)
-        r_new = residual(candidate, ca, cb)
+        r_new = _einsum_residual(candidate, ca, cb)
         cost_new = float(r_new @ r_new)
         if cost_new < cost:
             p, r, cost = candidate, r_new, cost_new
@@ -309,23 +309,6 @@ class TestKernelsMatchEinsum:
         got = _transform_jacobian(p.tolist(), ca.tolist(), cb.tolist())
         assert got.tobytes() == _einsum_jacobian(p, ca, cb).tobytes()
 
-    def test_lanes_match_per_lane_calls(self):
-        # The lockstep's form, P of shape (2, 2, n): here with per-lane tensors
-        # (2, 2, 2, n), and with one pair of tensors as nested lists, as the lockstep has.
-        ps, cas, cbs = _seeded_triples(np.random.default_rng(2026), 20_000)
-        lanes = [np.moveaxis(x, 0, -1) for x in (ps, cas, cbs)]
-        shared = cas[0].tolist(), cbs[0].tolist()  # zeros of both signs
-        res, jac = _transform_residual(*lanes), _transform_jacobian(*lanes)
-        res0, jac0 = _transform_residual(lanes[0], *shared), _transform_jacobian(lanes[0], *shared)
-        assert res.shape == res0.shape == (8, 20_000) and jac.shape == jac0.shape == (8, 4, 20_000)
-        for i, (p, ca, cb) in enumerate(zip(ps, cas, cbs)):
-            lists = p.tolist(), ca.tolist(), cb.tolist()
-            assert res[:, i].tobytes() == _transform_residual(*lists).tobytes()
-            assert jac[:, :, i].tobytes() == _transform_jacobian(*lists).tobytes()
-            if i % 4 == 0:
-                assert res0[:, i].tobytes() == _transform_residual(lists[0], *shared).tobytes()
-                assert jac0[:, :, i].tobytes() == _transform_jacobian(lists[0], *shared).tobytes()
-
     def test_arrays_accepted(self):
         p, ca, cb = (x[0] for x in _seeded_triples(np.random.default_rng(4), 1))
         assert _transform_residual(p, ca, cb).shape == (8,)
@@ -382,9 +365,9 @@ def _verdict_corpus():
 
 
 def _search_every_pair(monkeypatch):
-    """Turn off ``trace_separation`` inside ``iso_search``, so that its hopeless and
-    unrelated pairs still go through the descent these tests compare."""
-    monkeypatch.setattr(isomorphism, "trace_separation", lambda a, b: None)
+    """Turn off both skip rules of ``iso_search``, so that its hopeless, unrelated
+    and A1 and A0Plus pairs still go through the descent these tests compare."""
+    monkeypatch.setattr(isomorphism, "_search_ruled_out", lambda a, b: None)
 
 
 def test_search_verdicts_match_einsum_descent(monkeypatch):
@@ -413,11 +396,21 @@ def test_search_verdicts_match_einsum_descent(monkeypatch):
     assert set(exits) == {"tolerance met", "stationary gradient", "tiny step",
                           "damping above 1e12", "iteration cap"}
     assert kinds["moved random", KIND_ISOMORPHIC] > 0 and kinds["hopeless", KIND_ISOMORPHIC] == 0
+    # Every bit of every verdict: a change to the starts or to the float
+    # operations of the descent moves the digest.
+    assert _verdicts_digest(verdicts) == \
+        "98c43889b8b4f25f65ff604bea4e57f9af0c86ecf9e71fa3ac9ba50b3876dd70"
 
 
-def _closed_form(kernel):
-    """``kernel`` on the ndarrays of ``_einsum_descent``, through its Python-float form."""
-    return lambda p, ca, cb: kernel(p.tolist(), ca.tolist(), cb.tolist())
+def test_verdicts_at_64_restarts_are_pinned(monkeypatch):
+    # All 64 restarts on every twelfth case: the later restarts, which most
+    # pairs never reach, are pinned to the bit as well.
+    _search_every_pair(monkeypatch)
+    verdicts = [iso_search(a, b, SearchConfig(64, seed=seed))
+                for _, a, b, seed in _verdict_corpus()[::12]]
+    assert collections.Counter(v.kind for v in verdicts)[KIND_NOT_FOUND_WITHIN_BUDGET] > 0
+    assert _verdicts_digest(verdicts) == \
+        "7b1d69811f7b2ca9a891f384adfc943f7ac4bfabf1c406a8be90bfdc639a58d9"
 
 
 def _verdict_bits(verdict):
@@ -425,93 +418,12 @@ def _verdict_bits(verdict):
     return verdict.kind, repr(verdict.residual), certificate and certificate.matrix.tobytes()
 
 
-def test_lockstep_lanes_match_the_scalar_descent(monkeypatch):
-    # Every lane stays in the lockstep until it ends.  On every other case of
-    # the corpus the five exits are each reached: 1,180 lanes meet the
-    # tolerance, 253 end with damping above 1e12, 4 on a tiny step, 2 at the
-    # iteration cap and 1 at a stationary gradient.
-    monkeypatch.setattr(isomorphism, "_LOCKSTEP_LANES", 1)
-    cfg = SearchConfig(restarts=8)
-    exits = collections.Counter()
-    kernels = _closed_form(_transform_residual), _closed_form(_transform_jacobian)
-    with np.errstate(all="ignore"):  # the oracle's matmuls warn on overflow
-        for kind, a, b, seed in _verdict_corpus()[::2]:
-            ca, cb = a.constants.values.tolist(), b.constants.values.tolist()
-            starts = random_invertible(np.random.default_rng(seed), EPS_DET, np.inf, 8)
-            lanes = list(_lockstep_descents(starts, ca, cb, cfg))
-            assert len(lanes) == 8
-            for (p, eq_residual), p0 in zip(lanes, starts):
-                q, expected = _einsum_descent(p0, ca, cb, cfg, exits, *kernels)
-                assert p.tobytes() == q.tobytes(), (kind, seed)
-                assert repr(eq_residual) == repr(expected), (kind, seed)
-    assert set(exits) == {"tolerance met", "stationary gradient", "tiny step",
-                          "damping above 1e12", "iteration cap"}
-
-
-@pytest.mark.parametrize("lanes", [1, 12, 17])
-def test_lanes_handed_to_the_scalar_loop_match_the_scalar_descent(monkeypatch, lanes):
-    # With the iteration cap cut to 8, many lanes reach it, in the lockstep
-    # (lanes=1 hands none over) or in the scalar loop that finishes the lanes
-    # handed over: part way (12, about 200 lanes) or from their starts (17, more
-    # than there are).
-    monkeypatch.setattr(isomorphism, "_MAX_ITERATIONS", 8)
-    monkeypatch.setattr(isomorphism, "_LOCKSTEP_LANES", lanes)
-    cfg = SearchConfig(restarts=16)
-    with np.errstate(all="ignore"):
-        for kind, a, b, seed in _verdict_corpus()[::10]:
-            ca, cb = a.constants.values.tolist(), b.constants.values.tolist()
-            starts = random_invertible(np.random.default_rng(seed), EPS_DET, np.inf, 16)
-            expected = [isomorphism._levenberg_descent(p0, ca, cb, cfg) for p0 in starts]
-            got = list(_lockstep_descents(starts, ca, cb, cfg))
-            assert [(p.tobytes(), repr(e)) for p, e in got] == \
-                [(p.tobytes(), repr(e)) for p, e in expected], (kind, seed)
-
-
-@pytest.mark.parametrize("restarts, every", [(8, 6), (64, 12)])
-def test_lockstep_gives_the_verdicts_of_the_scalar_walk(monkeypatch, restarts, every):
-    # With no scalar prefix every restart runs in the lockstep, which hands its
-    # last few lanes to the scalar loop; with all restarts scalar, none does.
-    # A slice of the corpus, every kind alike, keeps the 64-restart walks short.
-    _search_every_pair(monkeypatch)
-    corpus = _verdict_corpus()[::every]
-    verdicts = {}
-    with np.errstate(all="ignore"):  # the scalar descent's matmuls warn on overflow
-        for prefix in (0, restarts):
-            monkeypatch.setattr(isomorphism, "_SCALAR_RESTARTS", prefix)
-            verdicts[prefix] = [_verdict_bits(iso_search(a, b, SearchConfig(restarts, seed=seed)))
-                                for _, a, b, seed in corpus]
-    assert verdicts[0] == verdicts[restarts]
-    kinds = collections.Counter(kind for kind, _, _ in verdicts[0])
-    assert kinds[KIND_ISOMORPHIC] > 0 and kinds[KIND_NOT_FOUND_WITHIN_BUDGET] > 0
-
-
-@pytest.mark.parametrize("failing_call", [1, 3])
-def test_singular_stacked_solve_finishes_in_the_scalar_loop(monkeypatch, failing_call):
-    # A stacked solve that raises LinAlgError sends the lanes not yet walked to
-    # the scalar loop from where they stand, which gives the scalar walk's verdict.
-    solve = np.linalg.solve
-    stacked_calls = 0
-
-    def failing_solve(a, b):
-        nonlocal stacked_calls
-        if a.ndim == 3:
-            stacked_calls += 1
-            if stacked_calls == failing_call:
-                raise np.linalg.LinAlgError("Singular matrix")
-        return solve(a, b)
-
-    _search_every_pair(monkeypatch)
-    corpus = _verdict_corpus()[::20]
-    monkeypatch.setattr(isomorphism, "_SCALAR_RESTARTS", 16)
-    with np.errstate(all="ignore"):
-        expected = [_verdict_bits(iso_search(a, b, SearchConfig(16, seed=seed)))
-                    for _, a, b, seed in corpus]
-        monkeypatch.setattr(isomorphism, "_SCALAR_RESTARTS", 0)
-        monkeypatch.setattr(np.linalg, "solve", failing_solve)
-        for (_, a, b, seed), verdict in zip(corpus, expected):
-            stacked_calls = 0
-            assert _verdict_bits(iso_search(a, b, SearchConfig(16, seed=seed))) == verdict
-            assert stacked_calls == failing_call  # no stacked solve after the one that raised
+def _verdicts_digest(verdicts) -> str:
+    """sha256 of the ``_verdict_bits`` of each verdict, in order."""
+    digest = hashlib.sha256()
+    for verdict in verdicts:
+        digest.update(repr(_verdict_bits(verdict)).encode())
+    return digest.hexdigest()
 
 
 def _refused(t: float, tol: float) -> bool:
@@ -907,6 +819,7 @@ class TestTraceSeparation:
         kinds = collections.Counter()
         for kind, a, b in _moved_pairs(np.random.default_rng(21), 4_000):
             assert trace_separation(a, b) is None, kind
+            assert _search_ruled_out(a, b) is None, kind
             kinds[kind, _trace_invariants(a.constants.values.tolist()) is None] += 1
         # Every kind reaches the comparison of the invariants, not only the decline.
         assert all(kinds[kind, False] > 100 for kind in ("family", "random", "flow"))
@@ -977,12 +890,84 @@ class TestTraceSeparation:
         def no_descent(*args):
             raise AssertionError("a descent ran")
 
-        monkeypatch.setattr(isomorphism, "_descents", no_descent)
+        monkeypatch.setattr(isomorphism, "_levenberg_descent", no_descent)
         plus = class_representative(FlowClassLabel(ACOS_PLUS, 0.3))
         minus = class_representative(FlowClassLabel(ACOS_MINUS, 0.7))
         assert iso_search(plus, minus).kind == KIND_NOT_FOUND_WITHIN_BUDGET
+        # B is degenerate: associativity rules the pair out.
+        assert iso_search(A0_REP, A1_REP).kind == KIND_NOT_FOUND_WITHIN_BUDGET
         with pytest.raises(AssertionError, match="a descent ran"):
-            iso_search(A0_REP, A1_REP)  # B is degenerate: the search runs
+            # B is degenerate on one side and neither algebra is associative.
+            iso_search(A0_REP, class_representative(FlowClassLabel(ACOS_PLUS, 0.5)))
+
+
+# Associative algebras with degenerate B: the associativity rule must never rule
+# out one of them against its own move, however near singular the move.
+_ASSOCIATIVE = {
+    "A1": A1_REP.constants.values,
+    "-A1": NEG_A1.constants.values,
+    **{f"family 5 at {params}": _family_tensor(5, params)
+       for params in ((0.5, 0.0), (1.0, 0.0), (0.5, 0.5))},
+    "family 15": _family_tensor(15, ()),
+}
+_NEAR_SINGULAR_MOVES = st.tuples(*[st.floats(-2.0, 2.0)] * 4).map(
+    lambda v: np.array(v).reshape(2, 2)).filter(lambda p: 1e-3 < abs(determinant(p)) <= 3.0)
+
+
+class TestAssociativityRule:
+    """The skip where B is degenerate: one side associative to rounding, the other far from it."""
+
+    def test_the_associative_members(self):
+        for name, c in _ASSOCIATIVE.items():
+            a = AlgebraFD(CubicTensor(c))
+            assert _trace_invariants(c.tolist()) is None and is_associative(a, 0.0), name
+
+    @given(name=st.sampled_from(sorted(_ASSOCIATIVE)), p=_NEAR_SINGULAR_MOVES, k=_SCALES)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_never_rules_out_a_moved_associative_algebra(self, name, p, k):
+        assert _search_ruled_out(*_scaled_and_moved(_ASSOCIATIVE[name], k, p)) is None
+
+    @given(name=st.sampled_from(sorted(_ASSOCIATIVE)), size=st.floats(-17.0, -4.0),
+           noise=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+           p=_NEAR_SINGULAR_MOVES, k=_SCALES)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_never_rules_out_a_perturbed_associative_algebra(self, name, size, noise, p, k):
+        c = _ASSOCIATIVE[name] + 10.0 ** size * np.reshape(noise, (2, 2, 2))
+        assert _search_ruled_out(*_scaled_and_moved(c, k, p)) is None
+
+    @pytest.mark.parametrize("associative", [A1_REP, NEG_A1])
+    @given(p=_MOVES, q=_MOVES, k=_SCALES, swap=st.booleans())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_rules_out_a0_plus_against_a1(self, associative, p, q, k, swap):
+        a = _scaled_and_moved(A0_REP.constants.values, k, p)[1]
+        b = _scaled_and_moved(associative.constants.values, k, q)[1]
+        for pair in ((a, b), (b, a)) if swap else ((A0_REP, associative), (a, b)):
+            assert _search_ruled_out(*pair).startswith("associativity residual: ")
+
+    def test_reason_names_both_residuals(self):
+        assert _search_ruled_out(A0_REP, A1_REP) == "associativity residual: 0.25 vs 0.0"
+        assert _search_ruled_out(NEG_A1, A0_REP) == "associativity residual: 0.0 vs 0.25"
+
+    def test_nondegenerate_b_computes_no_associativity(self, monkeypatch):
+        # Found pairs pay nothing for the rule: where B is nondegenerate on both
+        # sides, the trace-form invariants decide alone.
+        def no_associativity(*args):
+            raise AssertionError("associativity computed")
+
+        monkeypatch.setattr(isomorphism, "associativity_residual", no_associativity)
+        checked = 0
+        for kind, a, b in _moved_pairs(np.random.default_rng(27), 400):
+            if all(_trace_invariants(x.constants.values.tolist()) is not None for x in (a, b)):
+                assert _search_ruled_out(a, b) is None, kind
+                checked += 1
+        assert checked > 200
+        plus = class_representative(FlowClassLabel(ACOS_PLUS, 0.3))
+        minus = class_representative(FlowClassLabel(ACOS_MINUS, 0.7))
+        assert _search_ruled_out(plus, minus) == trace_separation(plus, minus) is not None
+        moved = _scaled_and_moved(plus.constants.values, 0, np.array([[1.0, 0.5], [0.25, 1.5]]))
+        assert iso_search(*moved).kind == KIND_ISOMORPHIC
+        with pytest.raises(AssertionError, match="associativity computed"):
+            _search_ruled_out(A0_REP, A1_REP)
 
 
 class TestVerdictJson:
