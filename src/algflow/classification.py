@@ -28,7 +28,8 @@ to its canonical family by an explicit change of basis:
     ACosMinus(c) -> family 3 (1/2, 0, s/(2c))  via the same matrix
 
 with s = sqrt(1 - c^2); the returned basis change is validated against the
-class representative before being handed out.
+class representative before being handed out (for A1, A0Plus and A2 once, at
+import).
 """
 
 from __future__ import annotations
@@ -106,6 +107,8 @@ class FlowClassLabel:
             if self.c is not None:
                 raise ValueError(f"{self.variant} carries no parameter")
         elif self.variant in _PARAMETRIZED_VARIANTS:
+            if type(self.c) is not float and self.c is not None and 0.0 < self.c < 1.0:
+                object.__setattr__(self, "c", float(self.c))  # float64, whatever real c is
             if self.c is None or not 0.0 < self.c < 1.0:
                 raise ValueError(f"{self.variant} needs a parameter strictly in (0, 1)")
         else:
@@ -158,33 +161,39 @@ class BekbaevForm:
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if isinstance(self.family, bool) or not isinstance(self.family, (int, np.integer)):
-            raise ValueError(f"family must be an integer, got {self.family!r}")
-        family = int(self.family)
-        if family not in PARAM_COUNTS:
+        # An int family and a tuple of Python floats are already what is stored,
+        # so plain input skips the conversions (and the stores) below.
+        family, params = self.family, self.params
+        if type(family) is not int:
+            if isinstance(family, bool) or not isinstance(family, (int, np.integer)):
+                raise ValueError(f"family must be an integer, got {family!r}")
+            family = int(family)
+            object.__setattr__(self, "family", family)
+        count = PARAM_COUNTS.get(family)
+        if count is None:
             raise ValueError(f"family must be 1..15, got {family}")
-        params = tuple(self.params)
-        if not _all_real(params):  # float() would take "1" and True
-            raise ValueError(f"parameters must be real numbers, got {params!r}")
-        params = tuple(map(float, params))
-        if len(params) != PARAM_COUNTS[family]:
-            raise ValueError(
-                f"family {family} takes {PARAM_COUNTS[family]} parameters, got {len(params)}"
-            )
+        if type(params) is not tuple or not {float}.issuperset(map(type, params)):
+            params = tuple(params)
+            if not _all_real(params):  # float() would take "1" and True
+                raise ValueError(f"parameters must be real numbers, got {params!r}")
+            params = tuple(map(float, params))
+            object.__setattr__(self, "params", params)
+        if len(params) != count:
+            raise ValueError(f"family {family} takes {count} parameters, got {len(params)}")
         if not all(map(math.isfinite, params)):
             raise ValueError(f"parameters must be finite, got {params}")
         if family in _NONNEG_BETA1 and params[1] < 0:
             raise ValueError(f"family {family} requires beta1 >= 0")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", params)
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "params": list(self.params)}
 
 
 # The exceptional classes: residue of t mod pi, (cos, sin) of the representative,
-# canonical form and the basis change that reaches it.  A2 takes the minus-branch
-# reduction at c = s = sqrt(1/2), where the normalizer 2*sqrt(2cs) is 2 exactly.
+# canonical form and the basis change that reaches it; the checked reduction
+# (form, certificate) joins each row at import, below ``to_bekbaev``.  A2 takes
+# the minus-branch reduction at c = s = sqrt(1/2), where the normalizer
+# 2*sqrt(2cs) is 2 exactly.
 _EXCEPTIONAL = {
     A1: (0.0, (1.0, 0.0), BekbaevForm(5, (0.5, 0.0)), ((0.5, 0.0), (-1.0, 1.0))),
     A0_PLUS: (math.pi / 2, (0.0, 1.0), BekbaevForm(8, (0.0, 0.0)), ((-0.5, -0.5), (0.5, -0.5))),
@@ -201,10 +210,11 @@ EXCEPTIONAL_RESIDUES = tuple((residue, variant) for variant, (residue, *_) in _E
 _BANDS = tuple((r, VARIANTS.index(v)) for r, v in reversed(((math.pi, A1),) + EXCEPTIONAL_RESIDUES))
 
 
-def _family_entries(form: BekbaevForm) -> list[float]:
+def _family_entries(form: BekbaevForm) -> tuple[float, ...]:
     """The eight tensor entries of a canonical form in (i, j, k) order: the two
     rows interleaved column by column, in Python floats."""
-    return [x for column in zip(*_FAMILY_ROWS[form.family](*form.params)) for x in column]
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = _FAMILY_ROWS[form.family](*form.params)
+    return a0, b0, a1, b1, a2, b2, a3, b3
 
 
 def bekbaev_matrix(form: BekbaevForm) -> np.ndarray:
@@ -226,10 +236,12 @@ def class_codes(r, tol: float):
 def classify_time(t: float, tol: float = CLASSIFY_TOL) -> FlowClassLabel:
     """Map a time to its flow class: ``class_codes`` of t reduced mod pi, with
     |cos t| as the parameter of the continuous classes.  Times too large for
-    tol are refused (``flow.check_time``).
+    tol are refused (``flow.check_time``).  Any real t is taken as float(t), so
+    a numpy float32 time gets the class of its float64 value.
     """
     check_tol(tol)
     check_time(t, tol)
+    t = float(t)  # after the check, whose messages show t as given
     variant = VARIANTS[class_codes(reduce_mod_pi(t)[1], tol)]
     if variant in _EXCEPTIONAL:
         return FlowClassLabel(variant)
@@ -276,7 +288,7 @@ def class_representative(label: FlowClassLabel) -> AlgebraFD:
 
 def _reduction(label: FlowClassLabel) -> tuple[BekbaevForm, np.ndarray]:
     if label.c is None:
-        _, _, form, p = _EXCEPTIONAL[label.variant]
+        form, p = _EXCEPTIONAL[label.variant][2:4]
         return form, np.array(p)
     c = label.c
     s = math.sqrt(1.0 - c * c)
@@ -288,20 +300,11 @@ def _reduction(label: FlowClassLabel) -> tuple[BekbaevForm, np.ndarray]:
     return BekbaevForm(3, (0.5, 0.0, s / (2.0 * c))), p
 
 
-def to_bekbaev(label: FlowClassLabel) -> tuple[BekbaevForm, BasisChange]:
-    """Canonical form of a flow class plus the basis change that reaches it.
-
-    The certificate is checked before being returned: the transformed class
-    representative must reproduce the canonical matrix to 1e-10 times the
-    rounding scale max(1, max|P|^2 max|P^-1|), large as c -> 0 or 1, and never
-    beyond 1e-6 times the canonical tensor's scale max(1, max|target|): that cap
-    binds within about 3e-10 of c = 0 or 1, and below c of about 1e-21 the
-    rounding scale alone would outgrow the target.  A certificate that misses
-    it (or a nan residual) raises AssertionError.
-    """
+def _certified(label: FlowClassLabel, c: float, s: float) -> tuple[BekbaevForm, BasisChange]:
+    """``_reduction(label)`` with its basis change checked against the representative
+    with (cos, sin) entries (c, s), as ``to_bekbaev`` describes."""
     form, p_matrix = _reduction(label)
     certificate = BasisChange(p_matrix)
-    c, s = _branch(label)
     p = certificate.matrix.tolist()
     target = _family_entries(form)
     residual = iso_residual_entries(paired_entries(c, s, -s, c), target, p)
@@ -317,6 +320,31 @@ def to_bekbaev(label: FlowClassLabel) -> tuple[BekbaevForm, BasisChange]:
                 f"canonical reduction residual {residual:.3e} exceeds {bound:.1e} for {label}"
             )
     return form, certificate
+
+
+def to_bekbaev(label: FlowClassLabel) -> tuple[BekbaevForm, BasisChange]:
+    """Canonical form of a flow class plus the basis change that reaches it.
+
+    The certificate is checked before being returned: the transformed class
+    representative must reproduce the canonical matrix to 1e-10 times the
+    rounding scale max(1, max|P|^2 max|P^-1|), large as c -> 0 or 1, and never
+    beyond 1e-6 times the canonical tensor's scale max(1, max|target|): that cap
+    binds within about 3e-10 of c = 0 or 1, and below c of about 1e-21 the
+    rounding scale alone would outgrow the target.  A certificate that misses
+    it (or a nan residual) raises AssertionError.  The reductions of A1, A0Plus
+    and A2 never change: they are checked once, at import, and handed out as
+    stored (both objects are immutable).
+    """
+    c = label.c
+    if c is None:
+        return _EXCEPTIONAL[label.variant][-1]
+    s = math.sqrt(1.0 - c * c)
+    return _certified(label, c, s if label.variant == ACOS_PLUS else -s)
+
+
+# The exceptional reductions, checked here once on the path of every label.
+_EXCEPTIONAL.update({variant: row + (_certified(FlowClassLabel(variant), *row[1]),)
+                     for variant, row in _EXCEPTIONAL.items()})
 
 
 def label_to_json_dict(label: FlowClassLabel) -> dict:

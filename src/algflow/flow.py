@@ -114,7 +114,7 @@ def check_time(t: float, tol: float | None = None) -> None:
         raise ValueError(f"time must be finite, got {t}")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    if tol is not None and (t > MAX_TIME
+    if tol is not None and (float(t) > MAX_TIME  # in float64: MAX_TIME overflows a float16
                             or (2 * math.ulp(t) > tol and 2 * math.ulp(t) > DEFAULT_TOL)):
         raise ValueError(f"time {t} is too large for tolerance {tol:g} (float spacing "
                          f"{math.ulp(t):.2g}; reduction mod pi up to {MAX_TIME:.4g})")

@@ -244,21 +244,25 @@ def _levenberg_descent(p0: np.ndarray, ca, cb, cfg: SearchConfig) -> tuple[np.nd
     r = _transform_residual(p, ca, cb)
     cost = float(r @ r)
     lam = 1e-3
+    moved = True
     for _ in range(_MAX_ITERATIONS):
-        if _max_abs(r.tolist()) <= cfg.tol:
-            break
-        jac = _transform_jacobian(p, ca, cb)
-        grad = jac.T @ r
-        if _max_abs(grad.tolist()) < 1e-14:
-            break  # stationary point, further iterations cannot move
+        if moved:  # a rejected step leaves p and r, and so J^T J and J^T r, as they were
+            if _max_abs(r.tolist()) <= cfg.tol:
+                break
+            jac = _transform_jacobian(p, ca, cb)
+            grad = jac.T @ r
+            if _max_abs(grad.tolist()) < 1e-14:
+                break  # stationary point, further iterations cannot move
+            normal, descent = jac.T @ jac, -grad
         try:
-            step = np.linalg.solve(jac.T @ jac + lam * _EYE4, -grad).tolist()
+            step = np.linalg.solve(normal + lam * _EYE4, descent).tolist()
         except np.linalg.LinAlgError:
             break  # lam below the rounding of an exactly singular J^T J
         candidate = [[p[0][0] + step[0], p[0][1] + step[1]], [p[1][0] + step[2], p[1][1] + step[3]]]
         r_new = _transform_residual(candidate, ca, cb)
         cost_new = float(r_new @ r_new)
-        if cost_new < cost:
+        moved = cost_new < cost
+        if moved:
             p, r, cost = candidate, r_new, cost_new
             lam = max(lam / 10.0, 1e-12)
             if _max_abs(step) < 1e-14:
@@ -368,11 +372,14 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
     ``tol`` are refused.  Times within ``tol`` of the locus count as on it if
     the certificate meets ``tol``, else not: distinct floats never differ by an
     exact multiple of pi, and equal times get the identity, residual 0.
-    ``rotation_isomorphic`` gives the same decisions over arrays of times.
+    ``rotation_isomorphic`` gives the same decisions over arrays of times.  Any
+    real times are taken as floats, so numpy float32 times get the verdict of
+    their float64 values.
     """
     check_tol(tol)
     check_time(t1, tol)
     check_time(t2, tol)
+    t1, t2 = float(t1), float(t2)  # a float32 time would reduce in float32
     k1, r1 = reduce_mod_pi(t1)
     k2, r2 = reduce_mod_pi(t2)
 

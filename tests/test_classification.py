@@ -1,5 +1,6 @@
 """Time-to-class map, canonical families, and certified reductions."""
 
+import collections
 import importlib.util
 import json
 import math
@@ -8,7 +9,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import algflow.checks
@@ -38,7 +39,7 @@ from algflow.classification import (
 )
 from algflow.cubic import CubicTensor
 from algflow.flow import MAX_TIME, flow_algebra, paired_tensors
-from algflow.isomorphism import iso_residual, rotation_iso
+from algflow.isomorphism import iso_residual, rotation_iso, rotation_isomorphic
 
 
 def _same_label(a: FlowClassLabel, b: FlowClassLabel, tol: float = 1e-9) -> bool:
@@ -658,3 +659,144 @@ class TestLargeTimes:
         for n in (0, 1, 2, 1000, 654_321, len(times) - 1):
             exact = Decimal(residue) + n * ORACLES.PI
             assert abs(Decimal(times[n]) - exact) <= Decimal(math.ulp(times[n])), n
+
+
+def _reference_to_bekbaev(label: FlowClassLabel):
+    """``to_bekbaev`` as written when every call, on an exceptional label too, ran
+    ``_reduction``, ``_branch`` and the check: the reference for the bits of the
+    stored exceptional reductions and of the lean path of the continuous classes."""
+    from algflow.algebra import BasisChange, det_entries
+    from algflow.classification import (_FAMILY_ROWS, _REDUCTION_CAP, _REDUCTION_TOL,
+                                        _branch, _reduction)
+    from algflow.flow import paired_entries
+
+    form, p_matrix = _reduction(label)
+    certificate = BasisChange(p_matrix)
+    c, s = _branch(label)
+    p = certificate.matrix.tolist()
+    target = [x for column in zip(*_FAMILY_ROWS[form.family](*form.params)) for x in column]
+    residual = iso_residual_entries(paired_entries(c, s, -s, c), target, p)
+    if not residual <= _REDUCTION_TOL:
+        p_max = max(map(abs, p[0] + p[1]))
+        rounding = max(1.0, p_max / abs(det_entries(*p[0], *p[1])) * p_max * p_max)
+        scale = max(1.0, max(map(abs, target)))
+        bound = min(_REDUCTION_TOL * rounding, _REDUCTION_CAP * scale)
+        if not residual <= bound:
+            raise AssertionError(
+                f"canonical reduction residual {residual:.3e} exceeds {bound:.1e} for {label}"
+            )
+    return form, certificate
+
+
+def _outcome(f, *args):
+    """What f(*args) gives: its value, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except (ValueError, AssertionError, OverflowError) as error:
+        return type(error), str(error)
+
+
+class TestToBekbaevBits:
+    @staticmethod
+    def _corpus():
+        rng = np.random.default_rng(2027)
+        cs = np.concatenate((10.0 ** rng.uniform(-320.0, 0.0, 600),
+                             1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 200)))
+        cs = [min(c, algflow.classification._C_MAX) for c in cs.tolist() if c > 0.0]
+        cs.append(algflow.classification._C_MAX)
+        return ([FlowClassLabel(variant, c) for c in cs for variant in (ACOS_PLUS, ACOS_MINUS)]
+                + [FlowClassLabel(variant) for variant in (A1, A0_PLUS, A2)])
+
+    def test_same_bits_and_raises_as_the_reference(self):
+        kinds = collections.Counter()
+        for label in self._corpus():
+            expected, got = _outcome(_reference_to_bekbaev, label), _outcome(to_bekbaev, label)
+            if isinstance(expected[0], type):
+                kinds[expected[0].__name__] += 1
+                assert got == expected, label
+                continue
+            kinds["returned"] += 1
+            (form, cert), (ref_form, ref_cert) = got, expected
+            assert form.family == ref_form.family, label
+            assert [x.hex() for x in form.params] == [x.hex() for x in ref_form.params], label
+            assert cert.matrix.tobytes() == ref_cert.matrix.tobytes(), label
+        # the corpus reaches both kinds of refusal: c below 3e-309 and below 1e-206
+        assert kinds["ValueError"] > 10 and kinds["AssertionError"] > 10
+        assert kinds["returned"] > 1000
+
+    def test_exceptional_answer_runs_no_check(self, monkeypatch):
+        expected = {label.variant: _reference_to_bekbaev(label)
+                    for label in map(FlowClassLabel, (A1, A0_PLUS, A2))}
+
+        def refuse(*args):
+            raise RuntimeError("no check runs on an exceptional label")
+
+        monkeypatch.setattr(algflow.classification, "iso_residual_entries", refuse)
+        monkeypatch.setattr(algflow.classification, "_reduction", refuse)
+        for variant, (ref_form, ref_cert) in expected.items():
+            form, cert = to_bekbaev(FlowClassLabel(variant))
+            assert form == ref_form and cert.matrix.tobytes() == ref_cert.matrix.tobytes()
+            assert not cert.matrix.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                cert.matrix[0, 0] = 2.0
+            again = to_bekbaev(FlowClassLabel(variant))
+            assert again[0] is form and again[1] is cert
+        with pytest.raises(RuntimeError):
+            to_bekbaev(FlowClassLabel(ACOS_PLUS, 0.5))
+
+
+_REAL_SCALARS = (np.float16, np.float32, np.float64, int)
+# Times near the residues 0, pi/2, 3*pi/4 (mod pi), where float32 and float64 part.
+_NEAR_RESIDUES = st.builds(lambda residue, n, offset: abs(residue + n * math.pi + offset),
+                           st.sampled_from((0.0, math.pi / 2, 3 * math.pi / 4, math.pi)),
+                           st.integers(0, 300), st.floats(-1e-5, 1e-5))
+
+
+class TestRealScalars:
+    """The scalar entry points compute in float64 whatever real scalar they are
+    given: the same answers as for float(x), and as the array functions give."""
+
+    @given(kind=st.sampled_from(_REAL_SCALARS), t=st.one_of(st.floats(0.0, 1e5), _NEAR_RESIDUES))
+    @example(kind=np.float32, t=32.98672)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_classify_time(self, kind, t):
+        with np.errstate(over="ignore"):  # a float16 beyond 65504 is inf, and refused
+            x = kind(t)
+        label = _outcome(classify_time, x)
+        assert label == _outcome(classify_time, float(x))
+        if isinstance(label, FlowClassLabel):
+            assert label.c is None or type(label.c) is float
+            codes, c = classify_times(np.array([x]))
+            assert VARIANTS[int(codes[0])] == label.variant
+            assert math.isnan(c[0]) if label.c is None else abs(c[0] - label.c) <= math.ulp(label.c)
+
+    @given(kind=st.sampled_from(_REAL_SCALARS),
+           t1=st.one_of(st.floats(0.0, 1e3), _NEAR_RESIDUES),
+           t2=st.one_of(st.floats(0.0, 1e3), _NEAR_RESIDUES),
+           n=st.integers(0, 300), shift=st.booleans())
+    @example(kind=np.float32, t1=15.448019, t2=24.872797, n=0, shift=False)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_rotation_iso(self, kind, t1, t2, n, shift):
+        x1, x2 = kind(t1), kind(t1 + n * math.pi if shift else t2)
+        verdict = rotation_iso(x1, x2)
+        expected = rotation_iso(float(x1), float(x2))
+        assert (verdict.kind, verdict.reason, repr(verdict.residual)) == (
+            expected.kind, expected.reason, repr(expected.residual))
+        assert (verdict.certificate is None) == (expected.certificate is None)
+        if verdict.certificate is not None:
+            assert verdict.certificate.matrix.tobytes() == expected.certificate.matrix.tobytes()
+        assert rotation_isomorphic(np.array([x1]), np.array([x2]))[0] == verdict.is_isomorphic
+
+    @pytest.mark.parametrize("kind", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("variant", [ACOS_PLUS, ACOS_MINUS])
+    def test_label_parameter_stored_as_float(self, kind, variant):
+        label = FlowClassLabel(variant, kind(0.3))
+        assert type(label.c) is float and label == FlowClassLabel(variant, float(kind(0.3)))
+        form, cert = to_bekbaev(label)  # a float32 c once missed the bound by 1.19e-7
+        ref_form, ref_cert = to_bekbaev(FlowClassLabel(variant, float(kind(0.3))))
+        assert form == ref_form and cert.matrix.tobytes() == ref_cert.matrix.tobytes()
+
+    def test_long_double_rounding_to_one_is_refused(self):
+        # below 1 where long double is wider than float64, and 1 where it is not
+        with pytest.raises(ValueError, match="strictly in"):
+            FlowClassLabel(ACOS_PLUS, np.longdouble(1.0) - np.longdouble(2.0**-60))

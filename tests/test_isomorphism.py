@@ -413,6 +413,37 @@ def test_verdicts_at_64_restarts_are_pinned(monkeypatch):
         "7b1d69811f7b2ca9a891f384adfc943f7ac4bfabf1c406a8be90bfdc639a58d9"
 
 
+def test_rejected_step_takes_no_new_jacobian(monkeypatch):
+    # A rejected step leaves p and r as they were, so the descent takes the
+    # Jacobian once at its start and once after each accepted step, never more.
+    costs, jacobians = [], [0]
+
+    def residual(p, ca, cb):
+        r = _transform_residual(p, ca, cb)
+        costs.append(float(r @ r))
+        return r
+
+    def jacobian(p, ca, cb):
+        jacobians[0] += 1
+        return _transform_jacobian(p, ca, cb)
+
+    monkeypatch.setattr(isomorphism, "_transform_residual", residual)
+    monkeypatch.setattr(isomorphism, "_transform_jacobian", jacobian)
+    ca, cb = (class_representative(FlowClassLabel(ACOS_PLUS, c)).constants.values.tolist()
+              for c in (0.3, 0.5))
+    rng = np.random.default_rng(5)
+    rejected = 0
+    for _ in range(16):
+        costs.clear()
+        jacobians[0] = 0
+        isomorphism._levenberg_descent(random_invertible(rng, 1e-10, np.inf), ca, cb,
+                                       SearchConfig())
+        accepted = sum(new < min(costs[:i + 1]) for i, new in enumerate(costs[1:]))
+        rejected += len(costs) - 1 - accepted
+        assert jacobians[0] <= accepted + 1
+    assert rejected > 50  # 104 at this seed
+
+
 def _verdict_bits(verdict):
     certificate = verdict.certificate
     return verdict.kind, repr(verdict.residual), certificate and certificate.matrix.tobytes()
