@@ -5,7 +5,9 @@ c_{ijk}: the bilinear product is e_i e_j = sum_k c_{ijk} e_k.  This module
 provides the product of coordinate vectors, commutativity and associativity
 predicates, change of basis with an explicit transformation formula, and the
 2 x 4 matrix form (row k holds c_{ijk} with columns ordered (1,1), (1,2),
-(2,1), (2,2)).  The stacked residual kernels take tensors of any dimension m.
+(2,1), (2,2)).  The stacked residual kernels take tensors of any dimension m;
+their one-tensor twins (``*_entries``) read the eight entries of a 2 x 2 x 2
+tensor as Python floats, with the same bits.
 
 Everything is immutable and pure.
 """
@@ -151,6 +153,13 @@ def product(algebra: AlgebraFD, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("i,j,ijk->k", x, y, algebra.constants.values)
 
 
+def max_abs(values) -> float:
+    """``np.max(np.abs(values))`` of a sequence of floats: nan if any value is nan,
+    which the builtin max alone can drop."""
+    mags = list(map(abs, values))
+    return math.nan if math.isnan(sum(mags)) else max(mags)
+
+
 def _check_stack(c: np.ndarray) -> tuple[int, int]:
     if c.ndim != 4 or not c.shape[1] == c.shape[2] == c.shape[3]:
         raise ValueError(f"expected a stack of m x m x m tensors, got shape {c.shape}")
@@ -163,9 +172,16 @@ def commutativity_residuals(c: np.ndarray) -> np.ndarray:
     return np.max(np.abs(c - c.transpose(0, 2, 1, 3)), axis=(1, 2, 3))
 
 
+def commutativity_residual_entries(c) -> float:
+    """``commutativity_residuals`` of one tensor in Python floats, to the bit: c holds
+    the eight finite entries c_ijk in (i, j, k) order.  The terms with i = j are 0."""
+    _, _, c010, c011, c100, c101, _, _ = c
+    return max(abs(c010 - c100), abs(c011 - c101))
+
+
 def commutativity_residual(algebra: AlgebraFD) -> float:
     """max |c_ijk - c_jik|; zero iff the algebra is commutative."""
-    return float(commutativity_residuals(algebra.constants.values[np.newaxis])[0])
+    return commutativity_residual_entries(algebra.constants.values.ravel().tolist())
 
 
 def check_tol(tol: float) -> None:
@@ -196,9 +212,26 @@ def associativity_residuals(c: np.ndarray) -> np.ndarray:
     return np.max(np.abs(lhs - rhs), axis=(1, 2, 3, 4))
 
 
+def associativity_residual_entries(c) -> float:
+    """``associativity_residuals`` of one tensor in Python floats, to the bit: c holds
+    the eight entries c_ijk in (i, j, k) order.  Each product and sum rounds once, as
+    in the stacked kernel, and a nan (an inf - inf past overflow) is returned as nan."""
+    c000, c001, c010, c011, c100, c101, c110, c111 = c
+    planes = (c000, c001, c010, c011), (c100, c101, c110, c111)  # c_jkl for j = 0, 1
+    diffs = []
+    for i00, i01, i10, i11 in planes:
+        for (a, b), (j00, j01, j10, j11) in zip(((i00, i01), (i10, i11)), planes):
+            # sum_r c_ijr c_rkl - sum_r c_irl c_jkr for (k, l) = (0, 0), (0, 1), (1, 0), (1, 1)
+            diffs += ((a * c000 + b * c100) - (i00 * j00 + i10 * j01),
+                      (a * c001 + b * c101) - (i01 * j00 + i11 * j01),
+                      (a * c010 + b * c110) - (i00 * j10 + i10 * j11),
+                      (a * c011 + b * c111) - (i01 * j10 + i11 * j11))
+    return max_abs(diffs)
+
+
 def associativity_residual(algebra: AlgebraFD) -> float:
     """Residual of the associativity law; zero iff the algebra is associative."""
-    return float(associativity_residuals(algebra.constants.values[np.newaxis])[0])
+    return associativity_residual_entries(algebra.constants.values.ravel().tolist())
 
 
 def is_associative(algebra: AlgebraFD, tol: float = DEFAULT_TOL) -> bool:
@@ -246,8 +279,7 @@ def iso_residual_entries(ca, cb, p) -> float:
         x0, x1, x2, x3, x4, x5, x6, x7 = x
         x = (e * x0 + f * x1, e * x2 + f * x3, e * x4 + f * x5, e * x6 + f * x7,
              g * x0 + h * x1, g * x2 + h * x3, g * x4 + h * x5, g * x6 + h * x7)
-    diffs = [abs(u - v) for u, v in zip(x, cb)]
-    return math.nan if math.isnan(sum(diffs)) else max(diffs)  # max alone can drop a nan
+    return max_abs([u - v for u, v in zip(x, cb)])
 
 
 def iso_residual(a: AlgebraFD, b: AlgebraFD, p: BasisChange) -> float:
@@ -273,10 +305,16 @@ def from_2x4(rows: np.ndarray) -> AlgebraFD:
     return AlgebraFD(CubicTensor(rows.T.reshape(2, 2, 2)))
 
 
+def rank_2x4_entries(c) -> int:
+    """Numerical rank of the 2 x 4 form of c, the eight entries c_ijk in (i, j, k)
+    order (a sequence, or any array of that order): its singular values above 1e-8."""
+    s = np.linalg.svd(np.reshape(c, (4, 2)).T, compute_uv=False)
+    return int(np.sum(s > 1e-8))
+
+
 def rank_2x4(algebra: AlgebraFD) -> int:
     """Numerical rank of the 2 x 4 form: its singular values above 1e-8."""
-    s = np.linalg.svd(to_2x4(algebra), compute_uv=False)
-    return int(np.sum(s > 1e-8))
+    return rank_2x4_entries(algebra.constants.values)
 
 
 def algebra_to_json_dict(algebra: AlgebraFD) -> dict:

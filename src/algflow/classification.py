@@ -262,14 +262,19 @@ def classify_times(t: np.ndarray, tol: float = CLASSIFY_TOL) -> tuple[np.ndarray
                            np.minimum(np.abs(np.cos(t)), _C_MAX))
 
 
-def residue_times(residue: float, t_max: float) -> np.ndarray:
-    """The times residue + n*pi <= t_max, n = 0, 1, ..., each moved onto its
-    residue as ``reduce_mod_pi`` measures it, undoing the drift of n * float pi."""
-    n = np.arange(max(math.floor((t_max - residue) / math.pi) + 2, 0))
+def residue_times(residue, t_max: float, t_min: float = 0.0) -> np.ndarray:
+    """The times residue + n*pi in [t_min, t_max], n = 0, 1, ..., each moved onto
+    its residue as ``reduce_mod_pi`` measures it, undoing the drift of n * float pi.
+    For an array of residues in [0, pi), the times of each residue in turn.  Each
+    time is computed from its own residue and n alone, so a window of times has the
+    bits it has in the whole list."""
+    residue = np.asarray(residue, dtype=float)[..., np.newaxis]
+    n = np.arange(max(math.floor((t_min - residue.max()) / math.pi) - 1, 0),
+                  max(math.floor((t_max - residue.min()) / math.pi) + 2, 0))
     times = residue + n * math.pi
     drift = reduce_mod_pi(times)[1] - residue
     times = times - (drift - np.round(drift / math.pi) * math.pi)
-    return times[times <= t_max]
+    return times[(t_min <= times) & (times <= t_max)]
 
 
 def _branch(label: FlowClassLabel) -> tuple[float, float]:

@@ -43,7 +43,7 @@ from .classification import (
     residue_times,
     to_bekbaev,
 )
-from .flow import check_time, time_blocks, verify_kce
+from .flow import SWEEP_BLOCK, check_time, verify_kce
 from .isomorphism import (
     IsoVerdict,
     SearchConfig,
@@ -132,48 +132,74 @@ def cmd_iso(args: argparse.Namespace) -> int:
     return EXIT_OK if verdict.is_isomorphic else EXIT_CHECK_FAILED
 
 
-def _partition_times(t_max: float, step: float) -> np.ndarray:
-    """Grid points k*step < t_max, t_max itself and the exceptional times, sorted."""
+def _check_partition(t_max: float, step: float) -> None:
+    """Refuse a partition grid that is not finite and positive, that holds too many
+    points, or whose times are too large for the class bands."""
     if not (math.isfinite(t_max) and math.isfinite(step)):
         raise ValueError(f"t_max and step must be finite, got {t_max} and {step}")
     if t_max <= 0 or step <= 0:
         raise ValueError("t_max and step must be positive")
-    n_grid = t_max / step
-    n_points = n_grid + len(EXCEPTIONAL_RESIDUES) * t_max / math.pi
+    n_points = t_max / step + len(EXCEPTIONAL_RESIDUES) * t_max / math.pi
     if n_points > MAX_PARTITION_POINTS:
         raise ValueError(
             f"--t-max {t_max} at --step {step} gives about {n_points:.3g} points, "
             f"over the cap of {MAX_PARTITION_POINTS}"
         )
     check_time(t_max, CLASSIFY_TOL)  # the tolerance classify_times bands with
-    grid = np.arange(1, math.ceil(n_grid) + 2) * step
-    exceptional = [residue_times(residue, t_max) for residue, _ in EXCEPTIONAL_RESIDUES]
-    return np.unique(np.concatenate(([0.0], grid[grid < t_max], [t_max], *exceptional)))
 
 
-def _partition_columns(times: np.ndarray, missing: str):
-    """Text columns (t, class, param_c, commutative, associative) for each block of
-    ``times``, each made by one C-level loop; param_c is ``missing`` for a class without
-    one.  The class bands are CLASSIFY_TOL wide in t mod pi on each side; the predicates
-    are the class's (``CLASS_PREDICATES``, tested on tensors by ``locus`` and ``census``)."""
-    commutative, associative = ([("false", "true")[CLASS_PREDICATES[variant][i]]
-                                 for variant in VARIANTS] for i in (0, 1))
-    for block in time_blocks(times):
-        codes, c = classify_times(block)
-        codes = codes.tolist()
-        c_text = list(map(repr, c.tolist()))
-        for i in np.flatnonzero(np.isnan(c)).tolist():
-            c_text[i] = missing
-        yield (map(repr, block.tolist()), map(VARIANTS.__getitem__, codes), c_text,
-               map(commutative.__getitem__, codes), map(associative.__getitem__, codes))
+# The exceptional residues, in one array: their times in a window come from one call.
+_RESIDUES = np.array([residue for residue, _ in EXCEPTIONAL_RESIDUES])
 
 
-def _write_csv(fh, times: np.ndarray) -> None:
-    """The partition as CSV, one write per block.  No field needs quoting: floats,
-    class names and true/false hold no comma, quote or line break."""
+def _partition_blocks(t_max: float, step: float):
+    """Grid points k*step < t_max, t_max itself and the exceptional times, sorted and
+    without duplicates (as ``np.unique`` of them all), in blocks: one window [lo, hi)
+    of t at a time, holding at most SWEEP_BLOCK grid points and about as many
+    exceptional times.  No block is empty.  Windows partition the time axis, so each
+    block is the whole list's run of times in its window."""
+    width = SWEEP_BLOCK * min(step, math.pi / len(EXCEPTIONAL_RESIDUES))
+    j = 0
+    while (lo := j * width) <= t_max:
+        j += 1
+        top = min(t_max, math.nextafter(j * width, 0.0))  # the window as [lo, top]
+        grid = np.arange(max(math.floor(lo / step) - 1, 0), math.floor(top / step) + 2) * step
+        block = np.unique(np.concatenate((grid[(lo <= grid) & (grid <= top)],
+                                          [t_max] if top == t_max else [],
+                                          residue_times(_RESIDUES, top, lo))))
+        if len(block):
+            yield block
+
+
+# The commutative and associative text of each class, by class code.
+_PREDICATE_TEXT = tuple([("false", "true")[CLASS_PREDICATES[variant][i]] for variant in VARIANTS]
+                        for i in (0, 1))
+
+
+def _block_columns(block: np.ndarray, missing: str):
+    """Text columns (t, class, param_c, commutative, associative) of a block of times,
+    each made by one C-level loop; param_c is ``missing`` for a class without one.
+    The class bands are CLASSIFY_TOL wide in t mod pi on each side; the predicates are
+    the class's (``CLASS_PREDICATES``, tested on tensors by ``locus`` and ``census``)."""
+    commutative, associative = _PREDICATE_TEXT
+    codes, c = classify_times(block)
+    codes = codes.tolist()
+    c_text = list(map(repr, c.tolist()))
+    for i in np.flatnonzero(np.isnan(c)).tolist():
+        c_text[i] = missing
+    return (map(repr, block.tolist()), map(VARIANTS.__getitem__, codes), c_text,
+            map(commutative.__getitem__, codes), map(associative.__getitem__, codes))
+
+
+def _write_csv(fh, blocks) -> int:
+    """The partition as CSV, one write per block; returns the number of rows.  No field
+    needs quoting: floats, class names and true/false hold no comma, quote or line break."""
     fh.write("t,class,param_c,commutative,associative\n")
-    for columns in _partition_columns(times, ""):
-        fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+    rows = 0
+    for block in blocks:
+        fh.write("\n".join(map(",".join, zip(*_block_columns(block, "")))) + "\n")
+        rows += len(block)
+    return rows
 
 
 # One record of json.dumps(records, indent=2), as it reads inside the list.
@@ -181,25 +207,29 @@ _JSON_RECORD = ('{{\n    "t": {},\n    "class": "{}",\n    "param_c": {},\n'
                 '    "commutative": {},\n    "associative": {}\n  }}')
 
 
-def _write_json(fh, times: np.ndarray) -> None:
-    """The bytes of ``json.dumps(records, indent=2)``, written one block at a time:
-    each block's records are formatted from ``_JSON_RECORD`` column by column."""
+def _write_json(fh, blocks) -> int:
+    """The bytes of ``json.dumps(records, indent=2)``, written one block at a time (each
+    block's records formatted from ``_JSON_RECORD`` column by column); returns the
+    number of records.  Every block is nonempty, so no separator is left dangling."""
     separator = "[\n  "
-    for columns in _partition_columns(times, "null"):
-        fh.write(separator + ",\n  ".join(map(_JSON_RECORD.format, *columns)))
+    rows = 0
+    for block in blocks:
+        fh.write(separator + ",\n  ".join(map(_JSON_RECORD.format, *_block_columns(block, "null"))))
         separator = ",\n  "
+        rows += len(block)
     fh.write("\n]\n")
+    return rows
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    times = _partition_times(args.t_max, args.step)
+    _check_partition(args.t_max, args.step)
     write = _write_csv if args.format == "csv" else _write_json
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write(fh, times)
+            rows = write(fh, _partition_blocks(args.t_max, args.step))
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc}") from exc
-    print(f"wrote {len(times)} records to {args.out}")
+    print(f"wrote {rows} records to {args.out}")
     return EXIT_OK
 
 

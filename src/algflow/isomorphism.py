@@ -20,8 +20,10 @@ Three complementary tools:
   non-isomorphism, and the verdict says so.  The equations and their
   Jacobian are closed forms in Python floats, summed from 0.0 in the order
   of ``np.einsum`` on C-ordered arrays: the tests pin certificates to the
-  last bit and keep the einsum forms as the oracle.  The restarts run one at
-  a time, in index order, and the first certificate is the verdict.
+  last bit and keep the einsum forms as the oracle.  The damped normal
+  equations go to numpy's LAPACK gufunc directly, without the checks of
+  ``np.linalg.solve``.  The restarts run one at a time, in index order, and
+  the first certificate is the verdict.
 
 * ``invariant_signature`` separates algebras by cheap isomorphism
   invariants (commutativity, associativity, rank of the 2 x 4 form), and
@@ -48,17 +50,16 @@ from .algebra import (
     EPS_DET,
     AlgebraFD,
     BasisChange,
-    associativity_residual,
+    associativity_residual_entries,
     check_tol,
+    commutativity_residual_entries,
     determinant,
-    is_associative,
-    is_commutative,
     iso_residual,
+    max_abs,
     random_invertible,
-    rank_2x4,
+    rank_2x4_entries,
 )
 from .classification import A0_PLUS, A1, A2, VARIANTS, class_codes
-from .cubic import CubicTensor
 from .flow import check_time, check_times, reduce_mod_pi
 
 __all__ = [
@@ -133,6 +134,10 @@ class IsoVerdict:
 # Levenberg iterations per restart of the numeric search.
 _MAX_ITERATIONS = 200
 _EYE4 = np.eye(4)
+# The LAPACK gufunc behind np.linalg.solve for one right-hand side, called without
+# the wrapper's checks and conversions: the same bits, and a singular system gives
+# a step of nan (warning "invalid" unless ignored) where the wrapper raises LinAlgError.
+_SOLVE = np.linalg._umath_linalg.solve1
 
 
 @dataclass(frozen=True)
@@ -227,18 +232,17 @@ def _transform_jacobian(p, ca, cb) -> np.ndarray:
     ]).reshape(8, 4)
 
 
-def _max_abs(values: list[float]) -> float:
-    """``np.max(np.abs(values))`` of a list of floats: nan if any value is nan."""
-    mags = list(map(abs, values))
-    return math.nan if math.isnan(sum(mags)) else max(mags)
-
-
+# Past max|r| of about 1e154, r @ r and J^T J overflow: no numpy warnings.
+@np.errstate(all="ignore")
 def _levenberg_descent(p0: np.ndarray, ca, cb, cfg: SearchConfig) -> tuple[np.ndarray, float]:
     """Gauss-Newton with Levenberg damping from one starting matrix.
 
     P, ``ca`` and ``cb`` are nested lists.  Damping starts at 1e-3 and adapts
-    by factors of 10; a singular damped system ends the descent where it stands.
-    Returns the best point reached and its max-abs equation residual.
+    by factors of 10.  A step holding a nan, which makes a residual nan and so is
+    rejected, ends the descent where it stands: the solve fills the step with nan
+    where the damped system is singular (lam below the rounding of an exactly
+    singular J^T J), and a nan in J^T J or J^T r passes into it.  Returns the best
+    point reached and its max-abs equation residual.
     """
     p = p0.tolist()
     r = _transform_residual(p, ca, cb)
@@ -247,17 +251,14 @@ def _levenberg_descent(p0: np.ndarray, ca, cb, cfg: SearchConfig) -> tuple[np.nd
     moved = True
     for _ in range(_MAX_ITERATIONS):
         if moved:  # a rejected step leaves p and r, and so J^T J and J^T r, as they were
-            if _max_abs(r.tolist()) <= cfg.tol:
+            if max_abs(r.tolist()) <= cfg.tol:
                 break
             jac = _transform_jacobian(p, ca, cb)
             grad = jac.T @ r
-            if _max_abs(grad.tolist()) < 1e-14:
+            if max_abs(grad.tolist()) < 1e-14:
                 break  # stationary point, further iterations cannot move
             normal, descent = jac.T @ jac, -grad
-        try:
-            step = np.linalg.solve(normal + lam * _EYE4, descent).tolist()
-        except np.linalg.LinAlgError:
-            break  # lam below the rounding of an exactly singular J^T J
+        step = _SOLVE(normal + lam * _EYE4, descent, signature="dd->d").tolist()
         candidate = [[p[0][0] + step[0], p[0][1] + step[1]], [p[1][0] + step[2], p[1][1] + step[3]]]
         r_new = _transform_residual(candidate, ca, cb)
         cost_new = float(r_new @ r_new)
@@ -265,13 +266,13 @@ def _levenberg_descent(p0: np.ndarray, ca, cb, cfg: SearchConfig) -> tuple[np.nd
         if moved:
             p, r, cost = candidate, r_new, cost_new
             lam = max(lam / 10.0, 1e-12)
-            if _max_abs(step) < 1e-14:
+            if max_abs(step) < 1e-14:
                 break
         else:
             lam *= 10.0
-            if lam > 1e12:
+            if lam > 1e12 or any(map(math.isnan, step)):
                 break
-    return np.array(p), _max_abs(r.tolist())
+    return np.array(p), max_abs(r.tolist())
 
 
 def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> IsoVerdict:
@@ -285,7 +286,7 @@ def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> I
     form, or associativity where B is degenerate), no certificate exists, and
     the verdict is NotFoundWithinBudget at once, with no descent run.  A pair
     that neither rule decides and that has no certificate pays for every
-    restart: about 14 ms for A0Plus against ACosPlus(0.5) at 64 restarts.
+    restart: about 11 ms for A0Plus against ACosPlus(0.5) at 64 restarts.
 
     A NotFoundWithinBudget verdict is not a proof of non-isomorphism.
     """
@@ -299,22 +300,21 @@ def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> I
     rng = np.random.default_rng(cfg.seed)
     verdict = IsoVerdict.not_found()
     overflowed = 0
-    # Where max|r| passes about 1e154, r @ r and J^T J overflow and the descent
-    # cannot move: logged once below, not printed as numpy warnings.
-    with np.errstate(all="ignore"):
-        for _ in range(cfg.restarts):
-            p0 = random_invertible(rng, EPS_DET, np.inf)
-            p, eq_residual = _levenberg_descent(p0, ca, cb, cfg)
-            overflowed += not math.isfinite(eq_residual * eq_residual)
-            if eq_residual > cfg.tol:
-                continue
-            if abs(determinant(p)) <= EPS_DET:
-                continue  # root of the polynomial system, but a singular one
-            certificate = BasisChange(p)
+    for _ in range(cfg.restarts):
+        p0 = random_invertible(rng, EPS_DET, np.inf)
+        p, eq_residual = _levenberg_descent(p0, ca, cb, cfg)
+        # Where max|r| passes about 1e154 the descent cannot move: logged once below.
+        overflowed += not math.isfinite(eq_residual * eq_residual)
+        if eq_residual > cfg.tol:
+            continue
+        if abs(determinant(p)) <= EPS_DET:
+            continue  # root of the polynomial system, but a singular one
+        certificate = BasisChange(p)
+        with np.errstate(all="ignore"):  # P P c P^-1 may overflow where c is huge
             residual = iso_residual(a, b, certificate)
-            if residual <= cfg.tol:
-                verdict = IsoVerdict.isomorphic(certificate, residual)
-                break
+        if residual <= cfg.tol:
+            verdict = IsoVerdict.isomorphic(certificate, residual)
+            break
     if overflowed:
         log.debug("iso_search: %d descents ended where r @ r overflows", overflowed)
     return verdict
@@ -423,10 +423,10 @@ def rotation_isomorphic(t1, t2, tol: float = DEFAULT_TOL) -> np.ndarray:
     return isomorphic
 
 
-def _unit_scaled(a: AlgebraFD) -> AlgebraFD:
-    """a with its tensor scaled by a power of two (exact) to max|c| in [1/2, 1)."""
-    c = a.constants.values
-    return AlgebraFD(CubicTensor(np.ldexp(c, -math.frexp(float(np.abs(c).max()))[1])))
+def _unit_entries(entries: list[float]) -> list[float]:
+    """The entries of a tensor scaled by a power of two (exact) to max|c| in [1/2, 1)."""
+    e = -math.frexp(max(map(abs, entries)))[1]
+    return [math.ldexp(x, e) for x in entries]
 
 
 def invariant_signature(a: AlgebraFD) -> InvariantSignature:
@@ -434,13 +434,15 @@ def invariant_signature(a: AlgebraFD) -> InvariantSignature:
 
     c -> lambda c is an isomorphism (P = lambda I), so the triple is taken of
     the tensor scaled by a power of two (exact) to max|c| in [1/2, 1): the
-    absolute bounds of the predicates then do not see the scale.
+    absolute bounds of the predicates (``DEFAULT_TOL``, and 1e-8 on the singular
+    values) then do not see the scale.  The one-tensor kernels of ``algebra``
+    read the scaled entries as Python floats; no tensor or algebra is built.
     """
-    scaled = _unit_scaled(a)
+    c = _unit_entries(a.constants.values.ravel().tolist())
     return InvariantSignature(
-        commutative=is_commutative(scaled),
-        associative=is_associative(scaled),
-        rank_2x4=rank_2x4(scaled),
+        commutative=commutativity_residual_entries(c) <= DEFAULT_TOL,
+        associative=associativity_residual_entries(c) <= DEFAULT_TOL,
+        rank_2x4=rank_2x4_entries(c),
     )
 
 
@@ -468,8 +470,7 @@ def _trace_invariants(c: list) -> tuple[float, float, float] | None:
     (0, 4e-13, 0), and its move by [[1.5, 0], [0.4375, 1]] differ in I2 by 4e-4.
     Python floats throughout.
     """
-    e = -math.frexp(max(abs(x) for plane in c for row in plane for x in row))[1]
-    entries = [math.ldexp(x, e) for plane in c for row in plane for x in row]
+    entries = _unit_entries([x for plane in c for row in plane for x in row])
     a000, a001, a010, a011, a100, a101, a110, a111 = entries
     b00 = a000 * a000 + a001 * a010 + a010 * a001 + a011 * a011
     b01 = a000 * a100 + a001 * a110 + a010 * a101 + a011 * a111
@@ -519,7 +520,8 @@ def _search_ruled_out(a: AlgebraFD, b: AlgebraFD) -> str | None:
     ib = _trace_invariants(b.constants.values.tolist()) if ia is not None else None
     if ib is not None:
         return _trace_difference(ia, ib)
-    ra, rb = (associativity_residual(_unit_scaled(x)) for x in (a, b))
+    ra, rb = (associativity_residual_entries(_unit_entries(x.constants.values.ravel().tolist()))
+              for x in (a, b))
     if min(ra, rb) <= _TRACE_MARGIN**2 and max(ra, rb) > _TRACE_MARGIN**0.5:
         return f"associativity residual: {ra!r} vs {rb!r}"
     return None

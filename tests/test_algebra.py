@@ -14,9 +14,11 @@ from algflow.algebra import (
     algebra_from_json_dict,
     algebra_to_json_dict,
     associativity_residual,
+    associativity_residual_entries,
     associativity_residuals,
     change_of_basis,
     commutativity_residual,
+    commutativity_residual_entries,
     commutativity_residuals,
     det_in_window,
     determinant,
@@ -29,6 +31,7 @@ from algflow.algebra import (
     product,
     random_invertible,
     rank_2x4,
+    rank_2x4_entries,
     to_2x4,
 )
 from algflow.classification import EXCEPTIONAL_RESIDUES, classify_time, classify_times
@@ -415,6 +418,62 @@ class TestStackedResiduals:
             associativity_residuals(np.zeros(shape))
         with pytest.raises(ValueError, match="stack"):
             commutativity_residuals(np.zeros(shape))
+
+
+def _kernel_corpus() -> np.ndarray:
+    """2 x 2 x 2 tensors on which the one-tensor kernels could part from the stacked
+    ones: seeded tensors at scales 2^-500 to 2^500, entries of both zero signs, the zero
+    tensors, subnormal max|c|, products past overflow (in every entry, or in one entry,
+    so that a nan follows finite terms), and flow tensors within 2e-9 of the
+    exceptional residues."""
+    rng = np.random.default_rng(2041)
+    c = rng.uniform(-1.0, 1.0, (3600, 2, 2, 2))
+    scaled = np.ldexp(c[:2000], rng.integers(-500, 501, (2000, 1, 1, 1)))
+    zeros = np.ldexp(c[2000:2800], rng.integers(-40, 41, (800, 1, 1, 1)))
+    holes = rng.random(zeros.shape) < 0.5
+    zeros[holes] = np.where(rng.random(zeros.shape) < 0.5, 0.0, -0.0)[holes]
+    subnormal = np.ldexp(c[2800:3000], rng.integers(-1070, -1022, (200, 1, 1, 1)))
+    huge = c[3000:3400] * 10.0 ** rng.uniform(150.0, 308.0, (400, 1, 1, 1))
+    one_huge = c[3400:3600].reshape(200, 8)
+    one_huge[np.arange(200), rng.integers(0, 8, 200)] *= 10.0 ** rng.uniform(150.0, 308.0, 200)
+    residues = np.array([0.0] + [residue for residue, _ in EXCEPTIONAL_RESIDUES])
+    near = (rng.choice(residues, size=600) + math.pi * rng.integers(1, 300, size=600)
+            + rng.uniform(-2e-9, 2e-9, size=600))
+    return np.concatenate([scaled, zeros, subnormal, huge, one_huge.reshape(200, 2, 2, 2),
+                           flow_tensors(near),
+                           np.zeros((1, 2, 2, 2)), np.full((1, 2, 2, 2), -0.0)])
+
+
+class TestOneTensorKernels:
+    """The Python-float kernels of one tensor give the stacked kernels' values to the bit."""
+
+    def test_match_the_stacked_kernels(self):
+        stack = _kernel_corpus()
+        with np.errstate(all="ignore"):  # the stacked products overflow past 1e154
+            comm, assoc = commutativity_residuals(stack), associativity_residuals(stack)
+        for c, comm_c, assoc_c in zip(stack, comm.tolist(), assoc.tolist()):
+            entries = c.ravel().tolist()
+            assert repr(commutativity_residual_entries(entries)) == repr(comm_c)
+            assert repr(associativity_residual_entries(entries)) == repr(assoc_c)
+        # A nan (inf - inf past overflow), which the builtin max alone can drop, is
+        # reached, and residuals on both sides of DEFAULT_TOL.
+        assert np.isnan(assoc).any()
+        assert (assoc <= DEFAULT_TOL).any() and (comm <= DEFAULT_TOL).any()
+        assert (assoc[np.isfinite(assoc)] > DEFAULT_TOL).any()
+
+    def test_wrappers_read_the_kernels(self):
+        for c in _kernel_corpus()[::7]:
+            a = AlgebraFD(CubicTensor(c))
+            entries = c.ravel().tolist()
+            assert repr(commutativity_residual(a)) == repr(commutativity_residual_entries(entries))
+            assert repr(associativity_residual(a)) == repr(associativity_residual_entries(entries))
+            assert rank_2x4(a) == rank_2x4_entries(entries)
+
+    def test_overflow_warns_nothing(self):
+        # Python floats overflow silently; the warning filter makes any warning an error.
+        huge = AlgebraFD(CubicTensor(np.full((2, 2, 2), 1e200)))
+        assert math.isnan(associativity_residual(huge))  # inf - inf, as the stacked kernel gives
+        assert math.isnan(associativity_residual_entries([1e200, -1e200, 1.0, 1e200] * 2))
 
 
 def _brute_force_iso_residual(ca: np.ndarray, cb: np.ndarray, p: np.ndarray) -> float:

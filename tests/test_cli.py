@@ -36,15 +36,17 @@ from algflow.classification import (
     ACOS_MINUS,
     ACOS_PLUS,
     CLASS_PREDICATES,
+    EXCEPTIONAL_RESIDUES,
     VARIANTS,
     BekbaevForm,
     FlowClassLabel,
     bekbaev_matrix,
     class_representative,
     classify_times,
+    residue_times,
     to_bekbaev,
 )
-from algflow.cli import _partition_times, main
+from algflow.cli import MAX_PARTITION_POINTS, _check_partition, _partition_blocks, main
 from algflow.cubic import CubicTensor
 from algflow.flow import MAX_TIME, SWEEP_BLOCK, flow_tensors, time_blocks
 
@@ -395,6 +397,15 @@ class TestIsoFiles:
         assert err == "error: seed must be nonnegative, got -1\n"
 
 
+def _reference_partition_times(t_max: float, step: float) -> np.ndarray:
+    """The partition's times as one array, as ``partition`` made them before it streamed
+    its blocks: the reference of the byte-identity tests."""
+    _check_partition(t_max, step)
+    grid = np.arange(1, math.ceil(t_max / step) + 2) * step
+    exceptional = [residue_times(residue, t_max) for residue, _ in EXCEPTIONAL_RESIDUES]
+    return np.unique(np.concatenate(([0.0], grid[grid < t_max], [t_max], *exceptional)))
+
+
 def _reference_rows(times):
     """(t, class, param_c, commutative, associative) for each time, one row at a time."""
     for block in time_blocks(times):
@@ -483,7 +494,8 @@ class TestPartition:
         rng = np.random.default_rng(20261018)
         times = np.concatenate((3 * math.pi / 4 + rng.uniform(-3e-9, 3e-9, 10_000),
                                 rng.uniform(0.0, 3e-9, 10_000)))
-        monkeypatch.setattr(algflow.cli, "_partition_times", lambda t_max, step: times)
+        monkeypatch.setattr(algflow.cli, "_partition_blocks",
+                            lambda t_max, step: time_blocks(times))
         out_path = tmp_path / "part.csv"
         code, _, _ = run(capsys, "partition", "--t-max", "1", "--step", "1",
                          "--out", str(out_path))
@@ -564,13 +576,39 @@ class TestPartition:
         assert out == "" and "too large for tolerance" in err
         assert not out_path.exists()
 
-    def test_point_cap_counts_grid_and_exceptional_points(self):
-        from algflow.cli import MAX_PARTITION_POINTS, _partition_times
+    # (t_max, step): t_max below step, on a residue, on a grid point, steps on both
+    # sides of pi/3 (where the windows stop following the grid), long windows.
+    _GRIDS = [(0.04, 0.05), (3 * math.pi / 4, 0.01), (2 * math.pi, 0.01), (10.24, 0.01),
+              (20.5 * math.pi, 0.01), (2000.0, math.pi / 3), (2000.0, 1.1), (1e4, 50.0),
+              (3e4, 1e4), (5e4, 0.7)]
 
+    def test_blocks_are_the_whole_list_in_order(self):
+        rng = np.random.default_rng(77)
+        grids = self._GRIDS + [(float(10.0 ** rng.uniform(-2.0, 4.0)), 0.0) for _ in range(40)]
+        for t_max, step in grids:
+            if step == 0.0:  # at most about 60,000 points
+                step = float(t_max * 10.0 ** rng.uniform(-4.5, 0.5))
+            blocks = list(_partition_blocks(t_max, step))
+            assert all(0 < len(block) <= 2 * SWEEP_BLOCK + 8 for block in blocks)
+            whole = _reference_partition_times(t_max, step)
+            assert np.concatenate(blocks).tobytes() == whole.tobytes(), (t_max, step)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_record_count_is_the_rows_written(self, capsys, tmp_path, fmt):
+        path = tmp_path / f"part.{fmt}"
+        code, out, _ = run(capsys, "partition", "--t-max", "75.0", "--step", "0.01",
+                           "--out", str(path), "--format", fmt)
+        assert code == 0
+        text = path.read_text()
+        rows = len(json.loads(text)) if fmt == "json" else len(text.splitlines()) - 1
+        assert rows == len(_reference_partition_times(75.0, 0.01)) > 2 * SWEEP_BLOCK
+        assert out == f"wrote {rows} records to {path}\n"
+
+    def test_point_cap_counts_grid_and_exceptional_points(self):
         step = 1.0
         t_max = MAX_PARTITION_POINTS / (1 + 3 / math.pi) * 1.001
         with pytest.raises(ValueError, match="over the cap"):
-            _partition_times(t_max, step)
+            _check_partition(t_max, step)
 
     def test_unwritable_path(self, capsys, tmp_path):
         code, _, err = run(capsys, "partition", "--t-max", "1", "--step", "0.5",
@@ -593,7 +631,7 @@ class TestPartition:
     ])
     def test_fixed_cases_byte_identical(self, capsys, tmp_path, t_max, step, fmt):
         got = _partition_bytes(capsys, tmp_path / f"part.{fmt}", t_max, step, fmt)
-        assert got == _REFERENCE_WRITERS[fmt](_partition_times(t_max, step))
+        assert got == _REFERENCE_WRITERS[fmt](_reference_partition_times(t_max, step))
 
     @given(t_max=st.floats(0.0, 200.0, exclude_min=True), step=st.floats(1e-3, 2.0),
            fmt=st.sampled_from(["csv", "json"]))
@@ -604,7 +642,7 @@ class TestPartition:
             assert main(["partition", "--t-max", repr(t_max), "--step", repr(step),
                          "--out", str(path), "--format", fmt]) == 0
         got = path.read_bytes()
-        assert got == _REFERENCE_WRITERS[fmt](_partition_times(t_max, step))
+        assert got == _REFERENCE_WRITERS[fmt](_reference_partition_times(t_max, step))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_one_write_per_block(self, capsys, tmp_path, monkeypatch, fmt):
@@ -627,7 +665,7 @@ class TestPartition:
         t_max = 3.5 * SWEEP_BLOCK * step
         path = tmp_path / f"part.{fmt}"
         got = _partition_bytes(capsys, path, t_max, step, fmt)
-        n_blocks = math.ceil(len(_partition_times(t_max, step)) / SWEEP_BLOCK)
+        n_blocks = math.ceil(len(_reference_partition_times(t_max, step)) / SWEEP_BLOCK)
         assert n_blocks > 3
         assert n_blocks <= len(sizes) <= n_blocks + 2
         assert max(sizes) <= SWEEP_BLOCK * 200
