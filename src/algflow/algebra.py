@@ -5,9 +5,11 @@ c_{ijk}: the bilinear product is e_i e_j = sum_k c_{ijk} e_k.  This module
 provides the product of coordinate vectors, commutativity and associativity
 predicates, change of basis with an explicit transformation formula, and the
 2 x 4 matrix form (row k holds c_{ijk} with columns ordered (1,1), (1,2),
-(2,1), (2,2)).  The stacked residual kernels take tensors of any dimension m;
-their one-tensor twins (``*_entries``) read the eight entries of a 2 x 2 x 2
-tensor as Python floats, with the same bits.
+(2,1), (2,2)).  Each residual law is one operator-only kernel over the eight
+entries c_ijk, run on Python floats for one tensor (``*_entries``) and on the entry
+arrays of an (n, 2, 2, 2) stack, with the same bits.  ``iso_residuals`` (matmul)
+and ``iso_residual_entries`` stay apart: they differ in the last bits, and the
+search's verdicts print the matmul bits.
 
 Everything is immutable and pure.
 """
@@ -89,8 +91,7 @@ class BasisChange:
             raise ValueError("all entries must be finite")
         det = det_entries(a, b, c, d)
         if det != det:  # inf - inf: decide on the entries scaled exactly by a power of two
-            scale = -math.frexp(max(map(abs, (a, b, c, d))))[1]
-            det = det_entries(*(math.ldexp(x, scale) for x in (a, b, c, d)))
+            det = det_entries(*unit_entries([a, b, c, d]))
         if abs(det) <= EPS_DET:
             raise ValueError(f"matrix is singular to tolerance: |det| = {abs(det):.3e}")
         arr.setflags(write=False)
@@ -160,23 +161,33 @@ def max_abs(values) -> float:
     return math.nan if math.isnan(sum(mags)) else max(mags)
 
 
-def _check_stack(c: np.ndarray) -> tuple[int, int]:
-    if c.ndim != 4 or not c.shape[1] == c.shape[2] == c.shape[3]:
-        raise ValueError(f"expected a stack of m x m x m tensors, got shape {c.shape}")
-    return c.shape[0], c.shape[1]
+def unit_entries(entries: list[float]) -> list[float]:
+    """Python floats scaled by one power of two (exact) to max|x| in [1/2, 1)."""
+    e = -math.frexp(max(map(abs, entries)))[1]
+    return [math.ldexp(x, e) for x in entries]
+
+
+def _entry_rows(c: np.ndarray) -> np.ndarray:
+    """The eight entry arrays c_ijk, (i, j, k) order, of a stack of shape (n, 2, 2, 2)."""
+    if c.shape[1:] != (2, 2, 2):
+        raise ValueError(f"expected a stack of 2 x 2 x 2 tensors, got shape {c.shape}")
+    return c.reshape(len(c), 8).T
+
+
+def _commutativity_defects(c):
+    """c_ijk - c_jik for i != j of the entries c_ijk, (i, j, k) order: floats or arrays."""
+    _, _, c010, c011, c100, c101, _, _ = c
+    return c010 - c100, c011 - c101
 
 
 def commutativity_residuals(c: np.ndarray) -> np.ndarray:
-    """max |c_ijk - c_jik| for each tensor of a stack c of shape (n, m, m, m)."""
-    _check_stack(c)
-    return np.max(np.abs(c - c.transpose(0, 2, 1, 3)), axis=(1, 2, 3))
+    """max |c_ijk - c_jik| for each tensor of a stack c of shape (n, 2, 2, 2)."""
+    return np.max(np.abs(_commutativity_defects(_entry_rows(c))), axis=0)
 
 
 def commutativity_residual_entries(c) -> float:
-    """``commutativity_residuals`` of one tensor in Python floats, to the bit: c holds
-    the eight finite entries c_ijk in (i, j, k) order.  The terms with i = j are 0."""
-    _, _, c010, c011, c100, c101, _, _ = c
-    return max(abs(c010 - c100), abs(c011 - c101))
+    """``commutativity_residuals`` of one tensor's eight finite entries, in Python floats."""
+    return max(map(abs, _commutativity_defects(c)))
 
 
 def commutativity_residual(algebra: AlgebraFD) -> float:
@@ -195,38 +206,33 @@ def is_commutative(algebra: AlgebraFD, tol: float = DEFAULT_TOL) -> bool:
     return commutativity_residual(algebra) <= tol
 
 
-def associativity_residuals(c: np.ndarray) -> np.ndarray:
-    """max |sum_r c_ijr c_rkl - sum_r c_irl c_jkr| over (i,j,k,l), for each
-    tensor of a stack c of shape (n, m, m, m).
+def _associativity_defects(c) -> list:
+    """sum_r c_ijr c_rkl - sum_r c_irl c_jkr, the coefficients of (e_i e_j) e_k and
+    e_i (e_j e_k), over (i, j, k, l) of the entries c_ijk, (i, j, k) order: floats or
+    arrays; operators only, each product and sum rounded once."""
+    c000, c001, c010, c011, c100, c101, c110, c111 = c
+    planes = (c000, c001, c010, c011), (c100, c101, c110, c111)  # c_jkl for j = 0, 1
+    defects = []
+    for i00, i01, i10, i11 in planes:
+        for (a, b), (j00, j01, j10, j11) in zip(((i00, i01), (i10, i11)), planes):
+            # (k, l) = (0, 0), (0, 1), (1, 0), (1, 1)
+            defects += ((a * c000 + b * c100) - (i00 * j00 + i10 * j01),
+                        (a * c001 + b * c101) - (i01 * j00 + i11 * j01),
+                        (a * c010 + b * c110) - (i00 * j10 + i10 * j11),
+                        (a * c011 + b * c111) - (i01 * j10 + i11 * j11))
+    return defects
 
-    The two contractions are the coefficients of (e_i e_j) e_k and
-    e_i (e_j e_k).  Each is a sum over r of broadcast elementwise products,
-    laid out on axes (n, i, j, k, l): for a 2 x 2 x 2 stack that is a few
-    whole-array operations, where a stacked matrix product pays per tensor.
-    """
-    _check_stack(c)
-    lhs = rhs = 0.0
-    for r in range(c.shape[1]):
-        lhs = lhs + c[:, :, :, r, None, None] * c[:, None, None, r]      # c_ijr c_rkl
-        rhs = rhs + c[:, :, None, None, r] * c[:, None, :, :, r, None]   # c_irl c_jkr
-    return np.max(np.abs(lhs - rhs), axis=(1, 2, 3, 4))
+
+def associativity_residuals(c: np.ndarray) -> np.ndarray:
+    """max |sum_r c_ijr c_rkl - sum_r c_irl c_jkr| over (i,j,k,l), for each tensor of a
+    stack c of shape (n, 2, 2, 2); nan where a defect is nan."""
+    return np.max(np.abs(_associativity_defects(_entry_rows(c))), axis=0)
 
 
 def associativity_residual_entries(c) -> float:
-    """``associativity_residuals`` of one tensor in Python floats, to the bit: c holds
-    the eight entries c_ijk in (i, j, k) order.  Each product and sum rounds once, as
-    in the stacked kernel, and a nan (an inf - inf past overflow) is returned as nan."""
-    c000, c001, c010, c011, c100, c101, c110, c111 = c
-    planes = (c000, c001, c010, c011), (c100, c101, c110, c111)  # c_jkl for j = 0, 1
-    diffs = []
-    for i00, i01, i10, i11 in planes:
-        for (a, b), (j00, j01, j10, j11) in zip(((i00, i01), (i10, i11)), planes):
-            # sum_r c_ijr c_rkl - sum_r c_irl c_jkr for (k, l) = (0, 0), (0, 1), (1, 0), (1, 1)
-            diffs += ((a * c000 + b * c100) - (i00 * j00 + i10 * j01),
-                      (a * c001 + b * c101) - (i01 * j00 + i11 * j01),
-                      (a * c010 + b * c110) - (i00 * j10 + i10 * j11),
-                      (a * c011 + b * c111) - (i01 * j10 + i11 * j11))
-    return max_abs(diffs)
+    """``associativity_residuals`` of the eight entries c_ijk of one tensor, in Python
+    floats; a nan (an inf - inf past overflow) is returned as nan."""
+    return max_abs(_associativity_defects(c))
 
 
 def associativity_residual(algebra: AlgebraFD) -> float:

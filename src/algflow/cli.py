@@ -191,42 +191,37 @@ def _block_columns(block: np.ndarray, missing: str):
             map(commutative.__getitem__, codes), map(associative.__getitem__, codes))
 
 
-def _write_csv(fh, blocks) -> int:
-    """The partition as CSV, one write per block; returns the number of rows.  No field
-    needs quoting: floats, class names and true/false hold no comma, quote or line break."""
-    fh.write("t,class,param_c,commutative,associative\n")
-    rows = 0
+# Each format of ``partition``: header, the records of a block's text columns, the
+# separator between records, footer and the text of a missing param_c.  No CSV field
+# needs quoting (floats, class names and true/false hold no comma, quote or line
+# break); a JSON record reads as in json.dumps(records, indent=2).
+_FORMATS = {
+    "csv": ("t,class,param_c,commutative,associative\n",
+            lambda columns: map(",".join, zip(*columns)), "\n", "\n", ""),
+    "json": ("[\n  ", lambda columns: map(
+        '{{\n    "t": {},\n    "class": "{}",\n    "param_c": {},\n    "commutative": {},\n'
+        '    "associative": {}\n  }}'.format, *columns), ",\n  ", "\n]\n", "null"),
+}
+
+
+def _write_partition(fh, blocks, fmt: str) -> int:
+    """The partition in format ``fmt``, one write per block (the first with the header)
+    and one for the footer; returns the number of records.  No block is empty."""
+    header, records, separator, footer, missing = _FORMATS[fmt]
+    lead, rows = header, 0
     for block in blocks:
-        fh.write("\n".join(map(",".join, zip(*_block_columns(block, "")))) + "\n")
+        fh.write(lead + separator.join(records(_block_columns(block, missing))))
+        lead = separator
         rows += len(block)
-    return rows
-
-
-# One record of json.dumps(records, indent=2), as it reads inside the list.
-_JSON_RECORD = ('{{\n    "t": {},\n    "class": "{}",\n    "param_c": {},\n'
-                '    "commutative": {},\n    "associative": {}\n  }}')
-
-
-def _write_json(fh, blocks) -> int:
-    """The bytes of ``json.dumps(records, indent=2)``, written one block at a time (each
-    block's records formatted from ``_JSON_RECORD`` column by column); returns the
-    number of records.  Every block is nonempty, so no separator is left dangling."""
-    separator = "[\n  "
-    rows = 0
-    for block in blocks:
-        fh.write(separator + ",\n  ".join(map(_JSON_RECORD.format, *_block_columns(block, "null"))))
-        separator = ",\n  "
-        rows += len(block)
-    fh.write("\n]\n")
+    fh.write(footer)
     return rows
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
     _check_partition(args.t_max, args.step)
-    write = _write_csv if args.format == "csv" else _write_json
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            rows = write(fh, _partition_blocks(args.t_max, args.step))
+            rows = _write_partition(fh, _partition_blocks(args.t_max, args.step), args.format)
     except OSError as exc:
         raise ValueError(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {rows} records to {args.out}")
@@ -291,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", dest="t_max", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=tuple(_FORMATS), default="csv")
     p.set_defaults(fn=cmd_partition)
 
     p = sub.add_parser("verify-theorems", help="run the verification suite")

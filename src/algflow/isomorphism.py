@@ -34,7 +34,8 @@ Three complementary tools:
   a gap of 1e9 between the two residuals.
 
 Certificates are sound by construction: an Isomorphic verdict always
-carries a basis change whose transformation residual is below tolerance.
+carries a basis change P whose transformation residual is below tolerance,
+and P^-1 carries the second algebra back onto the first.
 """
 
 from __future__ import annotations
@@ -53,11 +54,14 @@ from .algebra import (
     associativity_residual_entries,
     check_tol,
     commutativity_residual_entries,
+    det_entries,
     determinant,
     iso_residual,
+    iso_residual_entries,
     max_abs,
     random_invertible,
     rank_2x4_entries,
+    unit_entries,
 )
 from .classification import A0_PLUS, A1, A2, VARIANTS, class_codes
 from .flow import check_time, check_times, reduce_mod_pi
@@ -280,7 +284,9 @@ def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> I
 
     Runs ``cfg.restarts`` Levenberg descents from random invertible starts
     (entries uniform in [-2, 2]), one at a time in index order, and returns
-    the first certificate found.
+    the first certificate found.  A root P counts only if it carries a onto b
+    within ``cfg.tol`` and P^-1 carries b back onto a (``_carries_back``); else
+    the next restart runs.
 
     Where ``_search_ruled_out`` names an invariant that differs (of the trace
     form, or associativity where B is degenerate), no certificate exists, and
@@ -312,12 +318,32 @@ def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> I
         certificate = BasisChange(p)
         with np.errstate(all="ignore"):  # P P c P^-1 may overflow where c is huge
             residual = iso_residual(a, b, certificate)
-        if residual <= cfg.tol:
+        if residual <= cfg.tol and _carries_back(a, b, p, cfg.tol):
             verdict = IsoVerdict.isomorphic(certificate, residual)
             break
     if overflowed:
         log.debug("iso_search: %d descents ended where r @ r overflows", overflowed)
     return verdict
+
+
+# The back residual of a certificate is held to this fraction of the scale of the two
+# tensors, max(1, max|c|), where it exceeds tol: the cap of ``to_bekbaev``'s bound.
+_BACK_MARGIN = 1e-6
+
+
+def _carries_back(a: AlgebraFD, b: AlgebraFD, p: np.ndarray, tol: float) -> bool:
+    """Whether P^-1 carries b back onto a, within max(tol, _BACK_MARGIN * max(1, max|c|)).
+
+    As det P -> 0, P can carry a to within tol of an algebra b it is not isomorphic to
+    (a degeneration: Bekbaev families 12 and 13 onto 14); P^-1 then misses a by about
+    max|c|.  P^-1 = adj(P) / det P is taken in Python floats, since ``BasisChange``
+    refuses P^-1 where |det P| >= 1e10.
+    """
+    ca, cb = a.constants.values.ravel().tolist(), b.constants.values.ravel().tolist()
+    (p00, p01), (p10, p11) = p.tolist()
+    det = det_entries(p00, p01, p10, p11)
+    back = iso_residual_entries(cb, ca, ((p11 / det, -p01 / det), (-p10 / det, p00 / det)))
+    return back <= tol or back <= _BACK_MARGIN * max(1.0, *map(abs, ca + cb))
 
 
 # --- exact decision for the rotation flow ------------------------------------
@@ -423,12 +449,6 @@ def rotation_isomorphic(t1, t2, tol: float = DEFAULT_TOL) -> np.ndarray:
     return isomorphic
 
 
-def _unit_entries(entries: list[float]) -> list[float]:
-    """The entries of a tensor scaled by a power of two (exact) to max|c| in [1/2, 1)."""
-    e = -math.frexp(max(map(abs, entries)))[1]
-    return [math.ldexp(x, e) for x in entries]
-
-
 def invariant_signature(a: AlgebraFD) -> InvariantSignature:
     """The (commutative, associative, rank of 2 x 4 form) triple.
 
@@ -438,7 +458,7 @@ def invariant_signature(a: AlgebraFD) -> InvariantSignature:
     values) then do not see the scale.  The one-tensor kernels of ``algebra``
     read the scaled entries as Python floats; no tensor or algebra is built.
     """
-    c = _unit_entries(a.constants.values.ravel().tolist())
+    c = unit_entries(a.constants.values.ravel().tolist())
     return InvariantSignature(
         commutative=commutativity_residual_entries(c) <= DEFAULT_TOL,
         associative=associativity_residual_entries(c) <= DEFAULT_TOL,
@@ -470,7 +490,7 @@ def _trace_invariants(c: list) -> tuple[float, float, float] | None:
     (0, 4e-13, 0), and its move by [[1.5, 0], [0.4375, 1]] differ in I2 by 4e-4.
     Python floats throughout.
     """
-    entries = _unit_entries([x for plane in c for row in plane for x in row])
+    entries = unit_entries([x for plane in c for row in plane for x in row])
     a000, a001, a010, a011, a100, a101, a110, a111 = entries
     b00 = a000 * a000 + a001 * a010 + a010 * a001 + a011 * a011
     b01 = a000 * a100 + a001 * a110 + a010 * a101 + a011 * a111
@@ -515,12 +535,14 @@ def _search_ruled_out(a: AlgebraFD, b: AlgebraFD) -> str | None:
     as in ``invariant_signature``, one at most _TRACE_MARGIN**2, the other above
     _TRACE_MARGIN**0.5.  Measured, a move with |det P| >= 1e-3 keeps an associative
     member below 4e-13 and changes a perturbed member's residual at most 3.4e5-fold.
+    Its first lines are those of ``trace_separation``: a helper for the pair of
+    invariants would add as many lines as it removes.
     """
     ia = _trace_invariants(a.constants.values.tolist())
     ib = _trace_invariants(b.constants.values.tolist()) if ia is not None else None
     if ib is not None:
         return _trace_difference(ia, ib)
-    ra, rb = (associativity_residual_entries(_unit_entries(x.constants.values.ravel().tolist()))
+    ra, rb = (associativity_residual_entries(unit_entries(x.constants.values.ravel().tolist()))
               for x in (a, b))
     if min(ra, rb) <= _TRACE_MARGIN**2 and max(ra, rb) > _TRACE_MARGIN**0.5:
         return f"associativity residual: {ra!r} vs {rb!r}"

@@ -1,9 +1,11 @@
 """Command-line surface: reports, exit codes, file formats."""
 
+import collections
 import contextlib
 import copy
 import csv
 import io
+import itertools
 import json
 import logging
 import math
@@ -37,6 +39,7 @@ from algflow.classification import (
     ACOS_PLUS,
     CLASS_PREDICATES,
     EXCEPTIONAL_RESIDUES,
+    PARAM_COUNTS,
     VARIANTS,
     BekbaevForm,
     FlowClassLabel,
@@ -346,6 +349,35 @@ class TestIsoFiles:
         code, out, err = run(capsys, "iso", "--a", a, "--b", b)
         assert code in (0, 1) and err == ""
         assert json.loads(out)["kind"] in ("Isomorphic", "NotFoundWithinBudget")
+
+    @pytest.mark.parametrize("a, b", [(12, 14), (14, 12), (13, 14), (14, 13)])
+    def test_degeneration_is_not_certified(self, capsys, tmp_path, a, b):
+        # As det P -> 0, some P carries family 12 or 13 to within tol of family 14, but
+        # P^-1 misses the way back by about 1: no certificate.
+        paths = {f: self._write(tmp_path, f"fam{f}", from_2x4(bekbaev_matrix(
+            BekbaevForm(f, ()))).constants.values) for f in (a, b)}
+        code, out, err = run(capsys, "iso", "--a", paths[a], "--b", paths[b])
+        assert (code, err) == (1, "")
+        assert json.loads(out)["kind"] == "NotFoundWithinBudget"
+
+    def test_distinct_families_are_never_isomorphic(self, capsys, tmp_path):
+        # Members of distinct Bekbaev families are not isomorphic: a seeded member of
+        # each side for every pair of families, both ways round, at 8 restarts.
+        rng = np.random.default_rng(2204)
+        kinds = collections.Counter()
+        for f, g in itertools.combinations(range(1, 16), 2):
+            paths = []
+            for side, family in (("a", f), ("b", g)):
+                params = rng.uniform(-2.0, 2.0, PARAM_COUNTS[family])
+                if family in (2, 3, 7, 8):  # beta1 >= 0
+                    params[1] = abs(params[1])
+                paths.append(self._write(tmp_path, side, from_2x4(bekbaev_matrix(
+                    BekbaevForm(family, params.tolist()))).constants.values))
+            for a, b in (paths, paths[::-1]):
+                code, out, err = run(capsys, "iso", "--a", a, "--b", b, "--restarts", "8")
+                assert (code, err) == (1, ""), (f, g)
+                kinds[json.loads(out)["kind"]] += 1
+        assert set(kinds) == {"SeparatedByInvariant", "NotFoundWithinBudget"}
 
     def test_overflowing_descent_prints_no_numpy_warning(self, capsys, caplog, tmp_path):
         # Past max|c| of about 1e154 the descent's matmuls overflow: one debug record

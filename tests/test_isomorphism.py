@@ -19,6 +19,7 @@ from algflow.algebra import (
     is_associative,
     max_abs,
     random_invertible,
+    unit_entries,
 )
 from algflow.classification import (
     EXCEPTIONAL_RESIDUES,
@@ -50,7 +51,6 @@ from algflow.isomorphism import (
     _trace_invariants,
     _transform_jacobian,
     _transform_residual,
-    _unit_entries,
     invariant_signature,
     iso_residual,
     iso_search,
@@ -980,7 +980,7 @@ class TestInvariantSignature:
         c = np.ldexp(c, rng.integers(-1070, 1000, (500, 1, 1, 1)))
         for x in [*c, np.zeros((2, 2, 2))]:
             scaled = np.ldexp(x, -math.frexp(float(np.abs(x).max()))[1])
-            assert np.array(_unit_entries(x.ravel().tolist())).tobytes() == scaled.tobytes()
+            assert np.array(unit_entries(x.ravel().tolist())).tobytes() == scaled.tobytes()
 
     def test_signature_difference_never_isomorphic_sampled(self):
         rng = np.random.default_rng(59)
@@ -991,6 +991,37 @@ class TestInvariantSignature:
             )
             if differs is not None:
                 assert not rotation_iso(t1, t2).is_isomorphic
+
+
+class TestTwoSidedCertificates:
+    """A certificate P must also carry b back onto a: ``_carries_back``."""
+
+    def test_moved_members_stay_isomorphic(self, monkeypatch):
+        # The back check refuses no certificate of a family member or flow algebra
+        # moved by |det P| in (0.3, 3], in either order.
+        rng = np.random.default_rng(25)
+        pairs = []
+        for i in range(30):
+            c = (_family_tensor(i % 15 + 1, rng.uniform(-2.0, 2.0, 4)) if i % 2 else
+                 flow_algebra(float(rng.uniform(0.0, 2 * math.pi))).constants.values)
+            a = AlgebraFD(CubicTensor(c))
+            b = change_of_basis(a, BasisChange(random_invertible(rng, 0.3, 3.0)))
+            pairs += [(a, b), (b, a)]
+        verdicts = [_verdict_bits(iso_search(a, b)) for a, b in pairs]
+        monkeypatch.setattr(isomorphism, "_carries_back", lambda a, b, p, tol: True)
+        assert verdicts == [_verdict_bits(iso_search(a, b)) for a, b in pairs]
+        assert sum(kind == KIND_ISOMORPHIC for kind, _, _ in verdicts) >= 58
+
+    def test_large_determinant_certificate(self, monkeypatch):
+        # P = 2^20 I carries A onto 2^20 A, |det P| = 2^40: P^-1 is below EPS_DET in
+        # det, so the back check must not build a BasisChange of it.
+        c = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 2, 2))
+        a, b = AlgebraFD(CubicTensor(c)), AlgebraFD(CubicTensor(np.ldexp(c, 20)))
+        p = np.ldexp(np.eye(2), 20)
+        monkeypatch.setattr(isomorphism, "_levenberg_descent", lambda p0, ca, cb, cfg: (p, 0.0))
+        verdict = iso_search(a, b)
+        assert verdict.is_isomorphic and verdict.residual == 0.0
+        assert verdict.certificate.matrix.tobytes() == p.tobytes()
 
 
 # Families whose trace form B is degenerate: the trace-form invariants do not exist.
