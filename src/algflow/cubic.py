@@ -18,6 +18,12 @@ numpy arrays behind every value are 0-based, so E_{ijk} is a 1 at
 values[i-1, j-1, k-1] and a table holds a(j, n) - 1 at values[j-1, n-1].
 All values are immutable after construction and every operation is a pure
 function, so everything in this module is safe to call concurrently.
+
+Both products fix their evaluation order, so their bits do not depend on how
+they are batched.  The type-C product is one stacked matmul over the slices
+of fixed j.  The general product makes one stacked matmul per table row j,
+giving A_j B_n for every n, and adds each product into the output slice
+p = a(j, n) in (j, n) order.
 """
 
 from __future__ import annotations
@@ -39,18 +45,35 @@ __all__ = [
 ]
 
 
+def _refuse_other_kinds(values, arr: np.ndarray, kinds: str, message: str) -> None:
+    """Refuse ``arr = np.asarray(values)`` unless its dtype kind is in ``kinds``.
+    numpy reads a nested list that mixes booleans with numbers as numbers, so
+    the leaves of a list are also searched for booleans."""
+    if arr.dtype.kind not in kinds:
+        raise ValueError(f"{message}, got {arr.dtype} entries")
+    if not isinstance(values, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_)) for x in np.array(values, dtype=object).flat):
+        raise ValueError(f"{message}, got a boolean entry")
+
+
 @dataclass(frozen=True, eq=False)
 class CubicTensor:
-    """An m x m x m real array of entries c_{ijk}, all finite."""
+    """An m x m x m real array of entries c_{ijk}, all finite.
+
+    Entries are of any numpy integer or float dtype, stored as float64.
+    Booleans, strings and other objects are refused, not converted.
+    """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=float)
+        arr = np.asarray(self.values)
         if arr.ndim != 3 or len(set(arr.shape)) != 1:
             raise ValueError(f"expected an m x m x m array, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("dimension must be at least 1")
+        _refuse_other_kinds(self.values, arr, "iuf", "entries must be real numbers")
+        arr = np.array(arr, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise ValueError("all entries must be finite")
         arr.flags.writeable = False
@@ -71,19 +94,26 @@ class CubicTensor:
 
 @dataclass(frozen=True, eq=False)
 class BinaryOpTable:
-    """A total binary operation a(j,n) on the index set {1..m}, stored 0-based."""
+    """A total binary operation a(j,n) on the index set {1..m}, stored 0-based.
+
+    Entries are Python ints or of any numpy integer dtype.  A float is refused
+    even when it is integral, such as 2.0, and so are booleans and strings:
+    no entry is rounded or truncated into an index.
+    """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=int)
+        arr = np.asarray(self.values)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square table, got shape {arr.shape}")
         m = arr.shape[0]
         if m < 1:
             raise ValueError("dimension must be at least 1")
+        _refuse_other_kinds(self.values, arr, "iu", "table values must be integers")
         if np.any(arr < 0) or np.any(arr >= m):
             raise ValueError("table values must map into the index set")
+        arr = np.array(arr, dtype=int)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -128,17 +158,25 @@ def mul_general(a: CubicTensor, b: CubicTensor, op: BinaryOpTable) -> CubicTenso
 
     The middle output index collects every (j, n) pair in the fiber of op:
     c_{i,p,r} = sum over op(j,n)=p of sum_k a_{ijk} * b_{knr}.
+
+    The evaluation order fixes every output bit.  Row j of the table costs
+    one stacked matmul of A_j = a[:, j, :] with every B_n = b[:, n, :], which
+    is the same BLAS call per n as the 2-D product A_j @ B_n.  Each product
+    is added into output slice p = op(j, n) in (j, n) order, from +0.0, so a
+    p that op never yields keeps a slice of +0.0.  op need not be associative.
     """
     _check_same_dim(a, b)
     if op.dim != a.dim:
         raise ValueError(f"dimension mismatch: op has dim {op.dim}, tensors {a.dim}")
-    av, bv = a.values, b.values
-    out = np.zeros_like(av)
-    for j in range(a.dim):
-        for n in range(a.dim):
-            p = op.values[j, n]
-            out[:, p, :] += av[:, j, :] @ bv[:, n, :]
-    return CubicTensor(out)
+    m = a.dim
+    b_by_n = np.swapaxes(b.values, 0, 1)
+    products = np.empty((m, m, m))  # [n, i, r]: A_j B_n for the current row j
+    out = np.zeros((m, m, m))  # [p, i, r]
+    for j, row in enumerate(op.values.tolist()):
+        np.matmul(a.values[:, j, :], b_by_n, out=products)
+        for n, p in enumerate(row):
+            out[p] += products[n]
+    return CubicTensor(np.swapaxes(out, 0, 1))
 
 
 def from_middle_slices(slices: list[np.ndarray] | tuple[np.ndarray, ...]) -> CubicTensor:
@@ -163,7 +201,8 @@ def tensor_from_json_dict(data: dict) -> CubicTensor:
     if "dim" not in data or "c" not in data:
         raise ValueError('expected keys "dim" and "c"')
     tensor = CubicTensor(floats_from_json(data, "c"))
-    # Compared, not converted: a "dim" of any other JSON type is a mismatch.
-    if tensor.dim != data["dim"]:
+    # Compared, not converted: a "dim" of any other JSON type is a mismatch,
+    # and a boolean is one although true == 1 in Python.
+    if isinstance(data["dim"], bool) or tensor.dim != data["dim"]:
         raise ValueError(f'entry shape {tensor.dim} disagrees with "dim": {data["dim"]!r}')
     return tensor

@@ -43,6 +43,47 @@ def unit(m: int, i: int, j: int, k: int) -> CubicTensor:
     return CubicTensor(values)
 
 
+def general_reference_loop(a: CubicTensor, b: CubicTensor, op: BinaryOpTable) -> np.ndarray:
+    """The general product as one 2-D matmul and one slice addition per (j, n)."""
+    av, bv = a.values, b.values
+    out = np.zeros_like(av)
+    for j in range(a.dim):
+        for n in range(a.dim):
+            p = op.values[j, n]
+            out[:, p, :] += av[:, j, :] @ bv[:, n, :]
+    return out
+
+
+def general_einsum(a: np.ndarray, b: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """c_ipr = sum_{j,n,k} [table(j,n) = p] a_ijk b_knr, through an indicator tensor."""
+    m = len(table)
+    fiber = (table[:, :, None] == np.arange(m)).astype(float)
+    return np.einsum("jnp,ijk,knr->ipr", fiber, a, b)
+
+
+def table_kinds(m: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """0-based tables: five associative operations, a constant one that yields
+    only m - 1, and a random one, which is rarely associative."""
+    idx = np.arange(m)
+    return {
+        "left": np.repeat(idx[:, None], m, axis=1),
+        "right": np.repeat(idx[None, :], m, axis=0),
+        "max": np.maximum.outer(idx, idx),
+        "min": np.minimum.outer(idx, idx),
+        "add": np.add.outer(idx, idx) % m,
+        "constant": np.full((m, m), m - 1),
+        "random": rng.integers(0, m, size=(m, m)),
+    }
+
+
+def signed_zero_tensor(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Uniform entries with a quarter set to -0.0 and one middle slice all -0.0."""
+    values = rng.uniform(-1.0, 1.0, size=(m, m, m))
+    values[rng.random((m, m, m)) < 0.25] = -0.0
+    values[:, m // 2, :] = -0.0
+    return values
+
+
 def associative_reference(t: np.ndarray) -> bool:
     """Brute-force a(a(j,n),r) = a(j,a(n,r)) over all index triples, 0-based."""
     m = len(t)
@@ -64,6 +105,25 @@ class TestVectorSpace:
         a = random_tensor(2)
         with pytest.raises(ValueError):
             a.values[0, 0, 0] = 5.0
+
+    @pytest.mark.parametrize("values, message", [
+        ([[["1.5"]]], "entries must be real numbers, got <U3 entries"),
+        ([[[True]]], "entries must be real numbers, got bool entries"),
+        (np.ones((2, 2, 2), dtype=bool), "entries must be real numbers, got bool entries"),
+        (np.full((1, 1, 1), 1j), "entries must be real numbers, got complex128 entries"),
+        ([[[None]]], "entries must be real numbers, got object entries"),
+        ([[[1.0, True], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+         "entries must be real numbers, got a boolean entry"),
+    ])
+    def test_rejects_non_numbers(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            CubicTensor(values)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, np.float32, float])
+    def test_numeric_dtypes_stored_as_float(self, dtype):
+        a = CubicTensor(np.arange(8, dtype=dtype).reshape(2, 2, 2))
+        assert a.values.dtype == np.float64
+        assert a == CubicTensor([[[0, 1], [2, 3]], [[4, 5], [6, 7]]])
 
 
 class TestTypeCProduct:
@@ -184,6 +244,26 @@ class TestBinaryOpTable:
         with pytest.raises(ValueError, match=message):
             BinaryOpTable(table)
 
+    @pytest.mark.parametrize("table, message", [
+        ([[0.7, 1.2], [1.9, 0.0]], "got float64 entries"),
+        ([[0.0, 1.0], [1.0, 0.0]], "got float64 entries"),  # integral floats too
+        (np.array([[0, 1], [1, 0]], dtype=np.float32), "got float32 entries"),
+        ([[True, False], [False, True]], "got bool entries"),
+        ([[0, True], [1, 0]], "got a boolean entry"),
+        ([["0", "1"], ["1", "0"]], "got <U1 entries"),
+        ([[0, None], [1, 0]], "got object entries"),
+    ])
+    def test_non_integer_entries_rejected(self, table, message):
+        with pytest.raises(ValueError, match="table values must be integers, " + message):
+            BinaryOpTable(table)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint64, np.int64])
+    def test_numpy_integer_dtypes_accepted(self, dtype):
+        op = BinaryOpTable(np.array([[0, 1], [1, 0]], dtype=dtype))
+        assert op.values.dtype == np.int64 and op.values.tolist() == [[0, 1], [1, 0]]
+        with pytest.raises(ValueError, match="table values must map into the index set"):
+            BinaryOpTable(np.array([[0, 2], [1, 0]], dtype=dtype))
+
     def test_non_associative_detected(self):
         # a(j, n) = j - n + 1 clipped into range is not associative for m = 3
         op = BinaryOpTable([[0, 0, 0], [1, 0, 0], [2, 1, 0]])
@@ -244,6 +324,51 @@ class TestGeneralProduct:
                 restricted[i, j, r] += a.values[i, j, k] * b.values[l, n, r]
         assert np.allclose(restricted, mul_type_c(a, b).values, atol=1e-14)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 17, 33])
+    def test_bits_match_reference_loop(self, m):
+        rng = np.random.default_rng(100 + m)
+        base_a, base_b = signed_zero_tensor(rng, m), signed_zero_tensor(rng, m)
+        layouts = {
+            "C": lambda v: v,
+            "transposed": lambda v: np.ascontiguousarray(np.transpose(v, (2, 0, 1))).transpose(1, 2, 0),
+            "Fortran": np.asfortranarray,
+        }
+        for name, table in table_kinds(m, rng).items():
+            op = BinaryOpTable(table)
+            for layout, arrange in layouts.items():
+                a, b = CubicTensor(arrange(base_a)), CubicTensor(arrange(base_b))
+                got = mul_general(a, b, op).values
+                expected = general_reference_loop(a, b, op)
+                assert not got.flags.writeable
+                assert (np.ascontiguousarray(got).tobytes()
+                        == np.ascontiguousarray(expected).tobytes()), (name, layout)
+                for p in set(range(m)) - set(table.ravel().tolist()):
+                    assert not got[:, p, :].any() and not np.signbit(got[:, p, :]).any()
+
+    def test_layouts_reach_the_product(self):
+        # the bit test above covers three layouts only if construction keeps them
+        values = np.asfortranarray(RNG.uniform(-1.0, 1.0, size=(3, 3, 3)))
+        assert CubicTensor(values).values.flags.f_contiguous
+        assert not CubicTensor(values.transpose(1, 2, 0)).values.flags.c_contiguous
+
+    @pytest.mark.parametrize("m", range(4, 10))
+    def test_matches_einsum_oracle(self, m):
+        # Each entry sums at most N = m^3 products.  With u = eps / 2, either side is
+        # within gamma_N * S ~ N u S of the exact sum, where S is the same sum taken
+        # over absolute values, so the two sides differ by at most N eps S.
+        rng = np.random.default_rng(200 + m)
+        a, b = random_tensor(m), random_tensor(m)
+        eps = np.finfo(float).eps
+        for name, table in table_kinds(m, rng).items():
+            got = mul_general(a, b, BinaryOpTable(table)).values
+            tol = m ** 3 * eps * general_einsum(np.abs(a.values), np.abs(b.values), table)
+            assert np.all(np.abs(got - general_einsum(a.values, b.values, table)) <= tol), name
+            # negative control: one wrong table entry moves whole products between slices
+            wrong = table.copy()
+            j, n = rng.integers(0, m, size=2)
+            wrong[j, n] = (wrong[j, n] + 1) % m
+            assert not np.all(np.abs(got - general_einsum(a.values, b.values, wrong)) <= tol), name
+
     def test_dim_mismatch_with_op(self):
         with pytest.raises(ValueError):
             mul_general(random_tensor(2), random_tensor(2), BinaryOpTable([[0, 0, 0], [1, 1, 1], [2, 2, 2]]))
@@ -261,6 +386,11 @@ class TestJson:
     def test_bad_dim(self):
         with pytest.raises(ValueError):
             tensor_from_json_dict({"dim": 3, "c": np.zeros((2, 2, 2)).tolist()})
+
+    @pytest.mark.parametrize("dim", [True, False])
+    def test_boolean_dim_rejected(self, dim):
+        with pytest.raises(ValueError, match=f'entry shape 1 disagrees with "dim": {dim}'):
+            tensor_from_json_dict({"dim": dim, "c": [[[1.5]]]})
 
     def test_missing_keys(self):
         with pytest.raises(ValueError):
