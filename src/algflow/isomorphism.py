@@ -142,6 +142,7 @@ _EYE4 = np.eye(4)
 # the wrapper's checks and conversions: the same bits, and a singular system gives
 # a step of nan (warning "invalid" unless ignored) where the wrapper raises LinAlgError.
 _SOLVE = np.linalg._umath_linalg.solve1
+_TINY = 2.0**-1022  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -236,6 +237,35 @@ def _transform_jacobian(p, ca, cb) -> np.ndarray:
     ]).reshape(8, 4)
 
 
+def _frobenius2(p) -> float:
+    """|P|_F^2 of a 2 x 2 matrix as nested lists, in Python floats."""
+    (p00, p01), (p10, p11) = p
+    return p00 * p00 + p01 * p01 + p10 * p10 + p11 * p11
+
+
+def _trivial_root_radius2(ca, cb) -> float:
+    """(rho* / 4)^2 for the tensors ca, cb as nested lists, where rho* = sigma / |cA|_F.
+
+    No root P != 0 has |P|_F < rho*: |cB.P|_F >= sigma |P|_F and |P.P.cA|_F <= |P|_F^2 |cA|_F,
+    with sigma the smaller singular value of the 4 x 2 matrix M = (cB_ijr).  sigma^2 is taken
+    as det(M^T M) / sigma_max^2, det the sum of the squared 2 x 2 minors of M.  Returns 0.0,
+    no exit, below sigma = 1e-8 sigma_max (b of rank one) and where a value is not a normal
+    positive float.  Python floats only: it never raises or warns.
+    """
+    ((x0, y0), (x1, y1)), ((x2, y2), (x3, y3)) = cb
+    gx, gy = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3, y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3
+    gxy, d = x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3, gx - gy
+    m01, m02, m03 = x0 * y1 - y0 * x1, x0 * y2 - y0 * x2, x0 * y3 - y0 * x3
+    m12, m13, m23 = x1 * y2 - y1 * x2, x1 * y3 - y1 * x3, x2 * y3 - y2 * x3
+    det = m01 * m01 + m02 * m02 + m03 * m03 + m12 * m12 + m13 * m13 + m23 * m23
+    smax2 = 0.5 * (gx + gy + math.sqrt(d * d + 4.0 * gxy * gxy))
+    a2 = _frobenius2(ca[0]) + _frobenius2(ca[1])
+    if not (_TINY <= det and _TINY <= smax2 < math.inf and _TINY <= a2 < math.inf):
+        return 0.0
+    r2 = det / smax2 / (16.0 * a2) if det / smax2 > 1e-16 * smax2 else 0.0
+    return r2 if _TINY <= r2 < math.inf else 0.0
+
+
 # Past max|r| of about 1e154, r @ r and J^T J overflow: no numpy warnings.
 @np.errstate(all="ignore")
 def _levenberg_descent(p0: np.ndarray, ca, cb, cfg: SearchConfig) -> tuple[np.ndarray, float]:
@@ -245,9 +275,11 @@ def _levenberg_descent(p0: np.ndarray, ca, cb, cfg: SearchConfig) -> tuple[np.nd
     by factors of 10.  A step holding a nan, which makes a residual nan and so is
     rejected, ends the descent where it stands: the solve fills the step with nan
     where the damped system is singular (lam below the rounding of an exactly
-    singular J^T J), and a nan in J^T J or J^T r passes into it.  Returns the best
-    point reached and its max-abs equation residual.
+    singular J^T J), and a nan in J^T J or J^T r passes into it.  So does an accepted
+    step into |P|_F < rho* / 4, where no root but P = 0 lies (``_trivial_root_radius2``);
+    the start is not tested.  Returns the best point reached and its max-abs residual.
     """
+    radius2 = _trivial_root_radius2(ca, cb)
     p = p0.tolist()
     r = _transform_residual(p, ca, cb)
     cost = float(r @ r)
@@ -270,7 +302,7 @@ def _levenberg_descent(p0: np.ndarray, ca, cb, cfg: SearchConfig) -> tuple[np.nd
         if moved:
             p, r, cost = candidate, r_new, cost_new
             lam = max(lam / 10.0, 1e-12)
-            if max_abs(step) < 1e-14:
+            if max_abs(step) < 1e-14 or _frobenius2(p) < radius2:
                 break
         else:
             lam *= 10.0
@@ -288,11 +320,16 @@ def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> I
     within ``cfg.tol`` and P^-1 carries b back onto a (``_carries_back``); else
     the next restart runs.
 
+    Most restarts head for P = 0, which solves the equations but is no basis change.
+    A descent ends once an accepted step takes it inside |P|_F < rho* / 4, a ball
+    around P = 0 that holds no other root (``_trivial_root_radius2``).  That no
+    descent would have left the ball for a certificate is measured, not proved.
+
     Where ``_search_ruled_out`` names an invariant that differs (of the trace
     form, or associativity where B is degenerate), no certificate exists, and
     the verdict is NotFoundWithinBudget at once, with no descent run.  A pair
     that neither rule decides and that has no certificate pays for every
-    restart: about 11 ms for A0Plus against ACosPlus(0.5) at 64 restarts.
+    restart: about 4 ms for A0Plus against ACosPlus(0.5) at 64 restarts.
 
     A NotFoundWithinBudget verdict is not a proof of non-isomorphism.
     """
@@ -305,12 +342,14 @@ def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> I
     ca, cb = a.constants.values.tolist(), b.constants.values.tolist()
     rng = np.random.default_rng(cfg.seed)
     verdict = IsoVerdict.not_found()
-    overflowed = 0
+    overflowed = inside = 0
+    radius2 = _trivial_root_radius2(ca, cb)
     for _ in range(cfg.restarts):
         p0 = random_invertible(rng, EPS_DET, np.inf)
         p, eq_residual = _levenberg_descent(p0, ca, cb, cfg)
         # Where max|r| passes about 1e154 the descent cannot move: logged once below.
         overflowed += not math.isfinite(eq_residual * eq_residual)
+        inside += _frobenius2(p.tolist()) < radius2
         if eq_residual > cfg.tol:
             continue
         if abs(determinant(p)) <= EPS_DET:
@@ -323,6 +362,8 @@ def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> I
             break
     if overflowed:
         log.debug("iso_search: %d descents ended where r @ r overflows", overflowed)
+    if inside:
+        log.debug("iso_search: %d descents ended in the root-free ball around P = 0", inside)
     return verdict
 
 

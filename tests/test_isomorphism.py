@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import logging
 import math
 
 import numpy as np
@@ -573,10 +574,12 @@ def _wrapper_descent(p0, ca, cb, cfg, exits):
     return np.array(p), max_abs(r.tolist())
 
 
-def test_nan_exit_returns_what_the_wrapper_descent_returned():
+def test_nan_exit_returns_what_the_wrapper_descent_returned(monkeypatch):
     # The corpus's descents meet singular systems and nan steps: a nan step never
     # moves p, so ending the descent there returns the point and residual that the
-    # wrapper's descent reached by raising or by rejecting until lam > 1e12.
+    # wrapper's descent reached by raising or by rejecting until lam > 1e12.  The
+    # descents run to their end: the exit near P = 0 is off.
+    monkeypatch.setattr(isomorphism, "_trivial_root_radius2", lambda ca, cb: 0.0)
     rng = np.random.default_rng(606)
     tensors = [(a.constants.values, b.constants.values) for a, b in _singular_pairs()]
     for i in range(300):
@@ -1225,6 +1228,162 @@ class TestAssociativityRule:
         assert iso_search(*moved).kind == KIND_ISOMORPHIC
         with pytest.raises(AssertionError, match="associativity computed"):
             _search_ruled_out(A0_REP, A1_REP)
+
+
+def _bound_pairs(rng, n: int):
+    """n (A, B = Q.A, Q): family members (all 15 in turn), flow algebras and random
+    tensors, scaled by a common 2^k, |k| <= 500, moved by |det Q| in (1e-3, 3]."""
+    for i in range(n):
+        c = (_family_tensor(i // 3 % 15 + 1, rng.uniform(-2.0, 2.0, 4)) if i % 3 == 0 else
+             flow_algebra(float(rng.uniform(0.0, 2 * math.pi))).constants.values if i % 3 == 1
+             else rng.uniform(-1.0, 1.0, (2, 2, 2)))
+        q = random_invertible(rng, 1e-3, 3.0)
+        yield (*_scaled_and_moved(c, int(rng.integers(-500, 501)), q), q)
+
+
+def _exit_corpus():
+    """Pairs for the exit near P = 0: moved random tensors and family members, |det P|
+    down to 1e-3 at common scales 2^-40 to 2^40, unrelated tensors, a rank-1 B, and the
+    max|c| >= 1e150 cases of ``_verdict_corpus``."""
+    rng = np.random.default_rng(27)
+    pairs = []
+    for i in range(16):
+        c = _family_tensor(i % 15 + 1, rng.uniform(-2.0, 2.0, 4)) if i % 2 else \
+            rng.uniform(-1.0, 1.0, (2, 2, 2))
+        pairs.append(_scaled_and_moved(c, int(rng.integers(-40, 41)),
+                                       random_invertible(rng, 1e-3, 3.0)))
+    pairs += [tuple(AlgebraFD(CubicTensor(rng.uniform(-1.0, 1.0, (2, 2, 2)))) for _ in range(2))
+              for _ in range(6)]
+    rank_one = from_2x4([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 1.0]]).constants.values
+    pairs.append(_scaled_and_moved(rank_one, 0, np.array([[1.0, 0.5], [0.25, 1.5]])))
+    pairs.append((pairs[0][0], AlgebraFD(CubicTensor(rank_one))))
+    pairs += [(a, b) for kind, a, b, _ in _verdict_corpus()[::5] if kind == "max|c| >= 1e150"]
+    return pairs
+
+
+class TestTrivialRootExit:
+    """The descent ends inside |P|_F < rho* / 4, a ball that holds no root but P = 0."""
+
+    @staticmethod
+    def _violations(radius2, pairs) -> tuple[int, int]:
+        """(pairs whose Q lies inside the radius, pairs with a positive radius)."""
+        inside = positive = 0
+        for a, b, q in pairs:
+            r2 = radius2(a.constants.values.tolist(), b.constants.values.tolist())
+            positive += r2 > 0.0
+            inside += float(np.sum(q * q)) < 16.0 * r2 * (1.0 - 1e-9)
+        return inside, positive
+
+    def test_every_move_lies_outside_the_bound(self):
+        pairs = list(_bound_pairs(np.random.default_rng(2027), 3_000))
+        inside, positive = self._violations(isomorphism._trivial_root_radius2, pairs)
+        assert inside == 0 and positive > 1_000  # the radius is 0.0 past about 2^+-250
+
+        def from_largest(ca, cb):  # the negative control: sigma_max in place of sigma_min
+            s = np.linalg.svd(np.reshape(cb, (4, 2)), compute_uv=False)
+            with np.errstate(all="ignore"):
+                r2 = float((s[0] / np.linalg.norm(ca) / 4.0) ** 2)
+            return r2 if math.isfinite(r2) else 0.0
+
+        assert self._violations(from_largest, pairs)[0] > 100
+
+    @pytest.mark.parametrize("name, ca, cb", [
+        ("zero a", np.zeros((2, 2, 2)), RANDOM_ALGEBRA.constants.values),
+        ("zero b", RANDOM_ALGEBRA.constants.values, np.zeros((2, 2, 2))),
+        ("subnormal a", np.ldexp(RANDOM_ALGEBRA.constants.values, -1060),
+         RANDOM_ALGEBRA.constants.values),
+        ("subnormal b", RANDOM_ALGEBRA.constants.values,
+         np.ldexp(RANDOM_ALGEBRA.constants.values, -1060)),
+        ("huge a", 1e308 * RANDOM_ALGEBRA.constants.values, RANDOM_ALGEBRA.constants.values),
+        ("huge b", RANDOM_ALGEBRA.constants.values, 1e308 * RANDOM_ALGEBRA.constants.values),
+        ("rank-1 b", RANDOM_ALGEBRA.constants.values,
+         np.multiply.outer(np.random.default_rng(5).uniform(-1.0, 1.0, 4), [0.3, -1.7])),
+    ])
+    def test_radius_is_zero_where_it_means_nothing(self, name, ca, cb):
+        # Warnings are errors here, and Python floats raise no OverflowError on * or +.
+        assert isomorphism._trivial_root_radius2(ca.tolist(), cb.reshape(2, 2, 2).tolist()) == 0.0
+
+    def test_radius_matches_the_svd(self):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            scales = 2.0 ** rng.integers(-60, 61, (2, 1, 1, 1))
+            ca, cb = rng.uniform(-1.0, 1.0, (2, 2, 2, 2)) * scales
+            s = np.linalg.svd(cb.reshape(4, 2), compute_uv=False)
+            expected = (s[1] / np.linalg.norm(ca) / 4.0) ** 2
+            got = isomorphism._trivial_root_radius2(ca.tolist(), cb.tolist())
+            assert got == pytest.approx(expected, rel=1e-12)
+
+    @staticmethod
+    def _searched(monkeypatch, pairs, restarts, tol, radius2):
+        """Verdict bits of every pair, seed its index, and (p, residual, rho*^2 / 16) of
+        every descent, with both skip rules off and ``_trivial_root_radius2`` replaced by
+        ``radius2``.  Undoes every patch of ``monkeypatch`` when done, so that the next
+        call spies on the real descent."""
+        real_radius2 = isomorphism._trivial_root_radius2
+        real_descent = isomorphism._levenberg_descent
+        descents = []
+
+        def spy(p0, ca, cb, cfg):
+            p, residual = real_descent(p0, ca, cb, cfg)
+            descents.append((p, residual, real_radius2(ca, cb)))
+            return p, residual
+
+        _search_every_pair(monkeypatch)
+        monkeypatch.setattr(isomorphism, "_levenberg_descent", spy)
+        monkeypatch.setattr(isomorphism, "_trivial_root_radius2", radius2)
+        with np.errstate(all="ignore"):
+            bits = [_verdict_bits(iso_search(a, b, SearchConfig(restarts, tol=tol, seed=i)))
+                    for i, (a, b) in enumerate(pairs)]
+        monkeypatch.undo()
+        return bits, descents
+
+    @pytest.mark.parametrize("restarts", [16, 64])
+    def test_exit_keeps_every_verdict_bit(self, monkeypatch, restarts):
+        # Both orders of each pair, tol 1e-9 and 1e-3: the same verdicts as full descents,
+        # and where the exit did not fire, the same point and residual to the bit.
+        pairs = [pair for a, b in _exit_corpus() for pair in ((a, b), (b, a))]
+        fired = at_zero = 0
+        kinds = collections.Counter()
+        for tol in (1e-9, 1e-3):
+            (bits, descents), (full_bits, full_descents) = (
+                self._searched(monkeypatch, pairs, restarts, tol, radius2)
+                for radius2 in (isomorphism._trivial_root_radius2, lambda ca, cb: 0.0))
+            assert bits == full_bits
+            kinds.update(kind for kind, _, _ in bits)
+            assert len(descents) == len(full_descents)
+            for (p, residual, r2), (full_p, full_residual, _) in zip(descents, full_descents):
+                exited = residual > tol and float(np.sum(p * p)) < r2
+                ended_at_zero = full_residual <= tol and abs(determinant(full_p)) <= 1e-10 \
+                    and float(np.sum(full_p * full_p)) < r2
+                fired += exited and ended_at_zero
+                at_zero += ended_at_zero
+                if not exited:
+                    assert (p.tobytes(), repr(residual)) == (full_p.tobytes(), repr(full_residual))
+        # The exit fires: it ends all 561 descents to P = 0 at 16 restarts, 1,857 at 64.
+        assert at_zero > 400 and fired >= at_zero / 2
+        assert kinds[KIND_ISOMORPHIC] > 20 and kinds[KIND_NOT_FOUND_WITHIN_BUDGET] > 20
+
+    def test_the_start_is_not_tested(self):
+        # B = 2^20 A puts every start far inside the ball: the descent still takes a step.
+        ca = RANDOM_ALGEBRA.constants.values
+        ca, cb = ca.tolist(), np.ldexp(ca, 20).tolist()
+        radius2 = isomorphism._trivial_root_radius2(ca, cb)
+        p0 = random_invertible(np.random.default_rng(1), 1e-10, np.inf)
+        assert float(np.sum(p0 * p0)) < radius2
+        p, residual = isomorphism._levenberg_descent(p0, ca, cb, SearchConfig())
+        assert p.tobytes() != p0.tobytes() and residual > 1e-9
+        assert float(np.sum(p * p)) < radius2
+
+    def test_debug_record_counts_the_descents_in_the_ball(self, monkeypatch, caplog):
+        # An undecided pair with no certificate: 8 of its 16 descents end in the ball.
+        pair = (A0_REP, class_representative(FlowClassLabel(ACOS_MINUS, 0.3)))
+        caplog.set_level(logging.DEBUG, logger="algflow.isomorphism")
+        _, descents = self._searched(monkeypatch, [pair], 16, SearchConfig().tol,
+                                     isomorphism._trivial_root_radius2)
+        inside = sum(float(np.sum(p * p)) < r2 for p, _, r2 in descents)
+        assert 0 < inside < len(descents) == 16
+        assert [r.getMessage() for r in caplog.records] == \
+            [f"iso_search: {inside} descents ended in the root-free ball around P = 0"]
 
 
 class TestVerdictJson:
