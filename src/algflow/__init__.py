@@ -54,6 +54,7 @@ from .isomorphism import (
     InvariantSignature,
     IsoVerdict,
     SearchConfig,
+    decide,
     invariant_signature,
     iso_residual,
     iso_search,

@@ -44,14 +44,7 @@ from .classification import (
     to_bekbaev,
 )
 from .flow import SWEEP_BLOCK, check_time, verify_kce
-from .isomorphism import (
-    IsoVerdict,
-    SearchConfig,
-    invariant_signature,
-    iso_search,
-    rotation_iso,
-    trace_separation,
-)
+from .isomorphism import SearchConfig, decide, rotation_iso
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -118,15 +111,13 @@ def cmd_iso(args: argparse.Namespace) -> int:
     if time_mode == file_mode or (time_mode and (args.t1 is None or args.t2 is None)) \
             or (file_mode and (args.a is None or args.b is None)):
         raise ValueError("pass either --t1 and --t2, or --a and --b")
+    # A bad --restarts or --seed is refused in both modes; --tol 0 is valid for times.
+    cfg = SearchConfig(args.restarts, args.tol if file_mode else DEFAULT_TOL, args.seed)
     if time_mode:
         verdict = rotation_iso(args.t1, args.t2, args.tol)
         report = {"t1": args.t1, "t2": args.t2, **verdict.to_json_dict()}
     else:
-        cfg = SearchConfig(restarts=args.restarts, tol=args.tol, seed=args.seed)
-        a, b = _load_algebra(args.a), _load_algebra(args.b)
-        separating = (invariant_signature(a).first_difference(invariant_signature(b))
-                      or trace_separation(a, b))
-        verdict = iso_search(a, b, cfg) if separating is None else IsoVerdict.separated(separating)
+        verdict = decide(_load_algebra(args.a), _load_algebra(args.b), cfg)
         report = {"a": args.a, "b": args.b, **verdict.to_json_dict()}
     _emit(report)
     return EXIT_OK if verdict.is_isomorphic else EXIT_CHECK_FAILED

@@ -26,12 +26,13 @@ Three complementary tools:
   the first certificate is the verdict.
 
 * ``invariant_signature`` separates algebras by cheap isomorphism
-  invariants (commutativity, associativity, rank of the 2 x 4 form), and
-  ``trace_separation`` by the continuous invariants of the trace form
-  B(x, y) = tr(L_x L_y), where B is nondegenerate.  ``iso_search`` runs no
-  descent where one of two rules rules out every certificate: a trace-form
-  invariant where B is nondegenerate on both sides, else associativity with
-  a gap of 1e9 between the two residuals.
+  invariants (commutativity, associativity, rank of the 2 x 4 form).
+  ``iso_search`` runs no descent where one of two rules rules out every
+  certificate: an invariant of the trace form B(x, y) = tr(L_x L_y) where B
+  is nondegenerate on both sides, else associativity with a gap of 1e9
+  between the two residuals.  ``decide``, the one decision for two algebras,
+  asks the signatures, then those rules (a hit is SeparatedByInvariant), then
+  the restarts.
 
 Certificates are sound by construction: an Isomorphic verdict always
 carries a basis change P whose transformation residual is below tolerance,
@@ -79,7 +80,7 @@ __all__ = [
     "rotation_iso",
     "rotation_isomorphic",
     "invariant_signature",
-    "trace_separation",
+    "decide",
 ]
 
 log = logging.getLogger(__name__)
@@ -333,12 +334,26 @@ def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> I
 
     A NotFoundWithinBudget verdict is not a proof of non-isomorphism.
     """
-    if cfg is None:
-        cfg = SearchConfig()
     ruled_out = _search_ruled_out(a, b)
     if ruled_out is not None:
         log.debug("iso_search skipped: %s", ruled_out)
         return IsoVerdict.not_found()
+    return _descents(a, b, cfg)
+
+
+def decide(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> IsoVerdict:
+    """SeparatedByInvariant where ``invariant_signature`` or ``_search_ruled_out`` names
+    an invariant that differs, else the restarts of ``iso_search``: their verdict."""
+    separating = (invariant_signature(a).first_difference(invariant_signature(b))
+                  or _search_ruled_out(a, b))
+    return _descents(a, b, cfg) if separating is None else IsoVerdict.separated(separating)
+
+
+def _descents(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None) -> IsoVerdict:
+    """The restarts of ``iso_search``, with no skip rule: the first certificate, or
+    NotFoundWithinBudget."""
+    if cfg is None:
+        cfg = SearchConfig()
     ca, cb = a.constants.values.tolist(), b.constants.values.tolist()
     rng = np.random.default_rng(cfg.seed)
     verdict = IsoVerdict.not_found()
@@ -548,41 +563,25 @@ def _trace_invariants(c: list) -> tuple[float, float, float] | None:
     return inverse_form(l0, l1, l0, l1), inverse_form(l0, l1, r0, r1), inverse_form(r0, r1, r0, r1)
 
 
-def trace_separation(a: AlgebraFD, b: AlgebraFD) -> str | None:
-    """The trace-form invariant that separates a from b, with both values, or None.
-
-    None unless B is nondegenerate on both sides (``_trace_invariants``) and some
-    invariant differs by more than _TRACE_MARGIN * max(1, |I(a)|, |I(b)|).  A
-    separated pair is not isomorphic: no basis change carries a onto b.
-    """
-    ia = _trace_invariants(a.constants.values.tolist())
-    ib = _trace_invariants(b.constants.values.tolist()) if ia is not None else None
-    return None if ib is None else _trace_difference(ia, ib)
-
-
-def _trace_difference(ia: tuple, ib: tuple) -> str | None:
-    """The first invariant of ia and ib that differs beyond the margin, with both values."""
-    for name, x, y in zip(_TRACE_INVARIANTS, ia, ib):
-        if abs(x - y) > _TRACE_MARGIN * max(1.0, abs(x), abs(y)):
-            return f"{name}: {x!r} vs {y!r}"
-    return None
-
-
 def _search_ruled_out(a: AlgebraFD, b: AlgebraFD) -> str | None:
-    """The invariant that rules out every certificate from a to b, or None.
+    """The invariant that rules out every certificate from a to b, with both values, or None.
 
-    Where B is nondegenerate on both sides, ``trace_separation(a, b)``.  Else
-    associativity, with a gap of 1e9: of the residuals of a and b, each scaled
+    Where B is nondegenerate on both sides (``_trace_invariants``), the first
+    trace-form invariant that differs by more than _TRACE_MARGIN * max(1, |I(a)|, |I(b)|).
+    Else associativity, with a gap of 1e9: of the residuals of a and b, each scaled
     as in ``invariant_signature``, one at most _TRACE_MARGIN**2, the other above
     _TRACE_MARGIN**0.5.  Measured, a move with |det P| >= 1e-3 keeps an associative
     member below 4e-13 and changes a perturbed member's residual at most 3.4e5-fold.
-    Its first lines are those of ``trace_separation``: a helper for the pair of
-    invariants would add as many lines as it removes.
+    Those two bounds straddle ``DEFAULT_TOL``, which the signature holds the same
+    residuals to, so where this rule fires the signatures differ as well.
     """
     ia = _trace_invariants(a.constants.values.tolist())
     ib = _trace_invariants(b.constants.values.tolist()) if ia is not None else None
     if ib is not None:
-        return _trace_difference(ia, ib)
+        for name, x, y in zip(_TRACE_INVARIANTS, ia, ib):
+            if abs(x - y) > _TRACE_MARGIN * max(1.0, abs(x), abs(y)):
+                return f"{name}: {x!r} vs {y!r}"
+        return None
     ra, rb = (associativity_residual_entries(unit_entries(x.constants.values.ravel().tolist()))
               for x in (a, b))
     if min(ra, rb) <= _TRACE_MARGIN**2 and max(ra, rb) > _TRACE_MARGIN**0.5:

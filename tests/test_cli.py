@@ -4,6 +4,7 @@ import collections
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algflow.cli
-from algflow import checks
+from algflow import checks, isomorphism
 from algflow.algebra import (
     DEFAULT_TOL,
     AlgebraFD,
@@ -30,6 +31,7 @@ from algflow.algebra import (
     change_of_basis,
     commutativity_residuals,
     from_2x4,
+    random_invertible,
 )
 from algflow.classification import (
     A1,
@@ -379,6 +381,58 @@ class TestIsoFiles:
                 kinds[json.loads(out)["kind"]] += 1
         assert set(kinds) == {"SeparatedByInvariant", "NotFoundWithinBudget"}
 
+    @staticmethod
+    def _file_pairs():
+        """Seeded tensor pairs for ``iso --a --b``: members of every two distinct Bekbaev
+        families both ways round, a moved member of each family (twice), A1, A0Plus and
+        -A1 against each other and against their moves, and random tensors against their
+        moves and against unrelated ones; each pair scaled by one 2^k, |k| <= 40."""
+        rng = np.random.default_rng(2828)
+
+        def member(family):
+            params = rng.uniform(-2.0, 2.0, PARAM_COUNTS[family])
+            if family in (2, 3, 7, 8):  # beta1 >= 0
+                params[1] = abs(params[1])
+            return from_2x4(bekbaev_matrix(BekbaevForm(family, params.tolist()))).constants.values
+
+        def moved(c):
+            p = BasisChange(random_invertible(rng, 0.3, 3.0))
+            return change_of_basis(AlgebraFD(CubicTensor(c)), p).constants.values
+
+        pairs = []
+        for f, g in itertools.combinations(range(1, 16), 2):
+            a, b = member(f), member(g)
+            pairs += [(a, b), (b, a)]
+        for family in [*range(1, 16)] * 2:
+            a = member(family)
+            pairs.append((a, moved(a)))
+        special = [class_representative(FlowClassLabel(v)).constants.values for v in (A1, A0_PLUS)]
+        special.append(-special[0])
+        for a, b in itertools.product(special, repeat=2):
+            pairs += [(a, b), (a, moved(b))]
+        for _ in range(20):
+            c = rng.uniform(-1.0, 1.0, (2, 2, 2))
+            pairs += [(c, moved(c)), (c, rng.uniform(-1.0, 1.0, (2, 2, 2)))]
+        return [(np.ldexp(a, k), np.ldexp(b, k))
+                for (a, b), k in zip(pairs, rng.integers(-40, 41, len(pairs)).tolist())]
+
+    def test_file_verdicts_are_pinned(self, capsys, tmp_path):
+        # Exit code and stdout of every pair of ``_file_pairs`` at 8 restarts, as one
+        # sha256, taken when the command chained invariant_signature, a trace-form
+        # separation and iso_search itself.
+        digest = hashlib.sha256()
+        kinds = collections.Counter()
+        for a, b in self._file_pairs():
+            paths = [self._write(tmp_path, side, c) for side, c in (("a", a), ("b", b))]
+            code, out, err = run(capsys, "iso", "--a", paths[0], "--b", paths[1],
+                                 "--restarts", "8")
+            assert err == ""
+            kinds[json.loads(out)["kind"]] += 1
+            digest.update(repr((code, out.replace(str(tmp_path), "TMP"))).encode())
+        assert kinds == {"SeparatedByInvariant": 164, "NotFoundWithinBudget": 87, "Isomorphic": 47}
+        assert digest.hexdigest() == \
+            "03446379366139aedf22a3daf27b123a4561c22c1d2235419d3926f64daa1daf"
+
     def test_overflowing_descent_prints_no_numpy_warning(self, capsys, caplog, tmp_path):
         # Past max|c| of about 1e154 the descent's matmuls overflow: one debug record
         # says so, and no RuntimeWarning reaches stderr.
@@ -422,11 +476,33 @@ class TestIsoFiles:
         assert code == 2
 
     def test_negative_seed_is_usage_error(self, capsys, algebra_files):
-        code, out, err = run(capsys, "iso", "--a", algebra_files["a1"],
-                             "--b", algebra_files["a1"], "--seed", "-1")
-        assert code == 2
-        assert out == ""
-        assert err == "error: seed must be nonnegative, got -1\n"
+        # Both modes refuse a bad search option, although only files run the search.
+        for inputs in (("--a", algebra_files["a1"], "--b", algebra_files["a1"]),
+                       ("--t1", "0.5", "--t2", "0.6")):
+            for option, message in ((("--seed", "-1"), "seed must be nonnegative, got -1"),
+                                    (("--restarts", "0"), "restarts must be at least 1"),
+                                    (("--seed", "-1", "--restarts", "-3"),
+                                     "restarts must be at least 1")):
+                code, out, err = run(capsys, "iso", *inputs, *option)
+                assert code == 2
+                assert out == ""
+                assert err == f"error: {message}\n"
+
+    def test_trace_invariants_taken_once_per_side(self, capsys, tmp_path, monkeypatch):
+        # A moved pair whose trace form B is nondegenerate: ``iso --a --b`` and
+        # ``iso_search`` each take the invariants of a and of b once.
+        calls = []
+        trace_invariants = isomorphism._trace_invariants
+        monkeypatch.setattr(isomorphism, "_trace_invariants",
+                            lambda c: calls.append(c) or trace_invariants(c))
+        a = class_representative(FlowClassLabel(ACOS_PLUS, 0.3))
+        b = change_of_basis(a, BasisChange([[1.0, 0.5], [0.25, 1.5]]))
+        assert trace_invariants(b.constants.values.tolist()) is not None
+        paths = [self._write(tmp_path, side, x.constants.values) for side, x in (("a", a), ("b", b))]
+        code, out, _ = run(capsys, "iso", "--a", paths[0], "--b", paths[1])
+        assert (code, json.loads(out)["kind"], len(calls)) == (0, "Isomorphic", 2)
+        calls.clear()
+        assert isomorphism.iso_search(a, b).is_isomorphic and len(calls) == 2
 
 
 def _reference_partition_times(t_max: float, step: float) -> np.ndarray:

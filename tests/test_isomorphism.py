@@ -42,6 +42,7 @@ from algflow.isomorphism import (
     KIND_ISOMORPHIC,
     KIND_NOT_FOUND_WITHIN_BUDGET,
     KIND_NOT_ISOMORPHIC_EXACT,
+    KIND_SEPARATED_BY_INVARIANT,
     InvariantSignature,
     IsoVerdict,
     SearchConfig,
@@ -52,12 +53,12 @@ from algflow.isomorphism import (
     _trace_invariants,
     _transform_jacobian,
     _transform_residual,
+    decide,
     invariant_signature,
     iso_residual,
     iso_search,
     rotation_iso,
     rotation_isomorphic,
-    trace_separation,
 )
 
 A1_REP = class_representative(FlowClassLabel(A1))
@@ -160,7 +161,8 @@ class TestIsoSearchPins:
 
     The search returns the first certificate by restart index, so these
     change if the sampler draws a different stream or the descent does
-    different arithmetic.  The cases took 1, 2, 3, 3, 3 and all 64 restarts.
+    different arithmetic.  The found cases took 1, 2, 3, 3 and 3 restarts; the
+    hopeless one runs no descent, since the associativity rule skips it.
     """
 
     @pytest.mark.parametrize("name, seed, kind, certificate", [
@@ -1071,14 +1073,14 @@ _SCALES = st.integers(-500, 500)
 
 
 class TestTraceSeparation:
-    """The trace-form rule: it separates only pairs that are not isomorphic."""
+    """The trace-form rule of ``_search_ruled_out``: it separates only pairs that
+    are not isomorphic."""
 
     def test_moved_pairs_never_separated(self):
         # About 0.5 s.  The same generator over 64,000 pairs, on other seeds,
         # separated none either.
         kinds = collections.Counter()
         for kind, a, b in _moved_pairs(np.random.default_rng(21), 4_000):
-            assert trace_separation(a, b) is None, kind
             assert _search_ruled_out(a, b) is None, kind
             kinds[kind, _trace_invariants(a.constants.values.tolist()) is None] += 1
         # Every kind reaches the comparison of the invariants, not only the decline.
@@ -1093,7 +1095,7 @@ class TestTraceSeparation:
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_moved_family_member_never_separated(self, family, params, p, k):
         a, b = _scaled_and_moved(_family_tensor(family, params), k, p)
-        assert trace_separation(a, b) is None
+        assert _search_ruled_out(a, b) is None
 
     @given(family=st.sampled_from(DEGENERATE_B), params=_PARAMS, p=_MOVES, k=_SCALES)
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -1117,21 +1119,21 @@ class TestTraceSeparation:
         plus = class_representative(FlowClassLabel(ACOS_PLUS, c1))
         minus = class_representative(FlowClassLabel(ACOS_MINUS, c2))
         pair = (minus, plus) if minus_first else (plus, minus)
-        assert trace_separation(*pair) is not None
+        assert _search_ruled_out(*pair) is not None
 
     @given(c1=_C, c2=_C, variant=st.sampled_from([ACOS_PLUS, ACOS_MINUS]))
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_separates_distinct_parameters(self, c1, c2, variant):
         assume(abs(c1 - c2) >= 1e-3)
-        assert trace_separation(class_representative(FlowClassLabel(variant, c1)),
-                                class_representative(FlowClassLabel(variant, c2))) is not None
+        assert _search_ruled_out(class_representative(FlowClassLabel(variant, c1)),
+                                 class_representative(FlowClassLabel(variant, c2))) is not None
 
     def test_reason_names_the_invariant_and_both_values(self):
         plus = class_representative(FlowClassLabel(ACOS_PLUS, 0.3))
         minus = class_representative(FlowClassLabel(ACOS_MINUS, 0.3))
-        assert trace_separation(plus, minus) == \
+        assert _search_ruled_out(plus, minus) == \
             "I1 = B^-1(tr L, tr L): 0.4276364791498325 vs 1.5723635208501676"
-        assert trace_separation(plus, plus) is None
+        assert _search_ruled_out(plus, plus) is None
 
     def test_the_flow_invariants(self):
         # ACosPlus(c) and ACosMinus(c) share I3 = 4 c^2 and differ in I1 and I2.
@@ -1144,7 +1146,7 @@ class TestTraceSeparation:
     def test_zero_algebra_declines(self):
         zero = AlgebraFD(CubicTensor(np.zeros((2, 2, 2))))
         assert _trace_invariants(zero.constants.values.tolist()) is None
-        assert trace_separation(zero, A1_REP) is None
+        assert _search_ruled_out(zero, A1_REP) is None
 
     def test_iso_search_runs_no_descent_on_a_separated_pair(self, monkeypatch):
         def no_descent(*args):
@@ -1208,6 +1210,36 @@ class TestAssociativityRule:
         assert _search_ruled_out(A0_REP, A1_REP) == "associativity residual: 0.25 vs 0.0"
         assert _search_ruled_out(NEG_A1, A0_REP) == "associativity residual: 0.0 vs 0.25"
 
+    # A1 perturbed to a residual of 9.9987e-13 against a mixture of A1 and A0Plus at
+    # 1.00005e-3: the rule fires next to both of its bounds, 1e-12 and 1e-3.
+    @example(name="A1", size=-11.398, noise=[0.0] * 7 + [1.0], mix=-2.99998,
+             p=np.eye(2), q=np.eye(2), k=0, swap=False)
+    @given(name=st.sampled_from(sorted(_ASSOCIATIVE)), size=st.floats(-13.0, -10.0),
+           noise=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8), mix=st.floats(-4.0, -2.0),
+           p=_NEAR_SINGULAR_MOVES, q=_NEAR_SINGULAR_MOVES, k=_SCALES, swap=st.booleans())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_fires_only_where_the_signatures_differ(self, name, size, noise, mix, p, q, k, swap):
+        # The lemma that lets ``decide`` ask the rule after the signatures: its bounds
+        # straddle DEFAULT_TOL, which the signature holds the same residuals to.
+        a1, a0 = A1_REP.constants.values, A0_REP.constants.values
+        a = _scaled_and_moved(_ASSOCIATIVE[name] + 10.0 ** size * np.reshape(noise, (2, 2, 2)),
+                              k, p)[1]
+        b = _scaled_and_moved(a1 + 10.0 ** mix * (a0 - a1), k, q)[1]
+        reason = _search_ruled_out(*((b, a) if swap else (a, b)))
+        if reason is not None and reason.startswith("associativity residual: "):
+            assert invariant_signature(a) != invariant_signature(b)
+
+    def test_fires_on_moved_pairs_only_where_the_signatures_differ(self):
+        # Each algebra of _moved_pairs against the move of the next pair's algebra.
+        pairs = list(_moved_pairs(np.random.default_rng(28), 2_000))
+        fired = 0
+        for (_, a, _), (_, _, b) in zip(pairs, pairs[1:]):
+            reason = _search_ruled_out(a, b)
+            if reason is not None and reason.startswith("associativity residual: "):
+                fired += 1
+                assert invariant_signature(a) != invariant_signature(b)
+        assert fired > 20
+
     def test_nondegenerate_b_computes_no_associativity(self, monkeypatch):
         # Found pairs pay nothing for the rule: where B is nondegenerate on both
         # sides, the trace-form invariants decide alone.
@@ -1223,11 +1255,48 @@ class TestAssociativityRule:
         assert checked > 200
         plus = class_representative(FlowClassLabel(ACOS_PLUS, 0.3))
         minus = class_representative(FlowClassLabel(ACOS_MINUS, 0.7))
-        assert _search_ruled_out(plus, minus) == trace_separation(plus, minus) is not None
+        assert _search_ruled_out(plus, minus) == \
+            "I1 = B^-1(tr L, tr L): 0.4276364791498325 vs 1.9997999799959991"
         moved = _scaled_and_moved(plus.constants.values, 0, np.array([[1.0, 0.5], [0.25, 1.5]]))
         assert iso_search(*moved).kind == KIND_ISOMORPHIC
         with pytest.raises(AssertionError, match="associativity computed"):
             _search_ruled_out(A0_REP, A1_REP)
+
+
+class TestDecide:
+    """The one decision for two algebras: the signatures, the skip rules, the restarts."""
+
+    def test_signature_separates_first(self):
+        verdict = decide(A0_REP, A1_REP)
+        assert (verdict.kind, verdict.reason) == (KIND_SEPARATED_BY_INVARIANT, "associative")
+
+    def test_trace_form_invariant_separates_with_no_descent(self, monkeypatch):
+        def no_descent(*args):
+            raise AssertionError("a descent ran")
+
+        monkeypatch.setattr(isomorphism, "_levenberg_descent", no_descent)
+        plus = class_representative(FlowClassLabel(ACOS_PLUS, 0.3))
+        minus = class_representative(FlowClassLabel(ACOS_MINUS, 0.7))
+        assert invariant_signature(plus) == invariant_signature(minus)
+        verdict = decide(plus, minus)
+        assert (verdict.kind, verdict.reason) == (
+            KIND_SEPARATED_BY_INVARIANT,
+            "I1 = B^-1(tr L, tr L): 0.4276364791498325 vs 1.9997999799959991")
+
+    def test_otherwise_the_verdict_of_iso_search(self):
+        kinds = collections.Counter()
+        for _, a, b, seed in _verdict_corpus()[::3]:
+            cfg = SearchConfig(restarts=8, seed=seed)
+            verdict = decide(a, b, cfg)
+            kinds[verdict.kind] += 1
+            if verdict.kind != KIND_SEPARATED_BY_INVARIANT:
+                assert _verdict_bits(verdict) == _verdict_bits(iso_search(a, b, cfg))
+        assert min(kinds[KIND_SEPARATED_BY_INVARIANT], kinds[KIND_ISOMORPHIC],
+                   kinds[KIND_NOT_FOUND_WITHIN_BUDGET]) > 5
+
+    def test_default_config(self):
+        assert _verdict_bits(decide(*PINNED_PAIRS["sign_twins"])) == \
+            _verdict_bits(iso_search(*PINNED_PAIRS["sign_twins"]))
 
 
 def _bound_pairs(rng, n: int):
