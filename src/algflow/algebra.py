@@ -26,6 +26,7 @@ from .cubic import CubicTensor, floats_from_json, tensor_from_json_dict
 __all__ = [
     "DEFAULT_TOL",
     "EPS_DET",
+    "CERTIFICATE_CAP",
     "AlgebraFD",
     "BasisChange",
     "determinant",
@@ -52,6 +53,9 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 # Minimum |det| for a change of basis to count as invertible.
 EPS_DET = 1e-10
+# The cap of a certificate's residual bound, in units of the scale max(1, max|c|) of
+# the tensors it relates: read by ``to_bekbaev`` and by ``iso_search``'s back check.
+CERTIFICATE_CAP = 1e-6
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    CERTIFICATE_CAP,
     AlgebraFD,
     BasisChange,
     check_tol,
@@ -86,10 +87,9 @@ CLASSIFY_TOL = 1e-9
 # Largest parameter below 1: just outside the band |cos t| can round to 1.0.
 _C_MAX = math.nextafter(1.0, 0.0)
 
-# Reduction certificate residual bound, in units of its transform's rounding scale,
-# and its cap in units of the canonical tensor's scale max(1, max|target|).
+# Reduction certificate residual bound, in units of its transform's rounding scale;
+# ``CERTIFICATE_CAP`` caps it in units of the canonical tensor's scale max(1, max|target|).
 _REDUCTION_TOL = 1e-10
-_REDUCTION_CAP = 1e-6
 
 # Parameters at which the census and the mirror check sample the continuous classes.
 C_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -319,7 +319,7 @@ def _certified(label: FlowClassLabel, c: float, s: float) -> tuple[BekbaevForm, 
         p_max = max(map(abs, p[0] + p[1]))
         rounding = max(1.0, p_max / abs(det_entries(*p[0], *p[1])) * p_max * p_max)
         scale = max(1.0, max(map(abs, target)))
-        bound = min(_REDUCTION_TOL * rounding, _REDUCTION_CAP * scale)
+        bound = min(_REDUCTION_TOL * rounding, CERTIFICATE_CAP * scale)
         if not residual <= bound:
             raise AssertionError(
                 f"canonical reduction residual {residual:.3e} exceeds {bound:.1e} for {label}"

@@ -23,7 +23,9 @@ Three complementary tools:
   last bit and keep the einsum forms as the oracle.  The damped normal
   equations go to numpy's LAPACK gufunc directly, without the checks of
   ``np.linalg.solve``.  The restarts run one at a time, in index order, and
-  the first certificate is the verdict.
+  the first certificate is the verdict.  The kernels read a tensor as those of
+  ``algebra`` do, its eight Python floats c_ijk in (i, j, k) order, and P as
+  its rows ((a, b), (c, d)); each search reads its pair once.
 
 * ``invariant_signature`` separates algebras by cheap isomorphism
   invariants (commutativity, associativity, rank of the 2 x 4 form).
@@ -48,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    CERTIFICATE_CAP,
     DEFAULT_TOL,
     EPS_DET,
     AlgebraFD,
@@ -56,7 +59,6 @@ from .algebra import (
     check_tol,
     commutativity_residual_entries,
     det_entries,
-    determinant,
     iso_residual,
     iso_residual_entries,
     max_abs,
@@ -186,10 +188,11 @@ class InvariantSignature:
 
 
 def _transform_residual(p, ca, cb) -> np.ndarray:
-    """The 8 equations P.P.cA - cB.P, flattened; P, cA, cB as arrays or ``tolist()``."""
+    """The 8 equations P.P.cA - cB.P, flattened: P its rows ((a, b), (c, d)), cA and cB
+    their eight entries c_ijk in (i, j, k) order, as Python floats or arrays."""
     (p00, p01), (p10, p11) = p
-    ((a000, a001), (a010, a011)), ((a100, a101), (a110, a111)) = ca
-    ((b000, b001), (b010, b011)), ((b100, b101), (b110, b111)) = cb
+    a000, a001, a010, a011, a100, a101, a110, a111 = ca
+    b000, b001, b010, b011, b100, b101, b110, b111 = cb
     # P_ip P_jq for rows (i, j) = (0, 0), (0, 1) and (1, 1); (1, 0) reuses v, as a b = b a.
     u00, u01, u11 = p00 * p00, p00 * p01, p01 * p01
     v00, v01, v10, v11 = p00 * p10, p00 * p11, p01 * p10, p01 * p11
@@ -216,8 +219,8 @@ def _transform_jacobian(p, ca, cb) -> np.ndarray:
     terms 0.0: the order of einsum, on which the pinned certificates depend.
     """
     (p00, p01), (p10, p11) = p
-    ((a000, a001), (a010, a011)), ((a100, a101), (a110, a111)) = ca
-    ((b000, b001), (b010, b011)), ((b100, b101), (b110, b111)) = cb
+    a000, a001, a010, a011, a100, a101, a110, a111 = ca
+    b000, b001, b010, b011, b100, b101, b110, b111 = cb
     x000, x001 = 0.0 + p00 * a000 + p01 * a010, 0.0 + p00 * a001 + p01 * a011
     x010, x011 = 0.0 + p00 * a100 + p01 * a110, 0.0 + p00 * a101 + p01 * a111
     x100, x101 = 0.0 + p10 * a000 + p11 * a010, 0.0 + p10 * a001 + p11 * a011
@@ -239,13 +242,13 @@ def _transform_jacobian(p, ca, cb) -> np.ndarray:
 
 
 def _frobenius2(p) -> float:
-    """|P|_F^2 of a 2 x 2 matrix as nested lists, in Python floats."""
+    """|P|_F^2 of a 2 x 2 matrix as its rows, in Python floats."""
     (p00, p01), (p10, p11) = p
     return p00 * p00 + p01 * p01 + p10 * p10 + p11 * p11
 
 
 def _trivial_root_radius2(ca, cb) -> float:
-    """(rho* / 4)^2 for the tensors ca, cb as nested lists, where rho* = sigma / |cA|_F.
+    """(rho* / 4)^2 for the entries ca, cb of two tensors, where rho* = sigma / |cA|_F.
 
     No root P != 0 has |P|_F < rho*: |cB.P|_F >= sigma |P|_F and |P.P.cA|_F <= |P|_F^2 |cA|_F,
     with sigma the smaller singular value of the 4 x 2 matrix M = (cB_ijr).  sigma^2 is taken
@@ -253,14 +256,14 @@ def _trivial_root_radius2(ca, cb) -> float:
     no exit, below sigma = 1e-8 sigma_max (b of rank one) and where a value is not a normal
     positive float.  Python floats only: it never raises or warns.
     """
-    ((x0, y0), (x1, y1)), ((x2, y2), (x3, y3)) = cb
+    x0, y0, x1, y1, x2, y2, x3, y3 = cb
     gx, gy = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3, y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3
     gxy, d = x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3, gx - gy
     m01, m02, m03 = x0 * y1 - y0 * x1, x0 * y2 - y0 * x2, x0 * y3 - y0 * x3
     m12, m13, m23 = x1 * y2 - y1 * x2, x1 * y3 - y1 * x3, x2 * y3 - y2 * x3
     det = m01 * m01 + m02 * m02 + m03 * m03 + m12 * m12 + m13 * m13 + m23 * m23
     smax2 = 0.5 * (gx + gy + math.sqrt(d * d + 4.0 * gxy * gxy))
-    a2 = _frobenius2(ca[0]) + _frobenius2(ca[1])
+    a2 = _frobenius2((ca[:2], ca[2:4])) + _frobenius2((ca[4:6], ca[6:]))  # plane by plane
     if not (_TINY <= det and _TINY <= smax2 < math.inf and _TINY <= a2 < math.inf):
         return 0.0
     r2 = det / smax2 / (16.0 * a2) if det / smax2 > 1e-16 * smax2 else 0.0
@@ -269,26 +272,25 @@ def _trivial_root_radius2(ca, cb) -> float:
 
 # Past max|r| of about 1e154, r @ r and J^T J overflow: no numpy warnings.
 @np.errstate(all="ignore")
-def _levenberg_descent(p0: np.ndarray, ca, cb, cfg: SearchConfig) -> tuple[np.ndarray, float]:
-    """Gauss-Newton with Levenberg damping from one starting matrix.
+def _levenberg_descent(p, ca, cb, tol: float, radius2: float) -> tuple[list, float]:
+    """Gauss-Newton with Levenberg damping from P = p down to ``tol``; P as its rows and
+    ``ca``, ``cb`` as the eight entries c_ijk in (i, j, k) order, Python floats.
 
-    P, ``ca`` and ``cb`` are nested lists.  Damping starts at 1e-3 and adapts
-    by factors of 10.  A step holding a nan, which makes a residual nan and so is
-    rejected, ends the descent where it stands: the solve fills the step with nan
-    where the damped system is singular (lam below the rounding of an exactly
-    singular J^T J), and a nan in J^T J or J^T r passes into it.  So does an accepted
-    step into |P|_F < rho* / 4, where no root but P = 0 lies (``_trivial_root_radius2``);
-    the start is not tested.  Returns the best point reached and its max-abs residual.
+    Damping starts at 1e-3 and adapts by factors of 10.  A step holding a nan, which
+    makes a residual nan and so is rejected, ends the descent where it stands: the solve
+    fills the step with nan where the damped system is singular (lam below the rounding
+    of an exactly singular J^T J), and a nan in J^T J or J^T r passes into it.  So does
+    an accepted step into |P|_F^2 < radius2 (``_trivial_root_radius2`` of ca, cb), where
+    no root but P = 0 lies; the start is not tested.  Returns the best point reached,
+    as rows, and its max-abs residual.
     """
-    radius2 = _trivial_root_radius2(ca, cb)
-    p = p0.tolist()
     r = _transform_residual(p, ca, cb)
     cost = float(r @ r)
     lam = 1e-3
     moved = True
     for _ in range(_MAX_ITERATIONS):
         if moved:  # a rejected step leaves p and r, and so J^T J and J^T r, as they were
-            if max_abs(r.tolist()) <= cfg.tol:
+            if max_abs(r.tolist()) <= tol:
                 break
             jac = _transform_jacobian(p, ca, cb)
             grad = jac.T @ r
@@ -309,7 +311,7 @@ def _levenberg_descent(p0: np.ndarray, ca, cb, cfg: SearchConfig) -> tuple[np.nd
             lam *= 10.0
             if lam > 1e12 or any(map(math.isnan, step)):
                 break
-    return np.array(p), max_abs(r.tolist())
+    return p, max_abs(r.tolist())
 
 
 def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> IsoVerdict:
@@ -354,25 +356,25 @@ def _descents(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None) -> IsoVerdic
     NotFoundWithinBudget."""
     if cfg is None:
         cfg = SearchConfig()
-    ca, cb = a.constants.values.tolist(), b.constants.values.tolist()
+    ca, cb = a.constants.values.ravel().tolist(), b.constants.values.ravel().tolist()
     rng = np.random.default_rng(cfg.seed)
     verdict = IsoVerdict.not_found()
     overflowed = inside = 0
     radius2 = _trivial_root_radius2(ca, cb)
     for _ in range(cfg.restarts):
-        p0 = random_invertible(rng, EPS_DET, np.inf)
-        p, eq_residual = _levenberg_descent(p0, ca, cb, cfg)
+        p0 = random_invertible(rng, EPS_DET, np.inf).tolist()
+        p, eq_residual = _levenberg_descent(p0, ca, cb, cfg.tol, radius2)
         # Where max|r| passes about 1e154 the descent cannot move: logged once below.
         overflowed += not math.isfinite(eq_residual * eq_residual)
-        inside += _frobenius2(p.tolist()) < radius2
+        inside += _frobenius2(p) < radius2
         if eq_residual > cfg.tol:
             continue
-        if abs(determinant(p)) <= EPS_DET:
+        if abs(det_entries(*p[0], *p[1])) <= EPS_DET:
             continue  # root of the polynomial system, but a singular one
         certificate = BasisChange(p)
         with np.errstate(all="ignore"):  # P P c P^-1 may overflow where c is huge
             residual = iso_residual(a, b, certificate)
-        if residual <= cfg.tol and _carries_back(a, b, p, cfg.tol):
+        if residual <= cfg.tol and _carries_back(ca, cb, p, cfg.tol):
             verdict = IsoVerdict.isomorphic(certificate, residual)
             break
     if overflowed:
@@ -382,24 +384,18 @@ def _descents(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None) -> IsoVerdic
     return verdict
 
 
-# The back residual of a certificate is held to this fraction of the scale of the two
-# tensors, max(1, max|c|), where it exceeds tol: the cap of ``to_bekbaev``'s bound.
-_BACK_MARGIN = 1e-6
-
-
-def _carries_back(a: AlgebraFD, b: AlgebraFD, p: np.ndarray, tol: float) -> bool:
-    """Whether P^-1 carries b back onto a, within max(tol, _BACK_MARGIN * max(1, max|c|)).
+def _carries_back(ca: list, cb: list, p: list, tol: float) -> bool:
+    """Whether P^-1 carries b back onto a, within max(tol, CERTIFICATE_CAP * max(1, max|c|)).
 
     As det P -> 0, P can carry a to within tol of an algebra b it is not isomorphic to
     (a degeneration: Bekbaev families 12 and 13 onto 14); P^-1 then misses a by about
     max|c|.  P^-1 = adj(P) / det P is taken in Python floats, since ``BasisChange``
     refuses P^-1 where |det P| >= 1e10.
     """
-    ca, cb = a.constants.values.ravel().tolist(), b.constants.values.ravel().tolist()
-    (p00, p01), (p10, p11) = p.tolist()
+    (p00, p01), (p10, p11) = p
     det = det_entries(p00, p01, p10, p11)
     back = iso_residual_entries(cb, ca, ((p11 / det, -p01 / det), (-p10 / det, p00 / det)))
-    return back <= tol or back <= _BACK_MARGIN * max(1.0, *map(abs, ca + cb))
+    return back <= tol or back <= CERTIFICATE_CAP * max(1.0, *map(abs, ca + cb))
 
 
 # --- exact decision for the rotation flow ------------------------------------
@@ -530,13 +526,13 @@ _TRACE_INVARIANTS = ("I1 = B^-1(tr L, tr L)", "I2 = B^-1(tr L, tr R)", "I3 = B^-
 _TRACE_MARGIN = 1e-6
 
 
-def _trace_invariants(c: list) -> tuple[float, float, float] | None:
-    """(I1, I2, I3) of the tensor c (nested lists), or None where B is near degenerate.
+def _trace_invariants(entries: list) -> tuple[float, float, float] | None:
+    """(I1, I2, I3) of a tensor, or None where B is near degenerate.
 
-    With B(x, y) = tr(L_x L_y), B_ab = sum_jk c_ajk c_bkj, and the covectors
-    l = tr L, r = tr R, the invariants are I1 = B^-1(l, l), I2 = B^-1(l, r) and
-    I3 = B^-1(r, r).  Each is unchanged by a basis change and by c -> lambda c,
-    so c is first scaled by a power of two (exact) to max|c| in [1/2, 1).
+    ``entries`` are its eight c_ijk in (i, j, k) order, scaled by ``unit_entries``: each
+    invariant is unchanged by a basis change and by c -> lambda c.  With B(x, y) =
+    tr(L_x L_y), B_ab = sum_jk c_ajk c_bkj, and the covectors l = tr L, r = tr R, the
+    invariants are I1 = B^-1(l, l), I2 = B^-1(l, r) and I3 = B^-1(r, r).
 
     An entry of c is known only to about the rounding of max|c|: a tensor moved
     in floats errs by that much in every entry, zeros included.  So B counts as
@@ -546,7 +542,6 @@ def _trace_invariants(c: list) -> tuple[float, float, float] | None:
     (0, 4e-13, 0), and its move by [[1.5, 0], [0.4375, 1]] differ in I2 by 4e-4.
     Python floats throughout.
     """
-    entries = unit_entries([x for plane in c for row in plane for x in row])
     a000, a001, a010, a011, a100, a101, a110, a111 = entries
     b00 = a000 * a000 + a001 * a010 + a010 * a001 + a011 * a011
     b01 = a000 * a100 + a001 * a110 + a010 * a101 + a011 * a111
@@ -575,15 +570,15 @@ def _search_ruled_out(a: AlgebraFD, b: AlgebraFD) -> str | None:
     Those two bounds straddle ``DEFAULT_TOL``, which the signature holds the same
     residuals to, so where this rule fires the signatures differ as well.
     """
-    ia = _trace_invariants(a.constants.values.tolist())
-    ib = _trace_invariants(b.constants.values.tolist()) if ia is not None else None
+    ca, cb = (unit_entries(x.constants.values.ravel().tolist()) for x in (a, b))
+    ia = _trace_invariants(ca)
+    ib = _trace_invariants(cb) if ia is not None else None
     if ib is not None:
         for name, x, y in zip(_TRACE_INVARIANTS, ia, ib):
             if abs(x - y) > _TRACE_MARGIN * max(1.0, abs(x), abs(y)):
                 return f"{name}: {x!r} vs {y!r}"
         return None
-    ra, rb = (associativity_residual_entries(unit_entries(x.constants.values.ravel().tolist()))
-              for x in (a, b))
+    ra, rb = associativity_residual_entries(ca), associativity_residual_entries(cb)
     if min(ra, rb) <= _TRACE_MARGIN**2 and max(ra, rb) > _TRACE_MARGIN**0.5:
         return f"associativity residual: {ra!r} vs {rb!r}"
     return None

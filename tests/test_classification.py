@@ -665,9 +665,8 @@ def _reference_to_bekbaev(label: FlowClassLabel):
     """``to_bekbaev`` as written when every call, on an exceptional label too, ran
     ``_reduction``, ``_branch`` and the check: the reference for the bits of the
     stored exceptional reductions and of the lean path of the continuous classes."""
-    from algflow.algebra import BasisChange, det_entries
-    from algflow.classification import (_FAMILY_ROWS, _REDUCTION_CAP, _REDUCTION_TOL,
-                                        _branch, _reduction)
+    from algflow.algebra import CERTIFICATE_CAP, BasisChange, det_entries
+    from algflow.classification import _FAMILY_ROWS, _REDUCTION_TOL, _branch, _reduction
     from algflow.flow import paired_entries
 
     form, p_matrix = _reduction(label)
@@ -680,7 +679,7 @@ def _reference_to_bekbaev(label: FlowClassLabel):
         p_max = max(map(abs, p[0] + p[1]))
         rounding = max(1.0, p_max / abs(det_entries(*p[0], *p[1])) * p_max * p_max)
         scale = max(1.0, max(map(abs, target)))
-        bound = min(_REDUCTION_TOL * rounding, _REDUCTION_CAP * scale)
+        bound = min(_REDUCTION_TOL * rounding, CERTIFICATE_CAP * scale)
         if not residual <= bound:
             raise AssertionError(
                 f"canonical reduction residual {residual:.3e} exceeds {bound:.1e} for {label}"

@@ -199,7 +199,7 @@ def test_jacobian_matches_central_differences():
     h = 1e-6
     for _ in range(50):
         p = rng.uniform(-2.0, 2.0, size=(2, 2))
-        ca, cb = rng.uniform(-1.0, 1.0, size=(2, 2, 2, 2))
+        ca, cb = rng.uniform(-1.0, 1.0, size=(2, 8))
         jac = _transform_jacobian(p, ca, cb)
         fd = np.empty((8, 4))
         for col in range(4):
@@ -230,16 +230,16 @@ def _einsum_jacobian(p, ca, cb):
     return jac.reshape(8, 4)
 
 
-def _einsum_descent(p0, ca, cb, cfg, exits):
+def _einsum_descent(p0, ca, cb, tol, exits):
     """The einsum descent; counts in ``exits`` how each run ended."""
-    ca, cb = np.array(ca), np.array(cb)
-    p = p0.copy()
+    ca, cb = np.reshape(ca, (2, 2, 2)), np.reshape(cb, (2, 2, 2))
+    p = np.array(p0)
     r = _einsum_residual(p, ca, cb)
     cost = float(r @ r)
     lam = 1e-3
     end = "iteration cap"
     for _ in range(_MAX_ITERATIONS):
-        if float(np.max(np.abs(r))) <= cfg.tol:
+        if float(np.max(np.abs(r))) <= tol:
             end = "tolerance met"
             break
         jac = _einsum_jacobian(p, ca, cb)
@@ -263,7 +263,7 @@ def _einsum_descent(p0, ca, cb, cfg, exits):
                 end = "damping above 1e12"
                 break
     exits[end] += 1
-    return p, float(np.max(np.abs(r)))
+    return p.tolist(), float(np.max(np.abs(r)))
 
 
 def _seeded_triples(rng, n):
@@ -285,7 +285,7 @@ class TestKernelsMatchEinsum:
         ps, cas, cbs = _seeded_triples(np.random.default_rng(2026), 20_000)
         assert np.signbit(cas[cas == 0.0]).any() and not np.signbit(cas[cas == 0.0]).all()
         for p, ca, cb in zip(ps, cas, cbs):
-            lists = p.tolist(), ca.tolist(), cb.tolist()
+            lists = p.tolist(), ca.ravel().tolist(), cb.ravel().tolist()
             assert _transform_residual(*lists).tobytes() == _einsum_residual(p, ca, cb).tobytes()
             assert _transform_jacobian(*lists).tobytes() == _einsum_jacobian(p, ca, cb).tobytes()
 
@@ -303,7 +303,7 @@ class TestKernelsMatchEinsum:
         p, ca, cb = args
         with np.errstate(all="ignore"):
             expected = _einsum_residual(p, ca, cb).tobytes()
-        got = _transform_residual(p.tolist(), ca.tolist(), cb.tolist())
+        got = _transform_residual(p.tolist(), ca.ravel().tolist(), cb.ravel().tolist())
         assert got.tobytes() == expected
 
     @given(args=_entries(1e100))
@@ -312,13 +312,14 @@ class TestKernelsMatchEinsum:
         # Up to 1e100 no sum overflows.  Beyond, einsum multiplies an infinite sum
         # by a zero of the identity (nan) where the closed form writes 0.0.
         p, ca, cb = args
-        got = _transform_jacobian(p.tolist(), ca.tolist(), cb.tolist())
+        got = _transform_jacobian(p.tolist(), ca.ravel().tolist(), cb.ravel().tolist())
         assert got.tobytes() == _einsum_jacobian(p, ca, cb).tobytes()
 
     def test_arrays_accepted(self):
         p, ca, cb = (x[0] for x in _seeded_triples(np.random.default_rng(4), 1))
-        assert _transform_residual(p, ca, cb).shape == (8,)
-        assert _transform_jacobian(p, ca, cb).tobytes() == _einsum_jacobian(p, ca, cb).tobytes()
+        assert _transform_residual(p, ca.ravel(), cb.ravel()).shape == (8,)
+        assert _transform_jacobian(p, ca.ravel(), cb.ravel()).tobytes() == \
+            _einsum_jacobian(p, ca, cb).tobytes()
 
 
 @pytest.mark.parametrize("values", [
@@ -389,7 +390,7 @@ def test_search_verdicts_match_einsum_descent(monkeypatch):
         verdicts = [iso_search(a, b, SearchConfig(restarts=8, seed=seed))
                     for _, a, b, seed in corpus]
         monkeypatch.setattr(isomorphism, "_levenberg_descent",
-                            lambda p0, ca, cb, cfg: _einsum_descent(p0, ca, cb, cfg, exits))
+                            lambda p0, ca, cb, tol, r2: _einsum_descent(p0, ca, cb, tol, exits))
         for (kind, a, b, seed), verdict in zip(corpus, verdicts):
             expected = iso_search(a, b, SearchConfig(restarts=8, seed=seed))
             assert verdict.kind == expected.kind, (kind, seed)
@@ -435,15 +436,16 @@ def test_rejected_step_takes_no_new_jacobian(monkeypatch):
 
     monkeypatch.setattr(isomorphism, "_transform_residual", residual)
     monkeypatch.setattr(isomorphism, "_transform_jacobian", jacobian)
-    ca, cb = (class_representative(FlowClassLabel(ACOS_PLUS, c)).constants.values.tolist()
+    ca, cb = (class_representative(FlowClassLabel(ACOS_PLUS, c)).constants.values.ravel().tolist()
               for c in (0.3, 0.5))
+    radius2 = isomorphism._trivial_root_radius2(ca, cb)
     rng = np.random.default_rng(5)
     rejected = 0
     for _ in range(16):
         costs.clear()
         jacobians[0] = 0
-        isomorphism._levenberg_descent(random_invertible(rng, 1e-10, np.inf), ca, cb,
-                                       SearchConfig())
+        isomorphism._levenberg_descent(random_invertible(rng, 1e-10, np.inf).tolist(), ca, cb,
+                                       SearchConfig().tol, radius2)
         accepted = sum(new < min(costs[:i + 1]) for i, new in enumerate(costs[1:]))
         rejected += len(costs) - 1 - accepted
         assert jacobians[0] <= accepted + 1
@@ -534,11 +536,10 @@ class TestLapackSolve:
             _SOLVE(np.zeros((4, 4)), np.ones(4), signature="dd->d")
 
 
-def _wrapper_descent(p0, ca, cb, cfg, exits):
+def _wrapper_descent(p, ca, cb, tol, exits):
     """The descent as it was with ``np.linalg.solve``: a LinAlgError ends it, and a
     step holding a nan is rejected like any other, until lam passes 1e12.  Counts in
     ``exits`` the descents that raised and those that took a nan step."""
-    p = p0.tolist()
     r = _transform_residual(p, ca, cb)
     cost = float(r @ r)
     lam = 1e-3
@@ -546,7 +547,7 @@ def _wrapper_descent(p0, ca, cb, cfg, exits):
     took_nan = False
     for _ in range(_MAX_ITERATIONS):
         if moved:
-            if max_abs(r.tolist()) <= cfg.tol:
+            if max_abs(r.tolist()) <= tol:
                 break
             jac = _transform_jacobian(p, ca, cb)
             grad = jac.T @ r
@@ -573,15 +574,14 @@ def _wrapper_descent(p0, ca, cb, cfg, exits):
             if lam > 1e12:
                 break
     exits["nan step"] += took_nan
-    return np.array(p), max_abs(r.tolist())
+    return p, max_abs(r.tolist())
 
 
-def test_nan_exit_returns_what_the_wrapper_descent_returned(monkeypatch):
+def test_nan_exit_returns_what_the_wrapper_descent_returned():
     # The corpus's descents meet singular systems and nan steps: a nan step never
     # moves p, so ending the descent there returns the point and residual that the
     # wrapper's descent reached by raising or by rejecting until lam > 1e12.  The
-    # descents run to their end: the exit near P = 0 is off.
-    monkeypatch.setattr(isomorphism, "_trivial_root_radius2", lambda ca, cb: 0.0)
+    # descents run to their end: the exit near P = 0 is off (radius2 0.0).
     rng = np.random.default_rng(606)
     tensors = [(a.constants.values, b.constants.values) for a, b in _singular_pairs()]
     for i in range(300):
@@ -591,15 +591,15 @@ def test_nan_exit_returns_what_the_wrapper_descent_returned(monkeypatch):
         tensors.append(np.ldexp(c, int(rng.integers(-600, 601))))
     exits = collections.Counter()
     for ca, cb in tensors:
-        ca, cb = ca.tolist(), cb.tolist()
+        ca, cb = ca.ravel().tolist(), cb.ravel().tolist()
         for tol in (1e-9, 1e-300):
-            cfg = SearchConfig(tol=tol)
             for _ in range(2):
-                p0 = random_invertible(rng, 1e-10, np.inf)
+                p0 = random_invertible(rng, 1e-10, np.inf).tolist()
                 with np.errstate(all="ignore"):
-                    p, residual = _wrapper_descent(p0, ca, cb, cfg, exits)
-                got_p, got_residual = isomorphism._levenberg_descent(p0, ca, cb, cfg)
-                assert got_p.tobytes() == p.tobytes() and repr(got_residual) == repr(residual)
+                    p, residual = _wrapper_descent(p0, ca, cb, tol, exits)
+                got_p, got_residual = isomorphism._levenberg_descent(p0, ca, cb, tol, 0.0)
+                assert np.array(got_p).tobytes() == np.array(p).tobytes() \
+                    and repr(got_residual) == repr(residual)
     # 1,220 descents: 15 raised, 108 took a nan step.
     assert exits["LinAlgError"] > 10 and exits["nan step"] > 100
 
@@ -1013,7 +1013,7 @@ class TestTwoSidedCertificates:
             b = change_of_basis(a, BasisChange(random_invertible(rng, 0.3, 3.0)))
             pairs += [(a, b), (b, a)]
         verdicts = [_verdict_bits(iso_search(a, b)) for a, b in pairs]
-        monkeypatch.setattr(isomorphism, "_carries_back", lambda a, b, p, tol: True)
+        monkeypatch.setattr(isomorphism, "_carries_back", lambda ca, cb, p, tol: True)
         assert verdicts == [_verdict_bits(iso_search(a, b)) for a, b in pairs]
         assert sum(kind == KIND_ISOMORPHIC for kind, _, _ in verdicts) >= 58
 
@@ -1023,7 +1023,8 @@ class TestTwoSidedCertificates:
         c = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 2, 2))
         a, b = AlgebraFD(CubicTensor(c)), AlgebraFD(CubicTensor(np.ldexp(c, 20)))
         p = np.ldexp(np.eye(2), 20)
-        monkeypatch.setattr(isomorphism, "_levenberg_descent", lambda p0, ca, cb, cfg: (p, 0.0))
+        monkeypatch.setattr(isomorphism, "_levenberg_descent",
+                            lambda p0, ca, cb, tol, radius2: (p.tolist(), 0.0))
         verdict = iso_search(a, b)
         assert verdict.is_isomorphic and verdict.residual == 0.0
         assert verdict.certificate.matrix.tobytes() == p.tobytes()
@@ -1039,6 +1040,11 @@ def _family_tensor(family: int, params) -> np.ndarray:
     if family in (2, 3, 7, 8):  # beta1 >= 0
         params[1] = abs(params[1])
     return from_2x4(bekbaev_matrix(BekbaevForm(family, params))).constants.values
+
+
+def _trace_of(c: np.ndarray):
+    """``_trace_invariants`` of the tensor c, its entries scaled as the search scales them."""
+    return _trace_invariants(unit_entries(c.ravel().tolist()))
 
 
 def _scaled_and_moved(c: np.ndarray, k: int, p: np.ndarray) -> tuple[AlgebraFD, AlgebraFD]:
@@ -1082,7 +1088,7 @@ class TestTraceSeparation:
         kinds = collections.Counter()
         for kind, a, b in _moved_pairs(np.random.default_rng(21), 4_000):
             assert _search_ruled_out(a, b) is None, kind
-            kinds[kind, _trace_invariants(a.constants.values.tolist()) is None] += 1
+            kinds[kind, _trace_of(a.constants.values) is None] += 1
         # Every kind reaches the comparison of the invariants, not only the decline.
         assert all(kinds[kind, False] > 100 for kind in ("family", "random", "flow"))
         assert kinds["near-degenerate B", False] > 0
@@ -1101,7 +1107,7 @@ class TestTraceSeparation:
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_declines_where_b_is_degenerate(self, family, params, p, k):
         for algebra in _scaled_and_moved(_family_tensor(family, params), k, p):
-            assert _trace_invariants(algebra.constants.values.tolist()) is None
+            assert _trace_of(algebra.constants.values) is None
 
     @pytest.mark.parametrize("algebra", [A1_REP, A0_REP, NEG_A1])
     @example(p=np.array([[0.0, 1.0], [-2.0, 2.0]]), k=0)  # rounding errors of 2e-16 in zeros
@@ -1109,7 +1115,7 @@ class TestTraceSeparation:
     @settings(max_examples=30, deadline=None, derandomize=True)
     def test_declines_on_a1_and_a0_plus(self, algebra, p, k):
         for moved in _scaled_and_moved(algebra.constants.values, k, p):
-            assert _trace_invariants(moved.constants.values.tolist()) is None
+            assert _trace_of(moved.constants.values) is None
 
     _C = st.floats(1e-3, 1.0 - 1e-6)
 
@@ -1137,15 +1143,14 @@ class TestTraceSeparation:
 
     def test_the_flow_invariants(self):
         # ACosPlus(c) and ACosMinus(c) share I3 = 4 c^2 and differ in I1 and I2.
-        plus, minus = (_trace_invariants(class_representative(FlowClassLabel(v, 0.3))
-                                         .constants.values.tolist())
+        plus, minus = (_trace_of(class_representative(FlowClassLabel(v, 0.3)).constants.values)
                        for v in (ACOS_PLUS, ACOS_MINUS))
         assert np.allclose(plus, (0.4276, -0.3924, 0.36), atol=1e-4)
         assert np.allclose(minus, (1.5724, 0.7524, 0.36), atol=1e-4)
 
     def test_zero_algebra_declines(self):
         zero = AlgebraFD(CubicTensor(np.zeros((2, 2, 2))))
-        assert _trace_invariants(zero.constants.values.tolist()) is None
+        assert _trace_of(zero.constants.values) is None
         assert _search_ruled_out(zero, A1_REP) is None
 
     def test_iso_search_runs_no_descent_on_a_separated_pair(self, monkeypatch):
@@ -1182,7 +1187,7 @@ class TestAssociativityRule:
     def test_the_associative_members(self):
         for name, c in _ASSOCIATIVE.items():
             a = AlgebraFD(CubicTensor(c))
-            assert _trace_invariants(c.tolist()) is None and is_associative(a, 0.0), name
+            assert _trace_of(c) is None and is_associative(a, 0.0), name
 
     @given(name=st.sampled_from(sorted(_ASSOCIATIVE)), p=_NEAR_SINGULAR_MOVES, k=_SCALES)
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1249,7 +1254,7 @@ class TestAssociativityRule:
         monkeypatch.setattr(isomorphism, "associativity_residual_entries", no_associativity)
         checked = 0
         for kind, a, b in _moved_pairs(np.random.default_rng(27), 400):
-            if all(_trace_invariants(x.constants.values.tolist()) is not None for x in (a, b)):
+            if all(_trace_of(x.constants.values) is not None for x in (a, b)):
                 assert _search_ruled_out(a, b) is None, kind
                 checked += 1
         assert checked > 200
@@ -1299,6 +1304,45 @@ class TestDecide:
             _verdict_bits(iso_search(*PINNED_PAIRS["sign_twins"]))
 
 
+class TestReadsThePairOnce:
+    """Each search function reads its pair once, as eight entries c_ijk per tensor, and
+    hands the lists down."""
+
+    @staticmethod
+    def _spied(monkeypatch, name) -> list:
+        """The arguments of every call of ``isomorphism.<name>`` from here on."""
+        calls = []
+        real = getattr(isomorphism, name)
+        monkeypatch.setattr(isomorphism, name, lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    def test_radius_taken_once_per_search(self, monkeypatch):
+        # A radius taken by each descent as well would make 65 calls at 64 restarts,
+        # and 3 for ``decide`` on a moved ACosPlus(0.3), found at its second restart.
+        calls = self._spied(monkeypatch, "_trivial_root_radius2")
+        minus = class_representative(FlowClassLabel(ACOS_MINUS, 0.3))
+        assert iso_search(A0_REP, minus).kind == KIND_NOT_FOUND_WITHIN_BUDGET
+        assert len(calls) == 1
+        calls.clear()
+        plus = class_representative(FlowClassLabel(ACOS_PLUS, 0.3))
+        moved = change_of_basis(plus, BasisChange([[1.0, 0.5], [0.25, 1.5]]))
+        assert decide(plus, moved).is_isomorphic and len(calls) == 1
+
+    def test_degenerate_b_rule_scales_each_side_once(self, monkeypatch):
+        # B is degenerate on a: one list per side serves both rules.
+        calls = self._spied(monkeypatch, "unit_entries")
+        assert _search_ruled_out(A0_REP, A1_REP) == "associativity residual: 0.25 vs 0.0"
+        assert len(calls) == 2
+
+    def test_back_check_reads_the_search_lists(self, monkeypatch):
+        calls = self._spied(monkeypatch, "_carries_back")
+        assert iso_search(A1_REP, NEG_A1).is_isomorphic and calls
+        for ca, cb, p, _ in calls:
+            assert type(ca) is list and type(cb) is list and len(ca) == len(cb) == 8
+            assert type(p) is list and all(type(row) is list for row in p)
+            assert ca == A1_REP.constants.values.ravel().tolist()
+
+
 def _bound_pairs(rng, n: int):
     """n (A, B = Q.A, Q): family members (all 15 in turn), flow algebras and random
     tensors, scaled by a common 2^k, |k| <= 500, moved by |det Q| in (1e-3, 3]."""
@@ -1338,7 +1382,7 @@ class TestTrivialRootExit:
         """(pairs whose Q lies inside the radius, pairs with a positive radius)."""
         inside = positive = 0
         for a, b, q in pairs:
-            r2 = radius2(a.constants.values.tolist(), b.constants.values.tolist())
+            r2 = radius2(a.constants.values.ravel().tolist(), b.constants.values.ravel().tolist())
             positive += r2 > 0.0
             inside += float(np.sum(q * q)) < 16.0 * r2 * (1.0 - 1e-9)
         return inside, positive
@@ -1370,7 +1414,7 @@ class TestTrivialRootExit:
     ])
     def test_radius_is_zero_where_it_means_nothing(self, name, ca, cb):
         # Warnings are errors here, and Python floats raise no OverflowError on * or +.
-        assert isomorphism._trivial_root_radius2(ca.tolist(), cb.reshape(2, 2, 2).tolist()) == 0.0
+        assert isomorphism._trivial_root_radius2(ca.ravel().tolist(), cb.ravel().tolist()) == 0.0
 
     def test_radius_matches_the_svd(self):
         rng = np.random.default_rng(11)
@@ -1379,7 +1423,7 @@ class TestTrivialRootExit:
             ca, cb = rng.uniform(-1.0, 1.0, (2, 2, 2, 2)) * scales
             s = np.linalg.svd(cb.reshape(4, 2), compute_uv=False)
             expected = (s[1] / np.linalg.norm(ca) / 4.0) ** 2
-            got = isomorphism._trivial_root_radius2(ca.tolist(), cb.tolist())
+            got = isomorphism._trivial_root_radius2(ca.ravel().tolist(), cb.ravel().tolist())
             assert got == pytest.approx(expected, rel=1e-12)
 
     @staticmethod
@@ -1392,9 +1436,9 @@ class TestTrivialRootExit:
         real_descent = isomorphism._levenberg_descent
         descents = []
 
-        def spy(p0, ca, cb, cfg):
-            p, residual = real_descent(p0, ca, cb, cfg)
-            descents.append((p, residual, real_radius2(ca, cb)))
+        def spy(p0, ca, cb, tol, r2):
+            p, residual = real_descent(p0, ca, cb, tol, r2)
+            descents.append((np.array(p), residual, real_radius2(ca, cb)))
             return p, residual
 
         _search_every_pair(monkeypatch)
@@ -1435,11 +1479,13 @@ class TestTrivialRootExit:
     def test_the_start_is_not_tested(self):
         # B = 2^20 A puts every start far inside the ball: the descent still takes a step.
         ca = RANDOM_ALGEBRA.constants.values
-        ca, cb = ca.tolist(), np.ldexp(ca, 20).tolist()
+        ca, cb = ca.ravel().tolist(), np.ldexp(ca, 20).ravel().tolist()
         radius2 = isomorphism._trivial_root_radius2(ca, cb)
         p0 = random_invertible(np.random.default_rng(1), 1e-10, np.inf)
         assert float(np.sum(p0 * p0)) < radius2
-        p, residual = isomorphism._levenberg_descent(p0, ca, cb, SearchConfig())
+        p, residual = isomorphism._levenberg_descent(p0.tolist(), ca, cb, SearchConfig().tol,
+                                                     radius2)
+        p = np.array(p)
         assert p.tobytes() != p0.tobytes() and residual > 1e-9
         assert float(np.sum(p * p)) < radius2
 

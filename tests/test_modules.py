@@ -52,6 +52,17 @@ def test_no_private_name_imported_from_another_module(path):
     assert private == [], f"{path.name} imports private names {private}"
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_tensor_read_as_nested_lists(path):
+    # Every scalar kernel reads a tensor as its eight entries c_ijk in (i, j, k) order,
+    # ``constants.values.ravel().tolist()``; ``constants.values.tolist()`` would hand
+    # one nested 2 x 2 x 2 lists, a second layout.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    nested = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and ast.unparse(node.func).endswith(".constants.values.tolist")]
+    assert nested == [], f"{path.name}: tensors read as nested lists at lines {nested}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_exported_names_resolve(path):
     module = importlib.import_module(
         "algflow" if path.stem == "__init__" else f"algflow.{path.stem}")
