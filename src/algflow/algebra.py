@@ -8,8 +8,8 @@ predicates, change of basis with an explicit transformation formula, and the
 (2,1), (2,2)).  Each residual law is one operator-only kernel over the eight
 entries c_ijk, run on Python floats for one tensor (``*_entries``) and on the entry
 arrays of an (n, 2, 2, 2) stack, with the same bits.  ``iso_residuals`` (matmul)
-and ``iso_residual_entries`` stay apart: they differ in the last bits, and the
-search's verdicts print the matmul bits.
+and ``iso_residual_entries`` stay apart: they differ in the last bits, the search's
+verdicts print the Python-float bits, and ``iso_residual`` reads the matmul.
 
 Everything is immutable and pure.
 """
@@ -315,16 +315,39 @@ def from_2x4(rows: np.ndarray) -> AlgebraFD:
     return AlgebraFD(CubicTensor(rows.T.reshape(2, 2, 2)))
 
 
-def rank_2x4_entries(c) -> int:
-    """Numerical rank of the 2 x 4 form of c, the eight entries c_ijk in (i, j, k)
-    order (a sequence, or any array of that order): its singular values above 1e-8."""
-    s = np.linalg.svd(np.reshape(c, (4, 2)).T, compute_uv=False)
-    return int(np.sum(s > 1e-8))
+def gram_2x4_entries(c) -> tuple[float, list]:
+    """(sigma_max^2, minors) of the 2 x 4 form of c, the eight entries c_ijk in (i, j, k)
+    order, in Python floats: sigma_max^2 from its 2 x 2 Gram matrix G, and its six 2 x 2
+    minors, whose squares sum to det G = sigma_max^2 sigma_min^2 (Cauchy-Binet)."""
+    x0, y0, x1, y1, x2, y2, x3, y3 = c
+    gx, gy = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3, y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3
+    gxy, d = x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3, gx - gy
+    return 0.5 * (gx + gy + math.sqrt(d * d + 4.0 * gxy * gxy)), [
+        x0 * y1 - y0 * x1, x0 * y2 - y0 * x2, x0 * y3 - y0 * x3,
+        x1 * y2 - y1 * x2, x1 * y3 - y1 * x3, x2 * y3 - y2 * x3]
+
+
+def rank_2x4_entries(c: list) -> int:
+    """Numerical rank of the 2 x 4 form of c, the eight finite entries c_ijk in (i, j, k)
+    order: its singular values above 1e-8, in Python floats.
+
+    The entries are scaled by 2^e (exact) to max|c| in [1/2, 1) and the singular values
+    held to 2^e 1e-8; where that bar overflows (c subnormal), all are below 1e-8.
+    sigma_min is the hypot of the minors over sigma_max: no square of a minor underflows.
+    """
+    e = -math.frexp(max(map(abs, c)))[1]
+    try:
+        bar = math.ldexp(1e-8, e)
+    except OverflowError:
+        return 0
+    smax2, minors = gram_2x4_entries([math.ldexp(x, e) for x in c])
+    smax = math.sqrt(smax2)
+    return 0 if not smax > bar else 1 + (math.hypot(*minors) / smax > bar)
 
 
 def rank_2x4(algebra: AlgebraFD) -> int:
     """Numerical rank of the 2 x 4 form: its singular values above 1e-8."""
-    return rank_2x4_entries(algebra.constants.values)
+    return rank_2x4_entries(algebra.constants.values.ravel().tolist())
 
 
 def algebra_to_json_dict(algebra: AlgebraFD) -> dict:

@@ -20,10 +20,12 @@ Three complementary tools:
   non-isomorphism, and the verdict says so.  The equations and their
   Jacobian are closed forms in Python floats, summed from 0.0 in the order
   of ``np.einsum`` on C-ordered arrays: the tests pin certificates to the
-  last bit and keep the einsum forms as the oracle.  The damped normal
-  equations go to numpy's LAPACK gufunc directly, without the checks of
-  ``np.linalg.solve``.  The restarts run one at a time, in index order, and
-  the first certificate is the verdict.  The kernels read a tensor as those of
+  last bit and keep the einsum forms as the oracle.  So are the normal
+  equations, their damped Cholesky solve and the certificate's residual
+  (``iso_residual_entries``): no BLAS or LAPACK call runs in the search, and
+  its verdict bits do not depend on the kernel numpy's BLAS picks for the CPU.
+  The restarts run one at a time, in index order, and the first certificate
+  is the verdict.  The kernels read a tensor as those of
   ``algebra`` do, its eight Python floats c_ijk in (i, j, k) order, and P as
   its rows ((a, b), (c, d)); each search reads its pair once.
 
@@ -59,6 +61,7 @@ from .algebra import (
     check_tol,
     commutativity_residual_entries,
     det_entries,
+    gram_2x4_entries,
     iso_residual,
     iso_residual_entries,
     max_abs,
@@ -140,11 +143,6 @@ class IsoVerdict:
 
 # Levenberg iterations per restart of the numeric search.
 _MAX_ITERATIONS = 200
-_EYE4 = np.eye(4)
-# The LAPACK gufunc behind np.linalg.solve for one right-hand side, called without
-# the wrapper's checks and conversions: the same bits, and a singular system gives
-# a step of nan (warning "invalid" unless ignored) where the wrapper raises LinAlgError.
-_SOLVE = np.linalg._umath_linalg.solve1
 _TINY = 2.0**-1022  # the smallest normal float
 
 
@@ -187,9 +185,9 @@ class InvariantSignature:
 # --- numeric search -----------------------------------------------------------
 
 
-def _transform_residual(p, ca, cb) -> np.ndarray:
+def _transform_residual(p, ca, cb) -> list:
     """The 8 equations P.P.cA - cB.P, flattened: P its rows ((a, b), (c, d)), cA and cB
-    their eight entries c_ijk in (i, j, k) order, as Python floats or arrays."""
+    their eight entries c_ijk in (i, j, k) order, as Python floats."""
     (p00, p01), (p10, p11) = p
     a000, a001, a010, a011, a100, a101, a110, a111 = ca
     b000, b001, b010, b011, b100, b101, b110, b111 = cb
@@ -197,7 +195,7 @@ def _transform_residual(p, ca, cb) -> np.ndarray:
     u00, u01, u11 = p00 * p00, p00 * p01, p01 * p01
     v00, v01, v10, v11 = p00 * p10, p00 * p11, p01 * p10, p01 * p11
     w00, w01, w11 = p10 * p10, p10 * p11, p11 * p11
-    return np.array([
+    return [
         0.0 + u00 * a000 + u01 * a010 + u01 * a100 + u11 * a110 - (b000 * p00 + b001 * p10),
         0.0 + u00 * a001 + u01 * a011 + u01 * a101 + u11 * a111 - (b000 * p01 + b001 * p11),
         0.0 + v00 * a000 + v01 * a010 + v10 * a100 + v11 * a110 - (b010 * p00 + b011 * p10),
@@ -206,11 +204,11 @@ def _transform_residual(p, ca, cb) -> np.ndarray:
         0.0 + v00 * a001 + v10 * a011 + v01 * a101 + v11 * a111 - (b100 * p01 + b101 * p11),
         0.0 + w00 * a000 + w01 * a010 + w01 * a100 + w11 * a110 - (b110 * p00 + b111 * p10),
         0.0 + w00 * a001 + w01 * a011 + w01 * a101 + w11 * a111 - (b110 * p01 + b111 * p11),
-    ])
+    ]
 
 
-def _transform_jacobian(p, ca, cb) -> np.ndarray:
-    """Analytic 8 x 4 Jacobian of ``_transform_residual`` in the entries of P:
+def _transform_jacobian(p, ca, cb) -> list:
+    """Analytic 8 x 4 Jacobian of ``_transform_residual`` in the entries of P, row by row:
 
         dR_ijk/dP_ab = delta_ia x_jbk + delta_ja y_ibk - delta_kb cB_ija,
         x_jbk = sum_q P_jq cA_bqk,    y_ibk = sum_p P_ip cA_pbk,
@@ -229,7 +227,7 @@ def _transform_jacobian(p, ca, cb) -> np.ndarray:
     y010, y011 = 0.0 + p00 * a010 + p01 * a110, 0.0 + p00 * a011 + p01 * a111
     y100, y101 = 0.0 + p10 * a000 + p11 * a100, 0.0 + p10 * a001 + p11 * a101
     y110, y111 = 0.0 + p10 * a010 + p11 * a110, 0.0 + p10 * a011 + p11 * a111
-    return np.array([
+    return [
         x000 + y000 - b000, x010 + y010, 0.0 - b001, 0.0,
         x001 + y001, x011 + y011 - b000, 0.0, 0.0 - b001,
         x100 - b010, x110, y000 - b011, y010,
@@ -238,7 +236,7 @@ def _transform_jacobian(p, ca, cb) -> np.ndarray:
         y101, y111 - b100, x001, x011 - b101,
         0.0 - b110, 0.0, x100 + y100 - b111, x110 + y110,
         0.0, 0.0 - b110, x101 + y101, x111 + y111 - b111,
-    ]).reshape(8, 4)
+    ]
 
 
 def _frobenius2(p) -> float:
@@ -247,22 +245,84 @@ def _frobenius2(p) -> float:
     return p00 * p00 + p01 * p01 + p10 * p10 + p11 * p11
 
 
+def _dot(u, v) -> float:
+    """0.0 + u0 v0 + ... + u7 v7 of two sequences of 8 Python floats, summed in that
+    order: the builtin sum compensates its rounding from Python 3.12 on."""
+    u0, u1, u2, u3, u4, u5, u6, u7 = u
+    v0, v1, v2, v3, v4, v5, v6, v7 = v
+    return 0.0 + u0 * v0 + u1 * v1 + u2 * v2 + u3 * v3 + u4 * v4 + u5 * v5 + u6 * v6 + u7 * v7
+
+
+def _normal_equations(jac: list, r: list) -> tuple[list, list]:
+    """The 10 upper-triangle entries of J^T J, row by row, and the 4 of J^T r, from the
+    32 entries of J row by row (``_transform_jacobian``) and the 8 of r, each sum
+    written out as ``_dot`` writes it."""
+    (a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3,
+     e0, e1, e2, e3, f0, f1, f2, f3, g0, g1, g2, g3, h0, h1, h2, h3) = jac
+    r0, r1, r2, r3, r4, r5, r6, r7 = r
+    return [
+        0.0 + a0 * a0 + b0 * b0 + c0 * c0 + d0 * d0 + e0 * e0 + f0 * f0 + g0 * g0 + h0 * h0,
+        0.0 + a0 * a1 + b0 * b1 + c0 * c1 + d0 * d1 + e0 * e1 + f0 * f1 + g0 * g1 + h0 * h1,
+        0.0 + a0 * a2 + b0 * b2 + c0 * c2 + d0 * d2 + e0 * e2 + f0 * f2 + g0 * g2 + h0 * h2,
+        0.0 + a0 * a3 + b0 * b3 + c0 * c3 + d0 * d3 + e0 * e3 + f0 * f3 + g0 * g3 + h0 * h3,
+        0.0 + a1 * a1 + b1 * b1 + c1 * c1 + d1 * d1 + e1 * e1 + f1 * f1 + g1 * g1 + h1 * h1,
+        0.0 + a1 * a2 + b1 * b2 + c1 * c2 + d1 * d2 + e1 * e2 + f1 * f2 + g1 * g2 + h1 * h2,
+        0.0 + a1 * a3 + b1 * b3 + c1 * c3 + d1 * d3 + e1 * e3 + f1 * f3 + g1 * g3 + h1 * h3,
+        0.0 + a2 * a2 + b2 * b2 + c2 * c2 + d2 * d2 + e2 * e2 + f2 * f2 + g2 * g2 + h2 * h2,
+        0.0 + a2 * a3 + b2 * b3 + c2 * c3 + d2 * d3 + e2 * e3 + f2 * f3 + g2 * g3 + h2 * h3,
+        0.0 + a3 * a3 + b3 * b3 + c3 * c3 + d3 * d3 + e3 * e3 + f3 * f3 + g3 * g3 + h3 * h3,
+    ], [
+        0.0 + a0 * r0 + b0 * r1 + c0 * r2 + d0 * r3 + e0 * r4 + f0 * r5 + g0 * r6 + h0 * r7,
+        0.0 + a1 * r0 + b1 * r1 + c1 * r2 + d1 * r3 + e1 * r4 + f1 * r5 + g1 * r6 + h1 * r7,
+        0.0 + a2 * r0 + b2 * r1 + c2 * r2 + d2 * r3 + e2 * r4 + f2 * r5 + g2 * r6 + h2 * r7,
+        0.0 + a3 * r0 + b3 * r1 + c3 * r2 + d3 * r3 + e3 * r4 + f3 * r5 + g3 * r6 + h3 * r7,
+    ]
+
+
+def _damped_solve(normal: list, grad: list, lam: float) -> list:
+    """The step s of (J^T J + lam I) s = -J^T r, from ``_normal_equations``, by the
+    Cholesky factor L of the damped matrix (L L^T), in Python floats.
+
+    A pivot that is not > 0, nan included, is taken as nan, which passes into every
+    entry of the step: four nan where the damped matrix is not numerically positive
+    definite (lam below the rounding of a singular J^T J) or holds a nan.
+    """
+    n00, n01, n02, n03, n11, n12, n13, n22, n23, n33 = normal
+    g0, g1, g2, g3 = grad
+    d = n00 + lam
+    l00 = math.sqrt(d) if d > 0.0 else math.nan
+    l10, l20, l30 = n01 / l00, n02 / l00, n03 / l00
+    d = n11 + lam - l10 * l10
+    l11 = math.sqrt(d) if d > 0.0 else math.nan
+    l21, l31 = (n12 - l20 * l10) / l11, (n13 - l30 * l10) / l11
+    d = n22 + lam - l20 * l20 - l21 * l21
+    l22 = math.sqrt(d) if d > 0.0 else math.nan
+    l32 = (n23 - l30 * l20 - l31 * l21) / l22
+    d = n33 + lam - l30 * l30 - l31 * l31 - l32 * l32
+    l33 = math.sqrt(d) if d > 0.0 else math.nan
+    # L y = -J^T r, then L^T s = y.
+    y0 = -g0 / l00
+    y1 = (-g1 - l10 * y0) / l11
+    y2 = (-g2 - l20 * y0 - l21 * y1) / l22
+    y3 = (-g3 - l30 * y0 - l31 * y1 - l32 * y2) / l33
+    s3 = y3 / l33
+    s2 = (y2 - l32 * s3) / l22
+    s1 = (y1 - l21 * s2 - l31 * s3) / l11
+    return [(y0 - l10 * s1 - l20 * s2 - l30 * s3) / l00, s1, s2, s3]
+
+
 def _trivial_root_radius2(ca, cb) -> float:
     """(rho* / 4)^2 for the entries ca, cb of two tensors, where rho* = sigma / |cA|_F.
 
     No root P != 0 has |P|_F < rho*: |cB.P|_F >= sigma |P|_F and |P.P.cA|_F <= |P|_F^2 |cA|_F,
     with sigma the smaller singular value of the 4 x 2 matrix M = (cB_ijr).  sigma^2 is taken
-    as det(M^T M) / sigma_max^2, det the sum of the squared 2 x 2 minors of M.  Returns 0.0,
-    no exit, below sigma = 1e-8 sigma_max (b of rank one) and where a value is not a normal
-    positive float.  Python floats only: it never raises or warns.
+    as det(M^T M) / sigma_max^2, det the sum of the squared 2 x 2 minors of M
+    (``gram_2x4_entries`` of cb).  Returns 0.0, no exit, below sigma = 1e-8 sigma_max (b of
+    rank one) and where a value is not a normal positive float.  Python floats only: it
+    never raises or warns.
     """
-    x0, y0, x1, y1, x2, y2, x3, y3 = cb
-    gx, gy = x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3, y0 * y0 + y1 * y1 + y2 * y2 + y3 * y3
-    gxy, d = x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3, gx - gy
-    m01, m02, m03 = x0 * y1 - y0 * x1, x0 * y2 - y0 * x2, x0 * y3 - y0 * x3
-    m12, m13, m23 = x1 * y2 - y1 * x2, x1 * y3 - y1 * x3, x2 * y3 - y2 * x3
+    smax2, (m01, m02, m03, m12, m13, m23) = gram_2x4_entries(cb)
     det = m01 * m01 + m02 * m02 + m03 * m03 + m12 * m12 + m13 * m13 + m23 * m23
-    smax2 = 0.5 * (gx + gy + math.sqrt(d * d + 4.0 * gxy * gxy))
     a2 = _frobenius2((ca[:2], ca[2:4])) + _frobenius2((ca[4:6], ca[6:]))  # plane by plane
     if not (_TINY <= det and _TINY <= smax2 < math.inf and _TINY <= a2 < math.inf):
         return 0.0
@@ -270,37 +330,35 @@ def _trivial_root_radius2(ca, cb) -> float:
     return r2 if _TINY <= r2 < math.inf else 0.0
 
 
-# Past max|r| of about 1e154, r @ r and J^T J overflow: no numpy warnings.
-@np.errstate(all="ignore")
 def _levenberg_descent(p, ca, cb, tol: float, radius2: float) -> tuple[list, float]:
     """Gauss-Newton with Levenberg damping from P = p down to ``tol``; P as its rows and
-    ``ca``, ``cb`` as the eight entries c_ijk in (i, j, k) order, Python floats.
+    ``ca``, ``cb`` as the eight entries c_ijk in (i, j, k) order, Python floats, and
+    so is all its arithmetic: past max|r| of about 1e154 r.r and J^T J overflow
+    quietly.
 
     Damping starts at 1e-3 and adapts by factors of 10.  A step holding a nan, which
     makes a residual nan and so is rejected, ends the descent where it stands: the solve
-    fills the step with nan where the damped system is singular (lam below the rounding
-    of an exactly singular J^T J), and a nan in J^T J or J^T r passes into it.  So does
-    an accepted step into |P|_F^2 < radius2 (``_trivial_root_radius2`` of ca, cb), where
-    no root but P = 0 lies; the start is not tested.  Returns the best point reached,
-    as rows, and its max-abs residual.
+    fills the step with nan where the damped system is not positive definite (lam below
+    the rounding of a singular J^T J), and a nan in J^T J or J^T r passes into it.  So
+    does an accepted step into |P|_F^2 < radius2 (``_trivial_root_radius2`` of ca, cb),
+    where no root but P = 0 lies; the start is not tested.  Returns the best point
+    reached, as rows, and its max-abs residual.
     """
     r = _transform_residual(p, ca, cb)
-    cost = float(r @ r)
+    cost = _dot(r, r)
     lam = 1e-3
     moved = True
     for _ in range(_MAX_ITERATIONS):
         if moved:  # a rejected step leaves p and r, and so J^T J and J^T r, as they were
-            if max_abs(r.tolist()) <= tol:
+            if max_abs(r) <= tol:
                 break
-            jac = _transform_jacobian(p, ca, cb)
-            grad = jac.T @ r
-            if max_abs(grad.tolist()) < 1e-14:
+            normal, grad = _normal_equations(_transform_jacobian(p, ca, cb), r)
+            if max_abs(grad) < 1e-14:
                 break  # stationary point, further iterations cannot move
-            normal, descent = jac.T @ jac, -grad
-        step = _SOLVE(normal + lam * _EYE4, descent, signature="dd->d").tolist()
+        step = _damped_solve(normal, grad, lam)
         candidate = [[p[0][0] + step[0], p[0][1] + step[1]], [p[1][0] + step[2], p[1][1] + step[3]]]
         r_new = _transform_residual(candidate, ca, cb)
-        cost_new = float(r_new @ r_new)
+        cost_new = _dot(r_new, r_new)
         moved = cost_new < cost
         if moved:
             p, r, cost = candidate, r_new, cost_new
@@ -311,7 +369,7 @@ def _levenberg_descent(p, ca, cb, tol: float, radius2: float) -> tuple[list, flo
             lam *= 10.0
             if lam > 1e12 or any(map(math.isnan, step)):
                 break
-    return p, max_abs(r.tolist())
+    return p, max_abs(r)
 
 
 def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> IsoVerdict:
@@ -332,7 +390,7 @@ def iso_search(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> I
     form, or associativity where B is degenerate), no certificate exists, and
     the verdict is NotFoundWithinBudget at once, with no descent run.  A pair
     that neither rule decides and that has no certificate pays for every
-    restart: about 4 ms for A0Plus against ACosPlus(0.5) at 64 restarts.
+    restart: about 2.3 ms for A0Plus against ACosPlus(0.5) at 64 restarts.
 
     A NotFoundWithinBudget verdict is not a proof of non-isomorphism.
     """
@@ -371,11 +429,9 @@ def _descents(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None) -> IsoVerdic
             continue
         if abs(det_entries(*p[0], *p[1])) <= EPS_DET:
             continue  # root of the polynomial system, but a singular one
-        certificate = BasisChange(p)
-        with np.errstate(all="ignore"):  # P P c P^-1 may overflow where c is huge
-            residual = iso_residual(a, b, certificate)
+        residual = iso_residual_entries(ca, cb, p)
         if residual <= cfg.tol and _carries_back(ca, cb, p, cfg.tol):
-            verdict = IsoVerdict.isomorphic(certificate, residual)
+            verdict = IsoVerdict.isomorphic(BasisChange(p), residual)
             break
     if overflowed:
         log.debug("iso_search: %d descents ended where r @ r overflows", overflowed)

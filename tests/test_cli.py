@@ -432,7 +432,7 @@ class TestIsoFiles:
             digest.update(repr((code, out.replace(str(tmp_path), "TMP"))).encode())
         assert kinds == {"SeparatedByInvariant": 164, "NotFoundWithinBudget": 87, "Isomorphic": 47}
         assert digest.hexdigest() == \
-            "03446379366139aedf22a3daf27b123a4561c22c1d2235419d3926f64daa1daf"
+            "c2e3cb392ebd726659e83fef19f72648d7f37da304713b8b5f2b29806666f988"
 
     def test_overflowing_descent_prints_no_numpy_warning(self, capsys, caplog, tmp_path):
         # Past max|c| of about 1e154 the descent's matmuls overflow: one debug record

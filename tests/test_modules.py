@@ -62,6 +62,19 @@ def test_no_tensor_read_as_nested_lists(path):
     assert nested == [], f"{path.name}: tensors read as nested lists at lines {nested}"
 
 
+def test_search_module_makes_no_blas_call():
+    # The descent, its solve and the certificate residual run in Python floats: a matmul
+    # or np.linalg call would tie the search's verdict bits to the BLAS kernel numpy
+    # picks for the CPU at load time.
+    path = pathlib.Path(algflow.__file__).parent / "isomorphism.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+             or isinstance(node, ast.Attribute) and node.attr in ("linalg", "_umath_linalg")
+             or isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")]
+    assert found == [], f"isomorphism.py: matmul or linalg at lines {found}"
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_exported_names_resolve(path):
     module = importlib.import_module(
