@@ -7,9 +7,7 @@ predicates, change of basis with an explicit transformation formula, and the
 2 x 4 matrix form (row k holds c_{ijk} with columns ordered (1,1), (1,2),
 (2,1), (2,2)).  Each residual law is one operator-only kernel over the eight
 entries c_ijk, run on Python floats for one tensor (``*_entries``) and on the entry
-arrays of an (n, 2, 2, 2) stack, with the same bits.  ``iso_residuals`` (matmul)
-and ``iso_residual_entries`` stay apart: they differ in the last bits, the search's
-verdicts print the Python-float bits, and ``iso_residual`` reads the matmul.
+arrays of an (n, 2, 2, 2) stack, with the same bits.
 
 Everything is immutable and pure.
 """
@@ -259,28 +257,10 @@ def change_of_basis(algebra: AlgebraFD, p: BasisChange) -> AlgebraFD:
     return AlgebraFD(CubicTensor(new))
 
 
-def iso_residuals(ca: np.ndarray, cb: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """max |P.P.cA.P^-1 - cB| entrywise for each pair of stacks ca, cb (n, 2, 2, 2)
-    and p (n, 2, 2); zero iff p[n] carries ca[n] onto cb[n].
-
-    The transform of ``change_of_basis`` as three stacked matrix products (equal
-    up to rounding to its einsum), with the closed-form P^-1 = adj(P) / det P.
-    """
-    n = len(p)
-    if ca.shape != (n, 2, 2, 2) or cb.shape != (n, 2, 2, 2) or p.shape != (n, 2, 2):
-        raise ValueError(f"expected shapes (n, 2, 2, 2), (n, 2, 2, 2) and (n, 2, 2), "
-                         f"got {ca.shape}, {cb.shape} and {p.shape}")
-    # The sums over r, q and p of c'_ijk, one stacked matrix product each.
-    moved = np.matmul(ca.reshape(n, 4, 2), _inverse(p)).reshape(n, 2, 2, 2)  # [p, q, k]
-    moved = np.matmul(p[:, np.newaxis], moved)                               # [p, j, k]
-    moved = np.matmul(p, moved.reshape(n, 2, 4))                             # [i, (j, k)]
-    return np.abs(moved.reshape(n, 8) - cb.reshape(n, 8)).max(axis=1)
-
-
-def iso_residual_entries(ca, cb, p) -> float:
-    """``iso_residuals`` of one pair in Python floats: ca and cb are the eight entries
-    of 2 x 2 x 2 tensors in (i, j, k) order, p the rows ((a, b), (c, d)) of P.  Equal
-    to it up to rounding, not to the bit: matmul may fuse its sums with FMA."""
+def _iso_defects(ca, cb, p) -> list:
+    """sum_{p,q,r} P_ip P_jq cA_pqr (P^-1)_rk - cB_ijk over (i, j, k) of the entries of cA
+    and cB, (i, j, k) order, and the rows ((a, b), (c, d)) of P: floats or arrays;
+    operators only, with the closed-form P^-1 = adj(P) / det P."""
     (a, b), (c, d) = p
     x, det = ca, det_entries(a, b, c, d)
     # The sums over r, q and p: (P^-1)^T, P and P along the last axis, each pass
@@ -289,13 +269,31 @@ def iso_residual_entries(ca, cb, p) -> float:
         x0, x1, x2, x3, x4, x5, x6, x7 = x
         x = (e * x0 + f * x1, e * x2 + f * x3, e * x4 + f * x5, e * x6 + f * x7,
              g * x0 + h * x1, g * x2 + h * x3, g * x4 + h * x5, g * x6 + h * x7)
-    return max_abs([u - v for u, v in zip(x, cb)])
+    return [u - v for u, v in zip(x, cb)]
+
+
+def iso_residuals(ca: np.ndarray, cb: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """max |P.P.cA.P^-1 - cB| entrywise for each pair of stacks ca, cb (n, 2, 2, 2)
+    and p (n, 2, 2); zero iff p[n] carries ca[n] onto cb[n].  The transform of
+    ``change_of_basis`` (equal up to rounding to its einsum); nan where a defect is nan."""
+    n = len(p)
+    if ca.shape != (n, 2, 2, 2) or cb.shape != (n, 2, 2, 2) or p.shape != (n, 2, 2):
+        raise ValueError(f"expected shapes (n, 2, 2, 2), (n, 2, 2, 2) and (n, 2, 2), "
+                         f"got {ca.shape}, {cb.shape} and {p.shape}")
+    defects = _iso_defects(_entry_rows(ca), _entry_rows(cb), p.transpose(1, 2, 0))
+    return np.max(np.abs(defects), axis=0)
+
+
+def iso_residual_entries(ca, cb, p) -> float:
+    """``iso_residuals`` of one pair in Python floats, with the same bits: ca and cb are
+    the eight entries of 2 x 2 x 2 tensors in (i, j, k) order, p the rows of P."""
+    return max_abs(_iso_defects(ca, cb, p))
 
 
 def iso_residual(a: AlgebraFD, b: AlgebraFD, p: BasisChange) -> float:
     """max |P.P.a.P^-1 - b| entrywise (``iso_residuals``); zero iff p certifies a ~ b."""
-    return float(iso_residuals(a.constants.values[np.newaxis], b.constants.values[np.newaxis],
-                               p.matrix[np.newaxis])[0])
+    return iso_residual_entries(a.constants.values.ravel().tolist(),
+                                b.constants.values.ravel().tolist(), p.matrix.tolist())
 
 
 def to_2x4(algebra: AlgebraFD) -> np.ndarray:

@@ -16,16 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import (
-    associativity_residual,
-    change_of_basis,
-    commutativity_residuals,
-    det_in_window,
-    is_associative,
-    is_commutative,
-    iso_residuals,
-    to_2x4,
-)
+from .algebra import (associativity_residual, change_of_basis, commutativity_residuals,
+                      det_in_window, is_associative, is_commutative, iso_residuals, to_2x4)
 from .classification import (
     A1,
     A0_PLUS,
@@ -181,16 +173,15 @@ def check_canonical_reduction(tol: float = 1e-12) -> CheckResult:
     target = target.transpose(0, 2, 1).reshape(-1, 2, 2, 2)  # read as from_2x4 does
     worst_plus = float(np.max(iso_residuals(flow_tensors(times), target, p)))
 
-    labels = [FlowClassLabel(ACOS_MINUS, float(c)) for c in np.linspace(0.05, 0.95, _CANONICAL_TIMES)]
-    reductions = [_certified_reduction(label) for label in labels]
+    c = np.linspace(0.05, 0.95, _CANONICAL_TIMES)
+    reductions = [_certified_reduction(FlowClassLabel(ACOS_MINUS, x)) for x in c.tolist()]
     minus_ok = None not in reductions
     minus = "reduction FAILED"
-    if minus_ok:
+    if minus_ok:  # the class representatives onto the 2 x 4 forms, read as from_2x4 does
+        s, rows = np.sqrt(1.0 - c * c), np.array([bekbaev_matrix(form) for form, _ in reductions])
         worst_minus = float(np.max(iso_residuals(
-            np.array([class_representative(label).constants.values for label in labels]),
-            np.array([bekbaev_matrix(form).T.reshape(2, 2, 2) for form, _ in reductions]),
-            np.array([cert.matrix for _, cert in reductions]),
-        )))
+            paired_tensors(c, -s, s, c), rows.transpose(0, 2, 1).reshape(-1, 2, 2, 2),
+            np.array([cert.matrix for _, cert in reductions]))))
         minus_ok = worst_minus <= _MINUS_RESIDUAL_TOL
         minus = f"max residual {worst_minus:.2e}"
 
@@ -260,7 +251,7 @@ def check_basis_change_oracle(tol: float = 1e-10) -> CheckResult:
     """Transformation formula (the kernel of ``iso_residuals``) vs a re-derivation:
     the new coordinates x of e'_i e'_j solve P^T x = P_i * P_j in the old basis."""
     c, p = _oracle_draws(np.random.default_rng(_SEED), _ORACLE_TRIALS)
-    old_coords = np.einsum("nip,njq,npqk->nijk", p, p, c).reshape(-1, 4, 2)
+    old_coords = _old_coordinates(c, p).reshape(-1, 4, 2)
     by_oracle = np.linalg.solve(p.transpose(0, 2, 1), old_coords.transpose(0, 2, 1))
     # max |formula - oracle| is the residual of P carrying c onto the oracle's tensors.
     worst = float(np.max(iso_residuals(c, by_oracle.transpose(0, 2, 1).reshape(-1, 2, 2, 2), p)))
@@ -268,6 +259,14 @@ def check_basis_change_oracle(tol: float = 1e-10) -> CheckResult:
         "basis-oracle", worst < tol,
         f"max difference {worst:.2e} over {_ORACLE_TRIALS} trials (tol {tol:.0e})",
     )
+
+
+def _old_coordinates(c: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """sum_{p,q} P_ip P_jq c_pqk, e'_i e'_j in the old basis, for stacks c and p: the
+    terms of einsum("nip,njq,npqk->nijk") summed as it sums them, from 0 in (p, q) order."""
+    terms = [p[:, :, i, None, None] * p[:, None, :, j, None] * c[:, None, None, i, j]
+             for i, j in np.ndindex(2, 2)]
+    return 0.0 + terms[0] + terms[1] + terms[2] + terms[3]
 
 
 def _oracle_draws(rng: np.random.Generator, trials: int) -> tuple[np.ndarray, np.ndarray]:

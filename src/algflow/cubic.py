@@ -74,7 +74,7 @@ class CubicTensor:
             raise ValueError("dimension must be at least 1")
         _refuse_other_kinds(self.values, arr, "iuf", "entries must be real numbers")
         arr = np.array(arr, dtype=float)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("all entries must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)

@@ -115,6 +115,32 @@ def test_oracle_draws_equal_the_loop(seed, trials):
     c, p = algflow.checks._oracle_draws(np.random.default_rng(seed), trials)
     c_loop, p_loop = _oracle_loop(np.random.default_rng(seed), trials)
     assert np.array_equal(c, c_loop) and np.array_equal(p, p_loop)
+    # The written-out products of the oracle are einsum's, bit for bit.
+    assert (algflow.checks._old_coordinates(c, p).tobytes()
+            == np.einsum("nip,njq,npqk->nijk", p, p, c).tobytes())
+
+
+def test_oracle_products_keep_einsum_signs_of_zeros():
+    # einsum sums from +0.0, so a sum of -0.0 terms is +0.0.
+    rng = np.random.default_rng(0)
+    values = [-0.0, 0.0, 1.0, -1.0]
+    c, p = rng.choice(values, size=(4096, 2, 2, 2)), rng.choice(values, size=(4096, 2, 2))
+    expected = np.einsum("nip,njq,npqk->nijk", p, p, c)
+    assert algflow.checks._old_coordinates(c, p).tobytes() == expected.tobytes()
+    assert np.count_nonzero(expected == 0.0) > 1000
+
+
+def test_canonical_minus_branch_stacks_equal_the_per_label_objects(monkeypatch):
+    real, calls = algflow.checks.iso_residuals, []
+    monkeypatch.setattr(algflow.checks, "iso_residuals",
+                        lambda *stacks: calls.append(stacks) or real(*stacks))
+    assert check_canonical_reduction().passed
+    representatives, targets, _ = calls[1]  # after the plus branch's
+    labels = [FlowClassLabel(ACOS_MINUS, c) for c in np.linspace(0.05, 0.95, 50).tolist()]
+    assert representatives.tobytes() == np.array(
+        [class_representative(label).constants.values for label in labels]).tobytes()
+    assert targets.tobytes() == np.array(
+        [bekbaev_matrix(to_bekbaev(label)[0]).T.reshape(2, 2, 2) for label in labels]).tobytes()
 
 
 def test_basis_oracle_fails_on_a_wrong_inverse(monkeypatch):

@@ -194,24 +194,30 @@ class TestDeterminantAndInverse:
 
 
 class TestIsoResidualEntries:
-    def test_agrees_with_the_array_kernel_to_its_rounding_scale(self):
-        # Not bit for bit: matmul may fuse multiply and add (FMA).  The scale is the
-        # size of the moved entries; 6.5 of it was the largest gap seen here.
+    def test_rows_equal_the_array_kernel_to_the_bit(self):
+        # One operator-only kernel runs on Python floats and on the entry arrays of a stack.
         rng = np.random.default_rng(18)
         p = rng.uniform(-2.0, 2.0, size=(40_000, 2, 2))
         p = p[det_in_window(p, 0.1, 8.0)][:10_000]
         assert len(p) == 10_000
         ca, cb = rng.uniform(-1.0, 1.0, size=(2, len(p), 2, 2, 2))
-        # Every third pair near zero residual: cB = P.P.cA.P^-1 up to rounding.
-        q = p[::3]
-        cb[::3] = np.einsum("nip,njq,npqr,nrk->nijk", q, q, ca[::3], _inverse(q))
+        # Every third pair near zero residual, cB = P.P.cA.P^-1 up to rounding, and every
+        # third a flow tensor so moved; one nan entry of P makes its row nan.
+        ca[1::3] = flow_tensors(rng.uniform(0.0, 2 * math.pi, size=len(ca[1::3])))
+        for start in (0, 1):
+            q = p[start::3]
+            cb[start::3] = np.einsum("nip,njq,npqr,nrk->nijk", q, q, ca[start::3], _inverse(q))
+        p[5, 1, 0] = np.nan
         expected = iso_residuals(ca, cb, p)
         got = np.array([iso_residual_entries(a.ravel().tolist(), b.ravel().tolist(), m.tolist())
                         for a, b, m in zip(ca, cb, p)])
-        scale = (np.maximum(1.0, np.abs(p).max(axis=(1, 2)) ** 2
-                            * np.abs(_inverse(p)).max(axis=(1, 2)))
-                 * np.abs(ca).max(axis=(1, 2, 3)) * np.finfo(float).eps)
-        assert np.all(np.abs(got - expected) <= 16 * scale)
+        assert got.tobytes() == expected.tobytes()
+        assert np.isnan(expected).tolist() == [n == 5 for n in range(len(p))]
+        assert np.max(expected[np.arange(len(p)) % 3 < 2]) < 1e-13
+
+    def test_empty_stack(self):
+        empty = iso_residuals(np.zeros((0, 2, 2, 2)), np.zeros((0, 2, 2, 2)), np.zeros((0, 2, 2)))
+        assert empty.shape == (0,)
 
     def test_identity_gives_the_entrywise_gap_exactly(self):
         ca = [0.5, -1.0, 2.0, 0.0, 0.25, 3.0, -0.5, 1.0]

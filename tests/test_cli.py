@@ -11,7 +11,10 @@ import json
 import logging
 import math
 import os
+import pathlib
 import re
+import subprocess
+import sys
 import time
 import warnings
 
@@ -885,16 +888,16 @@ class TestVerifyTheorems:
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert "9/9 checks passed" in lines[-1]
 
-    # The nine detail lines with the elapsed times masked.  Three worst residuals
-    # differ from the array-free formulas in their last bits: canonical
-    # 8.88e-16 / 4.44e-16 and basis-oracle 1.07e-14 before the stacked kernel.
+    # The nine detail lines with the elapsed times masked.  The residuals are the bits
+    # of operator-only kernels, each product and sum rounded once: no BLAS kernel can
+    # fuse them into a multiply-add, as matmul could.
     DETAIL_LINES = [
         "PASS  kce            max residual 2.78e-15 over 1000 triples (tol 1e-12, #s)",
         "PASS  locus          0 mismatches over 10004 points in [0, 12.57] (tol 1e-09)",
         "PASS  mirror         max residual 0.00e+00 over c grid 0.1..0.9 (tol 1e-12)",
         "PASS  iso-grid       0 mismatches over 2500 pairs on a 50x50 grid (#s)",
-        "PASS  canonical      plus-branch max err 2.11e-15 (tol 1e-12), minus-branch max "
-        "residual 8.88e-16 (tol 1e-10), fixed targets exact, label grid certified",
+        "PASS  canonical      plus-branch max err 3.55e-15 (tol 1e-12), minus-branch max "
+        "residual 1.11e-15 (tol 1e-10), fixed targets exact, label grid certified",
         "PASS  census         census over 21 classes matches, residual at c=0.5 is 1.183 "
         "(> 0.1)",
         "PASS  separation     signatures differ at 'associative', search verdict "
@@ -904,11 +907,25 @@ class TestVerifyTheorems:
         "9/9 checks passed",
     ]
 
+    @staticmethod
+    def masked(out: str) -> list[str]:
+        return [re.sub(r"\d+\.\d\ds\)", "#s)", line) for line in out.splitlines()]
+
     def test_detail_lines_pinned(self, capsys):
         code, out, _ = run(capsys, "verify-theorems")
         assert code == 0
-        masked = [re.sub(r"\d+\.\d\ds\)", "#s)", line) for line in out.splitlines()]
-        assert masked == self.DETAIL_LINES
+        assert self.masked(out) == self.DETAIL_LINES
+
+    def test_detail_lines_do_not_depend_on_the_blas_kernel(self):
+        # OPENBLAS_CORETYPE forces OpenBLAS's kernel for the CPU, here in a child process
+        # only.  While iso_residuals ran on matmul, Prescott moved the canonical line.
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(algflow.__file__).resolve().parents[1]))
+        for coretype in ("Prescott", "Haswell"):
+            done = subprocess.run([sys.executable, "-m", "algflow.cli", "verify-theorems"],
+                                  capture_output=True, text=True, timeout=300,
+                                  env=dict(env, OPENBLAS_CORETYPE=coretype))
+            assert done.returncode == 0, done.stderr
+            assert self.masked(done.stdout) == self.DETAIL_LINES, coretype
 
     @pytest.mark.parametrize("variant, failed", [
         (A1, "fixed targets INEXACT"), (ACOS_MINUS, "minus-branch reduction FAILED")])

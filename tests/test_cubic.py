@@ -97,6 +97,14 @@ class TestVectorSpace:
         with pytest.raises(ValueError):
             CubicTensor(bad)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [(0, 0, 0), (1, 0, 1), (2, 2, 2)])
+    def test_rejects_each_nonfinite_entry(self, entry, position):
+        bad = np.zeros((3, 3, 3))
+        bad[position] = entry
+        with pytest.raises(ValueError, match="all entries must be finite"):
+            CubicTensor(bad)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="dimension must be at least 1"):
             CubicTensor(np.zeros((0, 0, 0)))

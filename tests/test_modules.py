@@ -62,17 +62,33 @@ def test_no_tensor_read_as_nested_lists(path):
     assert nested == [], f"{path.name}: tensors read as nested lists at lines {nested}"
 
 
+def _blas_calls(tree: ast.AST) -> list[int]:
+    """Lines of a matmul (``@`` or ``matmul``) or a linalg use within an AST node."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Attribute)
+            and node.attr in ("matmul", "linalg", "_umath_linalg")
+            or isinstance(node, ast.Name) and node.id == "matmul"
+            or isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")]
+
+
 def test_search_module_makes_no_blas_call():
     # The descent, its solve and the certificate residual run in Python floats: a matmul
     # or np.linalg call would tie the search's verdict bits to the BLAS kernel numpy
     # picks for the CPU at load time.
     path = pathlib.Path(algflow.__file__).parent / "isomorphism.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    found = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
-             or isinstance(node, ast.Attribute) and node.attr in ("linalg", "_umath_linalg")
-             or isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")]
+    found = _blas_calls(ast.parse(path.read_text(encoding="utf-8")))
     assert found == [], f"isomorphism.py: matmul or linalg at lines {found}"
+
+
+def test_iso_residual_kernel_makes_no_blas_call():
+    # iso_residuals runs the operator-only kernel of iso_residual_entries on arrays, so
+    # verify-theorems's residual lines do not follow the BLAS kernel either.
+    path = pathlib.Path(algflow.__file__).parent / "algebra.py"
+    functions = {node.name: node for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.FunctionDef)}
+    found = {name: _blas_calls(functions[name]) for name in ("_iso_defects", "iso_residuals")}
+    assert found == {"_iso_defects": [], "iso_residuals": []}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
