@@ -15,6 +15,7 @@ Everything is immutable and pure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,7 +199,9 @@ def commutativity_residual(algebra: AlgebraFD) -> float:
 
 
 def check_tol(tol: float) -> None:
-    """Refuse a tolerance that is nan, infinite or negative."""
+    """Refuse a tolerance that is a bool or not real, nan, infinite or negative."""
+    if type(tol) is not float and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)):
+        raise ValueError(f"tolerance must be a real number, got {tol!r}")
     if not 0 <= tol < np.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
 

@@ -234,8 +234,8 @@ def check_associativity_census(margin: float = 0.1) -> CheckResult:
 
 
 def check_invariant_separation() -> CheckResult:
-    """A0Plus and A1 differ on associativity, and ``iso_search``'s associativity rule
-    skips the pair: NotFoundWithinBudget with no descent run."""
+    """A0Plus and A1 differ on associativity, and ``iso_search``'s skip rule skips the
+    pair: NotFoundWithinBudget with no descent run."""
     a0 = class_representative(FlowClassLabel(A0_PLUS))
     a1 = class_representative(FlowClassLabel(A1))
     sig_gap = invariant_signature(a0).first_difference(invariant_signature(a1))

@@ -19,6 +19,7 @@ from algflow.algebra import (
     associativity_residual_entries,
     associativity_residuals,
     change_of_basis,
+    check_tol,
     commutativity_residual,
     commutativity_residual_entries,
     commutativity_residuals,
@@ -123,6 +124,21 @@ TOL_TAKERS = {
 def test_bad_tolerance_refused(taker, tol):
     with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
         TOL_TAKERS[taker](tol)
+
+
+@pytest.mark.parametrize("tol", [True, False, np.bool_(True), "1e-9", None, 1e-9 + 0j])
+@pytest.mark.parametrize("taker", list(TOL_TAKERS))
+def test_non_real_tolerance_refused(taker, tol):
+    # SearchConfig refuses a boolean restarts or seed; a boolean tol is refused too,
+    # rather than run as 1.0 or 0.0.
+    with pytest.raises(ValueError, match="tolerance must be a real number"):
+        TOL_TAKERS[taker](tol)
+
+
+@pytest.mark.parametrize("tol", [1e-9, np.float64(1e-9), np.float32(1e-3), 0, np.int64(1),
+                                 Fraction(1, 10**9)])
+def test_real_tolerance_accepted(tol):
+    check_tol(tol)
 
 
 @pytest.mark.parametrize("taker", [name for name in TOL_TAKERS if name != "SearchConfig"])

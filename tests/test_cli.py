@@ -423,7 +423,7 @@ class TestIsoFiles:
     def test_file_verdicts_are_pinned(self, capsys, tmp_path):
         # Exit code and stdout of every pair of ``_file_pairs`` at 8 restarts, as one
         # sha256, taken when the command chained invariant_signature, a trace-form
-        # separation and iso_search itself.
+        # separation and iso_search itself; ``decide``'s one skip rule prints the same.
         digest = hashlib.sha256()
         kinds = collections.Counter()
         for a, b in self._file_pairs():
@@ -579,6 +579,49 @@ class TestIsoExactTwins:
         distinct, _ = self._pairs()
         asked = self._kinds(capsys, tmp_path, distinct, scale=2.0**-40)
         assert [i for i, _, kind in asked if kind == "Isomorphic"] == []
+
+
+class TestSkipRuleOnTwins:
+    """The one skip rule, ``isomorphism._search_ruled_out``, on the pairs of
+    ``TestIsoExactTwins`` and ``TestIsoFiles``."""
+
+    def test_same_answer_on_every_exact_twin(self):
+        # About 0.5 s.  The ten questions of each pair, each at common scales 2^k: the
+        # answer, None or the invariant's name, is the same on all of them.
+        distinct, moved = TestIsoExactTwins._pairs()
+        calls = decided = 0
+        for a, b in distinct + moved:
+            twins_a, twins_b = ([x, *(change_of_basis(x, p) for p in _EXACT_MOVES)] for x in (a, b))
+            questions = [(a, b), (b, a), *((x, b) for x in twins_a[1:]),
+                         *((a, y) for y in twins_b[1:])]
+            names = set()
+            for k in (-500, -60, -34, 40, 100, 500):
+                for x, y in questions:
+                    reason = isomorphism._search_ruled_out(
+                        *(AlgebraFD(CubicTensor(np.ldexp(z.constants.values, k))) for z in (x, y)))
+                    names.add(reason and reason.split(":")[0])
+                    calls += 1
+            assert len(names) == 1
+            decided += names != {None}
+        assert (calls, decided) == (9_000, 68)
+
+    def test_iso_search_runs_no_descent_where_decide_separates(self, monkeypatch):
+        # Items 114, 134, 187 and 192 (max|c| near 1e-10, one side commutative) got
+        # false certificates from a direct ``iso_search``, at residuals 5.7e-11 to 7.2e-10
+        # below its absolute tol, where ``decide`` separated them.
+        pairs = [tuple(AlgebraFD(CubicTensor(x)) for x in pair) for pair in TestIsoFiles._file_pairs()]
+        descents = []
+        monkeypatch.setattr(isomorphism, "_levenberg_descent",
+                            lambda p0, ca, cb, tol, radius2: descents.append(p0) or (p0, math.inf))
+        cfg = isomorphism.SearchConfig(restarts=1)
+        separated = set()
+        for i, (a, b) in enumerate(pairs):
+            descents.clear()
+            assert isomorphism.iso_search(a, b, cfg).kind == "NotFoundWithinBudget"
+            if not descents:
+                separated.add(i)
+            assert (isomorphism.decide(a, b, cfg).kind == "SeparatedByInvariant") == (not descents)
+        assert len(separated) == 164 and {114, 134, 187, 192} <= separated
 
 
 def _reference_partition_times(t_max: float, step: float) -> np.ndarray:

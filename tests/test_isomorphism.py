@@ -25,8 +25,10 @@ from algflow.algebra import (
     determinant,
     from_2x4,
     is_associative,
+    is_commutative,
     max_abs,
     random_invertible,
+    rank_2x4,
     unit_entries,
 )
 from algflow.cli import main
@@ -55,10 +57,12 @@ from algflow.isomorphism import (
     IsoVerdict,
     SearchConfig,
     _MAX_ITERATIONS,
+    _SIGNATURE_FIELDS,
     _damped_solve,
     _dot,
     _normal_equations,
     _search_ruled_out,
+    _signature_residuals,
     _trace_invariants,
     _transform_jacobian,
     _transform_residual,
@@ -1237,9 +1241,10 @@ class TestTraceSeparation:
         assert np.allclose(minus, (1.5724, 0.7524, 0.36), atol=1e-4)
 
     def test_zero_algebra_declines(self):
+        # The trace form declines; the signature's first field separates the pair.
         zero = AlgebraFD(CubicTensor(np.zeros((2, 2, 2))))
         assert _trace_of(zero.constants.values) is None
-        assert _search_ruled_out(zero, A1_REP) is None
+        assert _search_ruled_out(zero, A1_REP) == "commutative"
 
     def test_iso_search_runs_no_descent_on_a_separated_pair(self, monkeypatch):
         def no_descent(*args):
@@ -1256,8 +1261,8 @@ class TestTraceSeparation:
             iso_search(A0_REP, class_representative(FlowClassLabel(ACOS_PLUS, 0.5)))
 
 
-# Associative algebras with degenerate B: the associativity rule must never rule
-# out one of them against its own move, however near singular the move.
+# Members exact in one field of the signature, B degenerate but for A2: the skip rule
+# must never separate one of them from its own move, however near singular the move.
 _ASSOCIATIVE = {
     "A1": A1_REP.constants.values,
     "-A1": NEG_A1.constants.values,
@@ -1265,12 +1270,105 @@ _ASSOCIATIVE = {
        for params in ((0.5, 0.0), (1.0, 0.0), (0.5, 0.5))},
     "family 15": _family_tensor(15, ()),
 }
+_COMMUTATIVE = {"A2": class_representative(FlowClassLabel(A2)).constants.values,
+                "family 15": _family_tensor(15, ())}
+_RANK_ONE = {"family 15": _family_tensor(15, ()),
+             "rank one": from_2x4([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 1.0]]).constants.values}
+# The members of the other two fields; ``TestAssociativityRule`` moves _ASSOCIATIVE.
+_MEMBERS = {f"{field}: {name}": c for field, members in (
+    ("commutative", _COMMUTATIVE), ("rank_2x4", _RANK_ONE)) for name, c in members.items()}
 _NEAR_SINGULAR_MOVES = st.tuples(*[st.floats(-2.0, 2.0)] * 4).map(
     lambda v: np.array(v).reshape(2, 2)).filter(lambda p: 1e-3 < abs(determinant(p)) <= 3.0)
 
 
+def _assert_fires_or_grey(pair: tuple[AlgebraFD, AlgebraFD], field: str) -> None:
+    """The rule names ``field`` for the pair, or leaves it where a residual of that
+    field moved into the grey zone, at most 1e-3 on both sides."""
+    reason = _search_ruled_out(*pair)
+    if reason is None:
+        residuals = (_signature_residuals(unit_entries(x.constants.values.ravel().tolist()))
+                     for x in pair)
+        assert any(max(x, y) <= 1e-3 for name, x, y in zip(_SIGNATURE_FIELDS, *residuals)
+                   if name == field)
+    else:
+        assert reason == field
+
+
+def _fired_field(a: AlgebraFD, b: AlgebraFD) -> str | None:
+    """The signature's field that ``_search_ruled_out`` names for a and b, or None."""
+    reason = _search_ruled_out(a, b)
+    return reason if reason in _SIGNATURE_FIELDS else None
+
+
+class TestSignatureFieldRule:
+    """The signature's fields in the skip rule: each separates only with a gap of 1e9
+    between the two residuals, and names the field as ``first_difference`` does.  The
+    associativity field has its own class below."""
+
+    def test_the_members(self):
+        for name, c in _MEMBERS.items():
+            a = AlgebraFD(CubicTensor(c))
+            field = name.split(":")[0]
+            assert {"commutative": is_commutative(a, 0.0), "rank_2x4": rank_2x4(a) == 1}[field]
+
+    @given(name=st.sampled_from(sorted(_MEMBERS)), p=_NEAR_SINGULAR_MOVES, k=_SCALES)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_never_separates_a_moved_member(self, name, p, k):
+        assert _search_ruled_out(*_scaled_and_moved(_MEMBERS[name], k, p)) is None
+
+    @given(name=st.sampled_from(sorted(_MEMBERS)), size=st.floats(-17.0, -4.0),
+           noise=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+           p=_NEAR_SINGULAR_MOVES, k=_SCALES)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_never_separates_a_perturbed_member(self, name, size, noise, p, k):
+        c = _MEMBERS[name] + 10.0 ** size * np.reshape(noise, (2, 2, 2))
+        assert _search_ruled_out(*_scaled_and_moved(c, k, p)) is None
+
+    # (a, b, the field that separates them): commutative against not, rank 1 against
+    # rank 2, zero against nonzero, associative against not.
+    TENSORS = {"A1": A1_REP.constants.values, "-A1": NEG_A1.constants.values,
+               "A0Plus": A0_REP.constants.values, "A2": _COMMUTATIVE["A2"],
+               "family 15": _family_tensor(15, ()), "rank one": _RANK_ONE["rank one"],
+               "zero": np.zeros((2, 2, 2))}
+
+    FIRING = [
+        ("A2", "A1", "commutative"), ("family 15", "A1", "commutative"),
+        ("zero", "A1", "commutative"), ("family 15", "A2", "rank_2x4"),
+        ("rank one", "A0Plus", "rank_2x4"), ("zero", "family 15", "rank_2x4"),
+        ("zero", "A2", "rank_2x4"), ("A0Plus", "A1", "associative"),
+        ("A0Plus", "-A1", "associative")]
+
+    @pytest.mark.parametrize("a, b, field", FIRING)
+    @given(p=_MOVES, q=_MOVES, k=_SCALES, swap=st.booleans())
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_fires_and_names_the_first_difference(self, a, b, field, p, q, k, swap):
+        unmoved = (AlgebraFD(CubicTensor(self.TENSORS[x])) for x in (a, b))
+        assert _search_ruled_out(*unmoved) == field
+        a, b = (_scaled_and_moved(self.TENSORS[x], k, m)[1] for x, m in ((a, p), (b, q)))
+        pair = (b, a) if swap else (a, b)
+        assert invariant_signature(pair[0]).first_difference(invariant_signature(pair[1])) == field
+        _assert_fires_or_grey(pair, field)
+
+    def test_fires_on_nearly_every_move(self):
+        # 500 seeded moves of both sides of each pair, |det P| in (0.3, 3]: one of the
+        # 4,500 is left to the search, a side moved into the grey zone.
+        rng = np.random.default_rng(33)
+        left = collections.Counter()
+        for a, b, field in self.FIRING:
+            for _ in range(500):
+                pair = (_scaled_and_moved(self.TENSORS[x], 0, random_invertible(rng, 0.3, 3.0))[1]
+                        for x in (a, b))
+                left[a, b] += _search_ruled_out(*pair) != field
+        assert +left == {("rank one", "A0Plus"): 1}
+
+    def test_zero_against_zero_is_left(self):
+        zero = AlgebraFD(CubicTensor(np.zeros((2, 2, 2))))
+        assert _search_ruled_out(zero, zero) is None
+
+
 class TestAssociativityRule:
-    """The skip where B is degenerate: one side associative to rounding, the other far from it."""
+    """The associativity field of the skip rule: one side associative to rounding, the
+    other far from it."""
 
     def test_the_associative_members(self):
         for name, c in _ASSOCIATIVE.items():
@@ -1290,18 +1388,26 @@ class TestAssociativityRule:
         c = _ASSOCIATIVE[name] + 10.0 ** size * np.reshape(noise, (2, 2, 2))
         assert _search_ruled_out(*_scaled_and_moved(c, k, p)) is None
 
+    # Moved by [[2, -2], [0, 0.25]], A0Plus reads an associativity residual of 9.8e-4:
+    # inside the grey zone, so the pair is left to the search.
     @pytest.mark.parametrize("associative", [A1_REP, NEG_A1])
+    @example(p=np.array([[2.0, -2.0], [0.0, 0.25]]), q=np.array([[0.0, 1.0], [1.0, 0.0]]),
+             k=0, swap=False)
     @given(p=_MOVES, q=_MOVES, k=_SCALES, swap=st.booleans())
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_rules_out_a0_plus_against_a1(self, associative, p, q, k, swap):
         a = _scaled_and_moved(A0_REP.constants.values, k, p)[1]
         b = _scaled_and_moved(associative.constants.values, k, q)[1]
-        for pair in ((a, b), (b, a)) if swap else ((A0_REP, associative), (a, b)):
-            assert _search_ruled_out(*pair).startswith("associativity residual: ")
+        assert _search_ruled_out(A0_REP, associative) == "associative"
+        for pair in ((a, b), (b, a)):
+            _assert_fires_or_grey(pair, "associative")
 
-    def test_reason_names_both_residuals(self):
-        assert _search_ruled_out(A0_REP, A1_REP) == "associativity residual: 0.25 vs 0.0"
-        assert _search_ruled_out(NEG_A1, A0_REP) == "associativity residual: 0.0 vs 0.25"
+    def test_reason_is_the_field_name(self):
+        # The bare name, as ``first_difference`` gives it; the residuals go unnamed.
+        assert _search_ruled_out(A0_REP, A1_REP) == "associative"
+        assert _search_ruled_out(NEG_A1, A0_REP) == "associative"
+        assert invariant_signature(NEG_A1).first_difference(invariant_signature(A0_REP)) == \
+            "associative"
 
     # A1 perturbed to a residual of 9.9987e-13 against a mixture of A1 and A0Plus at
     # 1.00005e-3: the rule fires next to both of its bounds, 1e-12 and 1e-3.
@@ -1312,34 +1418,29 @@ class TestAssociativityRule:
            p=_NEAR_SINGULAR_MOVES, q=_NEAR_SINGULAR_MOVES, k=_SCALES, swap=st.booleans())
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_fires_only_where_the_signatures_differ(self, name, size, noise, mix, p, q, k, swap):
-        # The lemma that lets ``decide`` ask the rule after the signatures: its bounds
-        # straddle DEFAULT_TOL, which the signature holds the same residuals to.
         a1, a0 = A1_REP.constants.values, A0_REP.constants.values
         a = _scaled_and_moved(_ASSOCIATIVE[name] + 10.0 ** size * np.reshape(noise, (2, 2, 2)),
                               k, p)[1]
         b = _scaled_and_moved(a1 + 10.0 ** mix * (a0 - a1), k, q)[1]
-        reason = _search_ruled_out(*((b, a) if swap else (a, b)))
-        if reason is not None and reason.startswith("associativity residual: "):
-            assert invariant_signature(a) != invariant_signature(b)
+        field = _fired_field(*((b, a) if swap else (a, b)))
+        if field is not None:
+            assert getattr(invariant_signature(a), field) != getattr(invariant_signature(b), field)
 
     def test_fires_on_moved_pairs_only_where_the_signatures_differ(self):
         # Each algebra of _moved_pairs against the move of the next pair's algebra.
         pairs = list(_moved_pairs(np.random.default_rng(28), 2_000))
-        fired = 0
+        fired = collections.Counter()
         for (_, a, _), (_, _, b) in zip(pairs, pairs[1:]):
-            reason = _search_ruled_out(a, b)
-            if reason is not None and reason.startswith("associativity residual: "):
-                fired += 1
-                assert invariant_signature(a) != invariant_signature(b)
-        assert fired > 20
+            field = _fired_field(a, b)
+            if field is not None:
+                fired[field] += 1
+                assert getattr(invariant_signature(a), field) != getattr(invariant_signature(b), field)
+        # 241 commutative and 2 associative; the rank field fires on no such pair.
+        assert fired["commutative"] > 100 and fired["associative"] > 0
 
-    def test_nondegenerate_b_computes_no_associativity(self, monkeypatch):
-        # Found pairs pay nothing for the rule: where B is nondegenerate on both
-        # sides, the trace-form invariants decide alone.
-        def no_associativity(*args):
-            raise AssertionError("associativity computed")
-
-        monkeypatch.setattr(isomorphism, "associativity_residual_entries", no_associativity)
+    def test_nondegenerate_b_pairs_reach_the_trace_form(self):
+        # Where B is nondegenerate on both sides of a moved pair, no field fires and
+        # the trace-form invariants agree; distinct classes are told apart by I1.
         checked = 0
         for kind, a, b in _moved_pairs(np.random.default_rng(27), 400):
             if all(_trace_of(x.constants.values) is not None for x in (a, b)):
@@ -1352,8 +1453,7 @@ class TestAssociativityRule:
             "I1 = B^-1(tr L, tr L): 0.4276364791498325 vs 1.9997999799959991"
         moved = _scaled_and_moved(plus.constants.values, 0, np.array([[1.0, 0.5], [0.25, 1.5]]))
         assert iso_search(*moved).kind == KIND_ISOMORPHIC
-        with pytest.raises(AssertionError, match="associativity computed"):
-            _search_ruled_out(A0_REP, A1_REP)
+        assert _search_ruled_out(A0_REP, A1_REP) == "associative"
 
 
 class TestDecide:
@@ -1392,6 +1492,65 @@ class TestDecide:
             _verdict_bits(iso_search(*PINNED_PAIRS["sign_twins"]))
 
 
+def _distinct_family_sweep():
+    """The 840-pair sweep: 4 seeded draws of every ordered pair of distinct Bekbaev
+    families, from ``default_rng(840)``."""
+    rng = np.random.default_rng(840)
+
+    def member(family):
+        params = rng.uniform(-2.0, 2.0, PARAM_COUNTS[family])
+        if family in (2, 3, 7, 8):  # beta1 >= 0
+            params[1] = abs(params[1])
+        return from_2x4(bekbaev_matrix(BekbaevForm(family, params.tolist())))
+
+    return [(member(f), member(g)) for f in range(1, 16) for g in range(1, 16) if f != g
+            for _ in range(4)]
+
+
+class TestOneSkipRule:
+    """``decide`` and ``iso_search`` ask one rule, ``_search_ruled_out``, and the
+    margin-less signature decides nothing."""
+
+    def test_moved_pairs_are_never_separated(self):
+        # About 2 s.  The signatures of 66 of these isomorphic pairs differ; the rule,
+        # whose fields leave the signature's thresholds in a grey zone, separates none.
+        differ = collections.Counter()
+        for seed in (21, 22, 23, 24):
+            for kind, a, b in _moved_pairs(np.random.default_rng(seed), 4_000):
+                assert _search_ruled_out(a, b) is None, kind
+                differ[invariant_signature(a).first_difference(invariant_signature(b))] += 1
+        assert differ == {None: 15_934, "rank_2x4": 48, "commutative": 14, "associative": 4}
+
+    def test_isomorphic_files_are_not_separated(self, capsys, tmp_path):
+        # Item 1449 of seed 23: a near-degenerate-B member and its move, whose
+        # signatures differ in "commutative"; ``iso --a --b`` printed SeparatedByInvariant.
+        _, a, b = list(_moved_pairs(np.random.default_rng(23), 1_450))[1_449]
+        assert invariant_signature(a).first_difference(invariant_signature(b)) == "commutative"
+        paths = []
+        for side, algebra in zip("ab", (a, b)):
+            paths.append(tmp_path / f"{side}.json")
+            paths[-1].write_text(json.dumps(algebra_to_json_dict(algebra)))
+        main(["iso", "--a", str(paths[0]), "--b", str(paths[1])])
+        assert json.loads(capsys.readouterr().out)["kind"] != KIND_SEPARATED_BY_INVARIANT
+
+    def test_sweep_separations_are_pinned(self, monkeypatch):
+        # With every descent cut short, ``decide`` separates 544 of the 840 pairs, and
+        # ``iso_search`` runs no descent on exactly those.
+        descents = []
+        monkeypatch.setattr(isomorphism, "_levenberg_descent",
+                            lambda p0, ca, cb, tol, radius2: descents.append(p0) or (p0, math.inf))
+        cfg = SearchConfig(restarts=1)
+        reasons = collections.Counter()
+        for a, b in _distinct_family_sweep():
+            verdict = decide(a, b, cfg)
+            separated = verdict.kind == KIND_SEPARATED_BY_INVARIANT
+            reasons[verdict.reason.split(" =")[0] if separated else None] += 1
+            descents.clear()
+            assert iso_search(a, b, cfg).kind == KIND_NOT_FOUND_WITHIN_BUDGET
+            assert len(descents) == (not separated)
+        assert reasons == {"commutative": 352, "I1": 168, "associative": 24, None: 296}
+
+
 class TestReadsThePairOnce:
     """Each search function reads its pair once, as eight entries c_ijk per tensor, and
     hands the lists down."""
@@ -1417,10 +1576,12 @@ class TestReadsThePairOnce:
         assert decide(plus, moved).is_isomorphic and len(calls) == 1
 
     def test_degenerate_b_rule_scales_each_side_once(self, monkeypatch):
-        # B is degenerate on a: one list per side serves both rules.
+        # One list per side serves the signature's fields and the trace form.
         calls = self._spied(monkeypatch, "unit_entries")
-        assert _search_ruled_out(A0_REP, A1_REP) == "associativity residual: 0.25 vs 0.0"
-        assert len(calls) == 2
+        assert _search_ruled_out(A0_REP, A1_REP) == "associative"
+        minus = class_representative(FlowClassLabel(ACOS_MINUS, 0.3))
+        assert _search_ruled_out(A0_REP, minus) is None
+        assert len(calls) == 4
 
     def test_back_check_reads_the_search_lists(self, monkeypatch):
         calls = self._spied(monkeypatch, "_carries_back")

@@ -156,3 +156,18 @@ def test_benchmark_checks_are_registered():
         fn, tol_arg = checks._REGISTRY[name]
         assert callable(fn)
         assert tol_arg is None or tol_arg in inspect.signature(fn).parameters
+
+
+def test_one_skip_rule_for_both_entry_points():
+    # ``decide`` alone asks the skip rule and runs the descents; ``iso_search`` is
+    # ``decide`` under another verdict, and the margin-less signature decides nothing.
+    path = pathlib.Path(algflow.__file__).parent / "isomorphism.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    callers: dict[str, set[str]] = {}  # callee -> the top-level definitions that call it
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                callers.setdefault(node.func.id, set()).add(getattr(top, "name", "<module>"))
+    assert callers["_search_ruled_out"] == callers["_levenberg_descent"] == {"decide"}
+    assert "iso_search" in callers["decide"]
+    assert "invariant_signature" not in callers
