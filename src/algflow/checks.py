@@ -26,10 +26,11 @@ from .classification import (
     C_GRID,
     CLASS_PREDICATES,
     EXCEPTIONAL_RESIDUES,
+    VARIANTS,
     FlowClassLabel,
     bekbaev_matrix,
+    certified_reductions,
     class_representative,
-    classify_time,
     classify_times,
     residue_times,
     to_bekbaev,
@@ -159,10 +160,13 @@ def _iso_grid_pairs(tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 def check_canonical_reduction(tol: float = 1e-12) -> CheckResult:
     """Explicit basis changes reach the canonical matrices.
 
-    The generic plus branch is driven directly from the flow tensors; the
-    minus branch and the certified reductions go through ``to_bekbaev``,
-    whose residual postcondition is re-measured here; the A1 and A0Plus
-    reductions must reproduce their targets exactly.
+    The generic plus branch is driven directly from the flow tensors.  The minus
+    branch and the continuous labels of a time grid are certified in one array
+    call each (``certified_reductions``, the kernel of ``to_bekbaev`` on arrays),
+    and the minus branch's residual postcondition is re-measured here on its
+    stacks; the grid's exceptional labels take their stored reductions through
+    ``to_bekbaev``, and the A1 and A0Plus reductions must reproduce their
+    targets exactly.
     """
     times = np.linspace(0.05, math.pi / 2 - 0.05, _CANONICAL_TIMES)
     a, b = 1 / (4 * np.cos(times)), 1 / (2 * np.sqrt(np.sin(2 * times)))
@@ -174,14 +178,12 @@ def check_canonical_reduction(tol: float = 1e-12) -> CheckResult:
     worst_plus = float(np.max(iso_residuals(flow_tensors(times), target, p)))
 
     c = np.linspace(0.05, 0.95, _CANONICAL_TIMES)
-    reductions = [_certified_reduction(FlowClassLabel(ACOS_MINUS, x)) for x in c.tolist()]
-    minus_ok = None not in reductions
+    s = -np.sqrt(1.0 - c * c)
+    _, p, target, certified = certified_reductions(c, s)
+    minus_ok = bool(certified.all())
     minus = "reduction FAILED"
-    if minus_ok:  # the class representatives onto the 2 x 4 forms, read as from_2x4 does
-        s, rows = np.sqrt(1.0 - c * c), np.array([bekbaev_matrix(form) for form, _ in reductions])
-        worst_minus = float(np.max(iso_residuals(
-            paired_tensors(c, -s, s, c), rows.transpose(0, 2, 1).reshape(-1, 2, 2, 2),
-            np.array([cert.matrix for _, cert in reductions]))))
+    if minus_ok:
+        worst_minus = float(np.max(iso_residuals(paired_tensors(c, s, -s, c), target, p)))
         minus_ok = worst_minus <= _MINUS_RESIDUAL_TOL
         minus = f"max residual {worst_minus:.2e}"
 
@@ -197,7 +199,14 @@ def check_canonical_reduction(tol: float = 1e-12) -> CheckResult:
     # exceptional ones at their own times, which a uniform grid mostly misses.
     grid = np.concatenate((np.linspace(0.0, 2 * math.pi, _CANONICAL_TIMES), *(
         residue_times(residue, 2 * math.pi) for residue, _ in EXCEPTIONAL_RESIDUES)))
-    grid_ok = all(_certified_reduction(classify_time(float(t))) is not None for t in grid)
+    codes, c = classify_times(grid)
+    exceptional = np.isnan(c)
+    grid_ok = all(_certified_reduction(FlowClassLabel(VARIANTS[code])) is not None
+                  for code in set(codes[exceptional].tolist()))
+    c, codes = c[~exceptional], codes[~exceptional]
+    s = np.sqrt(1.0 - c * c)
+    grid_ok &= bool(certified_reductions(
+        c, np.where(codes == VARIANTS.index(ACOS_PLUS), s, -s))[-1].all())
 
     passed = worst_plus < tol and minus_ok and exact_ok and grid_ok
     return CheckResult(

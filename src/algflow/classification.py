@@ -34,6 +34,7 @@ import).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +47,7 @@ from .algebra import (
     check_tol,
     det_entries,
     iso_residual_entries,
+    iso_residuals,
 )
 from .cubic import CubicTensor
 from .flow import check_time, check_times, paired_entries, paired_tensors, reduce_mod_pi
@@ -70,6 +72,7 @@ __all__ = [
     "class_representative",
     "bekbaev_matrix",
     "to_bekbaev",
+    "certified_reductions",
     "label_to_json_dict",
 ]
 
@@ -291,35 +294,55 @@ def class_representative(label: FlowClassLabel) -> AlgebraFD:
     return AlgebraFD(CubicTensor(paired_tensors(c, s, -s, c)))
 
 
-def _reduction(label: FlowClassLabel) -> tuple[BekbaevForm, np.ndarray]:
+def _acos_reduction(c, s, sqrt):
+    """The reduction of ACosPlus(c) (s > 0) or ACosMinus(c) (s < 0), where s =
+    +-sqrt(1 - c^2) is the sine entry of the class representative, for Python
+    floats or arrays of one shape; operators only, with the root ``sqrt`` given
+    (``math.sqrt`` or ``np.sqrt``, both correctly rounded, so an array element
+    has the bits of the float call).  Returns the family-2/3 parameter -s/(2c),
+    the rows ((a, a), (b, -b)) of P and the eight entries of the target in
+    (i, j, k) order; the two families differ in the sign of the e1 e2 entry,
+    which is the sign of s."""
+    a, b = 1.0 / (4.0 * c), 1.0 / (2.0 * sqrt(2.0 * c * abs(s)))
+    param = -s / (2.0 * c)
+    return param, ((a, a), (b, -b)), (0.5, 0.0, 0.0, param, 0.0, 0.5, s / abs(s), 0.0)
+
+
+def _reduction(label: FlowClassLabel) -> tuple[BekbaevForm, tuple]:
+    """The canonical form of a flow class and the rows of the basis change that
+    reaches it, unchecked: the exceptional classes' from their table row, the
+    continuous ones' from ``_acos_reduction`` on Python floats."""
     if label.c is None:
-        form, p = _EXCEPTIONAL[label.variant][2:4]
-        return form, np.array(p)
-    c = label.c
-    s = math.sqrt(1.0 - c * c)
-    a = 1.0 / (4.0 * c)
-    b = 1.0 / (2.0 * math.sqrt(2.0 * c * s))
-    p = np.array([[a, a], [b, -b]])
-    if label.variant == ACOS_PLUS:
-        return BekbaevForm(2, (0.5, 0.0, -s / (2.0 * c))), p
-    return BekbaevForm(3, (0.5, 0.0, s / (2.0 * c))), p
+        return _EXCEPTIONAL[label.variant][2:4]
+    c, s = _branch(label)
+    param, p, _ = _acos_reduction(c, s, math.sqrt)
+    return BekbaevForm(2 if s > 0 else 3, (0.5, 0.0, param)), p
+
+
+def _reduction_bound(p, target, maximum, minimum):
+    """The bound on the residual of the rows p of P carrying a representative onto
+    the eight target entries, for floats (``max``, ``min``) or arrays (``np.maximum``,
+    ``np.minimum``): 1e-10 times the rounding scale max(1, max|P|^3 / |det P|), at
+    most ``CERTIFICATE_CAP`` times max(1, max|target|), as ``to_bekbaev`` describes.
+    A nan residual is never within it."""
+    (a, b), (c, d) = p
+    p_max = maximum(maximum(abs(a), abs(b)), maximum(abs(c), abs(d)))
+    # P is 2 x 2, so P^-1 = adj(P) / det P and max|P^-1| = max|P| / |det P|.  Not
+    # p_max ** 3, which raises OverflowError, nor cubed first, which can reach inf.
+    rounding = maximum(1.0, p_max / abs(det_entries(a, b, c, d)) * p_max * p_max)
+    scale = maximum(1.0, functools.reduce(maximum, map(abs, target)))
+    return minimum(_REDUCTION_TOL * rounding, CERTIFICATE_CAP * scale)
 
 
 def _certified(label: FlowClassLabel, c: float, s: float) -> tuple[BekbaevForm, BasisChange]:
     """``_reduction(label)`` with its basis change checked against the representative
     with (cos, sin) entries (c, s), as ``to_bekbaev`` describes."""
-    form, p_matrix = _reduction(label)
-    certificate = BasisChange(p_matrix)
-    p = certificate.matrix.tolist()
+    form, p = _reduction(label)
+    certificate = BasisChange(p)  # refuses rows that are not finite before any residual
     target = _family_entries(form)
     residual = iso_residual_entries(paired_entries(c, s, -s, c), target, p)
     if not residual <= _REDUCTION_TOL:  # the bound is never smaller, so work it out only here
-        # P is 2 x 2, so P^-1 = adj(P) / det P and max|P^-1| = max|P| / |det P|.  Not
-        # p_max ** 3, which raises OverflowError, nor cubed first, which can reach inf.
-        p_max = max(map(abs, p[0] + p[1]))
-        rounding = max(1.0, p_max / abs(det_entries(*p[0], *p[1])) * p_max * p_max)
-        scale = max(1.0, max(map(abs, target)))
-        bound = min(_REDUCTION_TOL * rounding, CERTIFICATE_CAP * scale)
+        bound = _reduction_bound(p, target, max, min)
         if not residual <= bound:
             raise AssertionError(
                 f"canonical reduction residual {residual:.3e} exceeds {bound:.1e} for {label}"
@@ -327,24 +350,55 @@ def _certified(label: FlowClassLabel, c: float, s: float) -> tuple[BekbaevForm, 
     return form, certificate
 
 
+def certified_reductions(c: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``to_bekbaev`` of the continuous classes over arrays: ``_acos_reduction`` on
+    arrays c and s of shape (n,), s the sine entries (s > 0 for ACosPlus, s < 0 for
+    ACosMinus), with each certificate checked by ``to_bekbaev``'s residual and bound.
+
+    Returns the family-2/3 parameters, the stacks (n, 2, 2) of P and (n, 2, 2, 2)
+    of the target tensors, and a mask that is False exactly where ``to_bekbaev``
+    raises; elsewhere each element has the bits of ``to_bekbaev``'s form and
+    certificate.  That is where the residual misses its bound, and where c is
+    below about 3e-309: there the parameter or P is not finite, which makes the
+    residual or the bound inf or nan (np.maximum and np.minimum keep a nan).
+    |det P| = 2ab is at least 1/4, so no P is refused as singular.
+    """
+    with np.errstate(all="ignore"):  # overflow and nan are where the mask is False
+        param, p, target = _acos_reduction(c, s, np.sqrt)
+        p_stack = _entry_stack(p[0] + p[1], c.shape).reshape(-1, 2, 2)
+        target_stack = _entry_stack(target, c.shape).reshape(-1, 2, 2, 2)
+        residual = iso_residuals(paired_tensors(c, s, -s, c), target_stack, p_stack)
+        certified = residual <= _reduction_bound(p, target, np.maximum, np.minimum)
+    return param, p_stack, target_stack, certified
+
+
+def _entry_stack(entries: tuple, shape: tuple) -> np.ndarray:
+    """Floats and arrays of one shape as the columns of an array, shape + (len(entries),)."""
+    stack = np.empty(shape + (len(entries),))
+    for k, x in enumerate(entries):
+        stack[..., k] = x
+    return stack
+
+
 def to_bekbaev(label: FlowClassLabel) -> tuple[BekbaevForm, BasisChange]:
     """Canonical form of a flow class plus the basis change that reaches it.
 
-    The certificate is checked before being returned: the transformed class
+    The continuous classes reduce by ``_acos_reduction`` on Python floats, the
+    scalar case of the kernel that ``certified_reductions`` runs on arrays.  The
+    certificate is checked before being returned: the transformed class
     representative must reproduce the canonical matrix to 1e-10 times the
     rounding scale max(1, max|P|^2 max|P^-1|), large as c -> 0 or 1, and never
     beyond 1e-6 times the canonical tensor's scale max(1, max|target|): that cap
     binds within about 3e-10 of c = 0 or 1, and below c of about 1e-21 the
     rounding scale alone would outgrow the target.  A certificate that misses
-    it (or a nan residual) raises AssertionError.  The reductions of A1, A0Plus
-    and A2 never change: they are checked once, at import, and handed out as
-    stored (both objects are immutable).
+    it (or a nan residual) raises AssertionError, and c so small (below about
+    3e-309) that the parameter or P is not finite raises ValueError.  The
+    reductions of A1, A0Plus and A2 never change: they are checked once, at
+    import, and handed out as stored (both objects are immutable).
     """
-    c = label.c
-    if c is None:
+    if label.c is None:
         return _EXCEPTIONAL[label.variant][-1]
-    s = math.sqrt(1.0 - c * c)
-    return _certified(label, c, s if label.variant == ACOS_PLUS else -s)
+    return _certified(label, *_branch(label))
 
 
 # The exceptional reductions, checked here once on the path of every label.

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import algflow.checks
+import algflow.classification
 from algflow.algebra import change_of_basis, random_invertible, to_2x4
 from algflow.checks import (
     check_associativity_census,
@@ -303,14 +304,21 @@ def test_census_fails_on_a_wrong_table_entry(monkeypatch, variant, entry):
 
 
 def test_canonical_fails_when_a_grid_reduction_raises(monkeypatch):
-    def to_bekbaev_failing_plus(label):
-        if label.variant == ACOS_PLUS:
-            raise AssertionError("canonical reduction residual too large")
-        return to_bekbaev(label)
+    """A plus-branch P off by a factor 2: ``to_bekbaev`` raises on ACosPlus, and the
+    array path that certifies the grid's continuous labels refuses them too."""
+    kernel = algflow.classification._acos_reduction
 
-    monkeypatch.setattr(algflow.checks, "to_bekbaev", to_bekbaev_failing_plus)
+    def doubled_on_the_plus_branch(c, s, sqrt):
+        param, ((a, b), (c_, d)), target = kernel(c, s, sqrt)
+        k = 1.0 + (s > 0)
+        return param, ((a * k, b * k), (c_ * k, d * k)), target
+
+    monkeypatch.setattr(algflow.classification, "_acos_reduction", doubled_on_the_plus_branch)
+    with pytest.raises(AssertionError, match="canonical reduction residual"):
+        to_bekbaev(FlowClassLabel(ACOS_PLUS, 0.5))
     line = check_canonical_reduction().line()
     assert line.startswith("FAIL  canonical") and line.endswith("label grid FAILED"), line
+    assert "minus-branch max residual" in line, line
 
 
 def test_canonical_fails_when_the_a2_reduction_raises(monkeypatch):

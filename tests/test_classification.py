@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import pathlib
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -19,6 +20,7 @@ from algflow.algebra import (DEFAULT_TOL, change_of_basis, determinant, from_2x4
                              to_2x4)
 from algflow.checks import check_associativity_census
 from algflow.classification import (
+    _branch,
     _family_entries,
     A1,
     A2,
@@ -29,6 +31,7 @@ from algflow.classification import (
     FlowClassLabel,
     PARAM_COUNTS,
     bekbaev_matrix,
+    certified_reductions,
     class_representative,
     classify_time,
     classify_times,
@@ -341,6 +344,51 @@ def _scale_cap(target: np.ndarray) -> float:
     return 1e-6 * max(1.0, float(np.abs(target).max()))
 
 
+def _scale_kernel(monkeypatch, factor):
+    """Patch ``_acos_reduction`` so that its P comes out times factor(c, s): on the float
+    path of ``to_bekbaev`` and on the array path of ``certified_reductions`` alike."""
+    kernel = algflow.classification._acos_reduction
+
+    def scaled(c, s, sqrt):
+        param, ((p00, p01), (p10, p11)), target = kernel(c, s, sqrt)
+        k = factor(c, s)
+        return param, ((p00 * k, p01 * k), (p10 * k, p11 * k)), target
+
+    monkeypatch.setattr(algflow.classification, "_acos_reduction", scaled)
+
+
+def _perturb_kernel(monkeypatch) -> dict:
+    """Patch ``_acos_reduction`` to scale P by factors[(c, s)], 1 where unset, on floats
+    and on arrays alike; returns that dict, keyed by the entries of ``_branch``."""
+    factors = {}
+    _scale_kernel(monkeypatch, lambda c, s: factors.get((c, s), 1.0) if isinstance(c, float)
+                  else np.array([factors.get(key, 1.0) for key in zip(c.tolist(), s.tolist())]))
+    return factors
+
+
+def _perturb(rng, label: FlowClassLabel, factors: dict) -> tuple:
+    """Scale the reduction of a label by 1 + delta, delta r times its bound over max|target|,
+    so that its residual lands near r times the bound; r is 0 for a third of the labels and
+    +-10^U(-2, 2) otherwise.  Returns the form and the scaled P."""
+    factors.pop(_branch(label), None)
+    form, p = algflow.classification._reduction(label)
+    p, target = np.array(p), bekbaev_matrix(form)
+    bound = min(_rounding_bound(p), _scale_cap(target))
+    delta = (rng.choice([0.0, -1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0)
+             * bound / float(np.abs(target).max()))
+    factors[_branch(label)] = 1.0 + delta
+    return form, p * (1.0 + delta)
+
+
+def _array_certified(labels: list) -> np.ndarray:
+    """The mask of ``certified_reductions`` over the labels' (cos, sin) entries; any
+    numpy warning is an error."""
+    c, s = np.array([_branch(label) for label in labels]).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return certified_reductions(c, s)[-1]
+
+
 class TestToBekbaev:
     def test_a1_reduction(self):
         form, cert = to_bekbaev(FlowClassLabel(A1))
@@ -409,19 +457,19 @@ class TestToBekbaev:
 
     @pytest.mark.parametrize("scale", [1e150, 1e300])
     def test_huge_reduction_matrix_raises_assertion_error(self, monkeypatch, scale):
-        reduction = algflow.classification._reduction
-        monkeypatch.setattr(algflow.classification, "_reduction",
-                            lambda label: (reduction(label)[0], reduction(label)[1] * scale))
+        _scale_kernel(monkeypatch, lambda c, s: scale)
         with pytest.raises(AssertionError, match="canonical reduction residual"):
             to_bekbaev(FlowClassLabel(ACOS_PLUS, 0.5))
+        assert not _array_certified([FlowClassLabel(ACOS_PLUS, 0.5)]).any()
 
     def test_nan_residual_raises(self, monkeypatch):
         # det P = 1 and the bound is inf, but the transform meets inf - inf.
-        reduction = algflow.classification._reduction
-        monkeypatch.setattr(algflow.classification, "_reduction", lambda label: (
-            reduction(label)[0], np.array([[1e200, 1e200], [1e-200, 2e-200]])))
+        kernel = algflow.classification._acos_reduction
+        monkeypatch.setattr(algflow.classification, "_acos_reduction", lambda c, s, sqrt: (
+            kernel(c, s, sqrt)[0], ((1e200, 1e200), (1e-200, 2e-200)), kernel(c, s, sqrt)[2]))
         with pytest.raises(AssertionError, match="residual nan exceeds"):
             to_bekbaev(FlowClassLabel(ACOS_PLUS, 0.5))
+        assert not _array_certified([FlowClassLabel(ACOS_PLUS, 0.5)]).any()
 
     @given(c=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
            variant=st.sampled_from((ACOS_PLUS, ACOS_MINUS)))
@@ -447,10 +495,7 @@ class TestToBekbaev:
         # times bound / max|target| puts the residual near r times the bound, and r
         # log-uniform in [1e-2, 1e2] gives both outcomes.  A third keep delta = 0.
         rng = np.random.default_rng(1818)
-        reduction = algflow.classification._reduction
-        delta = {}
-        monkeypatch.setattr(algflow.classification, "_reduction", lambda label: (
-            reduction(label)[0], reduction(label)[1] * (1.0 + delta[label])))
+        factors = _perturb_kernel(monkeypatch)
         c_max = algflow.classification._C_MAX
         cs = np.concatenate(([1e-100, c_max], 10.0 ** rng.uniform(-100.0, 0.0, size=500),
                              rng.uniform(0.0, 1.0, size=800), 1.0 - 10.0 ** rng.uniform(-16, 0, 200)))
@@ -458,12 +503,8 @@ class TestToBekbaev:
         for c in cs.tolist():
             for variant in (ACOS_PLUS, ACOS_MINUS):
                 label = FlowClassLabel(variant, min(c, c_max))
-                form, p = reduction(label)
+                form, p = _perturb(rng, label, factors)
                 target = bekbaev_matrix(form)
-                bound = min(_rounding_bound(p), _scale_cap(target))
-                delta[label] = (rng.choice([0.0, -1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0)
-                                * bound / float(np.abs(target).max()))
-                p = p * (1.0 + delta[label])
                 source, moved = (x.constants.values for x in (class_representative(label),
                                                               from_2x4(target)))
                 if _rounding_bound(p) <= _scale_cap(target):
@@ -479,7 +520,7 @@ class TestToBekbaev:
                     new = False
                 except AssertionError:
                     new = True
-                assert new == (not residual <= bound), (label, delta[label])
+                assert new == (not residual <= bound), (label, factors[_branch(label)])
                 raised.append(new)
         assert 0.1 < np.mean(raised) < 0.5  # 0.33 at this seed
         assert len(capped) > 100 and all(min(c, 1.0 - c) < 3e-10 for c in capped)
@@ -490,23 +531,68 @@ class TestToBekbaev:
     def test_wrong_certificate_for_a_tiny_parameter_raises(self, monkeypatch, c, factor, variant):
         # Below c of about 1e-21 the rounding bound alone outgrows the target and
         # accepted these multiples of the reduction matrix; the cap refuses them.
-        reduction = algflow.classification._reduction
-        monkeypatch.setattr(algflow.classification, "_reduction",
-                            lambda label: (reduction(label)[0], reduction(label)[1] * factor))
+        _scale_kernel(monkeypatch, lambda c, s: factor)
         with pytest.raises(AssertionError, match="canonical reduction residual"):
             to_bekbaev(FlowClassLabel(variant, c))
+        assert not _array_certified([FlowClassLabel(variant, c)]).any()
 
     @pytest.mark.parametrize("c", [1e-6, 0.5, 1.0 - 1e-6])
     def test_wrong_reduction_matrix_still_raises(self, monkeypatch, c):
-        reduction = algflow.classification._reduction
-
-        def off_by_a_thousandth(label):
-            form, p = reduction(label)
-            return form, p * 1.001
-
-        monkeypatch.setattr(algflow.classification, "_reduction", off_by_a_thousandth)
+        _scale_kernel(monkeypatch, lambda c, s: 1.001)
         with pytest.raises(AssertionError, match="canonical reduction residual"):
             to_bekbaev(FlowClassLabel(ACOS_PLUS, c))
+        assert not _array_certified([FlowClassLabel(ACOS_PLUS, c)]).any()
+
+
+class TestCertifiedReductions:
+    """``certified_reductions`` is ``to_bekbaev`` over arrays, to the bit."""
+
+    @staticmethod
+    def _assert_agrees(labels: list) -> list:
+        """The array path flags exactly the labels on which ``to_bekbaev`` raises and
+        elsewhere has its parameter, P and target bits; returns what each raised."""
+        c, s = np.array([_branch(label) for label in labels]).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            param, p, target, certified = certified_reductions(c, s)
+        raised = []
+        for i, label in enumerate(labels):
+            outcome = _outcome(to_bekbaev, label)
+            raised.append(outcome[0].__name__ if isinstance(outcome[0], type) else None)
+            assert bool(certified[i]) == (raised[-1] is None), (label, outcome)
+            if raised[-1] is None:
+                form, cert = outcome
+                assert (form.family, form.params[2].hex()) == (
+                    2 if s[i] > 0 else 3, float(param[i]).hex()), label
+                assert p[i].tobytes() == cert.matrix.tobytes(), label
+                assert target[i].tobytes() == np.array(_family_entries(form)).tobytes(), label
+        return raised
+
+    def test_same_bits_and_refusals_as_to_bekbaev(self):
+        rng = np.random.default_rng(3434)
+        cs = np.concatenate((10.0 ** rng.uniform(-300.0, 0.0, 1500),
+                             1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 500),
+                             [2e-309, 1e-310, 5e-324, algflow.classification._C_MAX]))
+        labels = [FlowClassLabel(variant, c) for c in cs.tolist() if 0.0 < c < 1.0
+                  for variant in (ACOS_PLUS, ACOS_MINUS)]
+        raised = collections.Counter(self._assert_agrees(labels))
+        # refusals near c = 0 and 1 and below c of 1e-300, P not finite
+        assert raised["AssertionError"] > 100 and raised["ValueError"] == 6
+        assert raised[None] > 2000
+
+    def test_perturbed_reductions_on_both_sides_of_the_bound(self, monkeypatch):
+        # Built as ``test_raises_exactly_where_the_array_kernel_rule_does`` builds them.
+        rng = np.random.default_rng(3535)
+        factors = _perturb_kernel(monkeypatch)
+        cs = np.concatenate((10.0 ** rng.uniform(-100.0, 0.0, 400), rng.uniform(0.0, 1.0, 400),
+                             1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 200)))
+        labels = [FlowClassLabel(variant, min(c, algflow.classification._C_MAX))
+                  for c in cs.tolist() for variant in (ACOS_PLUS, ACOS_MINUS)]
+        for label in labels:
+            _perturb(rng, label, factors)
+        raised = self._assert_agrees(labels)
+        assert 0.1 < np.mean([r is not None for r in raised]) < 0.5
+        assert set(raised) == {None, "AssertionError"}
 
 
 class TestCensus:

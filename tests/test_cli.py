@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import algflow.cli
-from algflow import checks, isomorphism
+from algflow import checks, classification, isomorphism
 from algflow.algebra import (
     DEFAULT_TOL,
     AlgebraFD,
@@ -973,13 +973,27 @@ class TestVerifyTheorems:
     @pytest.mark.parametrize("variant, failed", [
         (A1, "fixed targets INEXACT"), (ACOS_MINUS, "minus-branch reduction FAILED")])
     def test_raising_reduction_is_a_fail_line(self, capsys, monkeypatch, variant, failed):
-        # The minus branch and the exact targets reduce outside the label grid.
+        # The minus branch and the exact targets reduce outside the label grid.  A1
+        # reduces through to_bekbaev, the minus branch through the kernel on arrays: its
+        # P is doubled there, so that to_bekbaev raises on ACosMinus too.
         def to_bekbaev_failing(label):
             if label.variant == variant:
                 raise AssertionError("canonical reduction residual too large")
             return to_bekbaev(label)
 
-        monkeypatch.setattr(checks, "to_bekbaev", to_bekbaev_failing)
+        kernel = classification._acos_reduction
+
+        def doubled_on_the_minus_branch(c, s, sqrt):
+            param, ((a, b), (c_, d)), target = kernel(c, s, sqrt)
+            k = 1.0 + (s < 0)
+            return param, ((a * k, b * k), (c_ * k, d * k)), target
+
+        if variant == ACOS_MINUS:
+            monkeypatch.setattr(classification, "_acos_reduction", doubled_on_the_minus_branch)
+            with pytest.raises(AssertionError, match="canonical reduction residual"):
+                to_bekbaev(FlowClassLabel(ACOS_MINUS, 0.5))
+        else:
+            monkeypatch.setattr(checks, "to_bekbaev", to_bekbaev_failing)
         code, out, err = run(capsys, "verify-theorems", "--only", "canonical")
         assert code == 1 and err == ""
         line, summary = out.splitlines()

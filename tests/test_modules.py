@@ -81,14 +81,26 @@ def test_search_module_makes_no_blas_call():
     assert found == [], f"isomorphism.py: matmul or linalg at lines {found}"
 
 
+def _blas_calls_in(module: str, names: tuple) -> dict:
+    """``_blas_calls`` of each named top-level function of an algflow module file."""
+    path = pathlib.Path(algflow.__file__).parent / module
+    functions = {node.name: node for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.FunctionDef)}
+    return {name: _blas_calls(functions[name]) for name in names}
+
+
 def test_iso_residual_kernel_makes_no_blas_call():
     # iso_residuals runs the operator-only kernel of iso_residual_entries on arrays, so
     # verify-theorems's residual lines do not follow the BLAS kernel either.
-    path = pathlib.Path(algflow.__file__).parent / "algebra.py"
-    functions = {node.name: node for node in ast.parse(path.read_text(encoding="utf-8")).body
-                 if isinstance(node, ast.FunctionDef)}
-    found = {name: _blas_calls(functions[name]) for name in ("_iso_defects", "iso_residuals")}
+    found = _blas_calls_in("algebra.py", ("_iso_defects", "iso_residuals"))
     assert found == {"_iso_defects": [], "iso_residuals": []}
+
+
+def test_reduction_kernel_makes_no_blas_call():
+    # to_bekbaev and certified_reductions run one operator-only kernel and bound, so the
+    # canonical line of verify-theorems does not follow the BLAS kernel either.
+    names = ("_acos_reduction", "_reduction_bound", "certified_reductions", "_entry_stack")
+    assert _blas_calls_in("classification.py", names) == dict.fromkeys(names, [])
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
