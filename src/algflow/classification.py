@@ -110,8 +110,11 @@ class FlowClassLabel:
             if self.c is not None:
                 raise ValueError(f"{self.variant} carries no parameter")
         elif self.variant in _PARAMETRIZED_VARIANTS:
-            if type(self.c) is not float and self.c is not None and 0.0 < self.c < 1.0:
-                object.__setattr__(self, "c", float(self.c))  # float64, whatever real c is
+            if type(self.c) is not float and self.c is not None:
+                if not _all_real((self.c,)):  # 0.0 < "0.5" raises TypeError, True is 1
+                    raise ValueError(f"{self.variant} needs a real parameter, got {self.c!r}")
+                if 0.0 < self.c < 1.0:
+                    object.__setattr__(self, "c", float(self.c))  # float64, whatever real c is
             if self.c is None or not 0.0 < self.c < 1.0:
                 raise ValueError(f"{self.variant} needs a parameter strictly in (0, 1)")
         else:
@@ -154,6 +157,18 @@ def _all_real(values: tuple) -> bool:
     return {float, int}.issuperset(map(type, values)) or all(
         isinstance(x, (float, int, np.floating, np.integer)) and not isinstance(x, bool)
         for x in values)
+
+
+def _unchecked(cls, proved: bool, **fields):
+    """``cls(**fields)`` of a frozen dataclass, built without ``__post_init__`` where
+    ``proved``: for values that a kernel of this module has just made and that its
+    caller shows to meet the constructor's conditions.  Else the validating
+    constructor builds it, with its refusals."""
+    if not proved:
+        return cls(**fields)
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
 
 
 @dataclass(frozen=True)
@@ -211,6 +226,8 @@ EXCEPTIONAL_RESIDUES = tuple((residue, variant) for variant, (residue, *_) in _E
 # (residue, code) of the bands, lowest precedence first; t mod pi just below pi
 # lies in the A1 band of 0, wrapped round.
 _BANDS = tuple((r, VARIANTS.index(v)) for r, v in reversed(((math.pi, A1),) + EXCEPTIONAL_RESIDUES))
+# The label of each exceptional class, indexed by its variant code (a label is immutable).
+_EXCEPTIONAL_LABELS = tuple(map(FlowClassLabel, _EXCEPTIONAL))
 
 
 def _family_entries(form: BekbaevForm) -> tuple[float, ...]:
@@ -239,16 +256,21 @@ def class_codes(r, tol: float):
 def classify_time(t: float, tol: float = CLASSIFY_TOL) -> FlowClassLabel:
     """Map a time to its flow class: ``class_codes`` of t reduced mod pi, with
     |cos t| as the parameter of the continuous classes.  Times too large for
-    tol are refused (``flow.check_time``).  Any real t is taken as float(t), so
-    a numpy float32 time gets the class of its float64 value.
+    tol are refused (``flow.check_time``), and so are a bool and a time that is
+    not real.  Any real t is taken as float(t), so a numpy float32 time gets the
+    class of its float64 value.  An exceptional class gets its one shared label;
+    a continuous one is built without ``FlowClassLabel``'s checks where c > 0,
+    as c = min(|cos t|, _C_MAX) < 1 meets the rest.
     """
     check_tol(tol)
     check_time(t, tol)
     t = float(t)  # after the check, whose messages show t as given
-    variant = VARIANTS[class_codes(reduce_mod_pi(t)[1], tol)]
-    if variant in _EXCEPTIONAL:
-        return FlowClassLabel(variant)
-    return FlowClassLabel(variant, min(abs(math.cos(t)), _C_MAX))
+    code = class_codes(reduce_mod_pi(t)[1], tol)
+    if code < len(_EXCEPTIONAL):
+        return _EXCEPTIONAL_LABELS[code]
+    # A continuous variant, and c <= _C_MAX < 1 of a finite t; c > 0 is not proved.
+    c = min(abs(math.cos(t)), _C_MAX)
+    return _unchecked(FlowClassLabel, 0.0 < c, variant=VARIANTS[code], c=c)
 
 
 def classify_times(t: np.ndarray, tol: float = CLASSIFY_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +338,9 @@ def _reduction(label: FlowClassLabel) -> tuple[BekbaevForm, tuple]:
         return _EXCEPTIONAL[label.variant][2:4]
     c, s = _branch(label)
     param, p, _ = _acos_reduction(c, s, math.sqrt)
-    return BekbaevForm(2 if s > 0 else 3, (0.5, 0.0, param)), p
+    # Family 2 or 3 and three Python floats, beta1 = 0.0: only a finite param is unproved.
+    return _unchecked(BekbaevForm, math.isfinite(param), family=2 if s > 0 else 3,
+                      params=(0.5, 0.0, param)), p
 
 
 def _reduction_bound(p, target, maximum, minimum):
@@ -338,7 +362,15 @@ def _certified(label: FlowClassLabel, c: float, s: float) -> tuple[BekbaevForm, 
     """``_reduction(label)`` with its basis change checked against the representative
     with (cos, sin) entries (c, s), as ``to_bekbaev`` describes."""
     form, p = _reduction(label)
-    certificate = BasisChange(p)  # refuses rows that are not finite before any residual
+    (a, _), (b, _) = p
+    matrix = np.array(p)
+    matrix.setflags(write=False)
+    # A continuous class's P is ((a, a), (b, -b)), a = 1/(4c) >= 1/4 and b = 1/(2 sqrt(2c|s|))
+    # about 1/2 or more (2c|s| <= c^2 + s^2 = 1), so |det P| = 2ab is about 1/4 or more,
+    # inf where ab overflows, never nan: finite rows meet every condition.  Else
+    # ``BasisChange`` refuses rows that are not finite, before any residual.
+    proved = label.c is not None and math.isfinite(a) and math.isfinite(b)
+    certificate = _unchecked(BasisChange, proved, matrix=matrix)
     target = _family_entries(form)
     residual = iso_residual_entries(paired_entries(c, s, -s, c), target, p)
     if not residual <= _REDUCTION_TOL:  # the bound is never smaller, so work it out only here
@@ -394,7 +426,10 @@ def to_bekbaev(label: FlowClassLabel) -> tuple[BekbaevForm, BasisChange]:
     it (or a nan residual) raises AssertionError, and c so small (below about
     3e-309) that the parameter or P is not finite raises ValueError.  The
     reductions of A1, A0Plus and A2 never change: they are checked once, at
-    import, and handed out as stored (both objects are immutable).
+    import, and handed out as stored (both objects are immutable).  A continuous
+    class's form and certificate skip the constructors' checks where the kernel's
+    values are proved to meet them (see ``_certified``); the validating
+    constructors build them elsewhere, so every refusal is theirs.
     """
     if label.c is None:
         return _EXCEPTIONAL[label.variant][-1]

@@ -447,12 +447,16 @@ def _carries_back(ca: list, cb: list, p: list, tol: float) -> bool:
 _CERTIFICATES = (BasisChange(np.eye(2)), BasisChange(-np.eye(2)))
 
 # What a NotIsomorphicExact verdict names first: an exceptional class (``class_codes``)
-# that holds at one time only, since an isomorphism needs its condition at both or neither.
-_ONE_TIME_ONLY = {
-    A1: "sin t = 0 at one time only (isomorphism forces sin t1 = sin t2 = 0)",
-    A0_PLUS: "cos t = 0 at one time only (isomorphism forces cos t1 = cos t2 = 0)",
-    A2: "commutative at one time only (cos t + sin t = 0 must hold at both)",
-}
+# that holds at one time only, since an isomorphism needs its condition at both or
+# neither; then the times off the locus.  These verdicts hold no numbers, so each is
+# built once (a verdict is immutable).
+_ONE_TIME_ONLY = {variant: IsoVerdict.not_isomorphic_exact(reason) for variant, reason in (
+    (A1, "sin t = 0 at one time only (isomorphism forces sin t1 = sin t2 = 0)"),
+    (A0_PLUS, "cos t = 0 at one time only (isomorphism forces cos t1 = cos t2 = 0)"),
+    (A2, "commutative at one time only (cos t + sin t = 0 must hold at both)"),
+)}
+_OFF_LOCUS = IsoVerdict.not_isomorphic_exact(
+    "sin(t2 - t1) != 0 (cos t2 / cos t1 and sin t2 / sin t1 cannot agree)")
 
 
 # x + _HALF_EVEN - _HALF_EVEN rounds |x| < 2**51 to an integer, half to even (as round
@@ -495,7 +499,10 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
     exact multiple of pi, and equal times get the identity, residual 0.
     ``rotation_isomorphic`` gives the same decisions over arrays of times.  Any
     real times are taken as floats, so numpy float32 times get the verdict of
-    their float64 values.
+    their float64 values; a bool or a time that is not real is refused.  The
+    two certificates and the NotIsomorphicExact verdicts that hold no numbers
+    are built once and shared (a verdict is immutable); the Isomorphic verdict
+    and the one naming a missed certificate's residual are built per call.
     """
     check_tol(tol)
     check_time(t1, tol)
@@ -514,14 +521,16 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
             log.debug("rotation_iso k %s, certificate %s", ("even", "odd")[parity],
                       certificate.matrix)
             return IsoVerdict.isomorphic(certificate, residual)
-    variant1, variant2 = (VARIANTS[class_codes(r, tol)] for r in (r1, r2))
-    reason = next((condition for variant, condition in _ONE_TIME_ONLY.items()
-                   if (variant1 == variant) != (variant2 == variant)), None)
-    if reason is None and residual is not None:
-        reason = (f"certificate residual {residual!r} exceeds tol {tol!r}, "
-                  "although |sin(t2 - t1)| is within it")
-    return IsoVerdict.not_isomorphic_exact(
-        reason or "sin(t2 - t1) != 0 (cos t2 / cos t1 and sin t2 / sin t1 cannot agree)")
+    variants = {VARIANTS[class_codes(r, tol)] for r in (r1, r2)}
+    if len(variants) == 2:  # the first variant in table order that holds at one time only
+        for variant, verdict in _ONE_TIME_ONLY.items():
+            if variant in variants:
+                return verdict
+    if residual is not None:
+        return IsoVerdict.not_isomorphic_exact(
+            f"certificate residual {residual!r} exceeds tol {tol!r}, "
+            "although |sin(t2 - t1)| is within it")
+    return _OFF_LOCUS
 
 
 def rotation_isomorphic(t1, t2, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import algflow.checks
 import algflow.classification
-from algflow.algebra import (DEFAULT_TOL, change_of_basis, determinant, from_2x4,
+from algflow.algebra import (DEFAULT_TOL, BasisChange, change_of_basis, determinant, from_2x4,
                              is_associative, is_commutative, iso_residual_entries, iso_residuals,
                              to_2x4)
 from algflow.checks import check_associativity_census
@@ -106,6 +106,12 @@ class TestClassifyTime:
         with pytest.raises(ValueError):
             classify_time(-1.0)
 
+    @pytest.mark.parametrize("t", [True, False, np.bool_(True), "1.0", 1 + 0j, None])
+    def test_bool_and_non_real_times_rejected(self, t):
+        # True was taken as t = 1.0, and the others raised TypeError
+        with pytest.raises(ValueError, match="time must be a real number"):
+            classify_time(t)
+
     def test_parameter_strictly_inside_unit_interval(self):
         for t in np.linspace(0.01, 4 * math.pi, 300):
             label = classify_time(float(t))
@@ -167,8 +173,6 @@ class TestClassifyTimes:
 
 
 def _neg_identity():
-    from algflow.algebra import BasisChange
-
     return BasisChange(-np.eye(2))
 
 
@@ -186,6 +190,12 @@ class TestLabels:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             FlowClassLabel("A3")
+
+    @pytest.mark.parametrize("c", ["0.5", True, np.bool_(True), 0.5 + 0j, [0.5]])
+    @pytest.mark.parametrize("variant", [ACOS_PLUS, ACOS_MINUS])
+    def test_non_real_parameter_refused(self, variant, c):
+        with pytest.raises(ValueError, match=f"{variant} needs a real parameter"):
+            FlowClassLabel(variant, c)
 
     def test_json_layout(self):
         assert label_to_json_dict(FlowClassLabel(ACOS_PLUS, 0.5)) == {
@@ -593,6 +603,84 @@ class TestCertifiedReductions:
         raised = self._assert_agrees(labels)
         assert 0.1 < np.mean([r is not None for r in raised]) < 0.5
         assert set(raised) == {None, "AssertionError"}
+
+
+def _validated(cls, proved, **fields):
+    """``classification._unchecked`` with every object built by its validating constructor."""
+    return cls(**fields)
+
+
+class TestUncheckedBuilds:
+    """The labels, forms and certificates that ``classify_time`` and ``to_bekbaev``
+    build without ``__post_init__`` are, field for field and byte for byte, what the
+    validating constructors build from the same values, and every refusal, message
+    included, is the validating path's."""
+
+    @staticmethod
+    def _both(monkeypatch, f, args: list) -> tuple[list, list]:
+        """The outcomes of f on each argument tuple, as built and all validated."""
+        fast = [_outcome(f, *a) for a in args]
+        with monkeypatch.context() as patched:
+            patched.setattr(algflow.classification, "_unchecked", _validated)
+            checked = [_outcome(f, *a) for a in args]
+        return fast, checked
+
+    @staticmethod
+    def _assert_same_label(label, expected):
+        assert type(label) is FlowClassLabel and label == expected
+        if label.c is not None:
+            assert type(label.c) is float and label.c.hex() == expected.c.hex()
+        assert FlowClassLabel(label.variant, label.c) == label  # the constructor accepts it
+
+    def _assert_same_reductions(self, monkeypatch, labels: list) -> collections.Counter:
+        kinds = collections.Counter()
+        fast, checked = self._both(monkeypatch, to_bekbaev, [(label,) for label in labels])
+        for label, got, expected in zip(labels, fast, checked):
+            if isinstance(expected[0], type):  # a refusal: the same, message included
+                kinds[expected[0].__name__] += 1
+                assert got == expected, label
+                continue
+            kinds["returned"] += 1
+            (form, cert), (ref_form, ref_cert) = got, expected
+            assert type(form) is BekbaevForm and type(form.family) is int, label
+            assert form == ref_form == BekbaevForm(form.family, form.params), label
+            assert type(form.params) is tuple and all(type(x) is float for x in form.params)
+            assert [x.hex() for x in form.params] == [x.hex() for x in ref_form.params], label
+            matrix = cert.matrix
+            assert type(cert) is BasisChange and type(matrix) is np.ndarray, label
+            assert matrix.dtype == np.float64 and matrix.shape == (2, 2), label
+            assert not matrix.flags.writeable, label
+            assert matrix.tobytes() == ref_cert.matrix.tobytes(), label
+            assert BasisChange(matrix).matrix.tobytes() == matrix.tobytes(), label
+        return kinds
+
+    def test_reductions_of_the_continuous_classes(self, monkeypatch):
+        rng = np.random.default_rng(3636)
+        cs = np.concatenate((10.0 ** rng.uniform(-324.0, 0.0, 1500),
+                             1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 500),
+                             [2e-309, 1e-310, 5e-324, algflow.classification._C_MAX]))
+        labels = [FlowClassLabel(variant, c) for c in cs.tolist() if 0.0 < c < 1.0
+                  for variant in (ACOS_PLUS, ACOS_MINUS)]
+        kinds = self._assert_same_reductions(monkeypatch, labels)
+        # P not finite below c of about 3e-309, the bound missed near c = 0 and 1
+        assert kinds["ValueError"] > 10 and kinds["AssertionError"] > 100
+        assert kinds["returned"] > 2000
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+    def test_labels_of_seeded_times(self, monkeypatch, tol):
+        rng = np.random.default_rng(3737)
+        residues = rng.choice([0.0, math.pi / 2, 3 * math.pi / 4, math.pi], 600)
+        near = residues + rng.integers(0, 300, 600) * math.pi + rng.uniform(-2, 2, 600) * tol
+        times = [(t,) for t in np.concatenate((rng.uniform(0.0, 1e3, 1500), near)).tolist()
+                 if t >= 0.0]
+        fast, checked = self._both(monkeypatch, classify_time, [t + (tol,) for t in times])
+        for label, expected in zip(fast, checked):
+            self._assert_same_label(label, expected)
+        assert {label.variant for label in fast} == set(VARIANTS)
+        # one shared label per exceptional class
+        assert len({id(label) for label in fast if label.c is None}) == 3
+        kinds = self._assert_same_reductions(monkeypatch, fast)
+        assert kinds == {"returned": len(fast)}
 
 
 class TestCensus:

@@ -125,6 +125,9 @@ class TestCheckTime:
     @pytest.mark.parametrize("t, message", [
         (math.nan, "finite, got nan"), (math.inf, "finite, got inf"),
         (-math.inf, "finite, got -inf"), (-0.5, "nonnegative, got -0.5"),
+        (True, "real number, got True"), (np.bool_(False), "real number, got np.False_"),
+        ("1.0", "real number, got '1.0'"), (1 + 0j, r"real number, got \(1\+0j\)"),
+        (None, "real number, got None"),
     ])
     def test_refuses(self, t, message):
         with pytest.raises(ValueError, match=message):

@@ -796,6 +796,15 @@ class TestRotationIso:
         with pytest.raises(ValueError, match="time must be finite"):
             rotation_iso(t1, t2)
 
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), "1.0", 1 + 0j, None])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_bool_and_non_real_times_rejected(self, bad, side):
+        # rotation_iso(True, 1.0 + pi) was Isomorphic, and the others raised TypeError
+        times = [1.0, 1.0 + math.pi]
+        times[side] = bad
+        with pytest.raises(ValueError, match="time must be a real number"):
+            rotation_iso(*times)
+
     def test_shift_by_float_pi_at_zero_tol(self):
         # t1 + k * pi as a float misses the locus by some ulps, so at tol 0 most of
         # these pairs have no certificate; each must still get a verdict.

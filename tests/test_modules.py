@@ -183,3 +183,15 @@ def test_one_skip_rule_for_both_entry_points():
     assert callers["_search_ruled_out"] == callers["_levenberg_descent"] == {"decide"}
     assert "iso_search" in callers["decide"]
     assert "invariant_signature" not in callers
+
+
+def test_unchecked_builds_only_where_a_kernel_made_the_values():
+    # ``_unchecked`` skips ``__post_init__``: only the functions whose values come
+    # from this module's own kernels may call it, never one that reads outside input.
+    path = pathlib.Path(algflow.__file__).parent / "classification.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    callers = {getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "_unchecked"}
+    # (no other module imports it: ``test_no_private_name_imported_from_another_module``)
+    assert callers == {"classify_time", "_reduction", "_certified"}
