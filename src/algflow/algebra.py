@@ -29,6 +29,7 @@ __all__ = [
     "AlgebraFD",
     "BasisChange",
     "determinant",
+    "inverse_entries",
     "random_invertible",
     "product",
     "is_commutative",
@@ -38,6 +39,7 @@ __all__ = [
     "associativity_residual",
     "associativity_residuals",
     "change_of_basis",
+    "is_real",
     "check_tol",
     "iso_residual",
     "iso_residuals",
@@ -122,14 +124,18 @@ def determinant(p: np.ndarray) -> np.ndarray:
     return det_entries(p[..., 0, 0], p[..., 0, 1], p[..., 1, 0], p[..., 1, 1])
 
 
-# Signs of the 2 x 2 adjugate: adj [[a, b], [c, d]] = [[d, -b], [-c, a]].
-_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+def inverse_entries(a, b, c, d):
+    """The rows of [[a, b], [c, d]]^-1 = [[d, -b], [-c, a]] / (ad - bc): floats or arrays."""
+    det = det_entries(a, b, c, d)
+    return (d / det, -b / det), (-c / det, a / det)
 
 
 def _inverse(p: np.ndarray) -> np.ndarray:
     """P^-1 = adj(P) / det P of each 2 x 2 matrix of p, shape (..., 2, 2)."""
-    det = determinant(p)
-    return p[..., ::-1, ::-1].swapaxes(-1, -2) * _ADJ_SIGNS / det[..., np.newaxis, np.newaxis]
+    inv = np.empty(p.shape)
+    (inv[..., 0, 0], inv[..., 0, 1]), (inv[..., 1, 0], inv[..., 1, 1]) = inverse_entries(
+        p[..., 0, 0], p[..., 0, 1], p[..., 1, 0], p[..., 1, 1])
+    return inv
 
 
 def det_in_window(p: np.ndarray, det_low: float, det_high: float) -> np.ndarray:
@@ -198,9 +204,14 @@ def commutativity_residual(algebra: AlgebraFD) -> float:
     return commutativity_residual_entries(algebra.constants.values.ravel().tolist())
 
 
+def is_real(x) -> bool:
+    """Whether x is real and not a bool: an int, a float, a Fraction or a numpy real."""
+    return type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def check_tol(tol: float) -> None:
     """Refuse a tolerance that is a bool or not real, nan, infinite or negative."""
-    if type(tol) is not float and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)):
+    if not is_real(tol):
         raise ValueError(f"tolerance must be a real number, got {tol!r}")
     if not 0 <= tol < np.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
@@ -263,12 +274,11 @@ def change_of_basis(algebra: AlgebraFD, p: BasisChange) -> AlgebraFD:
 def _iso_defects(ca, cb, p) -> list:
     """sum_{p,q,r} P_ip P_jq cA_pqr (P^-1)_rk - cB_ijk over (i, j, k) of the entries of cA
     and cB, (i, j, k) order, and the rows ((a, b), (c, d)) of P: floats or arrays;
-    operators only, with the closed-form P^-1 = adj(P) / det P."""
-    (a, b), (c, d) = p
-    x, det = ca, det_entries(a, b, c, d)
+    operators only, with P^-1 from ``inverse_entries``."""
+    x = ca
     # The sums over r, q and p: (P^-1)^T, P and P along the last axis, each pass
     # writing that axis first, so [i, j, k] -> [k, i, j] -> [j, k, i] -> [i, j, k].
-    for (e, f), (g, h) in (((d / det, -c / det), (-b / det, a / det)), p, p):
+    for (e, f), (g, h) in (zip(*inverse_entries(*p[0], *p[1])), p, p):
         x0, x1, x2, x3, x4, x5, x6, x7 = x
         x = (e * x0 + f * x1, e * x2 + f * x3, e * x4 + f * x5, e * x6 + f * x7,
              g * x0 + h * x1, g * x2 + h * x3, g * x4 + h * x5, g * x6 + h * x7)

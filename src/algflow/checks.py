@@ -38,12 +38,7 @@ from .classification import (
 from .cubic import type_c_products
 from .flow import (commutativity_defect, flow_tensors, kce_residuals, paired_tensors,
                    reduce_mod_pi, time_blocks)
-from .isomorphism import (
-    KIND_NOT_FOUND_WITHIN_BUDGET,
-    invariant_signature,
-    iso_search,
-    rotation_isomorphic,
-)
+from .isomorphism import KIND_SEPARATED_BY_INVARIANT, decide, rotation_isomorphic
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_checks"]
 
@@ -243,17 +238,11 @@ def check_associativity_census(margin: float = 0.1) -> CheckResult:
 
 
 def check_invariant_separation() -> CheckResult:
-    """A0Plus and A1 differ on associativity, and ``iso_search``'s skip rule skips the
-    pair: NotFoundWithinBudget with no descent run."""
-    a0 = class_representative(FlowClassLabel(A0_PLUS))
-    a1 = class_representative(FlowClassLabel(A1))
-    sig_gap = invariant_signature(a0).first_difference(invariant_signature(a1))
-    verdict = iso_search(a0, a1)
-    passed = sig_gap == "associative" and verdict.kind == KIND_NOT_FOUND_WITHIN_BUDGET
-    return CheckResult(
-        "separation", passed,
-        f"signatures differ at {sig_gap!r}, search verdict {verdict.kind}",
-    )
+    """``decide`` (``iso --a --b``) separates A0Plus from A1 by associativity, no descent run."""
+    verdict = decide(class_representative(FlowClassLabel(A0_PLUS)),
+                     class_representative(FlowClassLabel(A1)))
+    passed = verdict.kind == KIND_SEPARATED_BY_INVARIANT and verdict.reason == "associative"
+    return CheckResult("separation", passed, f"decide: {verdict.kind} by {verdict.reason!r}")
 
 
 def check_basis_change_oracle(tol: float = 1e-10) -> CheckResult:

@@ -46,6 +46,7 @@ from .algebra import (
     BasisChange,
     check_tol,
     det_entries,
+    is_real,
     iso_residual_entries,
     iso_residuals,
 )
@@ -111,9 +112,9 @@ class FlowClassLabel:
                 raise ValueError(f"{self.variant} carries no parameter")
         elif self.variant in _PARAMETRIZED_VARIANTS:
             if type(self.c) is not float and self.c is not None:
-                if not _all_real((self.c,)):  # 0.0 < "0.5" raises TypeError, True is 1
+                if not is_real(self.c):  # 0.0 < "0.5" raises TypeError, True is 1
                     raise ValueError(f"{self.variant} needs a real parameter, got {self.c!r}")
-                if 0.0 < self.c < 1.0:
+                if 0.0 < self.c < 1.0:  # exact: float() of a huge int overflows
                     object.__setattr__(self, "c", float(self.c))  # float64, whatever real c is
             if self.c is None or not 0.0 < self.c < 1.0:
                 raise ValueError(f"{self.variant} needs a parameter strictly in (0, 1)")
@@ -152,18 +153,10 @@ PARAM_COUNTS = {family: rows.__code__.co_argcount for family, rows in _FAMILY_RO
 _NONNEG_BETA1 = frozenset({2, 3, 7, 8})
 
 
-def _all_real(values: tuple) -> bool:
-    """Every value an int, float or numpy real, and none a bool (plain types first: cheap)."""
-    return {float, int}.issuperset(map(type, values)) or all(
-        isinstance(x, (float, int, np.floating, np.integer)) and not isinstance(x, bool)
-        for x in values)
-
-
 def _unchecked(cls, proved: bool, **fields):
     """``cls(**fields)`` of a frozen dataclass, built without ``__post_init__`` where
-    ``proved``: for values that a kernel of this module has just made and that its
-    caller shows to meet the constructor's conditions.  Else the validating
-    constructor builds it, with its refusals."""
+    ``proved``: for values that ``_acos_reduction`` has just made and ``_certified``
+    shows to meet the constructor's conditions; else with its checks and refusals."""
     if not proved:
         return cls(**fields)
     instance = object.__new__(cls)
@@ -192,9 +185,12 @@ class BekbaevForm:
             raise ValueError(f"family must be 1..15, got {family}")
         if type(params) is not tuple or not {float}.issuperset(map(type, params)):
             params = tuple(params)
-            if not _all_real(params):  # float() would take "1" and True
+            if not all(map(is_real, params)):  # float() would take "1" and True
                 raise ValueError(f"parameters must be real numbers, got {params!r}")
-            params = tuple(map(float, params))
+            try:
+                params = tuple(map(float, params))
+            except OverflowError:  # an int beyond the float range
+                raise ValueError(f"parameters must be finite, got {params!r}") from None
             object.__setattr__(self, "params", params)
         if len(params) != count:
             raise ValueError(f"family {family} takes {count} parameters, got {len(params)}")
@@ -208,10 +204,10 @@ class BekbaevForm:
 
 
 # The exceptional classes: residue of t mod pi, (cos, sin) of the representative,
-# canonical form and the basis change that reaches it; the checked reduction
-# (form, certificate) joins each row at import, below ``to_bekbaev``.  A2 takes
-# the minus-branch reduction at c = s = sqrt(1/2), where the normalizer
-# 2*sqrt(2cs) is 2 exactly.
+# canonical form and the rows of the basis change that reaches it, checked at
+# import (``_EXCEPTIONAL_REDUCTIONS``, below ``to_bekbaev``).  A2 takes the
+# minus-branch reduction at c = s = sqrt(1/2), where the normalizer 2*sqrt(2cs)
+# is 2 exactly.
 _EXCEPTIONAL = {
     A1: (0.0, (1.0, 0.0), BekbaevForm(5, (0.5, 0.0)), ((0.5, 0.0), (-1.0, 1.0))),
     A0_PLUS: (math.pi / 2, (0.0, 1.0), BekbaevForm(8, (0.0, 0.0)), ((-0.5, -0.5), (0.5, -0.5))),
@@ -256,11 +252,11 @@ def class_codes(r, tol: float):
 def classify_time(t: float, tol: float = CLASSIFY_TOL) -> FlowClassLabel:
     """Map a time to its flow class: ``class_codes`` of t reduced mod pi, with
     |cos t| as the parameter of the continuous classes.  Times too large for
-    tol are refused (``flow.check_time``), and so are a bool and a time that is
-    not real.  Any real t is taken as float(t), so a numpy float32 time gets the
-    class of its float64 value.  An exceptional class gets its one shared label;
-    a continuous one is built without ``FlowClassLabel``'s checks where c > 0,
-    as c = min(|cos t|, _C_MAX) < 1 meets the rest.
+    tol are refused (``flow.check_time``), as are a bool, a time that is not
+    real and an int beyond the float range.  Any other real t is taken as
+    float(t): a numpy float32 time or a Fraction gets the class of its float64
+    value.  An exceptional class gets its one shared label; ``FlowClassLabel``
+    builds a continuous one, and refuses c = min(|cos t|, _C_MAX) = 0.
     """
     check_tol(tol)
     check_time(t, tol)
@@ -268,9 +264,7 @@ def classify_time(t: float, tol: float = CLASSIFY_TOL) -> FlowClassLabel:
     code = class_codes(reduce_mod_pi(t)[1], tol)
     if code < len(_EXCEPTIONAL):
         return _EXCEPTIONAL_LABELS[code]
-    # A continuous variant, and c <= _C_MAX < 1 of a finite t; c > 0 is not proved.
-    c = min(abs(math.cos(t)), _C_MAX)
-    return _unchecked(FlowClassLabel, 0.0 < c, variant=VARIANTS[code], c=c)
+    return FlowClassLabel(VARIANTS[code], min(abs(math.cos(t)), _C_MAX))
 
 
 def classify_times(t: np.ndarray, tol: float = CLASSIFY_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -330,19 +324,6 @@ def _acos_reduction(c, s, sqrt):
     return param, ((a, a), (b, -b)), (0.5, 0.0, 0.0, param, 0.0, 0.5, s / abs(s), 0.0)
 
 
-def _reduction(label: FlowClassLabel) -> tuple[BekbaevForm, tuple]:
-    """The canonical form of a flow class and the rows of the basis change that
-    reaches it, unchecked: the exceptional classes' from their table row, the
-    continuous ones' from ``_acos_reduction`` on Python floats."""
-    if label.c is None:
-        return _EXCEPTIONAL[label.variant][2:4]
-    c, s = _branch(label)
-    param, p, _ = _acos_reduction(c, s, math.sqrt)
-    # Family 2 or 3 and three Python floats, beta1 = 0.0: only a finite param is unproved.
-    return _unchecked(BekbaevForm, math.isfinite(param), family=2 if s > 0 else 3,
-                      params=(0.5, 0.0, param)), p
-
-
 def _reduction_bound(p, target, maximum, minimum):
     """The bound on the residual of the rows p of P carrying a representative onto
     the eight target entries, for floats (``max``, ``min``) or arrays (``np.maximum``,
@@ -358,10 +339,19 @@ def _reduction_bound(p, target, maximum, minimum):
     return minimum(_REDUCTION_TOL * rounding, CERTIFICATE_CAP * scale)
 
 
-def _certified(label: FlowClassLabel, c: float, s: float) -> tuple[BekbaevForm, BasisChange]:
-    """``_reduction(label)`` with its basis change checked against the representative
-    with (cos, sin) entries (c, s), as ``to_bekbaev`` describes."""
-    form, p = _reduction(label)
+def _certified(label: FlowClassLabel) -> tuple[BekbaevForm, BasisChange]:
+    """The canonical form of a flow class and the basis change that reaches it, checked
+    as ``to_bekbaev`` describes: an exceptional class's from its table row, a continuous
+    one's (parameter, P and target entries) from ``_acos_reduction`` on Python floats."""
+    c, s = _branch(label)
+    if label.c is None:
+        form, p = _EXCEPTIONAL[label.variant][2:4]
+        target = _family_entries(form)
+    else:
+        param, p, target = _acos_reduction(c, s, math.sqrt)
+        # Family 2 or 3 and three Python floats, beta1 = 0.0: only a finite param is unproved.
+        form = _unchecked(BekbaevForm, math.isfinite(param), family=2 if s > 0 else 3,
+                          params=(0.5, 0.0, param))
     (a, _), (b, _) = p
     matrix = np.array(p)
     matrix.setflags(write=False)
@@ -371,7 +361,6 @@ def _certified(label: FlowClassLabel, c: float, s: float) -> tuple[BekbaevForm, 
     # ``BasisChange`` refuses rows that are not finite, before any residual.
     proved = label.c is not None and math.isfinite(a) and math.isfinite(b)
     certificate = _unchecked(BasisChange, proved, matrix=matrix)
-    target = _family_entries(form)
     residual = iso_residual_entries(paired_entries(c, s, -s, c), target, p)
     if not residual <= _REDUCTION_TOL:  # the bound is never smaller, so work it out only here
         bound = _reduction_bound(p, target, max, min)
@@ -426,19 +415,18 @@ def to_bekbaev(label: FlowClassLabel) -> tuple[BekbaevForm, BasisChange]:
     it (or a nan residual) raises AssertionError, and c so small (below about
     3e-309) that the parameter or P is not finite raises ValueError.  The
     reductions of A1, A0Plus and A2 never change: they are checked once, at
-    import, and handed out as stored (both objects are immutable).  A continuous
-    class's form and certificate skip the constructors' checks where the kernel's
-    values are proved to meet them (see ``_certified``); the validating
-    constructors build them elsewhere, so every refusal is theirs.
+    import, and handed out as stored (both objects are immutable).  Only a
+    continuous class's form and certificate skip their constructors' checks, where
+    the kernel's values are proved to meet them (see ``_certified``); elsewhere the
+    validating constructors build them, so every refusal is theirs.
     """
     if label.c is None:
-        return _EXCEPTIONAL[label.variant][-1]
-    return _certified(label, *_branch(label))
+        return _EXCEPTIONAL_REDUCTIONS[label.variant]
+    return _certified(label)
 
 
 # The exceptional reductions, checked here once on the path of every label.
-_EXCEPTIONAL.update({variant: row + (_certified(FlowClassLabel(variant), *row[1]),)
-                     for variant, row in _EXCEPTIONAL.items()})
+_EXCEPTIONAL_REDUCTIONS = {label.variant: _certified(label) for label in _EXCEPTIONAL_LABELS}
 
 
 def label_to_json_dict(label: FlowClassLabel) -> dict:

@@ -27,11 +27,10 @@ locus d = 3*pi/4 + pi*n.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraFD
+from .algebra import DEFAULT_TOL, AlgebraFD, is_real
 from .cubic import CubicTensor, type_c_products
 
 __all__ = [
@@ -103,8 +102,8 @@ def reduce_mod_pi(t):
 
 
 def check_time(t: float, tol: float | None = None) -> None:
-    """Refuse a time at which the flow is undefined: a bool or not real, non-finite
-    or negative.
+    """Refuse a time at which the flow is undefined: a bool or not real
+    (``algebra.is_real``), non-finite (an int beyond the float range too) or negative.
 
     Given the tolerance of a test mod pi, also refuse a time beyond MAX_TIME, or
     one whose float spacing exceeds half of both tol and DEFAULT_TOL (so that
@@ -112,9 +111,13 @@ def check_time(t: float, tol: float | None = None) -> None:
     can miss a multiple of pi by more than tol: each rounding costs up to half
     a spacing, and the float pi, 1.2e-16 short, n times as much.
     """
-    if type(t) is not float and (isinstance(t, bool) or not isinstance(t, numbers.Real)):
+    if not is_real(t):
         raise ValueError(f"time must be a real number, got {t!r}")
-    if not math.isfinite(t):
+    try:
+        finite = math.isfinite(t)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise ValueError(f"time must be finite, got {t}")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")

@@ -62,6 +62,7 @@ from .algebra import (
     commutativity_residual_entries,
     det_entries,
     gram_2x4_entries,
+    inverse_entries,
     iso_residual,
     iso_residual_entries,
     max_abs,
@@ -432,12 +433,10 @@ def _carries_back(ca: list, cb: list, p: list, tol: float) -> bool:
 
     As det P -> 0, P can carry a to within tol of an algebra b it is not isomorphic to
     (a degeneration: Bekbaev families 12 and 13 onto 14); P^-1 then misses a by about
-    max|c|.  P^-1 = adj(P) / det P is taken in Python floats, since ``BasisChange``
+    max|c|.  P^-1 is taken in Python floats (``inverse_entries``), since ``BasisChange``
     refuses P^-1 where |det P| >= 1e10.
     """
-    (p00, p01), (p10, p11) = p
-    det = det_entries(p00, p01, p10, p11)
-    back = iso_residual_entries(cb, ca, ((p11 / det, -p01 / det), (-p10 / det, p00 / det)))
+    back = iso_residual_entries(cb, ca, inverse_entries(*p[0], *p[1]))
     return back <= tol or back <= CERTIFICATE_CAP * max(1.0, *map(abs, ca + cb))
 
 

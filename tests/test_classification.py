@@ -7,6 +7,7 @@ import math
 import pathlib
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 
 import algflow.checks
 import algflow.classification
-from algflow.algebra import (DEFAULT_TOL, BasisChange, change_of_basis, determinant, from_2x4,
-                             is_associative, is_commutative, iso_residual_entries, iso_residuals,
-                             to_2x4)
+from algflow.algebra import (DEFAULT_TOL, BasisChange, change_of_basis, check_tol, determinant,
+                             from_2x4, is_associative, is_commutative, iso_residual_entries,
+                             iso_residuals, to_2x4)
 from algflow.checks import check_associativity_census
 from algflow.classification import (
     _branch,
@@ -41,7 +42,7 @@ from algflow.classification import (
     to_bekbaev,
 )
 from algflow.cubic import CubicTensor
-from algflow.flow import MAX_TIME, flow_algebra, paired_tensors
+from algflow.flow import MAX_TIME, check_time, flow_algebra, paired_tensors
 from algflow.isomorphism import iso_residual, rotation_iso, rotation_isomorphic
 
 
@@ -381,8 +382,8 @@ def _perturb(rng, label: FlowClassLabel, factors: dict) -> tuple:
     so that its residual lands near r times the bound; r is 0 for a third of the labels and
     +-10^U(-2, 2) otherwise.  Returns the form and the scaled P."""
     factors.pop(_branch(label), None)
-    form, p = algflow.classification._reduction(label)
-    p, target = np.array(p), bekbaev_matrix(form)
+    form, certificate = to_bekbaev(label)
+    p, target = np.array(certificate.matrix), bekbaev_matrix(form)
     bound = min(_rounding_bound(p), _scale_cap(target))
     delta = (rng.choice([0.0, -1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0)
              * bound / float(np.abs(target).max()))
@@ -836,16 +837,21 @@ class TestLargeTimes:
 
 
 def _reference_to_bekbaev(label: FlowClassLabel):
-    """``to_bekbaev`` as written when every call, on an exceptional label too, ran
-    ``_reduction``, ``_branch`` and the check: the reference for the bits of the
-    stored exceptional reductions and of the lean path of the continuous classes."""
+    """``to_bekbaev`` as written when every call, on an exceptional label too, ran the
+    reduction, ``_branch`` and the check: the reference for the bits of the stored
+    exceptional reductions and of the lean path of the continuous classes."""
     from algflow.algebra import CERTIFICATE_CAP, BasisChange, det_entries
-    from algflow.classification import _FAMILY_ROWS, _REDUCTION_TOL, _branch, _reduction
+    from algflow.classification import (_EXCEPTIONAL, _FAMILY_ROWS, _REDUCTION_TOL,
+                                        _acos_reduction, _branch)
     from algflow.flow import paired_entries
 
-    form, p_matrix = _reduction(label)
-    certificate = BasisChange(p_matrix)
     c, s = _branch(label)
+    if label.c is None:  # the reduction: the table row, or the kernel and family 2 or 3
+        form, p_matrix = _EXCEPTIONAL[label.variant][2:4]
+    else:
+        param, p_matrix, _ = _acos_reduction(c, s, math.sqrt)
+        form = BekbaevForm(2 if s > 0 else 3, (0.5, 0.0, param))
+    certificate = BasisChange(p_matrix)
     p = certificate.matrix.tolist()
     target = [x for column in zip(*_FAMILY_ROWS[form.family](*form.params)) for x in column]
     residual = iso_residual_entries(paired_entries(c, s, -s, c), target, p)
@@ -905,7 +911,7 @@ class TestToBekbaevBits:
             raise RuntimeError("no check runs on an exceptional label")
 
         monkeypatch.setattr(algflow.classification, "iso_residual_entries", refuse)
-        monkeypatch.setattr(algflow.classification, "_reduction", refuse)
+        monkeypatch.setattr(algflow.classification, "_certified", refuse)
         for variant, (ref_form, ref_cert) in expected.items():
             form, cert = to_bekbaev(FlowClassLabel(variant))
             assert form == ref_form and cert.matrix.tobytes() == ref_cert.matrix.tobytes()
@@ -973,3 +979,47 @@ class TestRealScalars:
         # below 1 where long double is wider than float64, and 1 where it is not
         with pytest.raises(ValueError, match="strictly in"):
             FlowClassLabel(ACOS_PLUS, np.longdouble(1.0) - np.longdouble(2.0**-60))
+
+
+# One accept/refuse table for every scalar entry point that takes a real number: each
+# accepts a value of every real type as its float64 value, and refuses the rest with
+# ValueError.  A Python int is real, but no int is a parameter of the continuous classes.
+_ENTRY_POINTS = {
+    "check_tol": check_tol,
+    "check_time": lambda x: check_time(x, DEFAULT_TOL),
+    "classify_time": classify_time,
+    "rotation_iso": lambda x: rotation_iso(x, x),
+    "FlowClassLabel.c": lambda x: FlowClassLabel(ACOS_PLUS, x),
+    "BekbaevForm.params": lambda x: BekbaevForm(2, (x, 0.0, x)),
+}
+_REALS = [0.5, np.float16(0.5), np.float32(0.5), np.float64(0.5), Fraction(1, 2), 2, np.int64(2)]
+_NOT_REALS = [True, np.False_, "0.5", 1 + 0j, None, Decimal("0.5")]
+
+
+class TestAcceptRefuseTable:
+    @pytest.mark.parametrize("value", _REALS, ids=repr)
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    def test_real_values_accepted_as_their_float(self, entry, value):
+        f = _ENTRY_POINTS[entry]
+        if entry == "FlowClassLabel.c" and isinstance(value, (int, np.integer)):
+            with pytest.raises(ValueError, match=r"strictly in \(0, 1\)"):  # real, out of range
+                f(value)
+            return
+        assert f(value) == f(float(value))
+
+    @pytest.mark.parametrize("value", _NOT_REALS, ids=repr)
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    def test_other_values_refused(self, entry, value):
+        with pytest.raises(ValueError):
+            _ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("entry", [name for name in _ENTRY_POINTS if name != "check_tol"])
+    def test_int_beyond_the_float_range_refused(self, entry):
+        # float(10**400) overflows; a tolerance of 10**400 stays accepted (only compared)
+        with pytest.raises(ValueError):
+            _ENTRY_POINTS[entry](10**400)
+
+    def test_parameter_rounding_to_one_is_refused(self):
+        # in (0, 1) exactly, but 1.0 as a float: the range test reads the float
+        with pytest.raises(ValueError, match="strictly in"):
+            FlowClassLabel(ACOS_PLUS, Fraction(10**20 - 1, 10**20))

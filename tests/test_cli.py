@@ -943,8 +943,7 @@ class TestVerifyTheorems:
         "residual 1.11e-15 (tol 1e-10), fixed targets exact, label grid certified",
         "PASS  census         census over 21 classes matches, residual at c=0.5 is 1.183 "
         "(> 0.1)",
-        "PASS  separation     signatures differ at 'associative', search verdict "
-        "NotFoundWithinBudget",
+        "PASS  separation     decide: SeparatedByInvariant by 'associative'",
         "PASS  basis-oracle   max difference 1.24e-14 over 500 trials (tol 1e-10)",
         "PASS  product-assoc  max |(AB)C - A(BC)| = 8.88e-16 over 1000 triples (tol 1e-12)",
         "9/9 checks passed",

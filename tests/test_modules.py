@@ -194,4 +194,26 @@ def test_unchecked_builds_only_where_a_kernel_made_the_values():
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                and node.func.id == "_unchecked"}
     # (no other module imports it: ``test_no_private_name_imported_from_another_module``)
-    assert callers == {"classify_time", "_reduction", "_certified"}
+    assert callers == {"_certified"}
+
+
+def test_one_realness_test():
+    # ``algebra.is_real`` alone asks whether a value is a real number; a second test
+    # (``numbers.Real``, or numpy's float types alone) would let two entry points disagree.
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if getattr(top, "name", None) == "is_real":
+                continue
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute)
+                      and ast.unparse(node) in ("numbers.Real", "np.floating")]
+    assert found == []
+
+
+@pytest.mark.parametrize("path", MODULES + sorted(BENCH.glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_parses_as_the_oldest_supported_python(path):
+    # pyproject.toml says requires-python >= 3.10: no syntax newer than 3.10.
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))
