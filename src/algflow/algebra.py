@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import CubicTensor, floats_from_json, tensor_from_json_dict
+from .cubic import CubicTensor, floats_from_json, refuse_other_kinds, tensor_from_json_dict
 
 __all__ = [
     "DEFAULT_TOL",
@@ -40,6 +40,7 @@ __all__ = [
     "associativity_residuals",
     "change_of_basis",
     "is_real",
+    "real_float",
     "check_tol",
     "iso_residual",
     "iso_residuals",
@@ -88,7 +89,9 @@ class BasisChange:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.matrix, dtype=float)
+        arr = np.asarray(self.matrix)
+        refuse_other_kinds(self.matrix, arr, "iuf", "entries must be real numbers")
+        arr = np.array(arr, dtype=float)
         if arr.shape != (2, 2):
             raise ValueError(f"expected a 2 x 2 matrix, got shape {arr.shape}")
         (a, b), (c, d) = arr.tolist()  # Python floats: cheaper than numpy scalars
@@ -209,11 +212,23 @@ def is_real(x) -> bool:
     return type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def real_float(x, what: str) -> float:
+    """float(x) of a real x (``is_real``).  Anything else, and a value beyond the float
+    range (an int or a Fraction), raises ValueError naming ``what``."""
+    if type(x) is float:
+        return x
+    if not is_real(x):
+        raise ValueError(f"{what} must be a real number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what} must be finite, got a value beyond the float range") from None
+
+
 def check_tol(tol: float) -> None:
-    """Refuse a tolerance that is a bool or not real, nan, infinite or negative."""
-    if not is_real(tol):
-        raise ValueError(f"tolerance must be a real number, got {tol!r}")
-    if not 0 <= tol < np.inf:
+    """Refuse a tolerance that ``real_float`` refuses, nan, infinite or negative."""
+    real_float(tol, "tolerance")
+    if not 0 <= tol < np.inf:  # exact on tol as given: a Fraction just below 0 rounds to -0.0
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
 
 

@@ -46,9 +46,9 @@ from .algebra import (
     BasisChange,
     check_tol,
     det_entries,
-    is_real,
     iso_residual_entries,
     iso_residuals,
+    real_float,
 )
 from .cubic import CubicTensor
 from .flow import check_time, check_times, paired_entries, paired_tensors, reduce_mod_pi
@@ -111,11 +111,8 @@ class FlowClassLabel:
             if self.c is not None:
                 raise ValueError(f"{self.variant} carries no parameter")
         elif self.variant in _PARAMETRIZED_VARIANTS:
-            if type(self.c) is not float and self.c is not None:
-                if not is_real(self.c):  # 0.0 < "0.5" raises TypeError, True is 1
-                    raise ValueError(f"{self.variant} needs a real parameter, got {self.c!r}")
-                if 0.0 < self.c < 1.0:  # exact: float() of a huge int overflows
-                    object.__setattr__(self, "c", float(self.c))  # float64, whatever real c is
+            if type(self.c) is not float and self.c is not None:  # float64, whatever real c is
+                object.__setattr__(self, "c", real_float(self.c, f"{self.variant} parameter"))
             if self.c is None or not 0.0 < self.c < 1.0:
                 raise ValueError(f"{self.variant} needs a parameter strictly in (0, 1)")
         else:
@@ -172,32 +169,22 @@ class BekbaevForm:
     params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        # An int family and a tuple of Python floats are already what is stored,
-        # so plain input skips the conversions (and the stores) below.
-        family, params = self.family, self.params
-        if type(family) is not int:
-            if isinstance(family, bool) or not isinstance(family, (int, np.integer)):
-                raise ValueError(f"family must be an integer, got {family!r}")
-            family = int(family)
-            object.__setattr__(self, "family", family)
+        family = self.family
+        if isinstance(family, bool) or not isinstance(family, (int, np.integer)):
+            raise ValueError(f"family must be an integer, got {family!r}")
+        family = int(family)
         count = PARAM_COUNTS.get(family)
         if count is None:
             raise ValueError(f"family must be 1..15, got {family}")
-        if type(params) is not tuple or not {float}.issuperset(map(type, params)):
-            params = tuple(params)
-            if not all(map(is_real, params)):  # float() would take "1" and True
-                raise ValueError(f"parameters must be real numbers, got {params!r}")
-            try:
-                params = tuple(map(float, params))
-            except OverflowError:  # an int beyond the float range
-                raise ValueError(f"parameters must be finite, got {params!r}") from None
-            object.__setattr__(self, "params", params)
+        params = tuple(real_float(x, "parameter") for x in self.params)
         if len(params) != count:
             raise ValueError(f"family {family} takes {count} parameters, got {len(params)}")
         if not all(map(math.isfinite, params)):
             raise ValueError(f"parameters must be finite, got {params}")
         if family in _NONNEG_BETA1 and params[1] < 0:
             raise ValueError(f"family {family} requires beta1 >= 0")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "params": list(self.params)}
@@ -253,14 +240,13 @@ def classify_time(t: float, tol: float = CLASSIFY_TOL) -> FlowClassLabel:
     """Map a time to its flow class: ``class_codes`` of t reduced mod pi, with
     |cos t| as the parameter of the continuous classes.  Times too large for
     tol are refused (``flow.check_time``), as are a bool, a time that is not
-    real and an int beyond the float range.  Any other real t is taken as
-    float(t): a numpy float32 time or a Fraction gets the class of its float64
-    value.  An exceptional class gets its one shared label; ``FlowClassLabel``
+    real and an int beyond the float range.  Any other real t is read as the float
+    ``check_time`` returns: a numpy float32 time or a Fraction gets the class of its
+    float64 value.  An exceptional class gets its one shared label; ``FlowClassLabel``
     builds a continuous one, and refuses c = min(|cos t|, _C_MAX) = 0.
     """
     check_tol(tol)
-    check_time(t, tol)
-    t = float(t)  # after the check, whose messages show t as given
+    t = check_time(t, tol)
     code = class_codes(reduce_mod_pi(t)[1], tol)
     if code < len(_EXCEPTIONAL):
         return _EXCEPTIONAL_LABELS[code]
@@ -268,14 +254,14 @@ def classify_time(t: float, tol: float = CLASSIFY_TOL) -> FlowClassLabel:
 
 
 def classify_times(t: np.ndarray, tol: float = CLASSIFY_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """``classify_time`` over an array of times.
+    """``classify_time`` over the float64 array of times ``flow.check_times`` returns:
+    one that numpy does not read as integers or floats (a list of Fractions) is refused.
 
     Returns the variant codes (indices into ``VARIANTS``) and the parameter
     c = |cos t|, which is nan where the variant carries none.
     """
-    t = np.asarray(t, dtype=float)
     check_tol(tol)
-    check_times(t, tol)
+    t = check_times(t, tol)
     codes = class_codes(reduce_mod_pi(t)[1], tol)
     return codes, np.where(codes < len(_EXCEPTIONAL), np.nan,
                            np.minimum(np.abs(np.cos(t)), _C_MAX))
@@ -386,19 +372,11 @@ def certified_reductions(c: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]
     """
     with np.errstate(all="ignore"):  # overflow and nan are where the mask is False
         param, p, target = _acos_reduction(c, s, np.sqrt)
-        p_stack = _entry_stack(p[0] + p[1], c.shape).reshape(-1, 2, 2)
-        target_stack = _entry_stack(target, c.shape).reshape(-1, 2, 2, 2)
+        p_stack = np.stack(p[0] + p[1], axis=-1).reshape(-1, 2, 2)  # four arrays of c's shape
+        target_stack = np.stack(np.broadcast_arrays(*target), axis=-1).reshape(-1, 2, 2, 2)
         residual = iso_residuals(paired_tensors(c, s, -s, c), target_stack, p_stack)
         certified = residual <= _reduction_bound(p, target, np.maximum, np.minimum)
     return param, p_stack, target_stack, certified
-
-
-def _entry_stack(entries: tuple, shape: tuple) -> np.ndarray:
-    """Floats and arrays of one shape as the columns of an array, shape + (len(entries),)."""
-    stack = np.empty(shape + (len(entries),))
-    for k, x in enumerate(entries):
-        stack[..., k] = x
-    return stack
 
 
 def to_bekbaev(label: FlowClassLabel) -> tuple[BekbaevForm, BasisChange]:

@@ -42,10 +42,11 @@ __all__ = [
     "from_middle_slices",
     "tensor_from_json_dict",
     "floats_from_json",
+    "refuse_other_kinds",
 ]
 
 
-def _refuse_other_kinds(values, arr: np.ndarray, kinds: str, message: str) -> None:
+def refuse_other_kinds(values, arr: np.ndarray, kinds: str, message: str) -> None:
     """Refuse ``arr = np.asarray(values)`` unless its dtype kind is in ``kinds``.
     numpy reads a nested list that mixes booleans with numbers as numbers, so
     the leaves of a list are also searched for booleans."""
@@ -72,7 +73,7 @@ class CubicTensor:
             raise ValueError(f"expected an m x m x m array, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("dimension must be at least 1")
-        _refuse_other_kinds(self.values, arr, "iuf", "entries must be real numbers")
+        refuse_other_kinds(self.values, arr, "iuf", "entries must be real numbers")
         arr = np.array(arr, dtype=float)
         if not np.isfinite(arr).all():
             raise ValueError("all entries must be finite")
@@ -110,7 +111,7 @@ class BinaryOpTable:
         m = arr.shape[0]
         if m < 1:
             raise ValueError("dimension must be at least 1")
-        _refuse_other_kinds(self.values, arr, "iu", "table values must be integers")
+        refuse_other_kinds(self.values, arr, "iu", "table values must be integers")
         if np.any(arr < 0) or np.any(arr >= m):
             raise ValueError("table values must map into the index set")
         arr = np.array(arr, dtype=int)

@@ -30,8 +30,8 @@ import math
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraFD, is_real
-from .cubic import CubicTensor, type_c_products
+from .algebra import DEFAULT_TOL, AlgebraFD, real_float
+from .cubic import CubicTensor, refuse_other_kinds, type_c_products
 
 __all__ = [
     "paired_tensors",
@@ -101,9 +101,10 @@ def reduce_mod_pi(t):
     return k - below, r + below * math.pi
 
 
-def check_time(t: float, tol: float | None = None) -> None:
-    """Refuse a time at which the flow is undefined: a bool or not real
-    (``algebra.is_real``), non-finite (an int beyond the float range too) or negative.
+def check_time(t: float, tol: float | None = None) -> float:
+    """float(t) of a time at which the flow is defined.  Refuse one that
+    ``algebra.real_float`` refuses (a bool, one not real, an int beyond the float
+    range), a non-finite one or a negative one; each message shows t as given.
 
     Given the tolerance of a test mod pi, also refuse a time beyond MAX_TIME, or
     one whose float spacing exceeds half of both tol and DEFAULT_TOL (so that
@@ -111,28 +112,30 @@ def check_time(t: float, tol: float | None = None) -> None:
     can miss a multiple of pi by more than tol: each rounding costs up to half
     a spacing, and the float pi, 1.2e-16 short, n times as much.
     """
-    if not is_real(t):
-        raise ValueError(f"time must be a real number, got {t!r}")
-    try:
-        finite = math.isfinite(t)
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite:
+    x = real_float(t, "time")
+    if not math.isfinite(x):
         raise ValueError(f"time must be finite, got {t}")
-    if t < 0:
+    if t < 0:  # exact on t as given: a Fraction just below 0 rounds to -0.0
         raise ValueError(f"time must be nonnegative, got {t}")
-    if tol is not None and (float(t) > MAX_TIME  # in float64: MAX_TIME overflows a float16
-                            or (2 * math.ulp(t) > tol and 2 * math.ulp(t) > DEFAULT_TOL)):
+    if tol is not None and (x > MAX_TIME
+                            or (2 * math.ulp(x) > tol and 2 * math.ulp(x) > DEFAULT_TOL)):
         raise ValueError(f"time {t} is too large for tolerance {tol:g} (float spacing "
-                         f"{math.ulp(t):.2g}; reduction mod pi up to {MAX_TIME:.4g})")
+                         f"{math.ulp(x):.2g}; reduction mod pi up to {MAX_TIME:.4g})")
+    return x
 
 
-def check_times(t: np.ndarray, tol: float) -> None:
-    """``check_time`` for every time of an array: the times it accepts form an
-    interval, so the least and the greatest decide (np.min is nan if any time is)."""
-    if t.size:
-        check_time(float(t.min()), tol)
-        check_time(float(t.max()), tol)
+def check_times(t, tol: float) -> np.ndarray:
+    """The float64 array of times t, each accepted by ``check_time``.  An array that
+    numpy does not read as integers or floats is refused (``cubic.refuse_other_kinds``,
+    as for tensor entries); the accepted times form an interval, so the least and the
+    greatest decide (np.min is nan if any time is)."""
+    arr = np.asarray(t)
+    refuse_other_kinds(t, arr, "iuf", "times must be real numbers")
+    arr = np.asarray(arr, dtype=float)
+    if arr.size:
+        check_time(float(arr.min()), tol)
+        check_time(float(arr.max()), tol)
+    return arr
 
 
 def _check_triple(s: float, tau: float, t: float) -> None:

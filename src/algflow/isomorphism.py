@@ -497,16 +497,14 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
     the certificate meets ``tol``, else not: distinct floats never differ by an
     exact multiple of pi, and equal times get the identity, residual 0.
     ``rotation_isomorphic`` gives the same decisions over arrays of times.  Any
-    real times are taken as floats, so numpy float32 times get the verdict of
-    their float64 values; a bool or a time that is not real is refused.  The
-    two certificates and the NotIsomorphicExact verdicts that hold no numbers
-    are built once and shared (a verdict is immutable); the Isomorphic verdict
-    and the one naming a missed certificate's residual are built per call.
+    real times are read as the floats ``check_time`` returns, so numpy float32 times
+    get the verdict of their float64 values; a bool or a time that is not real is
+    refused.  The two certificates and the NotIsomorphicExact verdicts that hold no
+    numbers are built once and shared (a verdict is immutable); the Isomorphic
+    verdict and the one naming a missed certificate's residual are built per call.
     """
     check_tol(tol)
-    check_time(t1, tol)
-    check_time(t2, tol)
-    t1, t2 = float(t1), float(t2)  # a float32 time would reduce in float32
+    t1, t2 = check_time(t1, tol), check_time(t2, tol)  # floats: no float32 reduction
     k1, r1 = reduce_mod_pi(t1)
     k2, r2 = reduce_mod_pi(t2)
 
@@ -536,14 +534,12 @@ def rotation_isomorphic(t1, t2, tol: float = DEFAULT_TOL) -> np.ndarray:
     """``rotation_iso(t1, t2, tol).is_isomorphic`` for each pair of two arrays of
     times of one shape (or shapes that broadcast to one), as a bool array.
 
-    Refuses what ``rotation_iso`` refuses (``flow.check_times``).  The closed-form
-    certificate residual of ``rotation_iso`` is taken only on the pairs within tol
-    of the locus.
+    Reads the float64 arrays ``flow.check_times`` returns: refuses what ``rotation_iso``
+    refuses, and an array of a dtype other than integer or float (a list of Fractions).
+    The closed-form certificate residual is taken only on the pairs within tol of the locus.
     """
-    t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
     check_tol(tol)
-    check_times(t1, tol)
-    check_times(t2, tol)
+    t1, t2 = np.broadcast_arrays(check_times(t1, tol), check_times(t2, tol))
     (k1, r1), (k2, r2) = reduce_mod_pi(t1), reduce_mod_pi(t2)
     d = r2 - r1
     isomorphic = np.asarray(np.abs(np.sin(d)) <= tol)

@@ -195,7 +195,7 @@ class TestLabels:
     @pytest.mark.parametrize("c", ["0.5", True, np.bool_(True), 0.5 + 0j, [0.5]])
     @pytest.mark.parametrize("variant", [ACOS_PLUS, ACOS_MINUS])
     def test_non_real_parameter_refused(self, variant, c):
-        with pytest.raises(ValueError, match=f"{variant} needs a real parameter"):
+        with pytest.raises(ValueError, match=f"{variant} parameter must be a real number, got"):
             FlowClassLabel(variant, c)
 
     def test_json_layout(self):
@@ -282,7 +282,7 @@ class TestBekbaevMatrices:
     @pytest.mark.parametrize("family, params", [(2, "123"), (6, (True,)), (6, ("0.5",)),
                                                 (5, (0.5, np.True_)), (6, (b"1",))])
     def test_non_real_params_refused(self, family, params):
-        with pytest.raises(ValueError, match="parameters must be real numbers"):
+        with pytest.raises(ValueError, match="parameter must be a real number, got"):
             BekbaevForm(family, params)
 
     def test_int_float_and_numpy_real_params_accepted(self):
@@ -996,6 +996,34 @@ _REALS = [0.5, np.float16(0.5), np.float32(0.5), np.float64(0.5), Fraction(1, 2)
 _NOT_REALS = [True, np.False_, "0.5", 1 + 0j, None, Decimal("0.5")]
 
 
+def _rows(x):
+    """The 2 x 2 matrix of four entries: an array reshaped, a list as a list of rows."""
+    return x.reshape(2, 2) if isinstance(x, np.ndarray) else [x[:2], x[2:]]
+
+
+# The array entry points read what they are given by its numpy dtype, as ``CubicTensor``
+# does: integer and float arrays, and lists of ints or floats, give the answer of their
+# float64 array; bools, strings, complex numbers and objects (a Fraction, an int beyond
+# the float range) are refused.  Each entry point returns the bytes of its answer.
+_ARRAY_ENTRY_POINTS = {
+    "classify_times": lambda x: b"".join(a.tobytes() for a in classify_times(x)),
+    "rotation_isomorphic": lambda x: rotation_isomorphic(x, x[::-1]).tobytes(),
+    "BasisChange": lambda x: BasisChange(_rows(x)).matrix.tobytes(),
+}
+_ENTRIES = [0.5, 2.0, 0.25, 3.0]  # nonnegative times, and a matrix with det 1
+_REAL_ARRAYS = {"float64 array": np.array(_ENTRIES),
+                "float32 array": np.array(_ENTRIES, dtype=np.float32),
+                "int64 array": np.array([1, 2, 0, 3], dtype=np.int64),
+                "list of floats": _ENTRIES, "list of ints": [1, 2, 0, 3]}
+_NOT_REAL_ARRAYS = {"bool array": np.array([True, False, True, True]),
+                    "list holding a bool": [0.5, True, 0.25, 3.0],
+                    "str array": np.array(["0.5", "2", "0.25", "3"]),
+                    "complex array": np.array(_ENTRIES, dtype=complex),
+                    "object array": np.array(_ENTRIES, dtype=object),
+                    "list of Fractions": [Fraction(1, 2), 2, 0, 3],
+                    "list holding 10**400": [10**400, 2.0, 0.25, 3.0]}
+
+
 class TestAcceptRefuseTable:
     @pytest.mark.parametrize("value", _REALS, ids=repr)
     @pytest.mark.parametrize("entry", _ENTRY_POINTS)
@@ -1013,13 +1041,33 @@ class TestAcceptRefuseTable:
         with pytest.raises(ValueError):
             _ENTRY_POINTS[entry](value)
 
-    @pytest.mark.parametrize("entry", [name for name in _ENTRY_POINTS if name != "check_tol"])
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
     def test_int_beyond_the_float_range_refused(self, entry):
-        # float(10**400) overflows; a tolerance of 10**400 stays accepted (only compared)
-        with pytest.raises(ValueError):
+        # float(10**400) overflows: the value is refused, and not printed in full
+        with pytest.raises(ValueError) as refused:
             _ENTRY_POINTS[entry](10**400)
+        assert len(str(refused.value)) <= 100
 
     def test_parameter_rounding_to_one_is_refused(self):
         # in (0, 1) exactly, but 1.0 as a float: the range test reads the float
         with pytest.raises(ValueError, match="strictly in"):
             FlowClassLabel(ACOS_PLUS, Fraction(10**20 - 1, 10**20))
+
+    @pytest.mark.parametrize("value", _REAL_ARRAYS.values(), ids=list(_REAL_ARRAYS))
+    @pytest.mark.parametrize("entry", _ARRAY_ENTRY_POINTS)
+    def test_real_arrays_accepted_as_their_float64_array(self, entry, value):
+        f = _ARRAY_ENTRY_POINTS[entry]
+        assert f(value) == f(np.array(value, dtype=np.float64))
+
+    @pytest.mark.parametrize("value", _NOT_REAL_ARRAYS.values(), ids=list(_NOT_REAL_ARRAYS))
+    @pytest.mark.parametrize("entry", _ARRAY_ENTRY_POINTS)
+    def test_other_arrays_refused(self, entry, value):
+        with pytest.raises(ValueError):
+            _ARRAY_ENTRY_POINTS[entry](value)
+
+    def test_array_entry_points_refuse_a_tolerance_beyond_the_float_range(self):
+        t = np.array([0.5])
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            classify_times(t, 10**400)
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            rotation_isomorphic(t, t, 10**400)

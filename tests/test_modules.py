@@ -99,7 +99,7 @@ def test_iso_residual_kernel_makes_no_blas_call():
 def test_reduction_kernel_makes_no_blas_call():
     # to_bekbaev and certified_reductions run one operator-only kernel and bound, so the
     # canonical line of verify-theorems does not follow the BLAS kernel either.
-    names = ("_acos_reduction", "_reduction_bound", "certified_reductions", "_entry_stack")
+    names = ("_acos_reduction", "_reduction_bound", "certified_reductions")
     assert _blas_calls_in("classification.py", names) == dict.fromkeys(names, [])
 
 
@@ -210,6 +210,38 @@ def test_one_realness_test():
                       if isinstance(node, ast.Attribute)
                       and ast.unparse(node) in ("numbers.Real", "np.floating")]
     assert found == []
+
+
+def _definition(module: str, name: str) -> ast.AST:
+    """The AST of a function or method (dotted, ``Class.method``) of an algflow module."""
+    node = ast.parse((pathlib.Path(algflow.__file__).parent / module).read_text(encoding="utf-8"))
+    for part in name.split("."):
+        node = next(n for n in node.body if getattr(n, "name", None) == part)
+    return node
+
+
+@pytest.mark.parametrize("module, name", [
+    ("algebra.py", "check_tol"), ("flow.py", "check_time"),
+    ("classification.py", "FlowClassLabel.__post_init__"),
+    ("classification.py", "BekbaevForm.__post_init__")])
+def test_outside_numbers_converted_by_real_float_alone(module, name):
+    # ``algebra.real_float`` alone turns an outside real into a float and catches the
+    # OverflowError of one beyond the float range: its readers neither test realness
+    # nor convert a second time.
+    found = [node.lineno for node in ast.walk(_definition(module, name))
+             if isinstance(node, ast.Try) or isinstance(node, ast.Call)
+             and ast.unparse(node.func) in ("float", "is_real")]
+    assert found == [], f"{module}: {name} tests or converts at lines {found}"
+
+
+def test_one_overflow_handler_around_a_conversion():
+    # real_float's, and rank_2x4_entries' around the ldexp of its singular-value bar.
+    found = [f"{path.name}:{fn.name}" for path in MODULES
+             for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.ExceptHandler)
+             and "OverflowError" in ast.unparse(node.type or ast.Constant(None))]
+    assert found == ["algebra.py:real_float", "algebra.py:rank_2x4_entries"]
 
 
 @pytest.mark.parametrize("path", MODULES + sorted(BENCH.glob("*.py")),
