@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import CubicTensor, floats_from_json, refuse_other_kinds, tensor_from_json_dict
+from .cubic import CubicTensor, floats_from_json, real_array, tensor_from_json_dict
 
 __all__ = [
     "DEFAULT_TOL",
@@ -89,9 +89,7 @@ class BasisChange:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.matrix)
-        refuse_other_kinds(self.matrix, arr, "iuf", "entries must be real numbers")
-        arr = np.array(arr, dtype=float)
+        arr = np.array(real_array(self.matrix, "entries"))  # a copy of its own, to freeze
         if arr.shape != (2, 2):
             raise ValueError(f"expected a 2 x 2 matrix, got shape {arr.shape}")
         (a, b), (c, d) = arr.tolist()  # Python floats: cheaper than numpy scalars
@@ -158,8 +156,7 @@ def random_invertible(rng: np.random.Generator, det_low: float, det_high: float)
 
 def product(algebra: AlgebraFD, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The algebra product of coordinate vectors: z_k = sum_{i,j} x_i y_j c_{ijk}."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = real_array(x, "coordinates"), real_array(y, "coordinates")
     # einsum would broadcast a length-1 vector without complaint.
     if x.shape != (2,) or y.shape != (2,):
         raise ValueError(f"expected two vectors of length 2, got shapes {x.shape}, {y.shape}")
@@ -335,7 +332,7 @@ def to_2x4(algebra: AlgebraFD) -> np.ndarray:
 
 def from_2x4(rows: np.ndarray) -> AlgebraFD:
     """The algebra whose 2 x 4 form is ``rows`` (the inverse of ``to_2x4``)."""
-    rows = np.asarray(rows, dtype=float)
+    rows = real_array(rows, "entries")
     if rows.shape != (2, 4):
         raise ValueError(f"expected shape (2, 4), got {rows.shape}")
     return AlgebraFD(CubicTensor(rows.T.reshape(2, 2, 2)))

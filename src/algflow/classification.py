@@ -50,7 +50,7 @@ from .algebra import (
     iso_residuals,
     real_float,
 )
-from .cubic import CubicTensor
+from .cubic import CubicTensor, real_array
 from .flow import check_time, check_times, paired_entries, paired_tensors, reduce_mod_pi
 
 __all__ = [
@@ -273,7 +273,7 @@ def residue_times(residue, t_max: float, t_min: float = 0.0) -> np.ndarray:
     For an array of residues in [0, pi), the times of each residue in turn.  Each
     time is computed from its own residue and n alone, so a window of times has the
     bits it has in the whole list."""
-    residue = np.asarray(residue, dtype=float)[..., np.newaxis]
+    residue = real_array(residue, "residues")[..., np.newaxis]
     n = np.arange(max(math.floor((t_min - residue.max()) / math.pi) - 1, 0),
                   max(math.floor((t_max - residue.min()) / math.pi) + 2, 0))
     times = residue + n * math.pi
@@ -373,7 +373,9 @@ def certified_reductions(c: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]
     with np.errstate(all="ignore"):  # overflow and nan are where the mask is False
         param, p, target = _acos_reduction(c, s, np.sqrt)
         p_stack = np.stack(p[0] + p[1], axis=-1).reshape(-1, 2, 2)  # four arrays of c's shape
-        target_stack = np.stack(np.broadcast_arrays(*target), axis=-1).reshape(-1, 2, 2, 2)
+        target_stack = np.empty((len(c), 2, 2, 2))  # six of the eight entries are floats
+        for k, entry in enumerate(target):
+            target_stack.reshape(-1, 8)[:, k] = entry
         residual = iso_residuals(paired_tensors(c, s, -s, c), target_stack, p_stack)
         certified = residual <= _reduction_bound(p, target, np.maximum, np.minimum)
     return param, p_stack, target_stack, certified

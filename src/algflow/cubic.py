@@ -43,6 +43,7 @@ __all__ = [
     "tensor_from_json_dict",
     "floats_from_json",
     "refuse_other_kinds",
+    "real_array",
 ]
 
 
@@ -57,24 +58,28 @@ def refuse_other_kinds(values, arr: np.ndarray, kinds: str, message: str) -> Non
         raise ValueError(f"{message}, got a boolean entry")
 
 
+def real_array(values, what: str) -> np.ndarray:
+    """``np.asarray(values, dtype=float)``, the one way in for an outside array: ValueError
+    naming ``what`` unless numpy reads values as integers or floats (``refuse_other_kinds``)."""
+    arr = np.asarray(values)
+    refuse_other_kinds(values, arr, "iuf", f"{what} must be real numbers")
+    return np.asarray(arr, dtype=float)
+
+
 @dataclass(frozen=True, eq=False)
 class CubicTensor:
-    """An m x m x m real array of entries c_{ijk}, all finite.
-
-    Entries are of any numpy integer or float dtype, stored as float64.
-    Booleans, strings and other objects are refused, not converted.
-    """
+    """An m x m x m real array of entries c_{ijk}, all finite: read by ``real_array``
+    (booleans, strings and other objects are refused, not converted) into a float64
+    copy of its own."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values)
+        arr = np.array(real_array(self.values, "entries"))
         if arr.ndim != 3 or len(set(arr.shape)) != 1:
             raise ValueError(f"expected an m x m x m array, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("dimension must be at least 1")
-        refuse_other_kinds(self.values, arr, "iuf", "entries must be real numbers")
-        arr = np.array(arr, dtype=float)
         if not np.isfinite(arr).all():
             raise ValueError("all entries must be finite")
         arr.flags.writeable = False
@@ -183,7 +188,7 @@ def mul_general(a: CubicTensor, b: CubicTensor, op: BinaryOpTable) -> CubicTenso
 def from_middle_slices(slices: list[np.ndarray] | tuple[np.ndarray, ...]) -> CubicTensor:
     """Assemble a tensor from its fixed-middle-index slices, in order j = 1..m."""
     m = len(slices)
-    stacked = np.array(slices, dtype=float)
+    stacked = real_array(slices, "entries")
     if stacked.shape != (m, m, m):
         raise ValueError(f"expected {m} slices of shape {(m, m)}, got shape {stacked.shape}")
     return CubicTensor(np.swapaxes(stacked, 0, 1))

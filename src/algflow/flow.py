@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .algebra import DEFAULT_TOL, AlgebraFD, real_float
-from .cubic import CubicTensor, refuse_other_kinds, type_c_products
+from .cubic import CubicTensor, real_array, type_c_products
 
 __all__ = [
     "paired_tensors",
@@ -77,7 +77,7 @@ def paired_tensors(a11, a12, a21, a22) -> np.ndarray:
 def flow_tensors(d: float | np.ndarray) -> np.ndarray:
     """Structure tensors of the rotation flow at a float or an array of elapsed
     times: shape d.shape + (2, 2, 2)."""
-    d = np.asarray(d, dtype=float)
+    d = real_array(d, "times")
     c, s = np.cos(d), np.sin(d)
     return paired_tensors(c, s, -s, c)
 
@@ -88,7 +88,7 @@ def time_blocks(times: np.ndarray):
 
 
 def flow_algebra(d: float) -> AlgebraFD:
-    return AlgebraFD(CubicTensor(flow_tensors(d)))
+    return AlgebraFD(CubicTensor(flow_tensors(real_float(d, "time"))))
 
 
 def reduce_mod_pi(t):
@@ -125,24 +125,21 @@ def check_time(t: float, tol: float | None = None) -> float:
 
 
 def check_times(t, tol: float) -> np.ndarray:
-    """The float64 array of times t, each accepted by ``check_time``.  An array that
-    numpy does not read as integers or floats is refused (``cubic.refuse_other_kinds``,
-    as for tensor entries); the accepted times form an interval, so the least and the
-    greatest decide (np.min is nan if any time is)."""
-    arr = np.asarray(t)
-    refuse_other_kinds(t, arr, "iuf", "times must be real numbers")
-    arr = np.asarray(arr, dtype=float)
+    """The float64 array of times t (``cubic.real_array``), each accepted by ``check_time``:
+    they form an interval, so the least and the greatest decide (np.min is nan if any is)."""
+    arr = real_array(t, "times")
     if arr.size:
         check_time(float(arr.min()), tol)
         check_time(float(arr.max()), tol)
     return arr
 
 
-def _check_triple(s: float, tau: float, t: float) -> None:
-    for value in (s, tau, t):
-        check_time(value)
+def _check_triple(s: float, tau: float, t: float) -> tuple[float, float, float]:
+    """The floats ``check_time`` returns of 0 <= s < tau < t, ordered as given."""
+    floats = check_time(s), check_time(tau), check_time(t)
     if not s < tau < t:
         raise ValueError(f"need 0 <= s < tau < t, got ({s}, {tau}, {t})")
+    return floats
 
 
 def kce_residuals(s, tau, t) -> np.ndarray:
@@ -150,15 +147,14 @@ def kce_residuals(s, tau, t) -> np.ndarray:
     as floats or equal-shaped arrays: max |M^[t-s] - M^[tau-s] * M^[t-tau]|
     entrywise for each triple, with * the type-C product.  Zero (up to
     rounding) certifies the composition law at that triple."""
-    s, tau, t = (np.asarray(x, dtype=float) for x in (s, tau, t))
+    s, tau, t = (real_array(x, "times") for x in (s, tau, t))
     split = type_c_products(flow_tensors(tau - s), flow_tensors(t - tau))
     return np.max(np.abs(flow_tensors(t - s) - split), axis=(-3, -2, -1))
 
 
 def verify_kce(s: float, tau: float, t: float) -> float:
     """``kce_residuals`` at one triple 0 <= s < tau < t."""
-    _check_triple(s, tau, t)
-    return float(kce_residuals(s, tau, t))
+    return float(kce_residuals(*_check_triple(s, tau, t)))
 
 
 def commutativity_defect(d: float | np.ndarray) -> float | np.ndarray:

@@ -194,6 +194,8 @@ class TestBasisChange:
         p = BasisChange([[1e200, 0.0], [0.0, 1e200]])
         assert p.matrix.tolist() == [[1e200, 0.0], [0.0, 1e200]]
         assert not p.matrix.flags.writeable
+        given = np.array([[1e200, 0.0], [0.0, 1e200]])
+        assert not BasisChange(given).matrix.flags.writeable and given.flags.writeable
 
 
 class TestDeterminantAndInverse:

@@ -18,7 +18,7 @@ import algflow.checks
 import algflow.classification
 from algflow.algebra import (DEFAULT_TOL, BasisChange, change_of_basis, check_tol, determinant,
                              from_2x4, is_associative, is_commutative, iso_residual_entries,
-                             iso_residuals, to_2x4)
+                             iso_residuals, product, to_2x4)
 from algflow.checks import check_associativity_census
 from algflow.classification import (
     _branch,
@@ -41,8 +41,9 @@ from algflow.classification import (
     residue_times,
     to_bekbaev,
 )
-from algflow.cubic import CubicTensor
-from algflow.flow import MAX_TIME, check_time, flow_algebra, paired_tensors
+from algflow.cubic import CubicTensor, from_middle_slices
+from algflow.flow import (MAX_TIME, check_time, flow_algebra, flow_tensors, kce_residuals,
+                          paired_tensors)
 from algflow.isomorphism import iso_residual, rotation_iso, rotation_isomorphic
 
 
@@ -996,19 +997,33 @@ _REALS = [0.5, np.float16(0.5), np.float32(0.5), np.float64(0.5), Fraction(1, 2)
 _NOT_REALS = [True, np.False_, "0.5", 1 + 0j, None, Decimal("0.5")]
 
 
-def _rows(x):
-    """The 2 x 2 matrix of four entries: an array reshaped, a list as a list of rows."""
-    return x.reshape(2, 2) if isinstance(x, np.ndarray) else [x[:2], x[2:]]
+def _shaped(x, shape):
+    """Four entries repeated in order to ``shape``: an array resized, with its dtype, and a
+    list as nested lists of its own items."""
+    if isinstance(x, np.ndarray):
+        return np.resize(x, shape)
+    return np.resize(np.array(x, dtype=object), shape).tolist()
 
 
-# The array entry points read what they are given by its numpy dtype, as ``CubicTensor``
-# does: integer and float arrays, and lists of ints or floats, give the answer of their
-# float64 array; bools, strings, complex numbers and objects (a Fraction, an int beyond
-# the float range) are refused.  Each entry point returns the bytes of its answer.
+# The array entry points read what they are given by its numpy dtype (``cubic.real_array``):
+# integer and float arrays, and lists of ints or floats, give the answer of their float64
+# array; bools, strings, complex numbers and objects (a Fraction, an int beyond the float
+# range) are refused.  Each entry point returns the bytes of its answer.
 _ARRAY_ENTRY_POINTS = {
     "classify_times": lambda x: b"".join(a.tobytes() for a in classify_times(x)),
     "rotation_isomorphic": lambda x: rotation_isomorphic(x, x[::-1]).tobytes(),
-    "BasisChange": lambda x: BasisChange(_rows(x)).matrix.tobytes(),
+    "BasisChange": lambda x: BasisChange(_shaped(x, (2, 2))).matrix.tobytes(),
+    "CubicTensor": lambda x: CubicTensor(_shaped(x, (2, 2, 2))).values.tobytes(),
+    "from_middle_slices":
+        lambda x: from_middle_slices(list(_shaped(x, (2, 2, 2)))).values.tobytes(),
+    "from_2x4": lambda x: from_2x4(_shaped(x, (2, 4))).constants.values.tobytes(),
+    "product.x": lambda x: product(flow_algebra(0.5), _shaped(x, (2,)), [1.0, 2.0]).tobytes(),
+    "product.y": lambda x: product(flow_algebra(0.5), [1.0, 2.0], _shaped(x, (2,))).tobytes(),
+    "flow_tensors": lambda x: flow_tensors(x).tobytes(),
+    "kce_residuals.s": lambda x: kce_residuals(x, np.full(4, 3.0), np.full(4, 4.0)).tobytes(),
+    "kce_residuals.tau": lambda x: kce_residuals(np.zeros(4), x, np.full(4, 4.0)).tobytes(),
+    "kce_residuals.t": lambda x: kce_residuals(np.zeros(4), np.full(4, 0.1), x).tobytes(),
+    "residue_times": lambda x: residue_times(x, 10.0).tobytes(),
 }
 _ENTRIES = [0.5, 2.0, 0.25, 3.0]  # nonnegative times, and a matrix with det 1
 _REAL_ARRAYS = {"float64 array": np.array(_ENTRIES),

@@ -573,7 +573,7 @@ class TestIsoExactTwins:
         kinds = collections.Counter(kind for _, _, kind in asked)
         assert min(kinds.values()) > 100 and len(kinds) == 3
 
-    @pytest.mark.xfail(strict=True, reason="F3, ROADMAP item 1: the search's tol is absolute, "
+    @pytest.mark.xfail(strict=True, reason="F3, ROADMAP item 2: the search's tol is absolute, "
                        "so at a common scale of 2^-40 it certifies distinct families")
     def test_distinct_families_at_a_common_scale_of_2_to_the_minus_40(self, capsys, tmp_path):
         distinct, _ = self._pairs()

@@ -357,6 +357,7 @@ class TestGeneralProduct:
         # the bit test above covers three layouts only if construction keeps them
         values = np.asfortranarray(RNG.uniform(-1.0, 1.0, size=(3, 3, 3)))
         assert CubicTensor(values).values.flags.f_contiguous
+        assert values.flags.writeable  # the tensor froze a copy, not the caller's array
         assert not CubicTensor(values.transpose(1, 2, 0)).values.flags.c_contiguous
 
     @pytest.mark.parametrize("m", range(4, 10))

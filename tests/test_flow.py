@@ -2,6 +2,7 @@
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -224,6 +225,14 @@ class TestVerifyKce:
             verify_kce(0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             verify_kce(-1.0, 0.5, 1.0)
+
+    def test_times_read_as_real_float(self):
+        # a Fraction is read as its float, a bool refused, as by classify_time
+        assert verify_kce(Fraction(0), Fraction(1, 2), Fraction(1)) == verify_kce(0.0, 0.5, 1.0)
+        assert flow_algebra(Fraction(1, 2)) == flow_algebra(0.5)
+        for refused in (lambda: verify_kce(True, 2.0, 3.0), lambda: flow_algebra(True)):
+            with pytest.raises(ValueError, match="time must be a real number, got True"):
+                refused()
 
     def test_random_triples(self):
         for _ in range(200):

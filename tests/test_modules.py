@@ -244,6 +244,70 @@ def test_one_overflow_handler_around_a_conversion():
     assert found == ["algebra.py:real_float", "algebra.py:rank_2x4_entries"]
 
 
+def _functions(tree: ast.AST, prefix: str = ""):
+    """(name, node) of each function and method of a module, nested ones dotted."""
+    for node in ast.iter_child_nodes(tree):
+        name = f"{prefix}{getattr(node, 'name', '')}"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield name, node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _functions(node, f"{name}.")
+
+
+def _root_name(node: ast.AST) -> str | None:
+    """The name an expression such as ``self.values[0]`` starts from."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _float_conversions_of_parameters(fn: ast.AST) -> list[int]:
+    """Lines where fn converts one of its own parameters to floats with a dtype: by
+    ``np.asarray`` or ``np.array`` (the second argument or ``dtype=``), or ``.astype``.
+    A name a comprehension binds from a parameter, such as x in ``for x in (s, t)``,
+    counts as one."""
+    params = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+    for comp in ast.walk(fn):
+        if isinstance(comp, ast.comprehension) and any(
+                isinstance(n, ast.Name) and n.id in params for n in ast.walk(comp.iter)):
+            params |= {n.id for n in ast.walk(comp.target) if isinstance(n, ast.Name)}
+    found = []
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Call):
+            continue
+        func = ast.unparse(node.func)
+        if func in ("np.asarray", "np.array") and node.args:
+            source, dtypes = node.args[0], node.args[1:2]
+        elif isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
+            source, dtypes = node.func.value, node.args[:1]
+        else:
+            continue
+        dtypes += [k.value for k in node.keywords if k.arg == "dtype"]
+        if _root_name(source) in params and any(
+                "float" in ast.unparse(d) or "double" in ast.unparse(d) for d in dtypes):
+            found.append(node.lineno)
+    return found
+
+
+def test_outside_arrays_converted_by_real_array_alone():
+    # ``cubic.real_array`` alone turns an outside array into float64, by its dtype: a
+    # second ``np.asarray(x, dtype=float)`` on a parameter would take bools and strings.
+    found = [f"{path.name}:{name}:{line}" for path in MODULES
+             for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8")))
+             if (path.name, name) != ("cubic.py", "real_array")
+             for line in _float_conversions_of_parameters(fn)]
+    assert found == []
+
+
+def test_refuse_other_kinds_read_by_real_array_and_the_integer_table():
+    # ``BinaryOpTable`` is the one integer reader ("iu"); every float reader is ``real_array``.
+    found = {f"{path.name}:{name}" for path in MODULES
+             for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8")))
+             for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and ast.unparse(node.func).endswith("refuse_other_kinds")}
+    assert found == {"cubic.py:real_array", "cubic.py:BinaryOpTable.__post_init__"}
+
+
 @pytest.mark.parametrize("path", MODULES + sorted(BENCH.glob("*.py")),
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_parses_as_the_oldest_supported_python(path):
