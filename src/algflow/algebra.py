@@ -56,11 +56,11 @@ DEFAULT_TOL = 1e-9
 # Minimum |det| for a change of basis to count as invertible.
 EPS_DET = 1e-10
 # The cap of a certificate's residual bound, in units of the scale max(1, max|c|) of
-# the tensors it relates: read by ``to_bekbaev`` and by ``iso_search``'s back check.
+# the tensors it relates: read by ``to_bekbaev`` and by ``decide``'s ``_carries_back``.
 CERTIFICATE_CAP = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AlgebraFD:
     """A two-dimensional algebra: its 2 x 2 x 2 structure-constant tensor."""
 
@@ -69,11 +69,6 @@ class AlgebraFD:
     def __post_init__(self) -> None:
         if self.constants.dim != 2:
             raise ValueError(f"algebras are two-dimensional, got dim {self.constants.dim}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlgebraFD):
-            return NotImplemented
-        return self.constants == other.constants
 
 
 @dataclass(frozen=True, eq=False)

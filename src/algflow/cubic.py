@@ -50,10 +50,10 @@ __all__ = [
 def refuse_other_kinds(values, arr: np.ndarray, kinds: str, message: str) -> None:
     """Refuse ``arr = np.asarray(values)`` unless its dtype kind is in ``kinds``.
     numpy reads a nested list that mixes booleans with numbers as numbers, so
-    the leaves of a list are also searched for booleans."""
+    the leaves of a list are also searched for booleans; a scalar's dtype shows one."""
     if arr.dtype.kind not in kinds:
         raise ValueError(f"{message}, got {arr.dtype} entries")
-    if not isinstance(values, np.ndarray) and any(
+    if not isinstance(values, np.ndarray) and arr.ndim and any(
             isinstance(x, (bool, np.bool_)) for x in np.array(values, dtype=object).flat):
         raise ValueError(f"{message}, got a boolean entry")
 

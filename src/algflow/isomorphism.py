@@ -27,7 +27,8 @@ Three complementary tools:
   The restarts run one at a time, in index order, and the first certificate
   is the verdict.  The kernels read a tensor as those of
   ``algebra`` do, its eight Python floats c_ijk in (i, j, k) order, and P as
-  its rows ((a, b), (c, d)); each search reads its pair once.
+  its rows ((a, b), (c, d)); ``decide`` reads each side twice, in
+  ``_search_ruled_out`` and for the descent.
 
 * ``invariant_signature`` separates algebras by cheap isomorphism
   invariants (commutativity, associativity, rank of the 2 x 4 form).
@@ -422,9 +423,9 @@ def decide(a: AlgebraFD, b: AlgebraFD, cfg: SearchConfig | None = None) -> IsoVe
             verdict = IsoVerdict.isomorphic(BasisChange(p), residual)
             break
     if overflowed:
-        log.debug("iso_search: %d descents ended where r @ r overflows", overflowed)
+        log.debug("decide: %d descents ended where r @ r overflows", overflowed)
     if inside:
-        log.debug("iso_search: %d descents ended in the root-free ball around P = 0", inside)
+        log.debug("decide: %d descents ended in the root-free ball around P = 0", inside)
     return verdict
 
 

@@ -10,9 +10,10 @@ import math
 import numpy as np
 import pytest
 
+import algflow.algebra
 import algflow.checks
 import algflow.classification
-from algflow.algebra import change_of_basis, random_invertible, to_2x4
+from algflow.algebra import change_of_basis, to_2x4
 from algflow.checks import (
     check_associativity_census,
     check_basis_change_oracle,
@@ -100,22 +101,38 @@ def test_kce_detail_matches_the_triple_loop():
     assert detail.startswith("max residual 2.78e-15 over 1000 triples (tol 1e-12, ")
 
 
-def _oracle_loop(rng, trials):
-    """The oracle's draws as one call per tensor and per matrix try."""
-    draws = [(rng.uniform(-1.0, 1.0, size=(2, 2, 2)), random_invertible(rng, 0.5, 2.0))
-             for _ in range(trials)]
-    return np.array([c for c, _ in draws]), np.array([p for _, p in draws])
+class _RecordedDraws:
+    """A generator that records the shape of each ``uniform`` draw it hands out."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def uniform(self, low, high, size):
+        self.sizes.append(size)
+        return self.rng.uniform(low, high, size)
 
 
-# 2000 trials read about 8,100 blocks, so the first bulk draw runs short and the
-# stream is topped up several times.
+def _in_window(p):
+    """0.5 < |det P| <= 2 for each matrix of a stack, by its own determinant."""
+    det = np.abs(p[:, 0, 0] * p[:, 1, 1] - p[:, 0, 1] * p[:, 1, 0])
+    return (0.5 < det) & (det <= 2.0)
+
+
 @pytest.mark.parametrize("seed, trials", [
-    *((seed, algflow.checks._ORACLE_TRIALS) for seed in (algflow.checks._SEED, *range(50))),
-    *((seed, 2000) for seed in (7, 8, 9))])
-def test_oracle_draws_equal_the_loop(seed, trials):
-    c, p = algflow.checks._oracle_draws(np.random.default_rng(seed), trials)
-    c_loop, p_loop = _oracle_loop(np.random.default_rng(seed), trials)
-    assert np.array_equal(c, c_loop) and np.array_equal(p, p_loop)
+    (algflow.checks._SEED, algflow.checks._ORACLE_TRIALS), (7, 3), (8, 2000)])
+def test_oracle_draws(seed, trials):
+    rng = _RecordedDraws(seed)
+    c, p = algflow.checks._oracle_draws(rng, trials)
+    assert c.shape == (trials, 2, 2, 2) and p.shape == (trials, 2, 2)
+    assert _in_window(p).all() and (np.abs(p) <= 2.0).all()
+    assert len(rng.sizes) > 2  # the first draw of matrices ran short and was topped up
+    # The same bytes for the seed: the tensors, then the first matrices in the window of
+    # the stream that follows them, drawn here in one go.
+    stream = np.random.default_rng(seed)
+    tensors = stream.uniform(-1.0, 1.0, size=(trials, 2, 2, 2))
+    tries = stream.uniform(-2.0, 2.0, size=(10 * trials, 2, 2))
+    kept = tries[_in_window(tries)][:trials]
+    assert c.tobytes() == tensors.tobytes() and p.tobytes() == kept.tobytes()
     # The written-out products of the oracle are einsum's, bit for bit.
     assert (algflow.checks._old_coordinates(c, p).tobytes()
             == np.einsum("nip,njq,npqk->nijk", p, p, c).tobytes())
@@ -151,6 +168,20 @@ def test_basis_oracle_fails_on_a_wrong_inverse(monkeypatch):
         return np.abs(moved - cb).max(axis=(1, 2, 3))
 
     monkeypatch.setattr(algflow.checks, "iso_residuals", transposed)
+    result = check_basis_change_oracle()
+    assert result.line().startswith("FAIL  basis-oracle"), result.line()
+
+
+def test_basis_oracle_fails_on_one_wrong_entry_of_the_algebra_inverse(monkeypatch):
+    """The formula side takes P^-1 from ``algebra.inverse_entries``; the re-derivation
+    reads none of its code, so a fault there shows instead of cancelling out."""
+    real = algflow.algebra.inverse_entries
+
+    def wrong(a, b, c, d):
+        (e, f), row = real(a, b, c, d)
+        return (e, -f), row
+
+    monkeypatch.setattr(algflow.algebra, "inverse_entries", wrong)
     result = check_basis_change_oracle()
     assert result.line().startswith("FAIL  basis-oracle"), result.line()
 

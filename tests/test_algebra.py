@@ -152,6 +152,11 @@ class TestAlgebraFD:
         with pytest.raises(ValueError, match=f"algebras are two-dimensional, got dim {m}"):
             AlgebraFD(CubicTensor(np.zeros((m, m, m))))
 
+    def test_unhashable(self):
+        # equal algebras need equal hashes, and the tensor they compare by has none
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(flow_algebra(0.5))
+
 
 class TestBasisChange:
     def test_singular_rejected_at_construction(self):

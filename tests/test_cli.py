@@ -452,7 +452,7 @@ class TestIsoFiles:
         assert (code, err) == (1, "")
         assert json.loads(out)["kind"] == "NotFoundWithinBudget"
         assert [r.getMessage() for r in caplog.records] == \
-            ["iso_search: 12 descents ended where r @ r overflows"]
+            ["decide: 12 descents ended where r @ r overflows"]
 
     def test_parse_failure(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -944,7 +944,7 @@ class TestVerifyTheorems:
         "PASS  census         census over 21 classes matches, residual at c=0.5 is 1.183 "
         "(> 0.1)",
         "PASS  separation     decide: SeparatedByInvariant by 'associative'",
-        "PASS  basis-oracle   max difference 1.24e-14 over 500 trials (tol 1e-10)",
+        "PASS  basis-oracle   max difference 3.55e-15 over 500 trials (tol 1e-10)",
         "PASS  product-assoc  max |(AB)C - A(BC)| = 8.88e-16 over 1000 triples (tol 1e-12)",
         "9/9 checks passed",
     ]

@@ -1,6 +1,7 @@
 """Cubic-matrix arithmetic: the tensor and table types and both products."""
 
 import math
+from fractions import Fraction
 from itertools import product as iproduct
 
 import numpy as np
@@ -14,6 +15,7 @@ from algflow.cubic import (
     from_middle_slices,
     mul_general,
     mul_type_c,
+    real_array,
     tensor_from_json_dict,
     type_c_products,
 )
@@ -88,6 +90,20 @@ def associative_reference(t: np.ndarray) -> bool:
     """Brute-force a(a(j,n),r) = a(j,a(n,r)) over all index triples, 0-based."""
     m = len(t)
     return all(t[t[j, n], r] == t[j, t[n, r]] for j, n, r in iproduct(range(m), repeat=3))
+
+
+class TestRealArrayOfAScalar:
+    # A 0-d input shows a bool by its dtype, with no search of its leaves.
+    @pytest.mark.parametrize("value, dtype", [
+        (True, "bool"), (np.True_, "bool"), (Fraction(1, 2), "object")])
+    def test_refused_by_dtype(self, value, dtype):
+        with pytest.raises(ValueError, match=f"^time must be real numbers, got {dtype} entries$"):
+            real_array(value, "time")
+
+    @pytest.mark.parametrize("value", [0.5, 1, np.float32(0.5)], ids=repr)
+    def test_accepted_as_its_float64(self, value):
+        got = real_array(value, "time")
+        assert got.dtype == np.float64 and got.tobytes() == np.float64(value).tobytes()
 
 
 class TestVectorSpace:

@@ -1756,7 +1756,7 @@ class TestTrivialRootExit:
         inside = sum(float(np.sum(p * p)) < r2 for p, _, r2 in descents)
         assert 0 < inside < len(descents) == 16
         assert [r.getMessage() for r in caplog.records] == \
-            [f"iso_search: {inside} descents ended in the root-free ball around P = 0"]
+            [f"decide: {inside} descents ended in the root-free ball around P = 0"]
 
 
 class TestVerdictJson:

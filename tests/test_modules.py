@@ -62,14 +62,29 @@ def test_no_tensor_read_as_nested_lists(path):
     assert nested == [], f"{path.name}: tensors read as nested lists at lines {nested}"
 
 
+def _linalg_uses(tree: ast.AST) -> list[int]:
+    """Lines of a use of numpy's linalg (``np.linalg``, or an import of it) within an AST node."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("linalg", "_umath_linalg")
+            or isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")
+            or isinstance(node, ast.Import) and any("linalg" in a.name for a in node.names)]
+
+
 def _blas_calls(tree: ast.AST) -> list[int]:
     """Lines of a matmul (``@`` or ``matmul``) or a linalg use within an AST node."""
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
-            or isinstance(node, ast.Attribute)
-            and node.attr in ("matmul", "linalg", "_umath_linalg")
-            or isinstance(node, ast.Name) and node.id == "matmul"
-            or isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")]
+    return _linalg_uses(tree) + [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Attribute) and node.attr == "matmul"
+        or isinstance(node, ast.Name) and node.id == "matmul"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_linalg_use(path):
+    # No LAPACK call anywhere in algflow: the bits of a solve or an inverse follow the
+    # kernel numpy's BLAS picks for the CPU, and no result or check line should.
+    found = _linalg_uses(ast.parse(path.read_text(encoding="utf-8")))
+    assert found == [], f"{path.name}: linalg at lines {found}"
 
 
 def test_search_module_makes_no_blas_call():
