@@ -118,8 +118,11 @@ def _in_window(p):
     return (0.5 < det) & (det <= 2.0)
 
 
+# The seeds and sizes the retired replay test ran, and a small sample: each reads the
+# stream for matrices several times over.
 @pytest.mark.parametrize("seed, trials", [
-    (algflow.checks._SEED, algflow.checks._ORACLE_TRIALS), (7, 3), (8, 2000)])
+    *((seed, algflow.checks._ORACLE_TRIALS) for seed in (algflow.checks._SEED, *range(50))),
+    *((seed, 2000) for seed in (7, 8, 9)), (7, 3)])
 def test_oracle_draws(seed, trials):
     rng = _RecordedDraws(seed)
     c, p = algflow.checks._oracle_draws(rng, trials)
