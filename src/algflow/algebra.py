@@ -121,7 +121,8 @@ def determinant(p: np.ndarray) -> np.ndarray:
 
 
 def inverse_entries(a, b, c, d):
-    """The rows of [[a, b], [c, d]]^-1 = [[d, -b], [-c, a]] / (ad - bc): floats or arrays."""
+    """The rows of [[a, b], [c, d]]^-1 = [[d, -b], [-c, a]] / (ad - bc), for floats or
+    arrays (operators only)."""
     det = det_entries(a, b, c, d)
     return (d / det, -b / det), (-c / det, a / det)
 
@@ -179,7 +180,8 @@ def _entry_rows(c: np.ndarray) -> np.ndarray:
 
 
 def _commutativity_defects(c):
-    """c_ijk - c_jik for i != j of the entries c_ijk, (i, j, k) order: floats or arrays."""
+    """c_ijk - c_jik for i != j of the entries c_ijk, (i, j, k) order, for floats or
+    arrays (operators only)."""
     _, _, c010, c011, c100, c101, _, _ = c
     return c010 - c100, c011 - c101
 
@@ -279,17 +281,29 @@ def change_of_basis(algebra: AlgebraFD, p: BasisChange) -> AlgebraFD:
 
 
 def _iso_defects(ca, cb, p) -> list:
-    """sum_{p,q,r} P_ip P_jq cA_pqr (P^-1)_rk - cB_ijk over (i, j, k) of the entries of cA
-    and cB, (i, j, k) order, and the rows ((a, b), (c, d)) of P: floats or arrays;
-    operators only, with P^-1 from ``inverse_entries``."""
-    x = ca
-    # The sums over r, q and p: (P^-1)^T, P and P along the last axis, each pass
-    # writing that axis first, so [i, j, k] -> [k, i, j] -> [j, k, i] -> [i, j, k].
-    for (e, f), (g, h) in (zip(*inverse_entries(*p[0], *p[1])), p, p):
-        x0, x1, x2, x3, x4, x5, x6, x7 = x
-        x = (e * x0 + f * x1, e * x2 + f * x3, e * x4 + f * x5, e * x6 + f * x7,
-             g * x0 + h * x1, g * x2 + h * x3, g * x4 + h * x5, g * x6 + h * x7)
-    return [u - v for u, v in zip(x, cb)]
+    """sum_{p,q,r} P_ip P_jq cA_pqr (P^-1)_rk - cB_ijk over (i, j, k), (i, j, k) order,
+    of the eight entries of cA and of cB and the rows ((a, b), (c, d)) of P, for Python
+    floats or arrays of one shape; operators only.
+
+    Three passes, each a sum along the last axis that writes that axis first: over r
+    by the rows (e, f), (g, h) of (P^-1)^T, from ``inverse_entries``, then over q and
+    over p by the rows of P, so [i, j, k] -> [k, i, j] -> [j, k, i] -> [i, j, k].  Each
+    product and each sum of two is rounded once, in this order, so an array element has
+    the bits of the float call."""
+    (a, b), (c, d) = p
+    (e, g), (f, h) = inverse_entries(a, b, c, d)
+    x0, x1, x2, x3, x4, x5, x6, x7 = ca
+    x0, x1, x2, x3, x4, x5, x6, x7 = (
+        e * x0 + f * x1, e * x2 + f * x3, e * x4 + f * x5, e * x6 + f * x7,
+        g * x0 + h * x1, g * x2 + h * x3, g * x4 + h * x5, g * x6 + h * x7)
+    x0, x1, x2, x3, x4, x5, x6, x7 = (
+        a * x0 + b * x1, a * x2 + b * x3, a * x4 + b * x5, a * x6 + b * x7,
+        c * x0 + d * x1, c * x2 + d * x3, c * x4 + d * x5, c * x6 + d * x7)
+    x0, x1, x2, x3, x4, x5, x6, x7 = (
+        a * x0 + b * x1, a * x2 + b * x3, a * x4 + b * x5, a * x6 + b * x7,
+        c * x0 + d * x1, c * x2 + d * x3, c * x4 + d * x5, c * x6 + d * x7)
+    y0, y1, y2, y3, y4, y5, y6, y7 = cb
+    return [x0 - y0, x1 - y1, x2 - y2, x3 - y3, x4 - y4, x5 - y5, x6 - y6, x7 - y7]
 
 
 def iso_residuals(ca: np.ndarray, cb: np.ndarray, p: np.ndarray) -> np.ndarray:

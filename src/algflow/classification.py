@@ -206,9 +206,12 @@ VARIANTS = tuple(_EXCEPTIONAL) + _PARAMETRIZED_VARIANTS
 # (commutative, associative) of each class's representative: A2 both, A1 associative only.
 CLASS_PREDICATES = dict.fromkeys(VARIANTS, (False, False)) | {A1: (False, True), A2: (True, True)}
 EXCEPTIONAL_RESIDUES = tuple((residue, variant) for variant, (residue, *_) in _EXCEPTIONAL.items())
-# (residue, code) of the bands, lowest precedence first; t mod pi just below pi
-# lies in the A1 band of 0, wrapped round.
-_BANDS = tuple((r, VARIANTS.index(v)) for r, v in reversed(((math.pi, A1),) + EXCEPTIONAL_RESIDUES))
+# The constants of ``class_codes``: pi/2 splits ACosPlus from ACosMinus, and the
+# (residue, code) of each exceptional class's band.
+_HALF_PI = math.pi / 2
+_ACOS_PLUS_CODE = VARIANTS.index(ACOS_PLUS)
+(_A1_RESIDUE, _A1_CODE), (_A0_PLUS_RESIDUE, _A0_PLUS_CODE), (_A2_RESIDUE, _A2_CODE) = (
+    (residue, VARIANTS.index(variant)) for residue, variant in EXCEPTIONAL_RESIDUES)
 # The label of each exceptional class, indexed by its variant code (a label is immutable).
 _EXCEPTIONAL_LABELS = tuple(map(FlowClassLabel, _EXCEPTIONAL))
 
@@ -229,10 +232,16 @@ def bekbaev_matrix(form: BekbaevForm) -> np.ndarray:
 def class_codes(r, tol: float):
     """Indices into ``VARIANTS`` of the classes of times r reduced mod pi, for a
     float or an ndarray (operators only): the first band of half-width tol that
-    holds r, else ACosPlus below pi/2 and ACosMinus above.  The one band test."""
-    code = (r >= math.pi / 2) + VARIANTS.index(ACOS_PLUS)
-    for residue, band_code in _BANDS:  # the first band that holds r is assigned last
-        code += (abs(r - residue) <= tol) * (band_code - code)
+    holds r, else ACosPlus below pi/2 and ACosMinus above.  The one band test.
+
+    The bands are A1's about pi (t mod pi just below pi, wrapped round) and about 0,
+    then A0Plus's and A2's; each update sets the code where r lies in its band, so the
+    first band that holds r is assigned last."""
+    code = (r >= _HALF_PI) + _ACOS_PLUS_CODE
+    code += (abs(r - _A2_RESIDUE) <= tol) * (_A2_CODE - code)
+    code += (abs(r - _A0_PLUS_RESIDUE) <= tol) * (_A0_PLUS_CODE - code)
+    code += (abs(r - _A1_RESIDUE) <= tol) * (_A1_CODE - code)
+    code += (abs(r - math.pi) <= tol) * (_A1_CODE - code)
     return code
 
 
@@ -313,8 +322,9 @@ def _acos_reduction(c, s, sqrt):
 def _reduction_bound(p, target, maximum, minimum):
     """The bound on the residual of the rows p of P carrying a representative onto
     the eight target entries, for floats (``max``, ``min``) or arrays (``np.maximum``,
-    ``np.minimum``): 1e-10 times the rounding scale max(1, max|P|^3 / |det P|), at
-    most ``CERTIFICATE_CAP`` times max(1, max|target|), as ``to_bekbaev`` describes.
+    ``np.minimum``), operators only: 1e-10 times the rounding scale
+    max(1, max|P|^3 / |det P|), at most ``CERTIFICATE_CAP`` times max(1, max|target|), as
+    ``to_bekbaev`` describes.
     A nan residual is never within it."""
     (a, b), (c, d) = p
     p_max = maximum(maximum(abs(a), abs(b)), maximum(abs(c), abs(d)))

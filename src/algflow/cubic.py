@@ -58,10 +58,24 @@ def refuse_other_kinds(values, arr: np.ndarray, kinds: str, message: str) -> Non
         raise ValueError(f"{message}, got a boolean entry")
 
 
+def _is_number_leaf(x) -> bool:
+    """Whether a leaf of an outside nested list is a finite number: an int or a float,
+    not a bool, within the float range (a JSON number, or a Python one)."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
 def real_array(values, what: str) -> np.ndarray:
     """``np.asarray(values, dtype=float)``, the one way in for an outside array: ValueError
-    naming ``what`` unless numpy reads values as integers or floats (``refuse_other_kinds``)."""
+    naming ``what`` unless numpy reads values as integers or floats (``refuse_other_kinds``).
+    numpy reads a list of ints and floats as objects where an int is beyond int64 and
+    uint64 alike; a list that holds such an int is read by the leaf rule of
+    ``floats_from_json`` (``_is_number_leaf``).  Other object arrays are refused."""
     arr = np.asarray(values)
+    if arr.dtype.kind == "O" and not isinstance(values, np.ndarray):
+        leaves = arr.ravel().tolist()
+        if all(map(_is_number_leaf, leaves)) and any(
+                type(x) is int and x.bit_length() > 63 for x in leaves):
+            return arr.astype(float)
     refuse_other_kinds(values, arr, "iuf", f"{what} must be real numbers")
     return np.asarray(arr, dtype=float)
 
@@ -198,7 +212,7 @@ def floats_from_json(data: dict, key: str) -> np.ndarray:
     """The nested list under ``key`` as a float array.  A ragged nesting, or a leaf
     that is not a finite JSON number (a boolean, a string, null), raises ValueError."""
     values = np.array(data[key], dtype=object)
-    if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in values.flat):
+    if not all(map(_is_number_leaf, values.flat)):
         raise ValueError(f'"{key}" is not a rectangular array of numbers')
     return values.astype(float)
 

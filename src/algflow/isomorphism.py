@@ -519,7 +519,7 @@ def rotation_iso(t1: float, t2: float, tol: float = DEFAULT_TOL) -> IsoVerdict:
             log.debug("rotation_iso k %s, certificate %s", ("even", "odd")[parity],
                       certificate.matrix)
             return IsoVerdict.isomorphic(certificate, residual)
-    variants = {VARIANTS[class_codes(r, tol)] for r in (r1, r2)}
+    variants = {VARIANTS[class_codes(r1, tol)], VARIANTS[class_codes(r2, tol)]}
     if len(variants) == 2:  # the first variant in table order that holds at one time only
         for variant, verdict in _ONE_TIME_ONLY.items():
             if variant in variants:

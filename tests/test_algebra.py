@@ -12,7 +12,9 @@ from algflow.algebra import (
     DEFAULT_TOL,
     AlgebraFD,
     BasisChange,
+    _entry_rows,
     _inverse,
+    _iso_defects,
     algebra_from_json_dict,
     algebra_to_json_dict,
     associativity_residual,
@@ -26,6 +28,7 @@ from algflow.algebra import (
     det_in_window,
     determinant,
     from_2x4,
+    inverse_entries,
     is_associative,
     is_commutative,
     iso_residual,
@@ -609,6 +612,70 @@ class TestIsoResiduals:
     def test_wrong_shapes_refused(self, ca, cb, p):
         with pytest.raises(ValueError, match="expected shapes"):
             iso_residuals(np.zeros(ca), np.zeros(cb), np.ones(p))
+
+
+def _loop_iso_defects(ca, cb, p) -> list:
+    """``algebra._iso_defects`` as it was before it was written out, its three passes
+    run as a loop through ``zip``: the reference for its bits."""
+    x = ca
+    for (e, f), (g, h) in (zip(*inverse_entries(*p[0], *p[1])), p, p):
+        x0, x1, x2, x3, x4, x5, x6, x7 = x
+        x = (e * x0 + f * x1, e * x2 + f * x3, e * x4 + f * x5, e * x6 + f * x7,
+             g * x0 + h * x1, g * x2 + h * x3, g * x4 + h * x5, g * x6 + h * x7)
+    return [u - v for u, v in zip(x, cb)]
+
+
+# Entries that stress the rounding: signed zeros, subnormals, magnitudes whose
+# products overflow (1e154 cubed), infinities and nans.
+_SPECIAL_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e154, -3e154, 1.5e154,
+                    math.inf, -math.inf, math.nan)
+
+
+def _special_iso_cases(rng, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n triples (cA, cB, P), shapes (n, 2, 2, 2) and (n, 2, 2): each entry special
+    (``_SPECIAL_ENTRIES``) with probability 1/2, else uniform at a random scale."""
+    values = rng.uniform(-2.0, 2.0, size=(n, 20)) * 10.0 ** rng.uniform(-3, 3, size=(n, 20))
+    special = rng.random((n, 20)) < 0.5
+    values[special] = rng.choice(_SPECIAL_ENTRIES, size=special.sum())
+    return values[:, :8].reshape(n, 2, 2, 2), values[:, 8:16].reshape(n, 2, 2, 2), \
+        values[:, 16:].reshape(n, 2, 2)
+
+
+class TestIsoDefectsKernel:
+    # The kernel written out against its loop form kept above, bit for bit: sign bits
+    # of zeros, subnormals, overflow to inf and inf - inf to nan included.
+    def test_float_calls_match_the_loop_form(self):
+        ca, cb, p = _special_iso_cases(np.random.default_rng(4040), 3000)
+        # Python floats divide by a zero det with ZeroDivisionError: such P are left out.
+        with np.errstate(all="ignore"):
+            nonsingular = determinant(p) != 0.0
+        assert nonsingular.sum() > 1500
+        for a, b, m in zip(ca[nonsingular], cb[nonsingular], p[nonsingular]):
+            args = a.ravel().tolist(), b.ravel().tolist(), m.tolist()
+            got, expected = _iso_defects(*args), _loop_iso_defects(*args)
+            assert type(got) is list and all(type(x) is float for x in got)
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+    def test_stack_calls_match_the_loop_form_and_the_float_calls(self):
+        ca, cb, p = _special_iso_cases(np.random.default_rng(4041), 3000)
+        args = _entry_rows(ca), _entry_rows(cb), p.transpose(1, 2, 0)
+        with np.errstate(all="ignore"):
+            got, expected = np.array(_iso_defects(*args)), np.array(_loop_iso_defects(*args))
+            nonsingular = determinant(p) != 0.0
+        assert got.shape == (8, 3000) and got.tobytes() == expected.tobytes()
+        # A nonsingular element has the bits of the float call on Python floats.
+        for n in np.flatnonzero(nonsingular)[:500]:
+            one = _iso_defects(ca[n].ravel().tolist(), cb[n].ravel().tolist(), p[n].tolist())
+            assert np.array(one).tobytes() == got[:, n].tobytes()
+
+    def test_corpus_reaches_every_kind_of_defect(self):
+        ca, cb, p = _special_iso_cases(np.random.default_rng(4041), 3000)
+        with np.errstate(all="ignore"):
+            got = np.array(_iso_defects(_entry_rows(ca), _entry_rows(cb), p.transpose(1, 2, 0)))
+        finite = got[np.isfinite(got)]
+        assert np.isnan(got).any() and np.isinf(got).any()
+        assert (np.signbit(finite) & (finite == 0.0)).any() and (finite == 0.0).any()
+        assert ((finite != 0.0) & (np.abs(finite) < 2.2250738585072014e-308)).any()
 
 
 class TestJson:

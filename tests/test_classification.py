@@ -29,10 +29,12 @@ from algflow.classification import (
     ACOS_MINUS,
     ACOS_PLUS,
     BekbaevForm,
+    EXCEPTIONAL_RESIDUES,
     FlowClassLabel,
     PARAM_COUNTS,
     bekbaev_matrix,
     certified_reductions,
+    class_codes,
     class_representative,
     classify_time,
     classify_times,
@@ -1086,3 +1088,51 @@ class TestAcceptRefuseTable:
             classify_times(t, 10**400)
         with pytest.raises(ValueError, match="tolerance must be finite"):
             rotation_isomorphic(t, t, 10**400)
+
+
+# (residue, code) of the bands, lowest precedence first, as the loop form read them.
+_LOOP_BANDS = tuple((r, VARIANTS.index(v))
+                    for r, v in reversed(((math.pi, A1),) + EXCEPTIONAL_RESIDUES))
+
+
+def _loop_class_codes(r, tol: float):
+    """``classification.class_codes`` as it was before it was written out, a loop over
+    its bands: the reference for its codes."""
+    code = (r >= math.pi / 2) + VARIANTS.index(ACOS_PLUS)
+    for residue, band_code in _LOOP_BANDS:
+        code += (abs(r - residue) <= tol) * (band_code - code)
+    return code
+
+
+def _band_edges(tol: float) -> list[float]:
+    """Each band residue and the split pi/2, each +- tol, each of those +- 1 ulp."""
+    points = []
+    for residue in (0.0, math.pi / 2, 3 * math.pi / 4, math.pi):
+        for edge in (residue - tol, residue, residue + tol):
+            points += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+    return points + [-0.0, 5e-324, math.pi / 4, math.inf, math.nan]
+
+
+class TestClassCodesKernel:
+    # tol = 0 (each band a point), the default, and tols at which bands overlap, so
+    # that precedence decides: 0.5 (A0Plus and A2), 1.0 (A1 and A0Plus too) and 2.0.
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.5, 1.0, 2.0])
+    def test_float_calls_match_the_loop_form(self, tol):
+        for r in _band_edges(tol):
+            got, expected = class_codes(r, tol), _loop_class_codes(r, tol)
+            assert type(got) is type(expected) is int and got == expected, (r, tol)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.5, 1.0, 2.0])
+    def test_array_calls_match_the_loop_form_and_the_float_calls(self, tol):
+        r = np.array(_band_edges(tol))
+        got, expected = class_codes(r, tol), _loop_class_codes(r, tol)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        assert got.tolist() == [class_codes(x, tol) for x in r.tolist()]
+
+    def test_overlapping_bands_reach_every_precedence(self):
+        # Where two bands hold r the first in EXCEPTIONAL_RESIDUES order wins.
+        assert class_codes(2.0, 0.5) == VARIANTS.index(A0_PLUS)
+        assert class_codes(1.0, 1.0) == VARIANTS.index(A1)
+        assert class_codes(2.1, 1.0) == VARIANTS.index(A0_PLUS)
+        assert class_codes(math.pi - 0.5, 0.5) == VARIANTS.index(A1)
+        assert class_codes(math.pi / 2 + 0.1, 0.0) == VARIANTS.index(ACOS_MINUS)

@@ -1,6 +1,7 @@
 """Cubic-matrix arithmetic: the tensor and table types and both products."""
 
 import math
+import sys
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -19,7 +20,7 @@ from algflow.cubic import (
     tensor_from_json_dict,
     type_c_products,
 )
-from algflow.flow import flow_algebra
+from algflow.flow import flow_algebra, flow_tensors
 
 RNG = np.random.default_rng(1234)
 
@@ -104,6 +105,37 @@ class TestRealArrayOfAScalar:
     def test_accepted_as_its_float64(self, value):
         got = real_array(value, "time")
         assert got.dtype == np.float64 and got.tobytes() == np.float64(value).tobytes()
+
+
+class TestRealArrayOfIntsBeyondInt64:
+    # numpy reads a list holding an int beyond int64 as objects; its leaves are read by
+    # the leaf rule of ``floats_from_json``, so both readers take the same lists.
+    def test_tensor_accepted_as_its_json_reading(self):
+        tensor = CubicTensor([[[10**20]]])
+        assert tensor.values.tolist() == [[[1e20]]]
+        assert tensor == tensor_from_json_dict({"dim": 1, "c": [[[10**20]]]})
+
+    def test_times_accepted_as_their_float64(self):
+        got = flow_tensors([10**20, 0.5])
+        assert got.tobytes() == flow_tensors(np.array([1e20, 0.5])).tobytes()
+
+    def test_largest_float_is_accepted(self):
+        big = int(sys.float_info.max)
+        assert real_array([big, 2**64], "entries").tolist() == [sys.float_info.max, 2.0**64]
+
+    def test_negative_beyond_int64_is_accepted(self):
+        assert real_array([[-(2**63) - 1, 1]], "entries").tolist() == [[-(2.0**63), 1.0]]
+
+    @pytest.mark.parametrize("values", [
+        [10**309, 0.5], [[[-(10**400)]]], [2**64, True], [2**64, Fraction(1, 2)],
+        [2**64, "1.5"], [2**64, None], [2**64, np.float64(0.5)], [2**64, math.nan],
+        np.array([2**64, 0.5], dtype=object), [np.array([1.0, 0.5], dtype=object)],
+    ], ids=["beyond-float", "far-beyond-float", "bool", "fraction", "string", "none",
+            "numpy-float", "nan", "object-ndarray", "list-of-object-ndarrays"])
+    def test_other_leaves_refused_with_a_short_value_error(self, values):
+        with pytest.raises(ValueError) as excinfo:
+            real_array(values, "entries")
+        assert len(str(excinfo.value)) <= 100
 
 
 class TestVectorSpace:

@@ -323,6 +323,41 @@ def test_refuse_other_kinds_read_by_real_array_and_the_integer_table():
     assert found == {"cubic.py:real_array", "cubic.py:BinaryOpTable.__post_init__"}
 
 
+# The operator-only kernels: each is run on Python floats and on numpy arrays with the
+# same bits, so it does its arithmetic by operators. It may call only the builtins and
+# the reduce that act on either, the functions it is handed and the other kernels; it
+# may read a constant such as math.pi, but a call of np or math would be float-only,
+# array-only or a second rounding.
+_OPERATOR_KERNELS = {
+    "algebra.py": {"det_entries", "inverse_entries", "_commutativity_defects",
+                   "_associativity_defects", "_iso_defects"},
+    "classification.py": {"class_codes", "_acos_reduction", "_reduction_bound"},
+    "flow.py": {"reduce_mod_pi"},
+    "isomorphism.py": {"_parity"},
+}
+_KERNEL_CALLS = {"abs", "zip", "map", "functools.reduce"}.union(*_OPERATOR_KERNELS.values())
+
+
+def test_operator_only_kernels_are_the_listed_ones():
+    # A function whose docstring says "operators only" is held to the guard below.
+    found = {}
+    for path in MODULES:
+        for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8"))):
+            if "operators only" in " ".join((ast.get_docstring(fn) or "").split()):
+                found.setdefault(path.name, set()).add(name)
+    assert found == _OPERATOR_KERNELS
+
+
+@pytest.mark.parametrize("module, name", sorted(
+    (module, name) for module, names in _OPERATOR_KERNELS.items() for name in names))
+def test_operator_only_kernel_calls_no_other_function(module, name):
+    fn = _definition(module, name)
+    allowed = _KERNEL_CALLS | {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+    calls = [f"{ast.unparse(node.func)}:{node.lineno}" for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) not in allowed]
+    assert calls == [], f"{module}: {name} calls {calls}"
+
+
 @pytest.mark.parametrize("path", MODULES + sorted(BENCH.glob("*.py")),
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_parses_as_the_oldest_supported_python(path):
